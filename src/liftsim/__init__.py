@@ -23,6 +23,7 @@ from .core import (
     BOT,
     BobCube,
     ComposedInstance,
+    ExplicitBobSet,
     GadgetSpec,
     OuterFunction,
     PartialAssignment,

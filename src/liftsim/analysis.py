@@ -15,15 +15,10 @@ from fractions import Fraction
 
 from .core import (
     BOT,
-    BobCube,
     ComposedInstance,
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
     Rect,
-    bob_count_slice,
-    bob_deficiency,
-    bob_materialize,
-    bob_size,
     compose_eval,
     is_structured,
     iter_slice,
@@ -58,11 +53,8 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
         raise DomainError(f"slice of z={z} is empty")
     leaves = rp.leaves()
     if method == "auto":
-        count_cost = sum(
-            len(leaf.rect.X) * (1 if isinstance(leaf.rect.Y, BobCube)
-                                else bob_size(leaf.rect.Y))
-            for _, leaf in leaves
-        )
+        count_cost = sum(len(leaf.rect.X) * leaf.rect.Y.count_slice_cost
+                         for _, leaf in leaves)
         method = "count" if count_cost < total else "enumerate"
         if min(count_cost, total) > pair_budget:
             raise ResourceError("true transcript distribution",
@@ -80,7 +72,7 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
     counts = {}
     covered = 0
     for t, leaf in leaves:
-        c = sum(bob_count_slice(leaf.rect.Y, xs, z, G) for xs in leaf.rect.X)
+        c = sum(leaf.rect.Y.count_slice(xs, z) for xs in leaf.rect.X)
         if c:
             counts[t] = counts.get(t, 0) + c
             covered += c
@@ -131,7 +123,7 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
     if rect.pair_count > pair_budget:
         raise ResourceError("marginals enumeration", rect.pair_count, pair_budget)
     cap = Fraction(G.n ** 3) if cap is None else as_fraction(cap)
-    Y = bob_materialize(rect.Y, pair_budget)
+    Y = rect.Y.materialize(pair_budget)
     x_counts = {xs: 0 for xs in rect.X}
     y_counts = {ys: 0 for ys in Y}
     total = 0
@@ -142,7 +134,7 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
                 y_counts[ys] += 1
                 total += 1
     structured = is_structured(rect, rho, delta, G)
-    deficiency_ok = bob_deficiency(rect.Y, G) <= Bits.rational(cap)
+    deficiency_ok = rect.Y.deficiency() <= Bits.rational(cap)
     if total == 0:
         return MarginalsReport(False, Fraction(1), Fraction(1),
                                structured, deficiency_ok, 0)
@@ -226,8 +218,6 @@ def norm_bound_check(g, I, X: SetVar, Y: SetVar,
     The middle factor is the operator norm of the tensored gadget matrix,
     which is exactly 2^(m/2) per block for the index gadget.
     """
-    if g.kind != "index":
-        raise DomainError("the norm bound uses the index-gadget operator norm")
     I, xpos, ypos = _aligned_positions(X, Y, I)
     lhs = abs(parity_bias(g, I, X, Y, pair_budget))
     qx = _squared_two_norm(X, I)

@@ -36,6 +36,7 @@ from fractions import Fraction
 from . import analysis, entropy, fixtures, simulate as sim
 from .core import (
     BOT,
+    ExplicitBobSet,
     GadgetSpec,
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
@@ -115,6 +116,16 @@ def write_report(out_dir, report, csv_tables):
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
+
+
+def _check_delta(text):
+    """--delta must be an exact rational strictly between 0 and 1."""
+    try:
+        delta = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"--delta {text!r} is not a rational number") from None
+    if not 0 < delta < 1:
+        raise DomainError(f"--delta must lie in (0, 1), got {text}")
 
 
 def _sim_config(args) -> sim.SimConfig:
@@ -297,7 +308,7 @@ def cmd_verify(args):
         Y = frozenset(tuple(rng.randrange(2 ** m) for _ in range(n))
                       for _ in range(rng.randint(1, 8)))
         z = tuple(rng.randint(0, 1) for _ in range(n))
-        rep = analysis.marginals_report(Rect(X, Y),
+        rep = analysis.marginals_report(Rect(X, ExplicitBobSet(n, m, Y)),
                                         PartialAssignment.free_everywhere(n),
                                         z, g)
         marg_rows.append([idx, n, m, int(rep.nonempty), float(rep.tv_x),
@@ -594,6 +605,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_file(parser, argv)
+        _check_delta(args.delta)
     except (OSError, json.JSONDecodeError, DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,5 @@
-"""Gadgets, composed instances, rectangles, partial assignments, and slices.
+"""The index gadget, composed instances, Bob sets, rectangles, partial
+assignments, and slices.
 
 Conventions used throughout: Alice's per-block value x is 1-based in [m];
 Bob's per-block value y is an m-bit string, written left to right, so bit 1 is
@@ -64,33 +65,16 @@ def _is_power_of_two(v: int) -> bool:
 
 @dataclass(frozen=True)
 class GadgetSpec:
-    """A two-party single-block gadget: the index gadget, or an explicit table."""
+    """The index gadget on one block: g(x, y) = bit x of y."""
 
-    kind: str               # "index" | "table"
     alice_size: int         # Alice's block domain is [alice_size]
     bob_bits: int           # Bob's block domain is {0,1}^bob_bits
-    table: tuple = ()       # table kind only: ((x, y, bit), ...) total
 
     @classmethod
     def index(cls, m: int) -> "GadgetSpec":
         if m < 2 or not _is_power_of_two(m):
             raise DomainError(f"index gadget needs m a power of 2, m >= 2; got {m}")
-        return cls("index", m, m)
-
-    @classmethod
-    def from_table(cls, alice_size: int, bob_bits: int, mapping) -> "GadgetSpec":
-        if alice_size < 1 or bob_bits < 1:
-            raise DomainError("table gadget needs nonempty domains")
-        entries = []
-        for x in range(1, alice_size + 1):
-            for y in range(2 ** bob_bits):
-                if (x, y) not in mapping:
-                    raise DomainError(f"table gadget not total: missing ({x},{y})")
-                b = mapping[(x, y)]
-                if b not in (0, 1):
-                    raise DomainError("table values must be bits")
-                entries.append((x, y, b))
-        return cls("table", alice_size, bob_bits, tuple(entries))
+        return cls(m, m)
 
     @property
     def m(self) -> int:
@@ -101,22 +85,11 @@ class GadgetSpec:
             raise DomainError(f"x={x} outside [{self.alice_size}]")
         if not 0 <= y < 2 ** self.bob_bits:
             raise DomainError(f"y={y} is not a {self.bob_bits}-bit string")
-        if self.kind == "index":
-            return bit_at(y, x, self.bob_bits)
-        for tx, ty, b in self.table:
-            if tx == x and ty == y:
-                return b
-        raise DomainError("table gadget missing entry")  # unreachable: totality checked
+        return bit_at(y, x, self.bob_bits)
 
     def preimage_count(self, b: int) -> dict:
         """Per-x count of y values with g(x, y) = b."""
-        if self.kind == "index":
-            return {x: 2 ** (self.bob_bits - 1) for x in range(1, self.alice_size + 1)}
-        counts = {x: 0 for x in range(1, self.alice_size + 1)}
-        for tx, ty, tb in self.table:
-            if tb == b:
-                counts[tx] += 1
-        return counts
+        return {x: 2 ** (self.bob_bits - 1) for x in range(1, self.alice_size + 1)}
 
 
 def gadget_eval(g: GadgetSpec, x: int, y) -> int:
@@ -169,7 +142,7 @@ class ComposedInstance:
     def full_Y(self, pair_budget: int = PAIR_BUDGET_DEFAULT):
         """Explicit Bob domain when it fits the budget, otherwise a full cube."""
         if self.bob_size <= pair_budget:
-            return frozenset(self.bob_domain())
+            return ExplicitBobSet(self.n, self.gadget.bob_bits, self.bob_domain())
         return BobCube(self.n, self.gadget.bob_bits, ())
 
     def check_alice(self, xs):
@@ -247,32 +220,30 @@ class PartialAssignment:
         return PartialAssignment(out)
 
 
+# --- Bob sets: a BobCube or an ExplicitBobSet, with one interface; every
+# operation that can come out empty returns None for the empty set. ---
+
 @dataclass(frozen=True)
 class BobCube:
     """A subcube of Bob's domain: some (block, position) bits pinned.
 
-    This is the large-m representation: explicit Bob sets stop fitting any
-    budget around 2^24, while the closeness sweeps go up to m = 32 where the
-    full domain has 2^32 strings per block.  Only bit-pinning restrictions are
-    supported, which is exactly what single-bit announcements and pointer
-    fixing produce.
-    """
+    The large-m representation (sweeps reach 2^32 strings per block).  Bit
+    pinning is exactly what single-bit announcements and pointer fixing do."""
 
     n: int
     m: int
     fixed: tuple  # sorted ((block, pos), bit)
 
-    def __init__(self, n, m, fixed):
-        fixed = tuple(sorted(fixed))
-        seen = {}
-        for (blk, pos), b in fixed:
-            if not (1 <= blk <= n and 1 <= pos <= m):
+    count_slice_cost = 1  # count_slice is closed form
+
+    def __post_init__(self):
+        pins = {}
+        for (blk, pos), b in self.fixed:
+            if not (1 <= blk <= self.n and 1 <= pos <= self.m):
                 raise DomainError(f"cube constraint ({blk},{pos}) out of range")
-            if b not in (0, 1) or seen.setdefault((blk, pos), b) != b:
+            if b not in (0, 1) or pins.setdefault((blk, pos), b) != b:
                 raise DomainError("conflicting or non-bit cube constraint")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "fixed", tuple(sorted(pins.items())))
 
     @property
     def size(self) -> int:
@@ -281,110 +252,113 @@ class BobCube:
     def contains(self, ys) -> bool:
         return all(bit_at(ys[blk - 1], pos, self.m) == b for (blk, pos), b in self.fixed)
 
-    def restrict(self, constraints):
-        """Pin more bits; returns None if inconsistent."""
+    def restrict(self, pins):
+        """Pin more bits, {(block, pos): bit}; None if inconsistent."""
         merged = dict(self.fixed)
-        for key, b in constraints.items():
+        for key, b in pins.items():
             if merged.setdefault(key, b) != b:
                 return None
         return BobCube(self.n, self.m, tuple(merged.items()))
 
+    def split_bit(self, blk: int, pos: int):
+        return self.restrict({(blk, pos): 0}), self.restrict({(blk, pos): 1})
+
+    def split_fn(self, fn):
+        raise ResourceError("table split of a cube Bob set", self.size, 0)
+
     def pinned(self, blk: int, pos: int):
         return dict(self.fixed).get((blk, pos))
 
-    def block_count(self, blk: int, extra: dict) -> int:
-        """Number of y for one block consistent with this cube plus extra pins."""
-        pins = {pos: b for (bl, pos), b in self.fixed if bl == blk}
-        for pos, b in extra.items():
-            if pins.setdefault(pos, b) != b:
+    def deficiency(self) -> entropy.Bits:
+        """D(Y) relative to the full Bob domain: the pinned-bit count."""
+        return entropy.Bits.rational(len(self.fixed))
+
+    def count_slice(self, xs, z) -> int:
+        """|{y in Y : g(xs_i, y_i) = z_i for all i}| without enumerating."""
+        pins = dict(self.fixed)
+        for blk, (x, b) in enumerate(zip(xs, z), start=1):
+            if pins.setdefault((blk, x), b) != b:
                 return 0
-        return 2 ** (self.m - len(pins))
+        return 2 ** (self.n * self.m - len(pins))
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
         if self.size > pair_budget:
             raise ResourceError("cube materialization", self.size, pair_budget)
-        per_block = []
-        for blk in range(1, self.n + 1):
-            pins = {pos: b for (bl, pos), b in self.fixed if bl == blk}
-            per_block.append(
-                [y for y in range(2 ** self.m)
-                 if all(bit_at(y, p, self.m) == b for p, b in pins.items())]
-            )
+        per_block = [[y for y in range(2 ** self.m)
+                      if all(bit_at(y, p, self.m) == b for (bl, p), b in self.fixed if bl == blk)]
+                     for blk in range(1, self.n + 1)]
         return frozenset(itertools.product(*per_block))
 
 
-# --- uniform helpers over explicit frozensets and BobCube ---
+@dataclass(frozen=True)
+class ExplicitBobSet:
+    """An explicit set of Bob inputs: n-tuples of m-bit strings."""
+
+    n: int
+    m: int
+    ys: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "ys", frozenset(self.ys))
+
+    @property
+    def size(self) -> int:
+        return len(self.ys)
+
+    count_slice_cost = size  # count_slice scans every element
+
+    def contains(self, ys) -> bool:
+        return tuple(ys) in self.ys
+
+    def _subset(self, ys):
+        return ExplicitBobSet(self.n, self.m, ys) if ys else None
+
+    def restrict(self, pins):
+        """The elements with bit (block, pos) = b for each pin; None if empty."""
+        m = self.m
+        return self._subset(frozenset(
+            ys for ys in self.ys
+            if all(bit_at(ys[blk - 1], pos, m) == b for (blk, pos), b in pins.items())
+        ))
+
+    def split_bit(self, blk: int, pos: int):
+        return self.split_fn(lambda ys: bit_at(ys[blk - 1], pos, self.m))
+
+    def split_fn(self, fn):
+        """(elements fn maps to 0, the rest), one call of fn per element."""
+        zero = frozenset(ys for ys in self.ys if fn(ys) == 0)
+        return self._subset(zero), self._subset(self.ys - zero)
+
+    def deficiency(self) -> entropy.Bits:
+        """D(Y) relative to the full Bob domain, in bits."""
+        if not self.ys:
+            raise DomainError("deficiency of an empty set")
+        return entropy.Bits.log2(Fraction(2 ** (self.n * self.m), len(self.ys)))
+
+    def count_slice(self, xs, z) -> int:
+        """|{y in Y : g(xs_i, y_i) = z_i for all i}| by a scan."""
+        m = self.m
+        return sum(1 for ys in self.ys
+                   if all(bit_at(y, x, m) == b for x, y, b in zip(xs, ys, z)))
+
+    def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
+        return self.ys
+
 
 def bob_size(Y) -> int:
-    return Y.size if isinstance(Y, BobCube) else len(Y)
-
-def bob_is_empty(Y) -> bool:
-    return bob_size(Y) == 0
-
-def bob_contains(Y, ys) -> bool:
-    return Y.contains(ys) if isinstance(Y, BobCube) else tuple(ys) in Y
-
-def bob_restrict(Y, constraints, m: int):
-    """Subset with bit (block,pos) = b for each constraint; None-able for cubes,
-    possibly-empty frozenset for explicit sets."""
-    if isinstance(Y, BobCube):
-        return Y.restrict(constraints)
-    out = frozenset(
-        ys for ys in Y
-        if all(bit_at(ys[blk - 1], pos, m) == b for (blk, pos), b in constraints.items())
-    )
-    return out
-
-def bob_split_bit(Y, blk: int, pos: int, m: int):
-    """Partition by bit (blk,pos); returns (side0, side1), empty side as None."""
-    if isinstance(Y, BobCube):
-        return Y.restrict({(blk, pos): 0}), Y.restrict({(blk, pos): 1})
-    zero = frozenset(ys for ys in Y if bit_at(ys[blk - 1], pos, m) == 0)
-    one = Y - zero
-    return (zero or None), (one or None)
-
-def bob_split_fn(Y, fn):
-    if isinstance(Y, BobCube):
-        raise ResourceError("table split of a cube Bob set", Y.size, 0)
-    zero = frozenset(ys for ys in Y if fn(ys) == 0)
-    one = Y - zero
-    return (zero or None), (one or None)
-
-def bob_deficiency(Y, G: ComposedInstance) -> entropy.Bits:
-    """D(Y) relative to the full Bob domain, in bits."""
-    if isinstance(Y, BobCube):
-        return entropy.Bits.rational(len(Y.fixed))
-    if not Y:
-        raise DomainError("deficiency of an empty set")
-    return entropy.Bits.log2(Fraction(G.bob_size, len(Y)))
-
-def bob_materialize(Y, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
-    return Y.materialize(pair_budget) if isinstance(Y, BobCube) else Y
-
-def bob_count_slice(Y, xs, z, G: ComposedInstance) -> int:
-    """|{y in Y : g(xs_i, y_i) = z_i for all i}| without enumerating cubes."""
-    if isinstance(Y, BobCube):
-        if G.gadget.kind != "index":
-            raise DomainError("cube slice counting is index-gadget only")
-        total = 1
-        for i, (x, b) in enumerate(zip(xs, z), start=1):
-            total *= Y.block_count(i, {x: b})
-            if total == 0:
-                return 0
-        return total
-    return sum(1 for ys in Y if compose_eval(G, xs, ys) == tuple(z))
+    return Y.size
 
 
 @dataclass(frozen=True)
 class Rect:
-    """A combinatorial rectangle X x Y with explicit X; Y explicit or a cube."""
+    """A combinatorial rectangle X x Y: X explicit, Y a Bob set."""
 
     X: frozenset
     Y: object
 
     def __init__(self, X, Y):
         object.__setattr__(self, "X", frozenset(X))
-        object.__setattr__(self, "Y", Y if isinstance(Y, BobCube) else frozenset(Y))
+        object.__setattr__(self, "Y", Y)
 
     @property
     def x_size(self) -> int:
@@ -392,7 +366,7 @@ class Rect:
 
     @property
     def y_size(self) -> int:
-        return bob_size(self.Y)
+        return self.Y.size
 
     @property
     def pair_count(self) -> int:
@@ -403,7 +377,7 @@ class Rect:
         return self.x_size == 0 or self.y_size == 0
 
     def contains(self, xs, ys) -> bool:
-        return tuple(xs) in self.X and bob_contains(self.Y, ys)
+        return tuple(xs) in self.X and self.Y.contains(ys)
 
 
 def full_rect(G: ComposedInstance, pair_budget: int = PAIR_BUDGET_DEFAULT) -> Rect:
@@ -499,8 +473,8 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
     the rest, and every output of G on the rectangle consistent with rho.
 
     Output consistency only bites on fixed blocks (free positions of rho allow
-    anything), so once X is constant on fix(rho) it reduces to a per-block bit
-    scan of Y.
+    anything), so once X is constant on fix(rho) it reduces to Y pinning the
+    pointed-to bit of each fixed block.
     """
     if rect.is_empty:
         raise DomainError("is_structured needs a nonempty rectangle")
@@ -518,20 +492,8 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
         if not entropy.is_blockwise_dense(sv, delta, essential=essential,
                                           subset_budget=subset_budget):
             return False
-    if G.gadget.kind != "index" and fix:
-        for xs in rect.X:
-            for ys in bob_materialize(rect.Y):
-                zz = compose_eval(G, xs, ys)
-                if not rho.consistent(zz):
-                    return False
+    if not fix:
         return True
-    for i in fix:
-        alpha = rep[i - 1]
-        want = rho.value(i)
-        if isinstance(rect.Y, BobCube):
-            if rect.Y.pinned(i, alpha) != want:
-                return False
-        else:
-            if any(bit_at(ys[i - 1], alpha, G.m) != want for ys in rect.Y):
-                return False
-    return True
+    # on block i, every y must carry bit rho_i at the position X points to
+    held = rect.Y.restrict({(i, rep[i - 1]): rho.value(i) for i in fix})
+    return held is not None and held.size == rect.Y.size

@@ -101,8 +101,7 @@ def family_n2(m: int) -> list:
     still free: that announcement carries the Theta(1/m) slice bias this
     family is meant to expose.  Alice-led protocols are omitted here because
     at very small m their density repairs fix every block and the walk
-    becomes trivially exact, which reverses the closeness-vs-m trend; see
-    alice_led_n2 for those.
+    becomes trivially exact, which reverses the closeness-vs-m trend.
     """
     G = instance(2, m)
     a1 = alice_predicate(G, lambda xs: xs[0] == 1)
@@ -140,32 +139,6 @@ def family_n2(m: int) -> list:
                           PNode(BOB, BitFn(2, p2, m), leaf0, leaf1),
                           PNode(BOB, BitFn(2, p2, m), leaf1, leaf0)),
                     PNode(ALICE, a1, leaf1, leaf0))),
-    ]
-
-
-def alice_led_n2(m: int) -> list:
-    """Alice-led companions to family_n2: at m = 4 the density repairs absorb
-    every slice constraint and the simulator is exact on them."""
-    G = instance(2, m)
-    a1 = alice_predicate(G, lambda xs: xs[0] == 1)
-    a2 = alice_predicate(G, lambda xs: xs[1] == 1)
-    a_half = alice_predicate(G, lambda xs: xs[0] <= m // 2)
-    leaf0, leaf1 = PLeaf(0), PLeaf(1)
-    p2 = min(2, m)
-    return [
-        ("alice1-bob21", ProtocolTree(G, PNode(ALICE, a1,
-                                               PNode(BOB, BitFn(2, 1, m), leaf0, leaf1),
-                                               PNode(BOB, BitFn(2, 1, m), leaf1, leaf0)))),
-        ("alice1-alice2-bob12",
-         ProtocolTree(G, PNode(ALICE, a1,
-                               PNode(ALICE, a2,
-                                     PNode(BOB, BitFn(1, p2, m), leaf0, leaf1),
-                                     PNode(BOB, BitFn(1, p2, m), leaf1, leaf0)),
-                               PNode(ALICE, a2, leaf1, leaf0)))),
-        ("alicehalf-bob11",
-         ProtocolTree(G, PNode(ALICE, a_half,
-                               PNode(BOB, BitFn(1, 1, m), leaf0, leaf1),
-                               PNode(BOB, BitFn(1, 1, m), leaf1, leaf0)))),
     ]
 
 

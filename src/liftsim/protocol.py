@@ -18,17 +18,14 @@ from fractions import Fraction
 from . import entropy
 from .core import (
     BOT,
+    BobCube,
     ComposedInstance,
+    ExplicitBobSet,
     GadgetSpec,
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
     Rect,
     bit_at,
-    bob_deficiency,
-    bob_restrict,
-    bob_size,
-    bob_split_bit,
-    bob_split_fn,
 )
 from .entropy import Bits, as_fraction
 from .errors import DomainError, ResourceError
@@ -166,6 +163,13 @@ def run_protocol(pt: ProtocolTree, xs, ys):
     return tuple(transcript), node.value
 
 
+def _split_bob(Y, fn):
+    """Y's halves under Bob's map fn; a bit readout splits without calling fn."""
+    if isinstance(fn, BitFn):
+        return Y.split_bit(fn.block, fn.pos)
+    return Y.split_fn(fn)
+
+
 def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) -> dict:
     """Map each leaf transcript to the rectangle of inputs reaching it.
 
@@ -174,22 +178,18 @@ def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) ->
     """
     G = pt.G
     out = {}
+    empty = ExplicitBobSet(G.n, G.gadget.bob_bits, ())
 
     def walk(node, t, X, Y):
         if isinstance(node, PLeaf):
-            out[t] = Rect(X, Y if Y is not None else frozenset())
+            out[t] = Rect(X, Y if Y is not None else empty)
             return
         if node.owner == ALICE:
             x1 = frozenset(x for x in X if node.fn(x))
             walk(node.zero, t + (0,), X - x1, Y)
             walk(node.one, t + (1,), x1, Y)
         else:
-            if Y is None:
-                y0 = y1 = None
-            elif isinstance(node.fn, BitFn):
-                y0, y1 = bob_split_bit(Y, node.fn.block, node.fn.pos, G.gadget.bob_bits)
-            else:
-                y0, y1 = bob_split_fn(Y, node.fn)
+            y0, y1 = (None, None) if Y is None else _split_bob(Y, node.fn)
             walk(node.zero, t + (0,), X, y0)
             walk(node.one, t + (1,), X, y1)
 
@@ -450,43 +450,27 @@ def _bob_maps_are_bit_readouts(pt: ProtocolTree) -> bool:
 
 def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
            pair_budget: int = PAIR_BUDGET_DEFAULT,
-           subset_budget: int = entropy.SUBSET_BUDGET_DEFAULT,
-           y_mode: str = "auto") -> RefinedProtocol:
+           subset_budget: int = entropy.SUBSET_BUDGET_DEFAULT) -> RefinedProtocol:
     """Build the refined protocol: Bob bits split Y; Alice bits split X, then a
     density-restoring partition of X on the free blocks is announced, and Bob
     pins the pointed-to bits, extending the partial assignment.
 
     Children whose rectangle would be empty are recorded as absent (None): the
     simulator treats an absent bit-fixing child as an impossible message.
-
-    y_mode picks Bob's set representation: "explicit" materializes Y (budget
-    permitting), "cube" tracks pinned bits only (valid when every Bob map is a
-    single-bit readout), "auto" uses cubes exactly in that case.  The two
-    representations produce the same refined protocol up to how Y is stored.
     """
     G = pt.G
-    if G.gadget.kind != "index":
-        raise DomainError("refinement is defined for the index gadget")
     delta = as_fraction(delta)
     k = G.log_m
     m = G.m
-    if y_mode not in ("auto", "explicit", "cube"):
-        raise DomainError(f"unknown y_mode {y_mode!r}")
-    if y_mode == "cube" and not _bob_maps_are_bit_readouts(pt):
-        raise DomainError("cube Bob sets need bit-readout Bob maps")
-    use_cube = y_mode == "cube" or (y_mode == "auto" and _bob_maps_are_bit_readouts(pt))
 
     def build(v, X, Y, rho):
         pot = _potential(X, rho, k)
-        defy = bob_deficiency(Y, G)
+        defy = Y.deficiency()
         rect = Rect(X, Y)
         if isinstance(v, PLeaf):
             return RLeaf(rect, rho, v.value, pot, defy)
         if v.owner == BOB:
-            if isinstance(v.fn, BitFn):
-                y0, y1 = bob_split_bit(Y, v.fn.block, v.fn.pos, G.gadget.bob_bits)
-            else:
-                y0, y1 = bob_split_fn(Y, v.fn)
+            y0, y1 = _split_bob(Y, v.fn)
             children = {
                 0: build(v.zero, X, y0, rho) if y0 is not None else None,
                 1: build(v.one, X, y1, rho) if y1 is not None else None,
@@ -509,8 +493,8 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
                 s_children = {}
                 for s in _s_strings(len(dp.coords)):
                     pins = {(i, a): int(c) for i, a, c in zip(dp.coords, dp.alpha, s)}
-                    Ys = bob_restrict(Y, pins, G.gadget.bob_bits)
-                    if Ys is None or bob_size(Ys) == 0:
+                    Ys = Y.restrict(pins)
+                    if Ys is None:
                         s_children[s] = None
                         continue
                     rho2 = rho.assign(dp.coords, tuple(int(c) for c in s))
@@ -522,14 +506,10 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             branches[b] = RBranch(Xb, parts, part_of)
         return RAlice(rect, rho, v.fn, branches, pot, defy)
 
-    X0 = G.full_X()
-    if use_cube:
-        from .core import BobCube
-
-        Y0 = BobCube(G.n, G.gadget.bob_bits, ())
-    else:
-        Y0 = G.full_Y(pair_budget)
-    root = build(pt.root, X0, Y0, PartialAssignment.free_everywhere(G.n))
+    # bit readouts never need Y written out, so they get a cube
+    Y0 = (BobCube(G.n, G.gadget.bob_bits, ()) if _bob_maps_are_bit_readouts(pt)
+          else G.full_Y(pair_budget))
+    root = build(pt.root, G.full_X(), Y0, PartialAssignment.free_everywhere(G.n))
     return RefinedProtocol(G, delta, root, pt)
 
 
@@ -621,7 +601,7 @@ def protocol_to_dict(pt: ProtocolTree, table_budget: int = 2 ** 20) -> dict:
     return {
         "format": "protocol",
         "n": G.n,
-        "gadget": {"kind": G.gadget.kind, "m": G.m},
+        "gadget": {"kind": "index", "m": G.m},
         "tree": node_out(pt.root),
     }
 
@@ -707,21 +687,25 @@ def randomized_protocol_from_dict(d) -> RandomizedProtocol:
 
 def load_fixture(path_or_obj):
     """Parse a protocol / randomized protocol / decision tree / outer function
-    from a dict or a JSON file path."""
+    from a dict or a JSON file path.  A malformed record raises DomainError
+    naming its source."""
     from .core import OuterFunction
 
     if isinstance(path_or_obj, dict):
-        d = path_or_obj
+        d, source = path_or_obj, "record"
     else:
         with open(path_or_obj) as fh:
-            d = json.load(fh)
-    fmt = d.get("format")
-    if fmt == "protocol":
-        return protocol_from_dict(d)
-    if fmt == "randomized_protocol":
-        return randomized_protocol_from_dict(d)
-    if fmt == "decision_tree":
-        return dt_from_dict(d)
-    if fmt == "outer_function":
-        return OuterFunction.from_dict(d)
-    raise DomainError(f"unknown fixture format {fmt!r}")
+            d, source = json.load(fh), path_or_obj
+    parsers = {
+        "protocol": protocol_from_dict,
+        "randomized_protocol": randomized_protocol_from_dict,
+        "decision_tree": dt_from_dict,
+        "outer_function": OuterFunction.from_dict,
+    }
+    try:
+        fmt = d.get("format")
+        if fmt not in parsers:
+            raise DomainError(f"unknown fixture format {fmt!r}")
+        return parsers[fmt](d)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise DomainError(f"bad fixture {source}: {type(e).__name__}: {e}") from e

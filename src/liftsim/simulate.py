@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BOT, bob_size
+from .core import BOT
 from .entropy import Bits, as_fraction
 from .errors import DomainError, ResourceError
 from .protocol import (
@@ -210,7 +210,7 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
         iteration += 1
         pot_before = node.potential
         if isinstance(node, RBob):
-            sizes = [bob_size(node.children[b].rect.Y) if node.children[b] else 0
+            sizes = [node.children[b].rect.y_size if node.children[b] else 0
                      for b in (0, 1)]
             r = rng.randrange(sizes[0] + sizes[1])
             b = 0 if r < sizes[0] else 1
@@ -295,12 +295,12 @@ def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig,
             values[node.value] = values.get(node.value, Fraction(0)) + w
             return
         if isinstance(node, RBob):
-            total = bob_size(node.rect.Y)
+            total = node.rect.y_size
             for b in (0, 1):
                 child = node.children[b]
                 if child is None:
                     continue
-                pb = Fraction(bob_size(child.rect.Y), total)
+                pb = Fraction(child.rect.y_size, total)
                 enter(child, w * pb, q, t + (("b", b),))
             return
         total = len(node.rect.X)
@@ -400,13 +400,13 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
         if isinstance(node, RLeaf):
             return [(Fraction(1), DLeaf(node.value))]
         if isinstance(node, RBob):
-            total = bob_size(node.rect.Y)
+            total = node.rect.y_size
             mix = []
             for b in (0, 1):
                 child = node.children[b]
                 if child is None:
                     continue
-                pb = Fraction(bob_size(child.rect.Y), total)
+                pb = Fraction(child.rect.y_size, total)
                 for w, t in enter(child, q):
                     mix.append((pb * w, t))
             return _merge_components(mix)

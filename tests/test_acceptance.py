@@ -25,6 +25,7 @@ from liftsim.analysis import (
 )
 from liftsim.core import (
     BOT,
+    ExplicitBobSet,
     GadgetSpec,
     PartialAssignment,
     Rect,
@@ -327,8 +328,8 @@ def test_criterion_11_marginals_batteries():
             Y = frozenset(tuple(rng.randrange(2 ** m) for _ in range(n))
                           for _ in range(rng.randint(1, 8)))
             z = tuple(rng.randint(0, 1) for _ in range(n))
-            rep = marginals_report(Rect(X, Y), PartialAssignment.free_everywhere(n),
-                                   z, g)
+            rep = marginals_report(Rect(X, ExplicitBobSet(n, m, Y)),
+                                   PartialAssignment.free_everywhere(n), z, g)
             assert 0 <= rep.tv_x <= 1 and 0 <= rep.tv_y <= 1
             stats["nonempty"] += rep.nonempty
             stats["held"] += rep.preconditions_held

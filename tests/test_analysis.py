@@ -22,6 +22,7 @@ from liftsim.analysis import (
 )
 from liftsim.core import (
     BOT,
+    ExplicitBobSet,
     GadgetSpec,
     PartialAssignment,
     Rect,
@@ -147,7 +148,7 @@ def test_marginals_full_rectangle_tv_x_zero_battery():
 
 def test_marginals_fixed_block_example():
     g = instance(1, 2)
-    rect = Rect({(1,)}, frozenset((y,) for y in range(4)))
+    rect = Rect({(1,)}, ExplicitBobSet(1, 2, ((y,) for y in range(4))))
     rep = marginals_report(rect, PartialAssignment((0,)), (0,), g)
     assert rep.nonempty
     assert rep.tv_x == 0
@@ -158,7 +159,7 @@ def test_marginals_fixed_block_example():
 def test_marginals_empty_intersection_flags():
     g = instance(1, 2)
     # Y forces the pointed-to bit to disagree with z on every x in X
-    rect = Rect({(1,), (2,)}, {(0b11,)})
+    rect = Rect({(1,), (2,)}, ExplicitBobSet(1, 2, {(0b11,)}))
     rep = marginals_report(rect, PartialAssignment.free_everywhere(1), (0, ), g)
     assert not rep.nonempty
     assert not rep.structured or rep.structured  # structured flag still reported

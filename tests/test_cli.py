@@ -155,3 +155,57 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert rep["cost"] == 6
     assert rep["output_agreement"] is True
     assert rep["round_trip_error"]["exact"] == "0/1"
+
+
+def _write_fixture(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _no_tree():
+    return json.dumps({"format": "protocol", "n": 1,
+                       "gadget": {"kind": "index", "m": 2}})
+
+
+def _bad_table_bits():
+    from liftsim.fixtures import instance
+    from liftsim.protocol import BOB, PLeaf, PNode, ProtocolTree, TableFn
+
+    g = instance(1, 2)
+    fn = TableFn({ys: 0 for ys in g.bob_domain()})
+    d = protocol_to_dict(ProtocolTree(g, PNode(BOB, fn, PLeaf(0), PLeaf(1))))
+    d["tree"]["fn"]["bits"] = "1a01"
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("make", [_no_tree, lambda: "[1, 2]", _bad_table_bits],
+                         ids=["no-tree", "json-list", "table-bits-1a"])
+def test_malformed_fixture_exit2(tmp_path, capsys, make):
+    path = _write_fixture(tmp_path, "bad.json", make())
+    code, _, err = run(capsys, "refine", "--fixture", path)
+    assert code == 2
+    assert "config error" in err and path in err
+    assert "Traceback" not in err
+
+
+_SUBCOMMANDS = {
+    "partition": ["--count", "2", "--seed", "1"],
+    "refine": ["--fixture", "builtin:one-bit"],
+    "simulate": ["--fixture", "builtin:one-bit"],
+    "verify": ["--seed", "1", "--battery", "1"],
+    "sweep": ["--n", "1", "--m-list", "4"],
+    "convert": ["--fixture", None, "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("delta", ["2", "3/2", "-1", "0", "abc"])
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_delta_outside_unit_interval_exit2(tmp_path, capsys, command, delta):
+    dt = _write_fixture(tmp_path, "dt.json", json.dumps(dt_to_dict(xor_decision_tree(2))))
+    flags = [dt if f is None else f for f in _SUBCOMMANDS[command]]
+    code, _, _ = run(capsys, command, *flags, "--delta", "1/2")
+    assert code == 0
+    code, _, err = run(capsys, command, *flags, "--delta", delta)
+    assert code == 2
+    assert "config error" in err and "--delta" in err

@@ -9,14 +9,11 @@ import pytest
 from liftsim.core import (
     BobCube,
     ComposedInstance,
+    ExplicitBobSet,
     GadgetSpec,
     PartialAssignment,
     Rect,
     bit_at,
-    bob_count_slice,
-    bob_deficiency,
-    bob_restrict,
-    bob_split_bit,
     compose_eval,
     full_rect,
     gadget_eval,
@@ -61,17 +58,6 @@ def test_gadget_eval_domain_errors():
 def test_bit_order_is_left_to_right():
     # "0110" stored as 6: bit 1 is the leftmost character.
     assert [bit_at(6, p, 4) for p in (1, 2, 3, 4)] == [0, 1, 1, 0]
-
-
-def test_table_gadget_roundtrip():
-    ind = GadgetSpec.index(2)
-    table = {(x, y): ind.eval(x, y) for x in (1, 2) for y in range(4)}
-    g = GadgetSpec.from_table(2, 2, table)
-    for x in (1, 2):
-        for y in range(4):
-            assert g.eval(x, y) == ind.eval(x, y)
-    with pytest.raises(DomainError):
-        GadgetSpec.from_table(2, 2, {(1, 0): 0})
 
 
 # --- composition ---
@@ -144,19 +130,19 @@ def test_structured_full_rect():
 
 def test_structured_inconsistent_fixed_output():
     g = G(1, 2)
-    rect = Rect({(1,)}, {(0b10,), (0b11,)})  # y_1 = 1 always
+    rect = Rect({(1,)}, ExplicitBobSet(1, 2, {(0b10,), (0b11,)}))  # y_1 = 1 always
     assert not is_structured(rect, PartialAssignment((0,)), D, g)
 
 
 def test_structured_consistent_fixed_output():
     g = G(1, 2)
-    rect = Rect({(1,)}, {(0b00,), (0b01,)})  # y_1 = 0 always
+    rect = Rect({(1,)}, ExplicitBobSet(1, 2, {(0b00,), (0b01,)}))  # y_1 = 0 always
     assert is_structured(rect, PartialAssignment((0,)), D, g)
 
 
 def test_structured_requires_constant_on_fixed():
     g = G(1, 2)
-    rect = Rect({(1,), (2,)}, {(0b00,)})
+    rect = Rect({(1,), (2,)}, ExplicitBobSet(1, 2, {(0b00,)}))
     assert not is_structured(rect, PartialAssignment((0,)), D, g)
 
 
@@ -176,7 +162,8 @@ def test_structured_reduces_to_density_when_all_free():
 def test_structured_empty_rect_rejected():
     g = G(1, 2)
     with pytest.raises(DomainError):
-        is_structured(Rect(set(), {(0,)}), PartialAssignment((None,)), D, g)
+        is_structured(Rect(set(), ExplicitBobSet(1, 2, {(0,)})),
+                      PartialAssignment((None,)), D, g)
 
 
 # --- partial assignments ---
@@ -201,23 +188,23 @@ def test_cube_matches_explicit_small():
     g = G(n, m)
     cube = BobCube(n, m, ())
     assert cube.size == g.bob_size
-    explicit = cube.materialize()
-    assert explicit == frozenset(g.bob_domain())
+    explicit = g.full_Y()
+    assert cube.materialize() == explicit.materialize() == frozenset(g.bob_domain())
 
     c1 = cube.restrict({(1, 2): 1})
-    e1 = bob_restrict(explicit, {(1, 2): 1}, m)
-    assert c1.materialize() == e1
-    assert c1.size == len(e1)
+    e1 = explicit.restrict({(1, 2): 1})
+    assert c1.materialize() == e1.materialize()
+    assert c1.size == e1.size
 
-    z0, o1 = bob_split_bit(c1, 2, 3, m)
-    ez, eo = bob_split_bit(e1, 2, 3, m)
-    assert z0.materialize() == ez and o1.materialize() == eo
+    z0, o1 = c1.split_bit(2, 3)
+    ez, eo = e1.split_bit(2, 3)
+    assert z0.materialize() == ez.materialize() and o1.materialize() == eo.materialize()
 
     assert c1.restrict({(1, 2): 0}) is None
-    assert bob_restrict(e1, {(1, 2): 0}, m) == frozenset()
+    assert e1.restrict({(1, 2): 0}) is None
 
-    assert bob_deficiency(c1, g) == Bits(1)
-    assert bob_deficiency(e1, g) == Bits(1)
+    assert c1.deficiency() == Bits(1)
+    assert e1.deficiency() == Bits(1)
 
 
 def test_cube_slice_counts_match_explicit():
@@ -232,10 +219,12 @@ def test_cube_slice_counts_match_explicit():
         c = cube.restrict(pins)
         if c is None:
             continue
-        e = c.materialize()
+        e = ExplicitBobSet(n, m, c.materialize())
         xs = tuple(rng.randint(1, m) for _ in range(n))
         z = tuple(rng.randint(0, 1) for _ in range(n))
-        assert bob_count_slice(c, xs, z, g) == bob_count_slice(e, xs, z, g)
+        assert c.count_slice(xs, z) == e.count_slice(xs, z)
+        assert e.count_slice(xs, z) == sum(
+            1 for ys in e.materialize() if compose_eval(g, xs, ys) == z)
 
 
 def test_cube_contains_and_pinned():
@@ -243,6 +232,9 @@ def test_cube_contains_and_pinned():
     assert c.contains((0b0100,))
     assert not c.contains((0b0000,))
     assert c.pinned(1, 2) == 1 and c.pinned(1, 3) is None
+    # a repeated pin is one constraint
+    assert BobCube(1, 4, (((1, 2), 1), ((1, 2), 1))) == c
+    assert c.size == len(c.materialize()) == 8
 
 
 def test_structured_with_cube_y():

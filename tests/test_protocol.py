@@ -8,6 +8,7 @@ import pytest
 
 from liftsim.core import (
     BOT,
+    BobCube,
     ComposedInstance,
     GadgetSpec,
     PartialAssignment,
@@ -16,6 +17,7 @@ from liftsim.core import (
     is_structured,
 )
 from liftsim.errors import DomainError
+from liftsim.fixtures import bob_first_fixture, sweep_family
 from liftsim.protocol import (
     ALICE,
     BOB,
@@ -142,8 +144,7 @@ def test_leaf_rectangles_partition_property():
         count = 0
         for t, rect in rects.items():
             for xs in rect.X:
-                ys_iter = rect.Y
-                for ys in ys_iter:
+                for ys in rect.Y.materialize():
                     assert run_protocol(pt, xs, ys)[0] == t
                     count += 1
         assert count == g.alice_size * g.bob_size
@@ -225,8 +226,72 @@ def test_refined_leaf_rects_refine_source_partition():
         t = project_transcript(rt)
         big = source[t]
         assert leaf.rect.X <= big.X
-        for ys in leaf.rect.Y:
-            assert ys in big.Y
+        for ys in leaf.rect.Y.materialize():
+            assert big.Y.contains(ys)
+
+
+def _tabulate_bob_maps(pt):
+    """The same protocol with every Bob bit readout written out as a table."""
+    g = pt.G
+
+    def copy(node):
+        if isinstance(node, PLeaf):
+            return node
+        fn = node.fn
+        if isinstance(fn, BitFn):
+            fn = TableFn({ys: fn(ys) for ys in g.bob_domain()})
+        return PNode(node.owner, fn, copy(node.zero), copy(node.one))
+
+    return ProtocolTree(g, copy(pt.root))
+
+
+def _assert_same_refinement(a, b):
+    assert type(a) is type(b)
+    assert a.rect.X == b.rect.X and a.rho == b.rho
+    assert a.rect.Y.materialize() == b.rect.Y.materialize()
+    assert a.def_y == b.def_y and a.potential == b.potential
+    if isinstance(a, RLeaf):
+        assert a.value == b.value
+        return
+    if isinstance(a, RBob):
+        pairs = [(a.children[bit], b.children[bit]) for bit in (0, 1)]
+    else:
+        pairs = []
+        for bit in (0, 1):
+            ba, bb = a.branches[bit], b.branches[bit]
+            assert (ba is None) == (bb is None)
+            if ba is None:
+                continue
+            assert ([(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in ba.parts]
+                    == [(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in bb.parts])
+            for pa, pb in zip(ba.parts, bb.parts):
+                assert sorted(pa.s_children) == sorted(pb.s_children)
+                pairs.extend((pa.s_children[s], pb.s_children[s]) for s in pa.s_children)
+    for ca, cb in pairs:
+        assert (ca is None) == (cb is None)
+        if ca is not None:
+            _assert_same_refinement(ca, cb)
+
+
+def _bit_readout_protocols():
+    for n in (1, 2):
+        for m in (2, 4):
+            yield from (pt for _, pt in sweep_family(n, m))
+    for m in (2, 4, 8):
+        yield bob_first_fixture(m)
+
+
+def test_refine_cube_and_explicit_bob_sets_agree():
+    """Bit-readout Bob maps refine on cube Bob sets; the same maps written as
+    tables refine on explicit ones.  The two refinements must coincide."""
+    for pt in _bit_readout_protocols():
+        cube = refine(pt, D)
+        explicit = refine(_tabulate_bob_maps(pt), D)
+        assert isinstance(cube.root.rect.Y, BobCube)
+        assert not isinstance(explicit.root.rect.Y, BobCube)
+        _assert_same_refinement(cube.root, explicit.root)
+        assert ([(t, leaf.value) for t, leaf in cube.leaves()]
+                == [(t, leaf.value) for t, leaf in explicit.leaves()])
 
 
 # --- decision trees ---
