@@ -118,14 +118,32 @@ def write_report(out_dir, report, csv_tables):
             w.writerows(rows)
 
 
-def _check_delta(text):
-    """--delta must be an exact rational strictly between 0 and 1."""
+def _rational(text, flag) -> Fraction:
     try:
-        delta = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"--delta {text!r} is not a rational number") from None
-    if not 0 < delta < 1:
-        raise DomainError(f"--delta must lie in (0, 1), got {text}")
+        raise DomainError(f"{flag} {text!r} is not a rational number") from None
+
+
+# integer flag -> its least valid value
+_FLAG_MINIMUM = {"coords": 1, "max_support": 1, "budget": 1, "jobs": 1,
+                 "count": 0, "samples": 0, "battery": 0}
+
+
+def _check_flags(args):
+    """The numeric flags, checked once before dispatch: --delta an exact
+    rational in (0, 1), --deficiency-cap a positive one, and the integer
+    flags of _FLAG_MINIMUM at least their minimum."""
+    if not 0 < _rational(args.delta, "--delta") < 1:
+        raise DomainError(f"--delta must lie in (0, 1), got {args.delta}")
+    cap = getattr(args, "deficiency_cap", None)
+    if cap is not None and _rational(cap, "--deficiency-cap") <= 0:
+        raise DomainError(f"--deficiency-cap must be positive, got {cap}")
+    for name, least in _FLAG_MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise DomainError(f"{flag} must be at least {least}, got {value}")
 
 
 def _sim_config(args) -> sim.SimConfig:
@@ -235,7 +253,6 @@ def cmd_simulate(args):
     rp = refine(pt, cfg.delta, pair_budget=args.budget)
     per_z = {}
     sample_rows = []
-    ledger_ok = True
     for z in _z_values(args.z, pt.G.n):
         zs = "".join(map(str, z))
         exact = sim.simulate_exact(rp, z, cfg)
@@ -265,7 +282,7 @@ def cmd_simulate(args):
                    "query_cap": cfg.query_cap, "samples": args.samples,
                    "seed": args.seed, "budget": args.budget},
         "per_z": per_z,
-        "ledger_checks_passed": ledger_ok,
+        "ledger_checks_passed": True,
     }
     tables = {"samples": (["z", "outcome", "count", "samples", "exact_p"],
                           sample_rows)}
@@ -605,7 +622,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_file(parser, argv)
-        _check_delta(args.delta)
+        _check_flags(args)
     except (OSError, json.JSONDecodeError, DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

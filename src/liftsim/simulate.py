@@ -2,10 +2,21 @@
 
 On input z the simulator walks the refined tree pretending Alice's and Bob's
 inputs are uniform on the current rectangle: Bob bits are taken with
-probability |Y^b|/|Y|, Alice bits with |X^b|/|X|, parts with |X^i|/|X|; at a
-bit-fixing round it queries z on the newly fixed blocks and sends exactly
-those bits, failing with a bottom outcome if that child does not exist.
-Failures are also produced by the optional deficiency cutoff and query cap.
+probability |Y^b|/|Y|, Alice bits with |X^b|/|X|, parts with |X^i|/|X^b|; at
+a bit-fixing round it queries z on the newly fixed blocks and sends exactly
+those bits.  The walk ends at a bottom outcome for one of three reasons:
+
+- query-cap: announcing a part would take the query count q past
+  query_cap; checked before the part is announced, charged q queries.
+- impossible-s: z's bits on the part have no child; checked after the
+  answer round, charged the q + |I| queries made.
+- deficiency-cutoff (strict_zpp only): a child's Bob deficiency passes the
+  cap; checked on entering any child, charged the queries made so far.
+
+These rules are written once (_draws, _enter, _move, _steps) and folded
+three ways: simulate_sample draws one move per step, simulate_exact sums the
+weighted moves, and protocol_to_dt realizes them as a mixture of decision
+trees.
 """
 
 from __future__ import annotations
@@ -179,85 +190,109 @@ class SimExact:
 
 
 def _walk_shared(rp: RefinedProtocol, z, cfg: SimConfig):
-    """Validation shared by the samplers."""
+    """Validation shared by the walks; returns the deficiency cap in bits and
+    z's answers to a part (the bits of z on its coordinates)."""
     z = tuple(z)
     if len(z) != rp.G.n:
         raise DomainError("z arity mismatch")
     if any(c not in (0, 1) for c in z):
         raise DomainError("z must be a bit string")
-    return z, cfg.cap_bits(rp.G.n)
+    return cfg.cap_bits(rp.G.n), lambda part: (
+        "".join(str(z[i - 1]) for i in part.coords),)
 
+
+# --- the walk's rules, shared by the three folds below ---
+
+def _draws(node):
+    """The integer-weighted first draw out of an iteration node: its total
+    weight, and its entries in b order with absent children and branches
+    skipped: (|Y^b|, b, None) at a Bob node, (|X^b|, b, [(|X^i|, part), ...])
+    at an Alice node, whose second draw picks a part of the branch."""
+    if isinstance(node, RBob):
+        return node.rect.y_size, [(node.children[b].rect.y_size, b, None)
+                                  for b in (0, 1) if node.children[b] is not None]
+    brs = node.branches
+    return len(node.rect.X), [(len(brs[b].X), b, [(len(p.X), p) for p in brs[b].parts])
+                              for b in (0, 1) if brs[b] is not None]
+
+
+def _pick(rng, total, draws):
+    """One draw: a uniform integer below the total weight picks its entry."""
+    r = rng.randrange(total)
+    for d in draws:
+        r -= d[0]
+        if r < 0:
+            return d
+
+
+def _enter(child, cfg: SimConfig, cap):
+    """The child, or the strict-ZPP cutoff when its Bob deficiency passes cap."""
+    return DEFICIENCY_CUTOFF if cfg.strict_zpp and child.def_y > cap else child
+
+
+def _move(node, b, part, q, cfg: SimConfig, cap, answers):
+    """Bit b, then part at an Alice node, after q queries: the coordinates
+    queried, and one landing (s, messages, node or bottom reason, queries
+    charged) for each s in answers(part); s is "" for a Bob bit or a capped
+    part, which have no answer round."""
+    if part is None:
+        return (), [("", (("b", b),), _enter(node.children[b], cfg, cap), q)]
+    if cfg.query_cap is not None and q + len(part.coords) > cfg.query_cap:
+        return (), [("", (("b", b),), QUERY_CAP, q)]
+    q += len(part.coords)
+    sent = (("b", b), ("i", part.order))
+    return part.coords, [
+        (s, sent + (("s", s),), IMPOSSIBLE_S if part.s_children[s] is None
+         else _enter(part.s_children[s], cfg, cap), q)
+        for s in answers(part)]
+
+
+def _steps(node, q, cfg: SimConfig, cap, answers):
+    """Every move out of an iteration node: (probability,) + _move's result."""
+    total, draws = _draws(node)
+    return [(Fraction(wi, total),) + _move(node, b, part, q, cfg, cap, answers)
+            for wb, b, parts in draws for wi, part in parts or [(wb, None)]]
+
+
+# --- the folds ---
 
 def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOutcome:
-    """One reproducible run of the random walk.
-
-    Branch choices draw a uniform integer below the exact denominator, so each
-    branch is taken with exactly its rational probability.
-    """
-    z, cap = _walk_shared(rp, z, cfg)
+    """One reproducible run of the random walk: one _pick at a Bob node, two
+    (the bit, then the part) at an Alice node, each taken with exactly its
+    rational probability.  Every seeded report depends on this draw order."""
+    cap, answer = _walk_shared(rp, z, cfg)
     rng = random.Random(seed)
     G = rp.G
     node = rp.root
-    transcript = []
-    queries = []
-    ledger = []
-    iteration = 0
-
-    def bot(reason):
-        return SimOutcome(None, BOT, reason, tuple(queries), tuple(ledger), G.n, G.m)
-
+    transcript, queries, ledger = [], [], []
     while not isinstance(node, RLeaf):
-        iteration += 1
         pot_before = node.potential
-        if isinstance(node, RBob):
-            sizes = [node.children[b].rect.y_size if node.children[b] else 0
-                     for b in (0, 1)]
-            r = rng.randrange(sizes[0] + sizes[1])
-            b = 0 if r < sizes[0] else 1
-            transcript.append(("b", b))
-            node = node.children[b]
-            ledger.append(LedgerRow(iteration, Fraction(1), Fraction(1), 0,
-                                    pot_before, node.potential))
-            if cfg.strict_zpp and node.def_y > cap:
-                return bot(DEFICIENCY_CUTOFF)
-            continue
-        total = len(node.rect.X)
-        sizes = [len(node.branches[b].X) if node.branches[b] else 0 for b in (0, 1)]
-        r = rng.randrange(total)
-        b = 0 if r < sizes[0] else 1
-        br = node.branches[b]
-        gamma = Fraction(total, sizes[b])
-        r = rng.randrange(sizes[b])
-        acc = 0
-        part = None
-        for p in br.parts:
-            acc += len(p.X)
-            if r < acc:
-                part = p
-                break
-        if cfg.query_cap is not None and len(queries) + len(part.coords) > cfg.query_cap:
-            # abort right after the bit: no part announcement, no queries
-            transcript.append(("b", b))
-            ledger.append(LedgerRow(iteration, gamma, Fraction(1), 0,
-                                    pot_before, pot_before + Bits.log2(gamma)))
-            return bot(QUERY_CAP)
-        queries.extend(part.coords)
-        s = "".join(str(z[i - 1]) for i in part.coords)
-        transcript.extend([("b", b), ("i", part.order), ("s", s)])
-        child = part.s_children[s]
-        # the X-side potential after this iteration exists even when the
-        # bit-fixing child does not
-        free_after = len(node.rho.free) - len(part.coords)
-        pot_after = Bits.log2(
-            Fraction(2 ** (free_after * (G.m.bit_length() - 1)), len(part.X)))
-        row = LedgerRow(iteration, gamma, part.delta_ratio, len(part.coords),
-                        pot_before, pot_after)
-        ledger.append(row)
-        if child is None:
-            return bot(IMPOSSIBLE_S)
-        node = child
-        if cfg.strict_zpp and node.def_y > cap:
-            return bot(DEFICIENCY_CUTOFF)
+        total, draws = _draws(node)
+        wb, b, parts = _pick(rng, total, draws)
+        part = None if parts is None else _pick(rng, wb, parts)[1]
+        coords, ((_, msgs, target, _),) = _move(node, b, part, len(queries),
+                                                  cfg, cap, answer)
+        if part is None:
+            gamma = delta = Fraction(1)
+            pot_after = node.children[b].potential
+        else:
+            gamma = Fraction(total, wb)
+            if target == QUERY_CAP:
+                # no part announcement and no queries: only Alice's bit counts
+                delta, pot_after = Fraction(1), pot_before + Bits.log2(gamma)
+            else:
+                # the X-side potential after this iteration exists even when
+                # the bit-fixing child does not
+                free_after = len(node.rho.free) - len(coords)
+                delta, pot_after = part.delta_ratio, Bits.log2(
+                    Fraction(2 ** (free_after * (G.m.bit_length() - 1)), len(part.X)))
+        ledger.append(LedgerRow(len(ledger) + 1, gamma, delta, len(coords),
+                                pot_before, pot_after))
+        queries.extend(coords)
+        transcript.extend(msgs)
+        if isinstance(target, str):
+            return SimOutcome(None, BOT, target, tuple(queries), tuple(ledger), G.n, G.m)
+        node = target
     return SimOutcome(tuple(transcript), node.value, None, tuple(queries),
                       tuple(ledger), G.n, G.m)
 
@@ -265,24 +300,13 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
 def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig,
                    node_budget: int = 10 ** 6) -> SimExact:
     """Aggregate the walk's exact outcome distribution by weighted traversal."""
-    z, cap = _walk_shared(rp, z, cfg)
-    transcripts = {}
-    queries = {}
-    reasons = {}
-    values = {}
+    cap, answer = _walk_shared(rp, z, cfg)
+    transcripts, queries, reasons, values = {}, {}, {}, {}
     visited = 0
 
-    def add_bot(w, q, reason):
-        transcripts[BOT] = transcripts.get(BOT, Fraction(0)) + w
-        queries[q] = queries.get(q, Fraction(0)) + w
-        reasons[reason] = reasons.get(reason, Fraction(0)) + w
-        values[BOT] = values.get(BOT, Fraction(0)) + w
-
-    def enter(child, w, q, t):
-        if cfg.strict_zpp and child.def_y > cap:
-            add_bot(w, q, DEFICIENCY_CUTOFF)
-            return
-        walk(child, w, q, t)
+    def tally(w, t, q, value):
+        for d, key in ((transcripts, t), (queries, q), (values, value)):
+            d[key] = d[key] + w if key in d else w
 
     def walk(node, w, q, t):
         nonlocal visited
@@ -290,38 +314,14 @@ def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig,
         if visited > node_budget:
             raise ResourceError("exact simulation traversal", visited, node_budget)
         if isinstance(node, RLeaf):
-            transcripts[t] = transcripts.get(t, Fraction(0)) + w
-            queries[q] = queries.get(q, Fraction(0)) + w
-            values[node.value] = values.get(node.value, Fraction(0)) + w
+            tally(w, t, q, node.value)
             return
-        if isinstance(node, RBob):
-            total = node.rect.y_size
-            for b in (0, 1):
-                child = node.children[b]
-                if child is None:
-                    continue
-                pb = Fraction(child.rect.y_size, total)
-                enter(child, w * pb, q, t + (("b", b),))
-            return
-        total = len(node.rect.X)
-        for b in (0, 1):
-            br = node.branches[b]
-            if br is None:
-                continue
-            wb = w * Fraction(len(br.X), total)
-            for part in br.parts:
-                wp = wb * Fraction(len(part.X), len(br.X))
-                tp = t + (("b", b), ("i", part.order))
-                if (cfg.query_cap is not None
-                        and q + len(part.coords) > cfg.query_cap):
-                    add_bot(wp, q, QUERY_CAP)
-                    continue
-                s = "".join(str(z[i - 1]) for i in part.coords)
-                child = part.s_children[s]
-                if child is None:
-                    add_bot(wp, q + len(part.coords), IMPOSSIBLE_S)
-                    continue
-                enter(child, wp, q + len(part.coords), tp + (("s", s),))
+        for p, _, ((_, msgs, target, q2),) in _steps(node, q, cfg, cap, answer):
+            if isinstance(target, str):
+                tally(w * p, BOT, q2, BOT)
+                reasons[target] = reasons.get(target, 0) + w * p
+            else:
+                walk(target, w * p, q2, t + msgs)
 
     walk(rp.root, Fraction(1), 0, ())
     return SimExact(ExactDist(transcripts), ExactDist(queries), reasons,
@@ -385,12 +385,9 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
     """
     from .core import PAIR_BUDGET_DEFAULT
 
-    if isinstance(PI, RandomizedProtocol):
-        components = PI.components
-        G = PI.G
-    else:
-        components = [(Fraction(1), PI)]
-        G = PI.G
+    G = PI.G
+    components = (PI.components if isinstance(PI, RandomizedProtocol)
+                  else [(Fraction(1), PI)])
     budget = PAIR_BUDGET_DEFAULT if pair_budget is None else pair_budget
     cap = cfg.cap_bits(G.n)
     out = []
@@ -399,59 +396,21 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
         """Mixture of deterministic subtrees for the walk started at node."""
         if isinstance(node, RLeaf):
             return [(Fraction(1), DLeaf(node.value))]
-        if isinstance(node, RBob):
-            total = node.rect.y_size
-            mix = []
-            for b in (0, 1):
-                child = node.children[b]
-                if child is None:
-                    continue
-                pb = Fraction(child.rect.y_size, total)
-                for w, t in enter(child, q):
-                    mix.append((pb * w, t))
-            return _merge_components(mix)
-        total = len(node.rect.X)
         mix = []
-        for b in (0, 1):
-            br = node.branches[b]
-            if br is None:
-                continue
-            pb = Fraction(len(br.X), total)
-            for part in br.parts:
-                pp = pb * Fraction(len(part.X), len(br.X))
-                if (cfg.query_cap is not None
-                        and q + len(part.coords) > cfg.query_cap):
-                    mix.append((pp, DLeaf(BOT)))
-                    continue
-                sub = query_chain(part, q)
-                for w, t in sub:
-                    mix.append((pp * w, t))
+        for p, coords, landings in _steps(node, q, cfg, cap,
+                                          lambda part: sorted(part.s_children)):
+            per_s = {s: [(Fraction(1), DLeaf(BOT))] if isinstance(target, str)
+                     else realize(target, q2) for s, _, target, q2 in landings}
+            mix.extend((p * w, t) for w, t in query_chains(coords, per_s))
         return _merge_components(mix)
 
-    def enter(child, q):
-        if cfg.strict_zpp and child.def_y > cap:
-            return [(Fraction(1), DLeaf(BOT))]
-        return realize(child, q)
-
-    def query_chain(part, q):
-        """Tensor the independent realizations of the bit-fixing children into
-        a mixture of query chains over part.coords."""
-        coords = part.coords
+    def query_chains(coords, per_s):
+        """Tensor the independent realizations of each answer s into a
+        mixture of query chains over coords."""
         if not coords:
-            (s, child), = part.s_children.items()
-            assert s == ""
-            if child is None:
-                return [(Fraction(1), DLeaf(BOT))]
-            return enter(child, q)
-        per_s = {}
-        for s, child in part.s_children.items():
-            if child is None:
-                per_s[s] = [(Fraction(1), DLeaf(BOT))]
-            else:
-                per_s[s] = enter(child, q + len(coords))
-        s_values = sorted(per_s)
+            return per_s[""]
         combos = [(Fraction(1), {})]
-        for s in s_values:
+        for s in sorted(per_s):
             nxt = []
             for w, chosen in combos:
                 for ws, ts in per_s[s]:
@@ -475,8 +434,7 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
 
     for w, pt in components:
         rp = refine(pt, cfg.delta, pair_budget=budget)
-        for wt, t in realize(rp.root, 0):
-            out.append((w * wt, t))
+        out.extend((w * wt, t) for wt, t in realize(rp.root, 0))
         if len(out) > component_budget:
             raise ResourceError("decision-tree realization", len(out), component_budget)
     merged = _merge_components(out)

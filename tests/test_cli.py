@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +212,34 @@ def test_delta_outside_unit_interval_exit2(tmp_path, capsys, command, delta):
     code, _, err = run(capsys, command, *flags, "--delta", delta)
     assert code == 2
     assert "config error" in err and "--delta" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--seed", "1", "--count", "2", "--coords", "0"],
+    ["partition", "--seed", "1", "--count", "-3"],
+    ["partition", "--seed", "1", "--count", "2", "--max-support", "0"],
+    ["sweep", "--m-list", "4", "--jobs", "0"],
+    ["refine", "--fixture", "builtin:one-bit", "--budget", "0"],
+    ["simulate", "--fixture", "builtin:one-bit", "--seed", "1", "--samples", "-5"],
+    ["simulate", "--fixture", "builtin:one-bit", "--deficiency-cap", "abc"],
+    ["verify", "--seed", "1", "--battery", "-1"],
+], ids=["coords-0", "count-neg", "max-support-0", "jobs-0", "budget-0",
+        "samples-neg", "deficiency-cap-abc", "battery-neg"])
+def test_bad_numeric_flag_exit2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "config error" in err and argv[-2] in err
+    assert "Traceback" not in err and out == ""
+
+
+_DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[d.stem for d in _DEMOS])
+def test_demo_runs(demo):
+    """Each demo script runs to completion against the source tree."""
+    root = demo.parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
