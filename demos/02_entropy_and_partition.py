@@ -14,6 +14,7 @@ from liftsim import (
     deficiency,
     density_restoring_partition,
     is_blockwise_dense,
+    log2_float,
     marginal_min_entropy,
     verify_partition_lemma,
 )
@@ -24,8 +25,8 @@ DELTA = Fraction(9, 10)
 v = SetVar({(1, 1), (1, 2)}, (4, 4))
 print("support:", sorted(v.support))
 for I in [(1,), (2,), (1, 2)]:
-    print(f"  H_min on {I}: {float(marginal_min_entropy(v, I)):.3f} bits, "
-          f"deficiency {float(deficiency(v, I)):.3f} bits")
+    print(f"  H_min on {I}: {log2_float(marginal_min_entropy(v, I)):.3f} bits, "
+          f"deficiency {log2_float(deficiency(v, I)):.3f} bits")
 print("blockwise 0.9-dense?", is_blockwise_dense(v, DELTA))
 print("essentially dense (one bit of slack)?",
       is_blockwise_dense(v, DELTA, essential=True))
@@ -37,7 +38,7 @@ parts = density_restoring_partition(w, DELTA)
 for p in parts:
     print(f"  part {p.order}: label {p.label() or '(already dense)'}, "
           f"size {p.size}, delta_i = log2({p.delta_ratio}) "
-          f"= {float(p.delta):.3f} bits")
+          f"= {log2_float(p.delta_ratio):.3f} bits")
 
 report = verify_partition_lemma(w, parts, DELTA)
 print("lemma verified on every part?", report.ok)

@@ -31,19 +31,18 @@ from .core import (
     asymptotic_gadget_size,
     bits_str,
     compose_eval,
-    full_rect,
     gadget_eval,
     is_structured,
     slice_count,
     slice_enumerate,
 )
 from .entropy import (
-    Bits,
     DensityPart,
     SetVar,
     deficiency,
     density_restoring_partition,
     is_blockwise_dense,
+    log2_float,
     marginal_min_entropy,
     verify_partition_lemma,
 )

@@ -24,7 +24,7 @@ from .core import (
     iter_slice,
     slice_count,
 )
-from .entropy import Bits, SetVar, as_fraction
+from .entropy import SetVar, as_fraction, cmp_pow
 from .errors import DomainError, ResourceError
 from .protocol import (
     DecisionTree,
@@ -134,7 +134,7 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
                 y_counts[ys] += 1
                 total += 1
     structured = is_structured(rect, rho, delta, G)
-    deficiency_ok = rect.Y.deficiency() <= Bits.rational(cap)
+    deficiency_ok = cmp_pow(rect.Y.deficiency(), 2, cap) <= 0
     if total == 0:
         return MarginalsReport(False, Fraction(1), Fraction(1),
                                structured, deficiency_ok, 0)

@@ -80,7 +80,7 @@ def dist_record(d) -> list:
     return rows
 
 
-def load_protocol_fixture(spec_str: str, m: int | None):
+def _load_any_fixture(spec_str: str, m: int | None):
     """A fixture path, or builtin:one-bit / builtin:bob-first (sized by m)."""
     if spec_str.startswith("builtin:"):
         name = spec_str.split(":", 1)[1]
@@ -90,7 +90,12 @@ def load_protocol_fixture(spec_str: str, m: int | None):
         if name == "bob-first":
             return fixtures.bob_first_fixture(mm)
         raise DomainError(f"unknown builtin fixture {name!r}")
-    obj = load_fixture(spec_str)
+    return load_fixture(spec_str)
+
+
+def load_protocol_fixture(spec_str: str, m: int | None):
+    """A protocol fixture: a path or a builtin name, as in _load_any_fixture."""
+    obj = _load_any_fixture(spec_str, m)
     if isinstance(obj, (ProtocolTree, RandomizedProtocol)):
         return obj
     raise DomainError(f"{spec_str} is not a protocol fixture")
@@ -126,7 +131,7 @@ def _rational(text, flag) -> Fraction:
 
 
 # integer flag -> its least valid value
-_FLAG_MINIMUM = {"coords": 1, "max_support": 1, "budget": 1, "jobs": 1,
+_FLAG_MINIMUM = {"coords": 1, "max_support": 1, "budget": 1, "jobs": 1, "m": 1,
                  "count": 0, "samples": 0, "battery": 0}
 
 
@@ -182,7 +187,7 @@ def cmd_partition(args):
         for p in parts:
             rows.append([idx, p.order, p.label() or "(dense)", p.size,
                          f"{p.delta_ratio.numerator}/{p.delta_ratio.denominator}",
-                         float(p.delta)])
+                         entropy.log2_float(p.delta_ratio)])
     report = {
         "command": "partition",
         "config": {"count": args.count, "coords": args.coords, "m": args.m,
@@ -214,8 +219,8 @@ def cmd_refine(args):
             ok = is_structured(node.rect, node.rho, delta, rp.G)
             if not ok and bad is None:
                 bad = (idx, kind)
-        rows.append([idx, kind, str(node.rho), node.rect.x_size,
-                     node.rect.y_size, float(node.def_y), float(node.potential),
+        rows.append([idx, kind, str(node.rho), node.rect.x_size, node.rect.y_size,
+                     entropy.log2_float(node.def_y), entropy.log2_float(node.potential),
                      int(ok)])
     if bad is not None:
         raise Violation("structured-rectangle invariant",
@@ -466,7 +471,7 @@ def cmd_sweep(args):
 
 
 def cmd_convert(args):
-    obj = load_fixture(args.fixture)
+    obj = _load_any_fixture(args.fixture, args.m)
     from .protocol import DecisionTree
 
     report = {"command": "convert",

@@ -266,12 +266,10 @@ class BobCube:
     def split_fn(self, fn):
         raise ResourceError("table split of a cube Bob set", self.size, 0)
 
-    def pinned(self, blk: int, pos: int):
-        return dict(self.fixed).get((blk, pos))
-
-    def deficiency(self) -> entropy.Bits:
-        """D(Y) relative to the full Bob domain: the pinned-bit count."""
-        return entropy.Bits.rational(len(self.fixed))
+    def deficiency(self) -> Fraction:
+        """D(Y) relative to the full Bob domain, as the ratio 2^(nm) / |Y|
+        whose log2 it is: 2 to the pinned-bit count."""
+        return Fraction(2 ** len(self.fixed))
 
     def count_slice(self, xs, z) -> int:
         """|{y in Y : g(xs_i, y_i) = z_i for all i}| without enumerating."""
@@ -329,11 +327,12 @@ class ExplicitBobSet:
         zero = frozenset(ys for ys in self.ys if fn(ys) == 0)
         return self._subset(zero), self._subset(self.ys - zero)
 
-    def deficiency(self) -> entropy.Bits:
-        """D(Y) relative to the full Bob domain, in bits."""
+    def deficiency(self) -> Fraction:
+        """D(Y) relative to the full Bob domain, as the ratio 2^(nm) / |Y|
+        whose log2 it is."""
         if not self.ys:
             raise DomainError("deficiency of an empty set")
-        return entropy.Bits.log2(Fraction(2 ** (self.n * self.m), len(self.ys)))
+        return Fraction(2 ** (self.n * self.m), len(self.ys))
 
     def count_slice(self, xs, z) -> int:
         """|{y in Y : g(xs_i, y_i) = z_i for all i}| by a scan."""
@@ -378,10 +377,6 @@ class Rect:
 
     def contains(self, xs, ys) -> bool:
         return tuple(xs) in self.X and self.Y.contains(ys)
-
-
-def full_rect(G: ComposedInstance, pair_budget: int = PAIR_BUDGET_DEFAULT) -> Rect:
-    return Rect(G.full_X(), G.full_Y(pair_budget))
 
 
 @dataclass(frozen=True)

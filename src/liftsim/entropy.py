@@ -1,9 +1,10 @@
 """Exact min-entropy, deficiency, blockwise density, and the density-restoring partition.
 
-All quantities are kept exact: probabilities are big-integer rationals and
-entropies are values of the form ``r + log2(q)`` with r, q rational.  Every
-inequality used by the partition-lemma verifier is decided by integer
-arithmetic (raising both sides to a common power), never by floats.
+All quantities are kept exact: probabilities are big-integer rationals, and
+an entropy, deficiency or potential of b bits is stored as the positive
+rational q with log2(q) = b.  Every inequality on them is one cmp_pow, decided
+by integer arithmetic (raising both sides to a common power), never by floats;
+log2_float renders a stored ratio in bits for reports only.
 """
 
 from __future__ import annotations
@@ -59,71 +60,16 @@ def _split_pow2(n: int) -> tuple[int, int]:
     return e, n >> e
 
 
-@dataclass(frozen=True)
-class Bits:
-    """An exact quantity measured in bits: value = lin + log2(arg).
+def log2_float(q) -> float:
+    """log2(q) as a float, for rendering only; q is a positive rational.
 
-    The canonical form keeps arg an odd/odd positive rational, so equal values
-    have equal fields and hashing is consistent.  Sums and differences stay in
-    this form; comparisons reduce to integer comparisons via cmp_pow.
+    The power of two is split off first, so the float error is only that of
+    log2 of the odd/odd remainder.
     """
-
-    lin: Fraction
-    arg: Fraction
-
-    def __init__(self, lin=0, arg=1):
-        lin = as_fraction(lin)
-        arg = as_fraction(arg)
-        if arg <= 0:
-            raise DomainError("log2 argument must be positive")
-        en, odd_n = _split_pow2(arg.numerator)
-        ed, odd_d = _split_pow2(arg.denominator)
-        object.__setattr__(self, "lin", lin + en - ed)
-        object.__setattr__(self, "arg", Fraction(odd_n, odd_d))
-
-    @classmethod
-    def log2(cls, q) -> "Bits":
-        return cls(0, q)
-
-    @classmethod
-    def rational(cls, r) -> "Bits":
-        return cls(r, 1)
-
-    def __add__(self, other: "Bits") -> "Bits":
-        return Bits(self.lin + other.lin, self.arg * other.arg)
-
-    def __sub__(self, other: "Bits") -> "Bits":
-        return Bits(self.lin - other.lin, self.arg / other.arg)
-
-    def __neg__(self) -> "Bits":
-        return Bits(-self.lin, 1 / self.arg)
-
-    def _cmp(self, other: "Bits") -> int:
-        # self - other vs 0  <=>  arg ratio vs 2**(lin difference)
-        return cmp_pow(self.arg / other.arg, 2, other.lin - self.lin)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __float__(self):
-        return float(self.lin) + math.log2(float(self.arg))
-
-    def __repr__(self):
-        if self.arg == 1:
-            return f"Bits({self.lin})"
-        return f"Bits({self.lin} + log2({self.arg}))"
-
-
-BITS_ZERO = Bits(0, 1)
+    q = Fraction(q)
+    en, odd_n = _split_pow2(q.numerator)
+    ed, odd_d = _split_pow2(q.denominator)
+    return float(en - ed) + math.log2(float(Fraction(odd_n, odd_d)))
 
 
 @dataclass(frozen=True)
@@ -192,26 +138,28 @@ class SetVar:
         )
 
 
-def marginal_min_entropy(v: SetVar, I) -> Bits:
-    """Min-entropy of v's marginal on coordinate set I, exactly, in bits."""
+def marginal_min_entropy(v: SetVar, I) -> Fraction:
+    """Min-entropy of v's marginal on coordinate set I, as the ratio
+    |v| / (heaviest outcome's count) whose log2 it is; 1 for I = ()."""
     I = tuple(I)
     if not I:
-        return BITS_ZERO
+        return Fraction(1)
     max_count = max(v.project_counts(I).values())
-    return Bits.log2(Fraction(v.size, max_count))
+    return Fraction(v.size, max_count)
 
 
-def deficiency(v: SetVar, I) -> Bits:
-    """Ambient bits of the I-marginal minus its min-entropy; 0 for I = ()."""
+def deficiency(v: SetVar, I) -> Fraction:
+    """Ambient bits of the I-marginal minus its min-entropy, as the ratio
+    (ambient size * heaviest count) / |v| whose log2 it is; 1 for I = ()."""
     I = tuple(I)
     if not I:
-        return BITS_ZERO
+        return Fraction(1)
     pos = v._positions(I)
     ambient_size = 1
     for p in pos:
         ambient_size *= v.ambient[p]
     max_count = max(v.project_counts(I).values())
-    return Bits.log2(Fraction(ambient_size * max_count, v.size))
+    return Fraction(ambient_size * max_count, v.size)
 
 
 def _uniform_block_size(v: SetVar) -> int:
@@ -261,8 +209,9 @@ def is_blockwise_dense(v: SetVar, delta, essential: bool = False,
 class DensityPart:
     """One part of a density-restoring partition, in emission order.
 
-    label reads "x_I = alpha"; delta is log2(|X| / |X^(>=i)|) where X^(>=i) is
-    what remained just before this part was peeled off.
+    label reads "x_I = alpha"; delta_ratio is |X| / |X^(>=i)|, where X^(>=i)
+    is what remained just before this part was peeled off; the part's drop
+    delta_i is its log2.
     """
 
     order: int            # 1-based emission index
@@ -272,10 +221,6 @@ class DensityPart:
     size: int
     tail_size: int        # |X^(>=i)|
     input_size: int       # |X|
-
-    @property
-    def delta(self) -> Bits:
-        return Bits.log2(self.delta_ratio)
 
     @property
     def delta_ratio(self) -> Fraction:

@@ -27,7 +27,7 @@ from .core import (
     Rect,
     bit_at,
 )
-from .entropy import Bits, as_fraction
+from .entropy import as_fraction
 from .errors import DomainError, ResourceError
 
 ALICE = "alice"
@@ -331,8 +331,8 @@ class RLeaf:
     rect: Rect
     rho: PartialAssignment
     value: object
-    potential: Bits
-    def_y: Bits
+    potential: Fraction   # 2^(|free| log m) / |X|: log2 is D(X) on the free blocks
+    def_y: Fraction       # Y.deficiency(): log2 is D(Y)
 
 
 @dataclass
@@ -363,8 +363,8 @@ class RAlice:
     rho: PartialAssignment
     fn: object            # the source node's Alice map
     branches: dict        # bit -> RBranch or None (empty X^b)
-    potential: Bits
-    def_y: Bits
+    potential: Fraction   # potential and def_y: as in RLeaf
+    def_y: Fraction
 
 
 @dataclass
@@ -373,8 +373,8 @@ class RBob:
     rho: PartialAssignment
     fn: object            # the source node's Bob map
     children: dict        # bit -> node or None (empty Y^b)
-    potential: Bits
-    def_y: Bits
+    potential: Fraction   # potential and def_y: as in RLeaf
+    def_y: Fraction
 
 
 class RefinedProtocol:
@@ -431,9 +431,10 @@ class RefinedProtocol:
         return out
 
 
-def _potential(X, rho, log_m) -> Bits:
-    # D(X on free blocks); X is constant on fixed blocks, so |X_free| = |X|.
-    return Bits.log2(Fraction(2 ** (log_m * len(rho.free)), len(X)))
+def _potential(X, rho, log_m) -> Fraction:
+    # D(X on free blocks) as the ratio whose log2 it is; X is constant on
+    # fixed blocks, so |X_free| = |X|.
+    return Fraction(2 ** (log_m * len(rho.free)), len(X))
 
 
 def _s_strings(k):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import BOT
-from .entropy import Bits, as_fraction
+from .entropy import as_fraction, cmp_pow, log2_float
 from .errors import DomainError, ResourceError
 from .protocol import (
     DLeaf,
@@ -71,9 +71,8 @@ class SimConfig:
         if self.query_cap is not None and self.query_cap <= 0:
             raise DomainError("query cap must be positive")
 
-    def cap_bits(self, n: int) -> Bits:
-        cap = self.deficiency_cap if self.deficiency_cap is not None else Fraction(n ** 3)
-        return Bits.rational(cap)
+    def cap_bits(self, n: int) -> Fraction:
+        return self.deficiency_cap if self.deficiency_cap is not None else Fraction(n ** 3)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ class LedgerRow:
     gamma_ratio: Fraction      # |X| / |X^b| at the Alice bit (1 on Bob iterations)
     delta_ratio: Fraction      # |X^b| / |X^(>=i)| at the part announcement
     queries: int
-    potential_before: Bits
-    potential_after: Bits
+    potential_before: Fraction
+    potential_after: Fraction
 
 
 def _frac_str(q: Fraction) -> str:
@@ -120,8 +119,8 @@ class SimOutcome:
                     "gamma_ratio": _frac_str(row.gamma_ratio),
                     "delta_ratio": _frac_str(row.delta_ratio),
                     "queries": row.queries,
-                    "potential_before_bits": float(row.potential_before),
-                    "potential_after_bits": float(row.potential_after),
+                    "potential_before_bits": log2_float(row.potential_before),
+                    "potential_after_bits": log2_float(row.potential_after),
                 }
                 for row in self.ledger
             ],
@@ -226,8 +225,10 @@ def _pick(rng, total, draws):
 
 
 def _enter(child, cfg: SimConfig, cap):
-    """The child, or the strict-ZPP cutoff when its Bob deficiency passes cap."""
-    return DEFICIENCY_CUTOFF if cfg.strict_zpp and child.def_y > cap else child
+    """The child, or the strict-ZPP cutoff when its Bob deficiency passes cap
+    bits, i.e. its def_y ratio exceeds 2^cap."""
+    return (DEFICIENCY_CUTOFF if cfg.strict_zpp and cmp_pow(child.def_y, 2, cap) > 0
+            else child)
 
 
 def _move(node, b, part, q, cfg: SimConfig, cap, answers):
@@ -279,13 +280,13 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
             gamma = Fraction(total, wb)
             if target == QUERY_CAP:
                 # no part announcement and no queries: only Alice's bit counts
-                delta, pot_after = Fraction(1), pot_before + Bits.log2(gamma)
+                delta, pot_after = Fraction(1), pot_before * gamma
             else:
                 # the X-side potential after this iteration exists even when
                 # the bit-fixing child does not
                 free_after = len(node.rho.free) - len(coords)
-                delta, pot_after = part.delta_ratio, Bits.log2(
-                    Fraction(2 ** (free_after * (G.m.bit_length() - 1)), len(part.X)))
+                delta, pot_after = part.delta_ratio, Fraction(
+                    2 ** (free_after * (G.m.bit_length() - 1)), len(part.X))
         ledger.append(LedgerRow(len(ledger) + 1, gamma, delta, len(coords),
                                 pot_before, pot_after))
         queries.extend(coords)
@@ -335,7 +336,7 @@ def ledger_check(outcome: SimOutcome, delta) -> bool:
     announced drops minus (1-delta) log m per query (the partition-lemma
     deficiency bound).  In aggregate: (1-delta) log m times the total query
     count is at most the sum of all drops, since the potential starts at zero
-    and stays nonnegative.
+    and stays nonnegative.  Both are one cmp_pow on the potentials' ratios.
     """
     delta = as_fraction(delta)
     k = outcome.m.bit_length() - 1
@@ -343,13 +344,13 @@ def ledger_check(outcome: SimOutcome, delta) -> bool:
     product = Fraction(1)
     total_queries = 0
     for row in outcome.ledger:
-        drop = Bits.log2(row.gamma_ratio * row.delta_ratio)
-        bound = row.potential_before + drop - Bits.rational(rate * row.queries)
-        if row.potential_after > bound:
+        drop = row.gamma_ratio * row.delta_ratio
+        if cmp_pow(row.potential_after / (row.potential_before * drop), 2,
+                   -rate * row.queries) > 0:
             return False
-        product *= row.gamma_ratio * row.delta_ratio
+        product *= drop
         total_queries += row.queries
-    return Bits.rational(rate * total_queries) <= Bits.log2(product)
+    return cmp_pow(product, 2, rate * total_queries) >= 0
 
 
 def _merge_components(components):

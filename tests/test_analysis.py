@@ -26,7 +26,6 @@ from liftsim.core import (
     GadgetSpec,
     PartialAssignment,
     Rect,
-    full_rect,
 )
 from liftsim.entropy import SetVar
 from liftsim.errors import DomainError
@@ -131,17 +130,32 @@ def test_bob_first_fixture_tv_quarter():
 
 def test_marginals_full_rectangle():
     g = instance(1, 2)
-    rep = marginals_report(full_rect(g), PartialAssignment.free_everywhere(1),
-                           (0,), g)
+    full = Rect(g.full_X(), g.full_Y())
+    rep = marginals_report(full, PartialAssignment.free_everywhere(1), (0,), g)
     assert rep.nonempty and rep.tv_x == 0
     assert rep.structured and rep.deficiency_ok
+
+
+@pytest.mark.parametrize("ys, cap, ok", [
+    ({0, 1, 2}, Fraction(1, 2), True),    # log2(4/3) <= 1/2 < 4/3
+    ({0, 1, 2}, Fraction(2, 5), False),   # log2(4/3) is about 0.415
+    ({3}, Fraction(2), True),             # exactly 2 bits: the bound is inclusive
+    ({3}, Fraction(3), True),             # 2 bits <= 3 < 4
+])
+def test_marginals_deficiency_cap_exact_boundary(ys, cap, ok):
+    """Y.deficiency() is the ratio 4 / |Y|, the cap is in bits."""
+    g = instance(1, 2)
+    rect = Rect(g.full_X(), ExplicitBobSet(1, 2, {(y,) for y in ys}))
+    rep = marginals_report(rect, PartialAssignment.free_everywhere(1), (0,), g,
+                           cap=cap)
+    assert rep.deficiency_ok is ok
 
 
 def test_marginals_full_rectangle_tv_x_zero_battery():
     for n, m in [(1, 4), (2, 2)]:
         g = instance(n, m)
         for z in itertools.product((0, 1), repeat=n):
-            rep = marginals_report(full_rect(g),
+            rep = marginals_report(Rect(g.full_X(), g.full_Y()),
                                    PartialAssignment.free_everywhere(n), z, g)
             assert rep.tv_x == 0
 
@@ -169,7 +183,8 @@ def test_marginals_empty_intersection_flags():
 def test_marginals_rejects_inconsistent_z():
     g = instance(1, 2)
     with pytest.raises(DomainError):
-        marginals_report(full_rect(g), PartialAssignment((1,)), (0,), g)
+        marginals_report(Rect(g.full_X(), g.full_Y()), PartialAssignment((1,)),
+                         (0,), g)
 
 
 # --- parity bias and norm bound ---

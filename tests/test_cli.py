@@ -141,6 +141,23 @@ def test_sweep_csv_shape(tmp_path, capsys):
     assert len(lines) == 1 + len(rep["family"]) * 2 * 2
 
 
+def test_sweep_jobs_1_and_2_agree(tmp_path, capsys):
+    """The parallel sweep writes the serial sweep's bytes; only config.jobs
+    differs in report.json."""
+    reports, curves = [], []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / jobs
+        code, out, _ = run(capsys, "sweep", "--n", "1", "--m-list", "4", "8",
+                           "--jobs", jobs, "--out", str(out_dir))
+        assert code == 0
+        rep = json.loads((out_dir / "report.json").read_text())
+        assert rep == read_json(out) and rep["config"].pop("jobs") == int(jobs)
+        reports.append(rep)
+        curves.append((out_dir / "curve.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert curves[0] == curves[1]
+
+
 def test_sweep_rejects_unsorted_mlist(capsys):
     code, _, err = run(capsys, "sweep", "--n", "1", "--m-list", "8", "4")
     assert code == 2
@@ -158,6 +175,13 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert rep["cost"] == 6
     assert rep["output_agreement"] is True
     assert rep["round_trip_error"]["exact"] == "0/1"
+
+
+@pytest.mark.parametrize("name", ["one-bit", "bob-first"])
+def test_convert_builtin_fixture(capsys, name):
+    code, out, _ = run(capsys, "convert", "--fixture", f"builtin:{name}", "--m", "4")
+    assert code == 0
+    assert read_json(out)["direction"] == "protocol->decision_tree"
 
 
 def _write_fixture(tmp_path, name, text):
@@ -223,8 +247,10 @@ def test_delta_outside_unit_interval_exit2(tmp_path, capsys, command, delta):
     ["simulate", "--fixture", "builtin:one-bit", "--seed", "1", "--samples", "-5"],
     ["simulate", "--fixture", "builtin:one-bit", "--deficiency-cap", "abc"],
     ["verify", "--seed", "1", "--battery", "-1"],
+    ["partition", "--seed", "1", "--count", "2", "--m", "0"],
+    ["partition", "--seed", "1", "--count", "2", "--m", "-3"],
 ], ids=["coords-0", "count-neg", "max-support-0", "jobs-0", "budget-0",
-        "samples-neg", "deficiency-cap-abc", "battery-neg"])
+        "samples-neg", "deficiency-cap-abc", "battery-neg", "m-0", "m-neg"])
 def test_bad_numeric_flag_exit2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

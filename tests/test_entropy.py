@@ -1,19 +1,20 @@
 """Entropy, density, and density-restoring partition tests."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from liftsim.entropy import (
-    Bits,
     SetVar,
     as_fraction,
     cmp_pow,
     deficiency,
     density_restoring_partition,
     is_blockwise_dense,
+    log2_float,
     marginal_min_entropy,
     verify_partition_lemma,
 )
@@ -37,13 +38,16 @@ def test_cmp_pow_basics():
     assert cmp_pow(Fraction(1, 4), 4, Fraction(-9, 10)) < 0
 
 
-def test_bits_canonical_equality():
-    assert Bits(1, 1) == Bits(0, 2)
-    assert Bits(0, Fraction(3, 2)) == Bits(-1, 3)
-    assert hash(Bits(1, 1)) == hash(Bits(0, 2))
-    assert Bits(0, 3) > Bits(Fraction(3, 2), 1)      # log2(3) > 1.5
-    assert Bits(0, 3) < Bits(Fraction(8, 5), 1)      # log2(3) < 1.6
-    assert float(Bits(1, 1)) == 1.0
+def test_log2_float_rendering():
+    # the power of two is split off exactly, the odd/odd rest goes to math.log2
+    assert log2_float(2) == 1.0
+    assert log2_float(Fraction(1, 8)) == -3.0
+    assert log2_float(Fraction(3, 2)) == -1.0 + math.log2(3.0)
+    assert log2_float(Fraction(12, 5)) == 2.0 + math.log2(0.6)
+    assert log2_float(Fraction(1, 2 ** 2000)) == -2000.0  # float() would underflow
+    # rendering only: log2(3) > 1.5 is decided by cmp_pow, not by the float
+    assert cmp_pow(Fraction(3), 2, Fraction(3, 2)) > 0
+    assert cmp_pow(Fraction(3), 2, Fraction(8, 5)) < 0
 
 
 def test_as_fraction_reads_floats_decimally():
@@ -56,14 +60,14 @@ def test_as_fraction_reads_floats_decimally():
 
 def test_min_entropy_full_support_all_coords():
     v = SetVar(set(itertools.product((1, 2), repeat=3)), (2, 2, 2))
-    assert marginal_min_entropy(v, (1, 2, 3)) == Bits(3)
+    assert marginal_min_entropy(v, (1, 2, 3)) == 2 ** 3
 
 
 def test_min_entropy_concentrated_coordinate():
     v = SetVar({(1, 1), (1, 2)}, (4, 4))
-    assert marginal_min_entropy(v, (1,)) == Bits(0)
-    assert marginal_min_entropy(v, (2,)) == Bits(1)
-    assert marginal_min_entropy(v, ()) == Bits(0)
+    assert marginal_min_entropy(v, (1,)) == 2 ** 0
+    assert marginal_min_entropy(v, (2,)) == 2 ** 1
+    assert marginal_min_entropy(v, ()) == 2 ** 0
 
 
 # --- deficiency ---
@@ -71,18 +75,18 @@ def test_min_entropy_concentrated_coordinate():
 def test_deficiency_uniform_is_zero():
     v = SetVar(set(itertools.product((1, 2, 3, 4), repeat=2)), (4, 4))
     for I in [(1,), (2,), (1, 2), ()]:
-        assert deficiency(v, I) == Bits(0)
+        assert deficiency(v, I) == 2 ** 0
 
 
 def test_deficiency_bob_halved_set():
     # Y in {0,1}^4 with |Y| = 8: one bit of deficiency.
     v = SetVar({(y,) for y in range(8)}, (16,))
-    assert deficiency(v, (1,)) == Bits(1)
+    assert deficiency(v, (1,)) == 2 ** 1
 
 
 def test_deficiency_fixed_coordinate():
     v = SetVar({(1, 1), (1, 2)}, (4, 4))
-    assert deficiency(v, (1,)) == Bits(2)
+    assert deficiency(v, (1,)) == 2 ** 2
 
 
 def test_deficiency_monotone_under_marginalization():
@@ -97,6 +101,7 @@ def test_deficiency_monotone_under_marginalization():
         dJ = deficiency(v, full)
         for r in range(0, n + 1):
             for I in itertools.combinations(full, r):
+                # log2 is monotone: the ratios order like the bits
                 assert deficiency(v, I) <= dJ
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftsim.core import BOT, ComposedInstance, GadgetSpec, PartialAssignment, Rect
-from liftsim.entropy import Bits
+from liftsim.entropy import cmp_pow
 from liftsim.errors import DomainError
 from liftsim.fixtures import (
     bob_first_fixture,
@@ -182,7 +182,7 @@ def test_strict_zpp_gate_on_emitted_transcripts():
             if t is BOT:
                 continue
             leaf = leaves[t]
-            assert leaf.def_y <= cap
+            assert cmp_pow(leaf.def_y, 2, cap) <= 0
             assert is_structured(leaf.rect, leaf.rho, CFG.delta, G)
 
 
@@ -223,8 +223,8 @@ def test_ledger_one_bit_values():
     assert row.queries == 1
     # full X at the root: potential 0; the singleton part on no remaining
     # free blocks also sits at 0, and 0.1*log2(2)*1 <= gamma + delta = 1
-    assert row.potential_before == Bits(0)
-    assert row.potential_after == Bits(0)
+    assert row.potential_before == 2 ** 0
+    assert row.potential_after == 2 ** 0
     assert ledger_check(out, CFG.delta)
 
 
@@ -254,10 +254,37 @@ def test_ledger_checker_rejects_forged_rows():
 
     forged = SimOutcome(
         transcript=None, value=BOT, failure=IMPOSSIBLE_S, queries=(1,),
-        ledger=(LedgerRow(1, Fraction(1), Fraction(1), 1, Bits(0), Bits(0)),),
+        ledger=(LedgerRow(1, Fraction(1), Fraction(1), 1, Fraction(1), Fraction(1)),),
         n=1, m=4,
     )
     assert not ledger_check(forged, Fraction(9, 10))
+
+
+@pytest.mark.parametrize("after, ok", [(Fraction(17, 10), True),
+                                       (Fraction(7, 4), False)])
+def test_ledger_row_exact_boundary(after, ok):
+    """gamma = 2, delta_i = 1, one query at m = 4, delta = 9/10: the row holds
+    iff after <= 1 * 2 * 2^(-(1/10) * 2 * 1) = 2^(4/5), about 1.741."""
+    from liftsim.simulate import LedgerRow, SimOutcome
+
+    row = LedgerRow(1, Fraction(2), Fraction(1), 1, Fraction(1), after)
+    out = SimOutcome(None, BOT, IMPOSSIBLE_S, (1,), (row,), 1, 4)
+    assert ledger_check(out, Fraction(9, 10)) is ok
+
+
+@pytest.mark.parametrize("def_y, cap, cut", [
+    (Fraction(2), Fraction(1), False),         # exactly 2^cap: the cutoff is strict
+    (Fraction(3), Fraction(1), True),
+    (Fraction(4, 3), Fraction(1, 2), False),   # log2(4/3) < 1/2 < 4/3
+    (Fraction(3, 2), Fraction(1, 2), True),    # log2(3/2) > 1/2
+])
+def test_strict_zpp_cutoff_exact_boundary(def_y, cap, cut):
+    """def_y is a ratio, the cap is in bits: the cutoff fires iff def_y > 2^cap."""
+    rp = refine(one_bit_fixture(), CFG.delta)
+    for _, leaf in rp.leaves():
+        leaf.def_y = def_y
+    sim = simulate_exact(rp, (0,), SimConfig(strict_zpp=True, deficiency_cap=cap))
+    assert (DEFICIENCY_CUTOFF in sim.bot_reasons) is cut
 
 
 # --- protocol -> randomized decision tree ---
@@ -352,11 +379,19 @@ PINNED_SAMPLER_DIGEST = (
     "c0323d1e270b51d6483742009c6de11e4b9fa0987161f78d6431e8d35e1a160e")
 
 
+def _lin_arg(q):
+    """q = 2^lin * arg with arg an odd/odd rational: the pair the digest was
+    recorded with, lin a Fraction."""
+    en = (q.numerator & -q.numerator).bit_length() - 1
+    ed = (q.denominator & -q.denominator).bit_length() - 1
+    return Fraction(en - ed), Fraction(q.numerator >> en, q.denominator >> ed)
+
+
 def _outcome_record(out) -> str:
     value = "bot" if out.value is BOT else out.value
     rows = [(r.iteration, r.gamma_ratio, r.delta_ratio, r.queries,
-             r.potential_before.lin, r.potential_before.arg,
-             r.potential_after.lin, r.potential_after.arg) for r in out.ledger]
+             *_lin_arg(r.potential_before), *_lin_arg(r.potential_after))
+            for r in out.ledger]
     return repr((out.transcript, value, out.failure, out.queries, rows))
 
 
