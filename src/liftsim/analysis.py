@@ -24,7 +24,7 @@ from .core import (
     iter_slice,
     slice_count,
 )
-from .entropy import SetVar, as_fraction, cmp_pow
+from .entropy import SetVar, as_fraction, cmp_pow, nonempty_subsets
 from .errors import DomainError, ResourceError
 from .protocol import (
     DecisionTree,
@@ -235,8 +235,7 @@ def fourier_coefficient(D: ExactDist, I) -> Fraction:
     return acc
 
 
-def fourier_pointwise_check(D: ExactDist, n: int,
-                            subset_budget: int = 2 ** 20) -> tuple:
+def fourier_pointwise_check(D: ExactDist, n: int) -> tuple:
     """(hypothesis, conclusion) of the parities-to-pointwise implication.
 
     hypothesis: every nonempty parity bias is at most n^(-5|I|);
@@ -251,17 +250,8 @@ def fourier_pointwise_check(D: ExactDist, n: int,
     if len(sizes) != 1:
         raise DomainError("distribution outcomes must share one length")
     (j,) = sizes
-    if j and 2 ** j > subset_budget:
-        raise ResourceError("fourier subset enumeration", 2 ** j, subset_budget)
-    coords = range(1, j + 1)
-    hypothesis = True
-    for r in range(1, j + 1):
-        for I in itertools.combinations(coords, r):
-            if abs(fourier_coefficient(D, I)) > Fraction(1, n ** (5 * r)):
-                hypothesis = False
-                break
-        if not hypothesis:
-            break
+    hypothesis = all(abs(fourier_coefficient(D, I)) <= Fraction(1, n ** (5 * len(I)))
+                     for I in nonempty_subsets(range(1, j + 1)))
     uniform = Fraction(1, 2 ** j)
     slack = Fraction(1, n ** 3) * uniform
     conclusion = all(

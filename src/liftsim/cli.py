@@ -41,10 +41,14 @@ from .core import (
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
     Rect,
+    compose_eval,
+    is_structured,
 )
 from .errors import DomainError, ResourceError
 from .protocol import (
+    DecisionTree,
     ProtocolTree,
+    RLeaf,
     RandomizedProtocol,
     dt_eval,
     dt_to_protocol,
@@ -209,9 +213,6 @@ def cmd_refine(args):
     rp = refine(pt, delta, pair_budget=args.budget)
     rows = []
     bad = None
-    from .core import is_structured
-    from .protocol import RLeaf
-
     for idx, node in enumerate(rp.iter_nodes()):
         kind = type(node).__name__
         ok = True
@@ -407,23 +408,25 @@ def _fourier_noise(rng, j, n):
 
 
 def _sweep_instance(task):
-    """One (family member, m, z) cell; exact, so no seed is involved."""
-    n, m, name, z, delta_str, budget = task
+    """One family member at one m, refined once (refinement does not depend
+    on z), and one (protocol, z, m) cell per z; exact, so no seed is involved."""
+    n, m, name, delta_str, budget = task
     delta = Fraction(delta_str)
     pt = dict(fixtures.sweep_family(n, m))[name]
     rp = refine(pt, delta, pair_budget=budget)
     cfg = sim.SimConfig(delta=delta)
-    exact = sim.simulate_exact(rp, z, cfg)
-    t_true = analysis.true_transcript_dist(rp, z, pair_budget=budget)
-    tv = analysis.tv_distance(exact.transcripts, t_true)
-    mean_q = sum((Fraction(q) * p for q, p in exact.queries.items()), Fraction(0))
-    bot = exact.transcripts.prob(BOT)
-    return {
-        "key": (name, "".join(map(str, z)), m),
-        "tv": tv,
-        "mean_queries": mean_q,
-        "bot_rate": bot,
-    }
+    cells = []
+    for z in itertools.product((0, 1), repeat=n):
+        exact = sim.simulate_exact(rp, z, cfg)
+        t_true = analysis.true_transcript_dist(rp, z, pair_budget=budget)
+        cells.append({
+            "key": (name, "".join(map(str, z)), m),
+            "tv": analysis.tv_distance(exact.transcripts, t_true),
+            "mean_queries": sum((Fraction(q) * p for q, p in exact.queries.items()),
+                                Fraction(0)),
+            "bot_rate": exact.transcripts.prob(BOT),
+        })
+    return cells
 
 
 def cmd_sweep(args):
@@ -431,20 +434,16 @@ def cmd_sweep(args):
     if ms != sorted(ms) or len(set(ms)) != len(ms):
         raise DomainError("m sweep list must be strictly ascending")
     names = [name for name, _ in fixtures.sweep_family(args.n, ms[0])]
-    tasks = [
-        (args.n, m, name, z, str(Fraction(args.delta)), args.budget)
-        for name in names
-        for z in itertools.product((0, 1), repeat=args.n)
-        for m in ms
-    ]
+    tasks = [(args.n, m, name, str(Fraction(args.delta)), args.budget)
+             for name in names for m in ms]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_sweep_instance, tasks))
+            per_task = list(ex.map(_sweep_instance, tasks))
     else:
-        results = [_sweep_instance(t) for t in tasks]
-    results.sort(key=lambda r: r["key"])
+        per_task = [_sweep_instance(t) for t in tasks]
+    results = sorted((r for cells in per_task for r in cells), key=lambda r: r["key"])
     rows = []
     tv_by_m = {m: [] for m in ms}
     for r in results:
@@ -472,8 +471,6 @@ def cmd_sweep(args):
 
 def cmd_convert(args):
     obj = _load_any_fixture(args.fixture, args.m)
-    from .protocol import DecisionTree
-
     report = {"command": "convert",
               "config": {"fixture": args.fixture, "n": args.n, "m": args.m,
                          "delta": args.delta, "budget": args.budget}}
@@ -489,10 +486,11 @@ def cmd_convert(args):
         expected = obj.depth * (G.log_m + 1)
         if pt.cost != expected:
             raise Violation("conversion cost", f"{pt.cost} != {expected}")
+        pairs = G.alice_size * G.bob_size
+        if pairs > args.budget:
+            raise ResourceError("conversion output agreement", pairs, args.budget)
         for xs in G.alice_domain():
             for ys in G.bob_domain():
-                from .core import compose_eval
-
                 if run_protocol(pt, xs, ys)[1] != dt_eval(obj, compose_eval(G, xs, ys))[0]:
                     raise Violation("conversion output agreement",
                                     f"input ({xs}, {ys})")
@@ -500,14 +498,14 @@ def cmd_convert(args):
         report["cost"] = pt.cost
         report["cost_formula"] = f"depth*(log_m+1) = {obj.depth}*{G.log_m + 1}"
         report["output_agreement"] = True
-        back = sim.protocol_to_dt(pt, _sim_config(args))
+        back = sim.protocol_to_dt(pt, _sim_config(args), pair_budget=args.budget)
         report["round_trip_components"] = len(back.components)
         report["round_trip_depth"] = back.depth
         if outer is not None:
             report["round_trip_error"] = rat(analysis.dt_error(back, outer))
     else:
         PI = obj if isinstance(obj, RandomizedProtocol) else RandomizedProtocol.point(obj)
-        rdt = sim.protocol_to_dt(PI, _sim_config(args))
+        rdt = sim.protocol_to_dt(PI, _sim_config(args), pair_budget=args.budget)
         report["direction"] = "protocol->decision_tree"
         report["components"] = len(rdt.components)
         report["depth"] = rdt.depth

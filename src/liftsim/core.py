@@ -65,45 +65,37 @@ def _is_power_of_two(v: int) -> bool:
 
 @dataclass(frozen=True)
 class GadgetSpec:
-    """The index gadget on one block: g(x, y) = bit x of y."""
+    """The index gadget on one block: g(x, y) = bit x of y, for x in [m] and
+    y in {0,1}^m."""
 
-    alice_size: int         # Alice's block domain is [alice_size]
-    bob_bits: int           # Bob's block domain is {0,1}^bob_bits
+    m: int
 
     @classmethod
     def index(cls, m: int) -> "GadgetSpec":
         if m < 2 or not _is_power_of_two(m):
             raise DomainError(f"index gadget needs m a power of 2, m >= 2; got {m}")
-        return cls(m, m)
-
-    @property
-    def m(self) -> int:
-        return self.alice_size
+        return cls(m)
 
     def eval(self, x: int, y: int) -> int:
-        if not 1 <= x <= self.alice_size:
-            raise DomainError(f"x={x} outside [{self.alice_size}]")
-        if not 0 <= y < 2 ** self.bob_bits:
-            raise DomainError(f"y={y} is not a {self.bob_bits}-bit string")
-        return bit_at(y, x, self.bob_bits)
-
-    def preimage_count(self, b: int) -> dict:
-        """Per-x count of y values with g(x, y) = b."""
-        return {x: 2 ** (self.bob_bits - 1) for x in range(1, self.alice_size + 1)}
+        if not 1 <= x <= self.m:
+            raise DomainError(f"x={x} outside [{self.m}]")
+        if not 0 <= y < 2 ** self.m:
+            raise DomainError(f"y={y} is not a {self.m}-bit string")
+        return bit_at(y, x, self.m)
 
 
 def gadget_eval(g: GadgetSpec, x: int, y) -> int:
     """g evaluated on one block; y may be an int or a '0101' string."""
     if isinstance(y, str):
-        if len(y) != g.bob_bits or set(y) - {"0", "1"}:
-            raise DomainError(f"y={y!r} is not a {g.bob_bits}-bit string")
+        if len(y) != g.m or set(y) - {"0", "1"}:
+            raise DomainError(f"y={y!r} is not a {g.m}-bit string")
         y = int(y, 2)
     return g.eval(x, y)
 
 
 @dataclass(frozen=True)
 class ComposedInstance:
-    """G = g^n on [m]^n x ({0,1}^bob_bits)^n, evaluated blockwise."""
+    """G = g^n on [m]^n x ({0,1}^m)^n, evaluated blockwise."""
 
     n: int
     gadget: GadgetSpec
@@ -114,12 +106,10 @@ class ComposedInstance:
 
     @property
     def m(self) -> int:
-        return self.gadget.alice_size
+        return self.gadget.m
 
     @property
     def log_m(self) -> int:
-        if not _is_power_of_two(self.m):
-            raise DomainError("log m is integral only for power-of-two m")
         return self.m.bit_length() - 1
 
     @property
@@ -128,22 +118,23 @@ class ComposedInstance:
 
     @property
     def bob_size(self) -> int:
-        return 2 ** (self.gadget.bob_bits * self.n)
+        return 2 ** (self.m * self.n)
 
     def alice_domain(self):
         return itertools.product(range(1, self.m + 1), repeat=self.n)
 
     def bob_domain(self):
-        return itertools.product(range(2 ** self.gadget.bob_bits), repeat=self.n)
+        return itertools.product(range(2 ** self.m), repeat=self.n)
 
     def full_X(self) -> frozenset:
         return frozenset(self.alice_domain())
 
     def full_Y(self, pair_budget: int = PAIR_BUDGET_DEFAULT):
-        """Explicit Bob domain when it fits the budget, otherwise a full cube."""
-        if self.bob_size <= pair_budget:
-            return ExplicitBobSet(self.n, self.gadget.bob_bits, self.bob_domain())
-        return BobCube(self.n, self.gadget.bob_bits, ())
+        """The explicit Bob domain; refused when its 2^(nm) tuples exceed the
+        budget."""
+        if self.bob_size > pair_budget:
+            raise ResourceError("explicit Bob domain", self.bob_size, pair_budget)
+        return ExplicitBobSet(self.n, self.m, self.bob_domain())
 
     def check_alice(self, xs):
         if len(xs) != self.n:
@@ -156,7 +147,7 @@ class ComposedInstance:
         if len(ys) != self.n:
             raise DomainError(f"Bob input has {len(ys)} blocks, expected {self.n}")
         for y in ys:
-            if not 0 <= y < 2 ** self.gadget.bob_bits:
+            if not 0 <= y < 2 ** self.m:
                 raise DomainError(f"Bob block value {y} out of range")
 
 
@@ -262,9 +253,6 @@ class BobCube:
 
     def split_bit(self, blk: int, pos: int):
         return self.restrict({(blk, pos): 0}), self.restrict({(blk, pos): 1})
-
-    def split_fn(self, fn):
-        raise ResourceError("table split of a cube Bob set", self.size, 0)
 
     def deficiency(self) -> Fraction:
         """D(Y) relative to the full Bob domain, as the ratio 2^(nm) / |Y|
@@ -429,14 +417,11 @@ class OuterFunction:
 
 
 def slice_count(G: ComposedInstance, z) -> int:
-    """|G^{-1}(z)| in closed form (blockwise product)."""
-    z = tuple(z)
-    if len(z) != G.n:
+    """|G^{-1}(z)| in closed form: each block has m pointers, each with
+    2^(m-1) strings carrying z_i at the pointed-to bit."""
+    if len(tuple(z)) != G.n:
         raise DomainError("z arity mismatch")
-    total = 1
-    for zi in z:
-        total *= sum(G.gadget.preimage_count(zi).values())
-    return total
+    return (G.m * 2 ** (G.m - 1)) ** G.n
 
 
 def iter_slice(G: ComposedInstance, z):
@@ -444,9 +429,9 @@ def iter_slice(G: ComposedInstance, z):
     z = tuple(z)
     g = G.gadget
     allowed = {}
-    for x in range(1, g.alice_size + 1):
+    for x in range(1, g.m + 1):
         for b in (0, 1):
-            allowed[(x, b)] = [y for y in range(2 ** g.bob_bits) if g.eval(x, y) == b]
+            allowed[(x, b)] = [y for y in range(2 ** g.m) if g.eval(x, y) == b]
     for xs in G.alice_domain():
         pools = [allowed[(x, zi)] for x, zi in zip(xs, z)]
         for ys in itertools.product(*pools):
@@ -462,7 +447,6 @@ def slice_enumerate(G: ComposedInstance, z, pair_budget: int = PAIR_BUDGET_DEFAU
 
 
 def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance,
-                  subset_budget: int = entropy.SUBSET_BUDGET_DEFAULT,
                   essential: bool = False) -> bool:
     """Whether X x Y is rho-structured: X delta-dense on free blocks, fixed on
     the rest, and every output of G on the rectangle consistent with rho.
@@ -484,8 +468,7 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
     if free:
         proj = {tuple(xs[i - 1] for i in free) for xs in rect.X}
         sv = entropy.SetVar(proj, tuple(G.m for _ in free), free)
-        if not entropy.is_blockwise_dense(sv, delta, essential=essential,
-                                          subset_budget=subset_budget):
+        if not entropy.is_blockwise_dense(sv, delta, essential=essential):
             return False
     if not fix:
         return True

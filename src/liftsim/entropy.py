@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceError
 
-SUBSET_BUDGET_DEFAULT = 2 ** 20  # cap on the number of enumerated coordinate subsets
+SUBSET_BUDGET = 2 ** 20  # cap on the number of enumerated coordinate subsets
 
 
 def as_fraction(x) -> Fraction:
@@ -121,22 +121,6 @@ class SetVar:
         pos = self._positions(I)
         return Counter(tuple(t[p] for p in pos) for t in self.support)
 
-    def restrict(self, I, alpha) -> "SetVar":
-        """Sub-variable on {t : t_I = alpha}, projected to the other coordinates."""
-        pos = self._positions(I)
-        keep = [p for p in range(len(self.coords)) if p not in pos]
-        alpha = tuple(alpha)
-        sel = {
-            tuple(t[p] for p in keep)
-            for t in self.support
-            if tuple(t[p] for p in pos) == alpha
-        }
-        return SetVar(
-            sel,
-            tuple(self.ambient[p] for p in keep),
-            tuple(self.coords[p] for p in keep),
-        )
-
 
 def marginal_min_entropy(v: SetVar, I) -> Fraction:
     """Min-entropy of v's marginal on coordinate set I, as the ratio
@@ -171,10 +155,12 @@ def _uniform_block_size(v: SetVar) -> int:
     return m
 
 
-def _nonempty_subsets(coords, subset_budget):
+def nonempty_subsets(coords):
+    """The nonempty subsets of coords by size, then lexicographically;
+    refused beyond SUBSET_BUDGET."""
     n = len(coords)
-    if n and 2 ** n > subset_budget:
-        raise ResourceError("subset enumeration", 2 ** n, subset_budget)
+    if n and 2 ** n > SUBSET_BUDGET:
+        raise ResourceError("subset enumeration", 2 ** n, SUBSET_BUDGET)
     for r in range(1, n + 1):
         yield from itertools.combinations(coords, r)
 
@@ -188,15 +174,14 @@ def _violates(v: SetVar, I, delta: Fraction, m: int) -> bool:
     return cmp_pow(_max_prob(v, I), m, -delta * len(I)) > 0
 
 
-def is_blockwise_dense(v: SetVar, delta, essential: bool = False,
-                       subset_budget: int = SUBSET_BUDGET_DEFAULT) -> bool:
+def is_blockwise_dense(v: SetVar, delta, essential: bool = False) -> bool:
     """Every nonempty marginal has min-entropy rate >= delta (minus 1 bit if essential).
 
     Exhaustive over all 2^|J| - 1 nonempty coordinate subsets.
     """
     delta = as_fraction(delta)
     m = _uniform_block_size(v)
-    for I in _nonempty_subsets(v.coords, subset_budget):
+    for I in nonempty_subsets(v.coords):
         p = _max_prob(v, I)
         if essential:
             p = p / 2  # H >= d|I|log m - 1  <=>  p <= 2 * m^(-d|I|)
@@ -234,7 +219,7 @@ class DensityPart:
         return f"x_{{{idx}}}=({val})"
 
 
-def _choose_violating_set(v: SetVar, delta: Fraction, m: int, subset_budget: int):
+def _choose_violating_set(v: SetVar, delta: Fraction, m: int):
     """Deterministic maximal min-entropy-violating subset (possibly empty).
 
     Maximality must be genuine (no violating superset at all): a one-step
@@ -247,7 +232,7 @@ def _choose_violating_set(v: SetVar, delta: Fraction, m: int, subset_budget: int
     """
     violating = [
         frozenset(I)
-        for I in _nonempty_subsets(v.coords, subset_budget)
+        for I in nonempty_subsets(v.coords)
         if _violates(v, I, delta, m)
     ]
     if not violating:
@@ -268,8 +253,7 @@ def _choose_violating_set(v: SetVar, delta: Fraction, m: int, subset_budget: int
     return tuple(sorted(min(maximal, key=lambda I: tuple(sorted(I)))))
 
 
-def density_restoring_partition(v: SetVar, delta,
-                                subset_budget: int = SUBSET_BUDGET_DEFAULT) -> list:
+def density_restoring_partition(v: SetVar, delta) -> list:
     """Split v.support into ordered parts, each fixed on a violating block set
     and delta-dense on the rest.
 
@@ -287,7 +271,7 @@ def density_restoring_partition(v: SetVar, delta,
     while remaining:
         order += 1
         cur = SetVar(remaining, v.ambient, v.coords)
-        I = _choose_violating_set(cur, delta, m, subset_budget)
+        I = _choose_violating_set(cur, delta, m)
         if not I:
             parts.append(DensityPart(order, (), (), frozenset(remaining),
                                       len(remaining), len(remaining), input_size))
@@ -326,8 +310,7 @@ class PartitionLemmaReport:
         return None
 
 
-def verify_partition_lemma(v: SetVar, parts, delta,
-                           subset_budget: int = SUBSET_BUDGET_DEFAULT) -> PartitionLemmaReport:
+def verify_partition_lemma(v: SetVar, parts, delta) -> PartitionLemmaReport:
     """Check both partition-lemma bullets for every part, in exact arithmetic.
 
     Density: the part is delta-dense off its fixed coordinates.
@@ -350,7 +333,7 @@ def verify_partition_lemma(v: SetVar, parts, delta,
                 tuple(m for _ in rest),
                 rest,
             )
-            density_ok = is_blockwise_dense(sub, delta, subset_budget=subset_budget)
+            density_ok = is_blockwise_dense(sub, delta)
             max_count = max(sub.project_counts(rest).values())
             lhs_arg = Fraction(m ** len(rest) * max_count, part.size)
         else:

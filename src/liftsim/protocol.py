@@ -32,15 +32,14 @@ from .errors import DomainError, ResourceError
 
 ALICE = "alice"
 BOB = "bob"
-DEPTH_CAP_DEFAULT = 32
+DEPTH_CAP = 32           # deepest protocol tree accepted
+TABLE_BUDGET = 2 ** 20   # largest Bob domain written out as a table
 
 
 # --- node send-functions ---
 
 class TableFn:
     """Extensional input -> bit map, stored as an explicit table."""
-
-    kind = "table"
 
     def __init__(self, table):
         self.table = dict(table)
@@ -57,8 +56,6 @@ class TableFn:
 
 class BitFn:
     """Bob reads a single bit: position `pos` of block `block`."""
-
-    kind = "bit"
 
     def __init__(self, block: int, pos: int, m: int):
         self.block = block
@@ -92,12 +89,12 @@ class PNode:
 class ProtocolTree:
     """A deterministic protocol over the domain of G; cost is tree depth."""
 
-    def __init__(self, G: ComposedInstance, root, depth_cap: int = DEPTH_CAP_DEFAULT):
+    def __init__(self, G: ComposedInstance, root):
         self.G = G
         self.root = root
-        self._validate(depth_cap)
+        self._validate()
 
-    def _validate(self, depth_cap):
+    def _validate(self):
         alice_size = self.G.alice_size
         bob_size = self.G.bob_size
         depth = 0
@@ -119,14 +116,14 @@ class ProtocolTree:
             elif isinstance(fn, BitFn):
                 if node.owner != BOB:
                     raise DomainError("bit-readout maps are Bob-side only")
-                if not (1 <= fn.block <= self.G.n and 1 <= fn.pos <= self.G.gadget.bob_bits):
+                if not (1 <= fn.block <= self.G.n and 1 <= fn.pos <= self.G.m):
                     raise DomainError("bit-readout map out of range")
             else:
                 raise DomainError("node map must be a TableFn or BitFn")
             stack.append((node.zero, d + 1))
             stack.append((node.one, d + 1))
-        if depth > depth_cap:
-            raise DomainError(f"protocol depth {depth} exceeds cap {depth_cap}")
+        if depth > DEPTH_CAP:
+            raise DomainError(f"protocol depth {depth} exceeds cap {DEPTH_CAP}")
         self.depth = depth
 
     @property
@@ -170,6 +167,19 @@ def _split_bob(Y, fn):
     return Y.split_fn(fn)
 
 
+def _has_bob_table(pt: ProtocolTree) -> bool:
+    return any(isinstance(nd, PNode) and nd.owner == BOB and isinstance(nd.fn, TableFn)
+               for nd in _walk_nodes(pt.root))
+
+
+def _root_bob_set(pt: ProtocolTree, pair_budget: int):
+    """Bob's side of the root rectangle: the full cube when every Bob map is a
+    bit readout, which never needs Y written out; otherwise the explicit
+    domain, refused up front when its 2^(nm) tuples exceed pair_budget."""
+    G = pt.G
+    return G.full_Y(pair_budget) if _has_bob_table(pt) else BobCube(G.n, G.m, ())
+
+
 def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) -> dict:
     """Map each leaf transcript to the rectangle of inputs reaching it.
 
@@ -178,7 +188,7 @@ def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) ->
     """
     G = pt.G
     out = {}
-    empty = ExplicitBobSet(G.n, G.gadget.bob_bits, ())
+    empty = ExplicitBobSet(G.n, G.m, ())
 
     def walk(node, t, X, Y):
         if isinstance(node, PLeaf):
@@ -193,7 +203,7 @@ def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) ->
             walk(node.zero, t + (0,), X, y0)
             walk(node.one, t + (1,), X, y1)
 
-    walk(pt.root, (), G.full_X(), G.full_Y(pair_budget))
+    walk(pt.root, (), G.full_X(), _root_bob_set(pt, pair_budget))
     return out
 
 
@@ -291,14 +301,14 @@ class RandomizedDecisionTree:
         return out
 
 
-def dt_to_protocol(T, G: ComposedInstance, depth_cap: int = DEPTH_CAP_DEFAULT):
+def dt_to_protocol(T, G: ComposedInstance):
     """Simulate a decision tree by a protocol: each query of coordinate i costs
     Alice log m bits (the pointer x_i, high bit first) plus one Bob bit (the
     pointed-to y bit), so cost = depth * (log m + 1) exactly.
     """
     if isinstance(T, RandomizedDecisionTree):
         return RandomizedProtocol(
-            [(w, dt_to_protocol(t, G, depth_cap)) for w, t in T.components]
+            [(w, dt_to_protocol(t, G)) for w, t in T.components]
         )
     if T.n != G.n:
         raise DomainError("decision tree arity does not match the instance")
@@ -321,7 +331,7 @@ def dt_to_protocol(T, G: ComposedInstance, depth_cap: int = DEPTH_CAP_DEFAULT):
             return PLeaf(dnode.value)
         return pointer_chain(dnode, dnode.coord, 1, 0)
 
-    return ProtocolTree(G, build(T.root), depth_cap=depth_cap)
+    return ProtocolTree(G, build(T.root))
 
 
 # --- refined protocols ---
@@ -345,9 +355,6 @@ class RPart:
     X: frozenset
     delta_ratio: Fraction  # |X after bit| / |X^(>=order)|
     s_children: dict      # bit-string over I -> node or None ("impossible to send")
-
-    def pins(self, s: str) -> dict:
-        return {(i, a): int(c) for i, a, c in zip(self.coords, self.alpha, s)}
 
 
 @dataclass
@@ -441,17 +448,8 @@ def _s_strings(k):
     return ["".join(bits) for bits in itertools.product("01", repeat=k)]
 
 
-def _bob_maps_are_bit_readouts(pt: ProtocolTree) -> bool:
-    return all(
-        isinstance(nd.fn, BitFn)
-        for nd, _ in _walk_nodes(pt.root)
-        if isinstance(nd, PNode) and nd.owner == BOB
-    )
-
-
 def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
-           pair_budget: int = PAIR_BUDGET_DEFAULT,
-           subset_budget: int = entropy.SUBSET_BUDGET_DEFAULT) -> RefinedProtocol:
+           pair_budget: int = PAIR_BUDGET_DEFAULT) -> RefinedProtocol:
     """Build the refined protocol: Bob bits split Y; Alice bits split X, then a
     density-restoring partition of X on the free blocks is announced, and Bob
     pins the pointed-to bits, extending the partial assignment.
@@ -486,7 +484,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             free = rho.free
             proj = (lambda x: tuple(x[i - 1] for i in free))
             sv = entropy.SetVar({proj(x) for x in Xb}, (m,) * len(free), free)
-            dparts = entropy.density_restoring_partition(sv, delta, subset_budget)
+            dparts = entropy.density_restoring_partition(sv, delta)
             parts = []
             part_of = {}
             for dp in dparts:
@@ -507,10 +505,8 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             branches[b] = RBranch(Xb, parts, part_of)
         return RAlice(rect, rho, v.fn, branches, pot, defy)
 
-    # bit readouts never need Y written out, so they get a cube
-    Y0 = (BobCube(G.n, G.gadget.bob_bits, ()) if _bob_maps_are_bit_readouts(pt)
-          else G.full_Y(pair_budget))
-    root = build(pt.root, G.full_X(), Y0, PartialAssignment.free_everywhere(G.n))
+    root = build(pt.root, G.full_X(), _root_bob_set(pt, pair_budget),
+                 PartialAssignment.free_everywhere(G.n))
     return RefinedProtocol(G, delta, root, pt)
 
 
@@ -534,7 +530,7 @@ def run_refined(rp: RefinedProtocol, xs, ys):
             br = node.branches[b]
             part = br.parts[br.part_of[xs]]
             s = "".join(
-                str(bit_at(ys[i - 1], a, G.gadget.bob_bits))
+                str(bit_at(ys[i - 1], a, G.m))
                 for i, a in zip(part.coords, part.alpha)
             )
             transcript.extend([("b", b), ("i", part.order), ("s", s)])
@@ -556,20 +552,6 @@ def _fn_to_dict(fn, domain):
     return {"kind": "table", "bits": bits}
 
 
-def _fn_from_dict(d, domain, m):
-    if d["kind"] == "bit":
-        return BitFn(d["block"], d["pos"], m)
-    bits = d["bits"]
-    table = {}
-    n_entries = 0
-    for inp, c in zip(domain, bits):
-        table[inp] = int(c)
-        n_entries += 1
-    if n_entries != len(bits):
-        raise DomainError("table bit string length does not match the domain")
-    return TableFn(table)
-
-
 def _leaf_value_out(v):
     return "bot" if v is BOT else v
 
@@ -578,15 +560,13 @@ def _leaf_value_in(v):
     return BOT if v == "bot" else v
 
 
-def protocol_to_dict(pt: ProtocolTree, table_budget: int = 2 ** 20) -> dict:
+def protocol_to_dict(pt: ProtocolTree) -> dict:
     G = pt.G
-    if G.bob_size > table_budget and any(
-        isinstance(nd, PNode) and nd.owner == BOB and isinstance(nd.fn, TableFn)
-        for nd, _ in _walk_nodes(pt.root)
-    ):
-        raise ResourceError("Bob table serialization", G.bob_size, table_budget)
+    bob_tables = _has_bob_table(pt)
+    if bob_tables and G.bob_size > TABLE_BUDGET:
+        raise ResourceError("Bob table serialization", G.bob_size, TABLE_BUDGET)
     alice_domain = list(G.alice_domain())
-    bob_domain = list(G.bob_domain()) if G.bob_size <= table_budget else []
+    bob_domain = list(G.bob_domain()) if bob_tables else []
 
     def node_out(node):
         if isinstance(node, PLeaf):
@@ -608,13 +588,12 @@ def protocol_to_dict(pt: ProtocolTree, table_budget: int = 2 ** 20) -> dict:
 
 
 def _walk_nodes(root):
-    stack = [(root, ())]
+    stack = [root]
     while stack:
-        node, path = stack.pop()
-        yield node, path
+        node = stack.pop()
+        yield node
         if isinstance(node, PNode):
-            stack.append((node.zero, path + (0,)))
-            stack.append((node.one, path + (1,)))
+            stack.extend((node.zero, node.one))
 
 
 def protocol_from_dict(d) -> ProtocolTree:
@@ -623,25 +602,24 @@ def protocol_from_dict(d) -> ProtocolTree:
     if d["gadget"]["kind"] != "index":
         raise DomainError("only index-gadget protocols are serialized")
     G = ComposedInstance(d["n"], GadgetSpec.index(d["gadget"]["m"]))
-    alice_domain = list(G.alice_domain())
-    bob_domain = None
+    domains = {}  # is Alice the owner -> that side's inputs, listed on first use
+
+    def fn_in(owner, fd):
+        if fd["kind"] == "bit":
+            return BitFn(fd["block"], fd["pos"], G.m)
+        bits, alice = fd["bits"], owner == ALICE
+        size = G.alice_size if alice else G.bob_size
+        if len(bits) != size:
+            raise DomainError(f"{owner} table has {len(bits)} bits, needs {size}")
+        if alice not in domains:
+            domains[alice] = list(G.alice_domain() if alice else G.bob_domain())
+        return TableFn(zip(domains[alice], map(int, bits)))
 
     def node_in(nd):
-        nonlocal bob_domain
         if "leaf" in nd:
             return PLeaf(_leaf_value_in(nd["leaf"]))
         owner = nd["owner"]
-        if owner == ALICE:
-            dom = alice_domain
-        else:
-            if nd["fn"]["kind"] == "table":
-                if bob_domain is None:
-                    bob_domain = list(G.bob_domain())
-                dom = bob_domain
-            else:
-                dom = []
-        fn = _fn_from_dict(nd["fn"], dom, G.gadget.bob_bits)
-        return PNode(owner, fn, node_in(nd["0"]), node_in(nd["1"]))
+        return PNode(owner, fn_in(owner, nd["fn"]), node_in(nd["0"]), node_in(nd["1"]))
 
     return ProtocolTree(G, node_in(d["tree"]))
 
@@ -665,16 +643,6 @@ def dt_from_dict(d) -> DecisionTree:
         return DQuery(nd["query"], node_in(nd["0"]), node_in(nd["1"]))
 
     return DecisionTree(d["n"], node_in(d["tree"]))
-
-
-def randomized_protocol_to_dict(rp: RandomizedProtocol) -> dict:
-    return {
-        "format": "randomized_protocol",
-        "components": [
-            {"weight": str(w), "protocol": protocol_to_dict(t)}
-            for w, t in rp.components
-        ],
-    }
 
 
 def randomized_protocol_from_dict(d) -> RandomizedProtocol:

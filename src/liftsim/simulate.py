@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BOT
+from .core import BOT, PAIR_BUDGET_DEFAULT
 from .entropy import as_fraction, cmp_pow, log2_float
 from .errors import DomainError, ResourceError
 from .protocol import (
@@ -43,6 +43,9 @@ from .protocol import (
 IMPOSSIBLE_S = "impossible-s"
 DEFICIENCY_CUTOFF = "deficiency-cutoff"
 QUERY_CAP = "query-cap"
+
+NODE_BUDGET = 10 ** 6        # refined nodes one exact walk may visit
+COMPONENT_BUDGET = 10 ** 5   # decision trees in one realized mixture
 
 
 @dataclass(frozen=True)
@@ -298,8 +301,7 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
                       tuple(ledger), G.n, G.m)
 
 
-def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig,
-                   node_budget: int = 10 ** 6) -> SimExact:
+def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig) -> SimExact:
     """Aggregate the walk's exact outcome distribution by weighted traversal."""
     cap, answer = _walk_shared(rp, z, cfg)
     transcripts, queries, reasons, values = {}, {}, {}, {}
@@ -312,8 +314,8 @@ def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig,
     def walk(node, w, q, t):
         nonlocal visited
         visited += 1
-        if visited > node_budget:
-            raise ResourceError("exact simulation traversal", visited, node_budget)
+        if visited > NODE_BUDGET:
+            raise ResourceError("exact simulation traversal", visited, NODE_BUDGET)
         if isinstance(node, RLeaf):
             tally(w, t, q, node.value)
             return
@@ -374,8 +376,7 @@ def _merge_components(components):
 
 
 def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
-                   component_budget: int = 10 ** 5,
-                   pair_budget: int | None = None) -> RandomizedDecisionTree:
+                   pair_budget: int = PAIR_BUDGET_DEFAULT) -> RandomizedDecisionTree:
     """Lift a protocol to a randomized decision tree.
 
     Pick a deterministic component, refine it, and realize the simulator's
@@ -384,12 +385,9 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
     preserved).  Distinct query branches get independent realizations, which
     leaves the per-input output distribution unchanged.
     """
-    from .core import PAIR_BUDGET_DEFAULT
-
     G = PI.G
     components = (PI.components if isinstance(PI, RandomizedProtocol)
                   else [(Fraction(1), PI)])
-    budget = PAIR_BUDGET_DEFAULT if pair_budget is None else pair_budget
     cap = cfg.cap_bits(G.n)
     out = []
 
@@ -415,9 +413,9 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
             nxt = []
             for w, chosen in combos:
                 for ws, ts in per_s[s]:
-                    if len(nxt) > component_budget:
+                    if len(nxt) > COMPONENT_BUDGET:
                         raise ResourceError("decision-tree realization",
-                                            len(nxt), component_budget)
+                                            len(nxt), COMPONENT_BUDGET)
                     nxt.append((w * ws, {**chosen, s: ts}))
             combos = nxt
 
@@ -434,9 +432,9 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
         )
 
     for w, pt in components:
-        rp = refine(pt, cfg.delta, pair_budget=budget)
+        rp = refine(pt, cfg.delta, pair_budget=pair_budget)
         out.extend((w * wt, t) for wt, t in realize(rp.root, 0))
-        if len(out) > component_budget:
-            raise ResourceError("decision-tree realization", len(out), component_budget)
+        if len(out) > COMPONENT_BUDGET:
+            raise ResourceError("decision-tree realization", len(out), COMPONENT_BUDGET)
     merged = _merge_components(out)
     return RandomizedDecisionTree(G.n, [(w, DecisionTree(G.n, t)) for w, t in merged])

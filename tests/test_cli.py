@@ -8,9 +8,23 @@ from pathlib import Path
 
 import pytest
 
+from liftsim.analysis import dt_error
 from liftsim.cli import main
-from liftsim.fixtures import xor_decision_tree, xor_outer
-from liftsim.protocol import dt_to_dict, protocol_to_dict
+from liftsim.fixtures import instance, third_error_mixture, xor_decision_tree, xor_outer
+from liftsim.protocol import (
+    ALICE,
+    BOB,
+    DecisionTree,
+    DLeaf,
+    DQuery,
+    PLeaf,
+    PNode,
+    ProtocolTree,
+    TableFn,
+    dt_to_dict,
+    protocol_to_dict,
+)
+from liftsim.simulate import protocol_to_dt
 
 
 def run(capsys, *argv):
@@ -88,19 +102,44 @@ def test_missing_fixture_exit2(capsys):
     assert code == 2
 
 
-def test_budget_exit3(tmp_path, capsys):
-    # a Bob table map cannot be split once the budget forces cube Bob sets
-    from liftsim.fixtures import instance
-    from liftsim.protocol import BOB, PLeaf, PNode, ProtocolTree, TableFn
+def _bob_table_record(n, m, dead=False):
+    """A protocol opening with a Bob table map; with dead=True the map sits
+    under an Alice branch that no input takes."""
+    g = instance(n, m)
+    node = PNode(BOB, TableFn({ys: ys[0] & 1 for ys in g.bob_domain()}), PLeaf(0), PLeaf(1))
+    if dead:
+        node = PNode(ALICE, TableFn({xs: 0 for xs in g.alice_domain()}), PLeaf(0), node)
+    return json.dumps(protocol_to_dict(ProtocolTree(g, node)))
 
-    g = instance(1, 4)
-    fn = TableFn({ys: ys[0] & 1 for ys in g.bob_domain()})
-    pt = ProtocolTree(g, PNode(BOB, fn, PLeaf(0), PLeaf(1)))
+
+def test_budget_exit3(tmp_path, capsys):
+    # a Bob table map needs the explicit Bob domain: 2^4 tuples against 8
     path = tmp_path / "bobtable.json"
-    path.write_text(json.dumps(protocol_to_dict(pt)))
+    path.write_text(_bob_table_record(1, 4))
     code, _, err = run(capsys, "refine", "--fixture", str(path), "--budget", "8")
     assert code == 3
-    assert "budget" in err
+    assert "needs 16 " in err and "budget is 8;" in err
+
+
+def _one_query_tree():
+    return json.dumps(dt_to_dict(DecisionTree(1, DQuery(1, DLeaf(0), DLeaf(1)))))
+
+
+@pytest.mark.parametrize("command, make, flags, needs, budget", [
+    ("convert", lambda: _bob_table_record(2, 4), ["--budget", "16"], 2 ** 8, 16),
+    ("convert", _one_query_tree, ["--m", "64"], 64 * 2 ** 64, 2 ** 24),
+    ("convert", _one_query_tree, ["--m", "16", "--budget", "100"], 16 * 2 ** 16, 100),
+    ("refine", lambda: _bob_table_record(1, 4, dead=True), ["--budget", "8"], 16, 8),
+], ids=["protocol-to-dt", "dt-m64", "dt-m16", "table-under-dead-branch"])
+def test_budget_binds_every_command_exit3(tmp_path, capsys, command, make, flags,
+                                          needs, budget):
+    """--budget bounds convert in both directions, and a Bob table map is
+    refused up front, reached or not."""
+    path = _write_fixture(tmp_path, "fixture.json", make())
+    code, out, err = run(capsys, command, "--fixture", path, *flags)
+    assert code == 3 and out == ""
+    assert f"needs {needs} but budget is {budget};" in err
+    assert "Traceback" not in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -177,6 +216,27 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert rep["round_trip_error"]["exact"] == "0/1"
 
 
+def test_convert_randomized_protocol_record(tmp_path, capsys):
+    """A hand-written randomized_protocol record of third_error_mixture's two
+    components converts to what protocol_to_dt and dt_error give in-process."""
+    PI, f = third_error_mixture(2)
+    (_, good), (_, bad) = PI.components
+    record = {"format": "randomized_protocol", "components": [
+        {"weight": "2/3", "protocol": protocol_to_dict(good)},
+        {"weight": "1/3", "protocol": protocol_to_dict(bad)},
+    ]}
+    path = _write_fixture(tmp_path, "mix.json", json.dumps(record))
+    outer = _write_fixture(tmp_path, "f.json", json.dumps(f.to_dict()))
+    code, out, _ = run(capsys, "convert", "--fixture", path, "--outer", outer)
+    assert code == 0
+    rep = read_json(out)
+    rdt = protocol_to_dt(PI)
+    error = dt_error(rdt, f)
+    assert rep["direction"] == "protocol->decision_tree"
+    assert rep["components"] == len(rdt.components)
+    assert rep["error"]["exact"] == f"{error.numerator}/{error.denominator}"
+
+
 @pytest.mark.parametrize("name", ["one-bit", "bob-first"])
 def test_convert_builtin_fixture(capsys, name):
     code, out, _ = run(capsys, "convert", "--fixture", f"builtin:{name}", "--m", "4")
@@ -196,9 +256,6 @@ def _no_tree():
 
 
 def _bad_table_bits():
-    from liftsim.fixtures import instance
-    from liftsim.protocol import BOB, PLeaf, PNode, ProtocolTree, TableFn
-
     g = instance(1, 2)
     fn = TableFn({ys: 0 for ys in g.bob_domain()})
     d = protocol_to_dict(ProtocolTree(g, PNode(BOB, fn, PLeaf(0), PLeaf(1))))
@@ -206,8 +263,16 @@ def _bad_table_bits():
     return json.dumps(d)
 
 
-@pytest.mark.parametrize("make", [_no_tree, lambda: "[1, 2]", _bad_table_bits],
-                         ids=["no-tree", "json-list", "table-bits-1a"])
+def _short_bob_table_m64():
+    # checked against 2^64 by length alone: the Bob domain is never listed
+    return json.dumps({"format": "protocol", "n": 1, "gadget": {"kind": "index", "m": 64},
+                       "tree": {"owner": "bob", "fn": {"kind": "table", "bits": "1"},
+                                "0": {"leaf": 0}, "1": {"leaf": 1}}})
+
+
+@pytest.mark.parametrize("make", [_no_tree, lambda: "[1, 2]", _bad_table_bits,
+                                  _short_bob_table_m64],
+                         ids=["no-tree", "json-list", "table-bits-1a", "table-bits-short-m64"])
 def test_malformed_fixture_exit2(tmp_path, capsys, make):
     path = _write_fixture(tmp_path, "bad.json", make())
     code, _, err = run(capsys, "refine", "--fixture", path)

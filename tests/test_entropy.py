@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from liftsim import entropy
 from liftsim.entropy import (
     SetVar,
     as_fraction,
@@ -124,10 +125,11 @@ def test_essential_density_one_bit_slack():
     assert not is_blockwise_dense(v, D)
 
 
-def test_density_subset_budget():
+def test_density_subset_budget(monkeypatch):
+    monkeypatch.setattr(entropy, "SUBSET_BUDGET", 8)
     v = SetVar(set(itertools.product((1, 2), repeat=5)), (2,) * 5)
     with pytest.raises(ResourceError):
-        is_blockwise_dense(v, D, subset_budget=8)
+        is_blockwise_dense(v, D)
 
 
 # --- density-restoring partition ---

@@ -10,13 +10,14 @@ from liftsim.core import (
     BOT,
     BobCube,
     ComposedInstance,
+    ExplicitBobSet,
     GadgetSpec,
     PartialAssignment,
     bob_size,
     compose_eval,
     is_structured,
 )
-from liftsim.errors import DomainError
+from liftsim.errors import DomainError, ResourceError
 from liftsim.fixtures import bob_first_fixture, sweep_family
 from liftsim.protocol import (
     ALICE,
@@ -148,6 +149,24 @@ def test_leaf_rectangles_partition_property():
                     assert run_protocol(pt, xs, ys)[0] == t
                     count += 1
         assert count == g.alice_size * g.bob_size
+
+
+def test_root_bob_set_one_rule():
+    """refine and leaf_rectangles start from one Bob set: the cube when every
+    Bob map is a bit readout, whatever the budget; else the explicit domain,
+    refused when its 2^(nm) tuples exceed the budget."""
+    readouts = bob_first_fixture(4)
+    assert isinstance(refine(readouts, D, pair_budget=1).root.rect.Y, BobCube)
+    assert isinstance(leaf_rectangles(readouts, pair_budget=1)[(0, 1)].Y, BobCube)
+    g = G(1, 4)
+    table = ProtocolTree(g, PNode(BOB, TableFn({ys: ys[0] & 1 for ys in g.bob_domain()}),
+                                  PLeaf(0), PLeaf(1)))
+    for build in (lambda b: refine(table, D, pair_budget=b).root.rect,
+                  lambda b: leaf_rectangles(table, pair_budget=b)[(1,)]):
+        with pytest.raises(ResourceError) as err:
+            build(8)
+        assert (err.value.required, err.value.budget) == (16, 8)
+        assert isinstance(build(16).Y, ExplicitBobSet)
 
 
 # --- refinement ---
