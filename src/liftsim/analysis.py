@@ -174,9 +174,7 @@ def _aligned_positions(X: SetVar, Y: SetVar, I):
     I = tuple(sorted(I))
     if not I:
         raise DomainError("I must be nonempty")
-    xpos = [X.coords.index(i) for i in I]
-    ypos = [Y.coords.index(i) for i in I]
-    return I, xpos, ypos
+    return I, X.positions(I), Y.positions(I)
 
 
 def parity_bias(g, I, X: SetVar, Y: SetVar,

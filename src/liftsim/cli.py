@@ -38,6 +38,7 @@ from .core import (
     BOT,
     ExplicitBobSet,
     GadgetSpec,
+    OuterFunction,
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
     Rect,
@@ -84,25 +85,23 @@ def dist_record(d) -> list:
     return rows
 
 
-def _load_any_fixture(spec_str: str, m: int | None):
-    """A fixture path, or builtin:one-bit / builtin:bob-first (sized by m)."""
+def load_cli_fixture(spec_str: str, m: int | None, kinds):
+    """A fixture path, or builtin:one-bit / builtin:bob-first (sized by m),
+    that loads as one of the classes in the tuple `kinds`; any other kind is a
+    DomainError."""
     if spec_str.startswith("builtin:"):
         name = spec_str.split(":", 1)[1]
-        mm = 2 if m is None else m
-        if name == "one-bit":
-            return fixtures.one_bit_fixture(mm)
-        if name == "bob-first":
-            return fixtures.bob_first_fixture(mm)
-        raise DomainError(f"unknown builtin fixture {name!r}")
-    return load_fixture(spec_str)
-
-
-def load_protocol_fixture(spec_str: str, m: int | None):
-    """A protocol fixture: a path or a builtin name, as in _load_any_fixture."""
-    obj = _load_any_fixture(spec_str, m)
-    if isinstance(obj, (ProtocolTree, RandomizedProtocol)):
-        return obj
-    raise DomainError(f"{spec_str} is not a protocol fixture")
+        build = {"one-bit": fixtures.one_bit_fixture,
+                 "bob-first": fixtures.bob_first_fixture}.get(name)
+        if build is None:
+            raise DomainError(f"unknown builtin fixture {name!r}")
+        obj = build(2 if m is None else m)
+    else:
+        obj = load_fixture(spec_str)
+    if not isinstance(obj, kinds):
+        raise DomainError(f"{spec_str} holds {type(obj).__name__}, not "
+                          + " or ".join(k.__name__ for k in kinds))
+    return obj
 
 
 class Violation(Exception):
@@ -206,9 +205,7 @@ def cmd_partition(args):
 
 
 def cmd_refine(args):
-    pt = load_protocol_fixture(args.fixture, args.m)
-    if isinstance(pt, RandomizedProtocol):
-        raise DomainError("refine expects a deterministic protocol fixture")
+    pt = load_cli_fixture(args.fixture, args.m, (ProtocolTree,))
     delta = Fraction(args.delta)
     rp = refine(pt, delta, pair_budget=args.budget)
     rows = []
@@ -250,9 +247,7 @@ def _z_values(arg_z, n):
 
 
 def cmd_simulate(args):
-    pt = load_protocol_fixture(args.fixture, args.m)
-    if isinstance(pt, RandomizedProtocol):
-        raise DomainError("simulate expects a deterministic protocol fixture")
+    pt = load_cli_fixture(args.fixture, args.m, (ProtocolTree,))
     if args.samples > 0 and args.seed is None:
         raise DomainError("--seed is mandatory for randomized runs")
     cfg = _sim_config(args)
@@ -296,9 +291,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    pt = load_protocol_fixture(args.fixture, args.m)
-    if isinstance(pt, RandomizedProtocol):
-        raise DomainError("verify expects a deterministic protocol fixture")
+    pt = load_cli_fixture(args.fixture, args.m, (ProtocolTree,))
     if args.seed is None:
         raise DomainError("--seed is mandatory for randomized runs")
     cfg = _sim_config(args)
@@ -470,14 +463,16 @@ def cmd_sweep(args):
 
 
 def cmd_convert(args):
-    obj = _load_any_fixture(args.fixture, args.m)
+    obj = load_cli_fixture(args.fixture, args.m,
+                           (DecisionTree, ProtocolTree, RandomizedProtocol))
+    # "n" stays null: bench/digests.json holds convert reports with it
     report = {"command": "convert",
-              "config": {"fixture": args.fixture, "n": args.n, "m": args.m,
+              "config": {"fixture": args.fixture, "n": None, "m": args.m,
                          "delta": args.delta, "budget": args.budget}}
     tables = {}
     outer = None
     if args.outer:
-        outer = load_fixture(args.outer)
+        outer = load_cli_fixture(args.outer, None, (OuterFunction,))
     if isinstance(obj, DecisionTree):
         if args.m is None:
             raise DomainError("--m is required to lift a decision tree")
@@ -580,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixture", required=True)
     sp.add_argument("--outer", default=None)
     sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--strict-zpp", action="store_true")
     sp.add_argument("--deficiency-cap", default=None)
     sp.add_argument("--query-cap", type=int, default=None)

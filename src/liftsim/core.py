@@ -446,8 +446,7 @@ def slice_enumerate(G: ComposedInstance, z, pair_budget: int = PAIR_BUDGET_DEFAU
     return list(iter_slice(G, z))
 
 
-def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance,
-                  essential: bool = False) -> bool:
+def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance) -> bool:
     """Whether X x Y is rho-structured: X delta-dense on free blocks, fixed on
     the rest, and every output of G on the rectangle consistent with rho.
 
@@ -464,12 +463,8 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
     for i in fix:
         if any(xs[i - 1] != rep[i - 1] for xs in rect.X):
             return False
-    free = rho.free
-    if free:
-        proj = {tuple(xs[i - 1] for i in free) for xs in rect.X}
-        sv = entropy.SetVar(proj, tuple(G.m for _ in free), free)
-        if not entropy.is_blockwise_dense(sv, delta, essential=essential):
-            return False
+    if not entropy.is_blockwise_dense(entropy.SetVar(rect.X, (G.m,) * G.n, rho.free), delta):
+        return False
     if not fix:
         return True
     # on block i, every y must carry bit rho_i at the position X points to

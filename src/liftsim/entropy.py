@@ -74,12 +74,17 @@ def log2_float(q) -> float:
 
 @dataclass(frozen=True)
 class SetVar:
-    """A uniform random variable on an explicit support inside a product domain.
+    """The uniform random variable on an explicit set of tuples, read on some
+    of their blocks.
 
-    support: tuples, one entry per coordinate in `coords`;
-    ambient:  per-coordinate domain sizes;
-    coords:   coordinate labels (ascending), kept so partition labels refer to
-              the caller's original block indices.
+    support: tuples, one entry per block of the ambient;
+    ambient: per-block domain sizes;
+    coords:  the blocks it is read on (1-based, distinct, ascending), all by
+             default.  Marginals, densities and partitions see only these
+             blocks, under the caller's block labels, and parts keep the full
+             tuples.  A marginal counts the tuples by their values on its
+             blocks, so on a set constant off coords it is the marginal of the
+             projection onto coords.
     """
 
     support: frozenset
@@ -94,10 +99,10 @@ class SetVar:
         coords = tuple(coords)
         if not support:
             raise DomainError("SetVar support must be nonempty")
-        if len(coords) != len(ambient):
-            raise DomainError("coords and ambient lengths differ")
-        if tuple(sorted(coords)) != coords:
-            raise DomainError("coords must be ascending")
+        if (coords != tuple(sorted(set(coords)))
+                or not set(coords) <= set(range(1, len(ambient) + 1))):
+            raise DomainError(f"coords {coords} are not distinct, ascending "
+                              f"blocks of 1..{len(ambient)}")
         for t in support:
             if len(t) != len(ambient):
                 raise DomainError("support tuple arity does not match ambient")
@@ -109,16 +114,15 @@ class SetVar:
     def size(self) -> int:
         return len(self.support)
 
-    def _positions(self, I) -> list:
-        pos = []
+    def positions(self, I) -> list:
+        """Tuple positions of the blocks I, ascending; each must be in coords."""
         for i in I:
             if i not in self.coords:
                 raise DomainError(f"coordinate {i} not in {self.coords}")
-            pos.append(self.coords.index(i))
-        return sorted(pos)
+        return sorted(i - 1 for i in I)
 
     def project_counts(self, I) -> Counter:
-        pos = self._positions(I)
+        pos = self.positions(I)
         return Counter(tuple(t[p] for p in pos) for t in self.support)
 
 
@@ -138,7 +142,7 @@ def deficiency(v: SetVar, I) -> Fraction:
     I = tuple(I)
     if not I:
         return Fraction(1)
-    pos = v._positions(I)
+    pos = v.positions(I)
     ambient_size = 1
     for p in pos:
         ambient_size *= v.ambient[p]
@@ -147,12 +151,13 @@ def deficiency(v: SetVar, I) -> Fraction:
 
 
 def _uniform_block_size(v: SetVar) -> int:
-    if not v.ambient:
+    """The common domain size of the blocks v is read on."""
+    sizes = {v.ambient[i - 1] for i in v.coords}
+    if not sizes:
         return 2  # irrelevant: no nonempty subsets exist
-    m = v.ambient[0]
-    if any(a != m for a in v.ambient):
+    if len(sizes) > 1:
         raise DomainError("blockwise density needs a uniform per-coordinate domain")
-    return m
+    return sizes.pop()
 
 
 def nonempty_subsets(coords):
@@ -279,7 +284,7 @@ def density_restoring_partition(v: SetVar, delta) -> list:
         counts = cur.project_counts(I)
         best = max(counts.values())
         alpha = min(a for a, c in counts.items() if c == best)
-        pos = cur._positions(I)
+        pos = cur.positions(I)
         part = frozenset(
             t for t in remaining if tuple(t[p] for p in pos) == alpha
         )
@@ -313,38 +318,43 @@ class PartitionLemmaReport:
 def verify_partition_lemma(v: SetVar, parts, delta) -> PartitionLemmaReport:
     """Check both partition-lemma bullets for every part, in exact arithmetic.
 
-    Density: the part is delta-dense off its fixed coordinates.
-    Deficiency: D(X^i on J\\I_i) <= D(X) - (1-delta)|I_i| log m + delta_i.
-    The second is checked as one rational-vs-m^q comparison, so it stays exact
-    even when m is not a power of two.
+    Of each part only its coords, alpha and support are read; its order,
+    size, input size and tail are recomputed from its place in `parts`, and a
+    part that claims other values fails the deficiency bullet.
+    Density: every tuple of the part equals alpha on its coords, and the part
+    is delta-dense on the remaining blocks of v.
+    Deficiency: D(X^i on J\\I_i) <= D(X) - (1-delta)|I_i| log m + delta_i,
+    with delta_i taken from the recomputed tail.  It is checked as one
+    rational-vs-m^q comparison, so it stays exact even when m is not a power
+    of two.
     """
     delta = as_fraction(delta)
     m = _uniform_block_size(v)
     seen = set()
-    covered = 0
+    tail = v.size  # |X^(>=i)|, before the current part is peeled off
     checks = []
-    for part in parts:
-        covered += part.size
-        seen |= set(part.support)
+    for order, part in enumerate(parts, 1):
+        size = len(part.support)
+        pos = v.positions(part.coords)
+        fixed = all(tuple(t[p] for p in pos) == part.alpha for t in part.support)
+        counted = tail > 0 and (part.order, part.size, part.input_size,
+                                part.tail_size) == (order, size, v.size, tail)
         rest = tuple(i for i in v.coords if i not in part.coords)
         if rest:
-            sub = SetVar(
-                {tuple(t[v.coords.index(i)] for i in rest) for t in part.support},
-                tuple(m for _ in rest),
-                rest,
-            )
-            density_ok = is_blockwise_dense(sub, delta)
+            sub = SetVar(part.support, v.ambient, rest)
+            density_ok = fixed and is_blockwise_dense(sub, delta)
             max_count = max(sub.project_counts(rest).values())
-            lhs_arg = Fraction(m ** len(rest) * max_count, part.size)
+            lhs_arg = Fraction(m ** len(rest) * max_count, size)
         else:
-            density_ok = True
+            density_ok = fixed
             lhs_arg = Fraction(1)  # deficiency over no coordinates is 0
         # lhs <= D(X) + delta_i - (1-delta)|I| log m, with
         # D(X) = log2(m^|J| / |X|) and delta_i = log2(|X| / tail).
-        rhs_arg = Fraction(m ** len(v.coords), v.size) * part.delta_ratio
-        deficiency_ok = cmp_pow(lhs_arg / rhs_arg, m,
-                                -(1 - delta) * len(part.coords)) <= 0
-        checks.append(PartCheck(part.order, part.label(), density_ok, deficiency_ok))
-    is_partition = covered == v.size and seen == set(v.support)
+        deficiency_ok = counted and cmp_pow(lhs_arg * tail / m ** len(v.coords), m,
+                                            -(1 - delta) * len(part.coords)) <= 0
+        checks.append(PartCheck(order, part.label(), density_ok, deficiency_ok))
+        seen |= part.support
+        tail -= size
+    is_partition = tail == 0 and seen == set(v.support)
     ok = is_partition and all(c.density_ok and c.deficiency_ok for c in checks)
     return PartitionLemmaReport(ok, is_partition, tuple(checks))

@@ -130,20 +130,6 @@ class ProtocolTree:
     def cost(self) -> int:
         return self.depth
 
-    def leaves(self):
-        """(transcript, leaf) pairs in left-to-right order."""
-        out = []
-
-        def walk(node, t):
-            if isinstance(node, PLeaf):
-                out.append((t, node))
-            else:
-                walk(node.zero, t + (0,))
-                walk(node.one, t + (1,))
-
-        walk(self.root, ())
-        return out
-
 
 def run_protocol(pt: ProtocolTree, xs, ys):
     """Deterministic transcript (tuple of bits) and the reached leaf's value."""
@@ -361,7 +347,6 @@ class RPart:
 class RBranch:
     X: frozenset          # X^b, after Alice's bit
     parts: list
-    part_of: dict         # x -> index into parts
 
 
 @dataclass
@@ -481,14 +466,9 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             if not Xb:
                 branches[b] = None
                 continue
-            free = rho.free
-            proj = (lambda x: tuple(x[i - 1] for i in free))
-            sv = entropy.SetVar({proj(x) for x in Xb}, (m,) * len(free), free)
-            dparts = entropy.density_restoring_partition(sv, delta)
+            sv = entropy.SetVar(Xb, (m,) * G.n, rho.free)
             parts = []
-            part_of = {}
-            for dp in dparts:
-                Xi = frozenset(x for x in Xb if proj(x) in dp.support)
+            for dp in entropy.density_restoring_partition(sv, delta):
                 s_children = {}
                 for s in _s_strings(len(dp.coords)):
                     pins = {(i, a): int(c) for i, a, c in zip(dp.coords, dp.alpha, s)}
@@ -497,12 +477,10 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
                         s_children[s] = None
                         continue
                     rho2 = rho.assign(dp.coords, tuple(int(c) for c in s))
-                    s_children[s] = build(v.child(b), Xi, Ys, rho2)
-                parts.append(RPart(dp.order, dp.coords, dp.alpha, Xi,
+                    s_children[s] = build(v.child(b), dp.support, Ys, rho2)
+                parts.append(RPart(dp.order, dp.coords, dp.alpha, dp.support,
                                    dp.delta_ratio, s_children))
-                for x in Xi:
-                    part_of[x] = len(parts) - 1
-            branches[b] = RBranch(Xb, parts, part_of)
+            branches[b] = RBranch(Xb, parts)
         return RAlice(rect, rho, v.fn, branches, pot, defy)
 
     root = build(pt.root, G.full_X(), _root_bob_set(pt, pair_budget),
@@ -527,8 +505,7 @@ def run_refined(rp: RefinedProtocol, xs, ys):
             node = node.children[b]
         else:
             b = node.fn(xs)
-            br = node.branches[b]
-            part = br.parts[br.part_of[xs]]
+            part = next(p for p in node.branches[b].parts if xs in p.X)
             s = "".join(
                 str(bit_at(ys[i - 1], a, G.m))
                 for i, a in zip(part.coords, part.alpha)

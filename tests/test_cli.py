@@ -323,6 +323,45 @@ def test_bad_numeric_flag_exit2(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
+def _mixture_record():
+    PI, _ = third_error_mixture(2)
+    return {"format": "randomized_protocol", "components": [
+        {"weight": str(w), "protocol": protocol_to_dict(pt)} for w, pt in PI.components]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--fixture", "outer"],
+    ["convert", "--fixture", "builtin:one-bit", "--outer", "tree"],
+    ["convert", "--fixture", "tree", "--m", "4", "--outer", "builtin:one-bit"],
+    ["refine", "--fixture", "mixture"],
+    ["simulate", "--fixture", "tree"],
+    ["verify", "--seed", "1", "--fixture", "outer"],
+], ids=["convert-outer-as-fixture", "convert-tree-as-outer", "convert-builtin-as-outer",
+        "refine-mixture", "simulate-tree", "verify-outer"])
+def test_wrong_fixture_kind_exit2(tmp_path, capsys, argv):
+    """A fixture of a kind the command does not take is a config error that
+    names the file, never a traceback."""
+    records = {"outer": xor_outer(2).to_dict(), "tree": dt_to_dict(xor_decision_tree(2)),
+               "mixture": _mixture_record()}
+    paths = {k: _write_fixture(tmp_path, f"{k}.json", json.dumps(r))
+             for k, r in records.items()}
+    argv = [paths.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "config error" in err and "holds" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_convert_has_no_n_flag(tmp_path, capsys):
+    dt = _write_fixture(tmp_path, "dt.json", json.dumps(dt_to_dict(xor_decision_tree(2))))
+    code, out, _ = run(capsys, "convert", "--fixture", dt, "--m", "4")
+    assert code == 0 and read_json(out)["config"]["n"] is None
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--fixture", dt, "--m", "4", "--n", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
+
 _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 

@@ -1,11 +1,13 @@
 """Entropy, density, and density-restoring partition tests."""
 
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim import entropy
 from liftsim.entropy import (
@@ -270,12 +272,43 @@ def test_lemma_random_battery():
         assert verify_partition_lemma(v, parts, D).ok
 
 
+def _forgeries(part, m):
+    """Copies of a genuine part, each with one recorded field wrong."""
+    yield dataclasses.replace(part, tail_size=part.tail_size - 1)
+    yield dataclasses.replace(part, input_size=part.input_size + 1)
+    yield dataclasses.replace(part, size=part.size + 1)
+    yield dataclasses.replace(part, order=part.order + 1)
+    if part.coords:
+        yield dataclasses.replace(part, alpha=(part.alpha[0] % m + 1,) + part.alpha[1:])
+
+
 def test_lemma_rejects_fake_parts():
     v = singles({1, 2, 3}, 4)
     parts = density_restoring_partition(v, D)
     # Drop a part: no longer a partition.
     report = verify_partition_lemma(v, parts[:-1], D)
     assert not report.ok and not report.is_partition
+    # Repeat a part: the repeat finds no tail left.
+    report = verify_partition_lemma(v, parts + parts[:1], D)
+    assert not report.ok and not report.is_partition
+    # Forge one field of one part of a genuine partition: the verifier
+    # recomputes order, size, input size and tail, and checks alpha.
+    rng = random.Random(0xF0E6)
+    m = 8
+    pop = list(itertools.product(range(1, m + 1), repeat=3))
+    forged = 0
+    for _ in range(8):
+        v = SetVar(rng.sample(pop, rng.randint(1, 40)), (m,) * 3)
+        parts = density_restoring_partition(v, D)
+        assert verify_partition_lemma(v, parts, D).ok
+        for k, part in enumerate(parts):
+            for fake in _forgeries(part, m):
+                report = verify_partition_lemma(v, parts[:k] + [fake] + parts[k + 1:], D)
+                assert not report.ok
+                bad = report.first_violation()
+                assert bad is not None and bad.order == k + 1
+                forged += 1
+    assert forged > 60
 
 
 def test_lemma_non_power_of_two_domain():
@@ -294,3 +327,57 @@ def test_setvar_validation():
         SetVar(set(), (4,))
     with pytest.raises(DomainError):
         SetVar({(1, 2)}, (4,))
+    with pytest.raises(DomainError):
+        SetVar({(1, 2)}, (4, 4), (1, 3))  # block 3 outside the ambient
+    with pytest.raises(DomainError):
+        SetVar({(1, 2)}, (4, 4), (2, 2))  # a repeated block
+    with pytest.raises(DomainError):
+        SetVar({(1, 2)}, (4, 4), (2, 1))  # blocks out of order
+
+
+# --- reading a set on some of its blocks ---
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_view_partition_matches_projection(data):
+    """X constant on a set of fixed blocks: the partition of X read on the
+    free blocks is the partition of its projection onto them, mapped back to
+    full tuples, with the same order, coords, alpha and tails."""
+    n = data.draw(st.integers(1, 3), label="n")
+    m = data.draw(st.sampled_from([2, 4, 8]), label="m")
+    free = tuple(sorted(data.draw(st.sets(st.integers(1, n)), label="free")))
+    fixed = {i: data.draw(st.integers(1, m), label=f"x_{i}")
+             for i in range(1, n + 1) if i not in free}
+    points = data.draw(st.sets(st.tuples(*[st.integers(1, m)] * len(free)),
+                               min_size=1, max_size=40), label="points")
+
+    def full(p):
+        vals = {**fixed, **dict(zip(free, p))}
+        return tuple(vals[i] for i in range(1, n + 1))
+
+    def proj(x):
+        return tuple(x[i - 1] for i in free)
+
+    X = {full(p) for p in points}
+    view = density_restoring_partition(SetVar(X, (m,) * n, free), D)
+    projected = density_restoring_partition(SetVar(points, (m,) * len(free)), D)
+    mapped = [(p.order, tuple(free[j - 1] for j in p.coords), p.alpha,
+               frozenset(x for x in X if proj(x) in p.support),
+               p.size, p.tail_size, p.input_size) for p in projected]
+    assert [(p.order, p.coords, p.alpha, p.support, p.size, p.tail_size, p.input_size)
+            for p in view] == mapped
+    assert verify_partition_lemma(SetVar(X, (m,) * n, free), view, D).ok
+
+
+def test_view_reads_only_its_blocks():
+    # Block 2 is not read: its domain size may differ, and its values do not
+    # enter the marginals, the density or the partition labels.
+    v = SetVar({(1, 5, 1), (1, 5, 2), (2, 5, 1), (2, 5, 2)}, (4, 16, 4), (1, 3))
+    assert v.positions((3, 1)) == [0, 2]
+    assert deficiency(v, (1, 3)) == 4
+    assert is_blockwise_dense(v, Fraction(1, 2))
+    with pytest.raises(DomainError):
+        v.positions((2,))
+    parts = density_restoring_partition(v, D)
+    assert all(set(p.coords) <= {1, 3} for p in parts)
+    assert frozenset().union(*(p.support for p in parts)) == v.support
