@@ -33,10 +33,8 @@ def show(node, depth, edge):
             if child:
                 show(child, depth + 1, f"b={b} ->")
     elif isinstance(node, RAlice):
-        for b, br in node.branches.items():
-            if br is None:
-                continue
-            for part in br.parts:
+        for b, parts in node.branches.items():
+            for part in parts or []:
                 label = f"b={b}, i={part.order} (fix x_{part.coords}={part.alpha})"
                 for s, child in sorted(part.s_children.items()):
                     if child is None:

@@ -240,10 +240,9 @@ def cmd_refine(args):
 def _z_values(arg_z, n):
     if arg_z == "all":
         return list(itertools.product((0, 1), repeat=n))
-    z = tuple(int(c) for c in arg_z)
-    if len(z) != n or any(c not in (0, 1) for c in z):
-        raise DomainError(f"bad z {arg_z!r} for n={n}")
-    return [z]
+    if len(arg_z) != n or not set(arg_z) <= {"0", "1"}:
+        raise DomainError(f"--z {arg_z!r} is not 'all' or a bit string of length n={n}")
+    return [tuple(map(int, arg_z))]
 
 
 def cmd_simulate(args):
@@ -520,14 +519,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
+    def common(sp, seed=False, budget=True):
+        # --seed where the subcommand draws at random, --budget where it enumerates
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="directory for report.json and CSVs")
-        sp.add_argument("--budget", type=int, default=PAIR_BUDGET_DEFAULT)
+        if budget:
+            sp.add_argument("--budget", type=int, default=PAIR_BUDGET_DEFAULT)
         sp.add_argument("--delta", default="9/10", help="density rate (exact rational)")
 
     sp = sub.add_parser("partition", help="random partition + lemma battery")
-    common(sp)
+    common(sp, seed=True, budget=False)
     sp.add_argument("--count", type=int, default=1000)
     sp.add_argument("--coords", type=int, default=2)
     sp.add_argument("--m", type=int, default=4)
@@ -541,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_refine)
 
     sp = sub.add_parser("simulate", help="exact walk distribution + samples")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--fixture", required=True)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--z", default="all")
@@ -552,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("verify", help="simulator vs slice truth + batteries")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--fixture", default="builtin:one-bit")
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--z", default="all")
@@ -603,6 +605,8 @@ def _apply_config_file(parser, argv):
     rebuilt = [command]
     for key, value in sorted(conf.items()):
         flag = "--" + str(key).replace("_", "-")
+        if value is None:
+            continue  # null: the flag is not given
         if isinstance(value, bool):
             if value:
                 rebuilt.append(flag)

@@ -180,14 +180,15 @@ def third_error_mixture(m: int = 2) -> tuple:
 
 # --- seeded random generators ---
 
-def random_protocol(rng: random.Random, G: ComposedInstance, max_depth: int,
-                    leaf_prob: float = 0.25) -> ProtocolTree:
-    """Random tree shape with random extensional node maps and random leaf bits."""
+def random_protocol(rng: random.Random, G: ComposedInstance,
+                    max_depth: int) -> ProtocolTree:
+    """Random tree shape (each non-root node above max_depth is a leaf with
+    probability 1/4) with random extensional node maps and random leaf bits."""
     alice_domain = list(G.alice_domain())
     bob_domain = list(G.bob_domain())
 
     def build(d):
-        if d >= max_depth or (d > 0 and rng.random() < leaf_prob):
+        if d >= max_depth or (d > 0 and rng.random() < 0.25):
             return PLeaf(rng.randint(0, 1))
         if rng.random() < 0.5:
             fn = TableFn({xs: rng.randint(0, 1) for xs in alice_domain})

@@ -98,6 +98,7 @@ class ProtocolTree:
         alice_size = self.G.alice_size
         bob_size = self.G.bob_size
         depth = 0
+        bob_tables = False
         stack = [(self.root, 0)]
         while stack:
             node, d = stack.pop()
@@ -113,6 +114,7 @@ class ProtocolTree:
                     raise DomainError(
                         f"{node.owner} table has {len(fn.table)} entries, needs {expect}"
                     )
+                bob_tables = bob_tables or node.owner == BOB
             elif isinstance(fn, BitFn):
                 if node.owner != BOB:
                     raise DomainError("bit-readout maps are Bob-side only")
@@ -125,6 +127,7 @@ class ProtocolTree:
         if depth > DEPTH_CAP:
             raise DomainError(f"protocol depth {depth} exceeds cap {DEPTH_CAP}")
         self.depth = depth
+        self.bob_tables = bob_tables   # some Bob map is a table: Y is explicit
 
     @property
     def cost(self) -> int:
@@ -153,17 +156,12 @@ def _split_bob(Y, fn):
     return Y.split_fn(fn)
 
 
-def _has_bob_table(pt: ProtocolTree) -> bool:
-    return any(isinstance(nd, PNode) and nd.owner == BOB and isinstance(nd.fn, TableFn)
-               for nd in _walk_nodes(pt.root))
-
-
 def _root_bob_set(pt: ProtocolTree, pair_budget: int):
     """Bob's side of the root rectangle: the full cube when every Bob map is a
     bit readout, which never needs Y written out; otherwise the explicit
     domain, refused up front when its 2^(nm) tuples exceed pair_budget."""
     G = pt.G
-    return G.full_Y(pair_budget) if _has_bob_table(pt) else BobCube(G.n, G.m, ())
+    return G.full_Y(pair_budget) if pt.bob_tables else BobCube(G.n, G.m, ())
 
 
 def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) -> dict:
@@ -341,12 +339,7 @@ class RPart:
     X: frozenset
     delta_ratio: Fraction  # |X after bit| / |X^(>=order)|
     s_children: dict      # bit-string over I -> node or None ("impossible to send")
-
-
-@dataclass
-class RBranch:
-    X: frozenset          # X^b, after Alice's bit
-    parts: list
+    potential: Fraction   # as in RLeaf, on X with I fixed: each present s-child's
 
 
 @dataclass
@@ -354,7 +347,7 @@ class RAlice:
     rect: Rect
     rho: PartialAssignment
     fn: object            # the source node's Alice map
-    branches: dict        # bit -> RBranch or None (empty X^b)
+    branches: dict        # bit -> X^b's parts (list of RPart), or None (empty X^b)
     potential: Fraction   # potential and def_y: as in RLeaf
     def_y: Fraction
 
@@ -380,53 +373,38 @@ class RefinedProtocol:
         self.root = root
         self.source = source
 
-    def iter_nodes(self):
-        stack = [self.root]
+    def traverse(self):
+        """(refined transcript, node) for every node, depth first from a
+        stack: children are pushed in b, part and s order, so the last pushed
+        comes out first."""
+        stack = [((), self.root)]
         while stack:
-            node = stack.pop()
-            yield node
+            t, node = stack.pop()
+            yield t, node
             if isinstance(node, RBob):
-                stack.extend(c for c in node.children.values() if c is not None)
+                stack.extend((t + (("b", b),), c)
+                             for b, c in node.children.items() if c is not None)
             elif isinstance(node, RAlice):
-                for br in node.branches.values():
-                    if br is None:
-                        continue
-                    for part in br.parts:
-                        stack.extend(c for c in part.s_children.values() if c is not None)
+                stack.extend((t + (("b", b), ("i", part.order), ("s", s)), c)
+                             for b, parts in node.branches.items() if parts is not None
+                             for part in parts
+                             for s, c in part.s_children.items() if c is not None)
+
+    def iter_nodes(self):
+        return (node for _, node in self.traverse())
 
     def iteration_nodes(self):
-        return [nd for nd in self.iter_nodes() if not isinstance(nd, RLeaf)]
+        return [nd for _, nd in self.traverse() if not isinstance(nd, RLeaf)]
 
     def leaves(self):
         """(refined transcript, leaf) pairs."""
-        out = []
-
-        def walk(node, t):
-            if isinstance(node, RLeaf):
-                out.append((t, node))
-            elif isinstance(node, RBob):
-                for b in (0, 1):
-                    c = node.children[b]
-                    if c is not None:
-                        walk(c, t + (("b", b),))
-            else:
-                for b in (0, 1):
-                    br = node.branches[b]
-                    if br is None:
-                        continue
-                    for part in br.parts:
-                        for s, c in sorted(part.s_children.items()):
-                            if c is not None:
-                                walk(c, t + (("b", b), ("i", part.order), ("s", s)))
-
-        walk(self.root, ())
-        return out
+        return [(t, nd) for t, nd in self.traverse() if isinstance(nd, RLeaf)]
 
 
-def _potential(X, rho, log_m) -> Fraction:
-    # D(X on free blocks) as the ratio whose log2 it is; X is constant on
-    # fixed blocks, so |X_free| = |X|.
-    return Fraction(2 ** (log_m * len(rho.free)), len(X))
+def _potential(X, free, log_m) -> Fraction:
+    # D(X) on `free` free blocks, as the ratio whose log2 it is; X is
+    # constant on fixed blocks, so |X_free| = |X|.
+    return Fraction(2 ** (log_m * free), len(X))
 
 
 def _s_strings(k):
@@ -448,7 +426,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
     m = G.m
 
     def build(v, X, Y, rho):
-        pot = _potential(X, rho, k)
+        pot = _potential(X, len(rho.free), k)
         defy = Y.deficiency()
         rect = Rect(X, Y)
         if isinstance(v, PLeaf):
@@ -467,7 +445,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
                 branches[b] = None
                 continue
             sv = entropy.SetVar(Xb, (m,) * G.n, rho.free)
-            parts = []
+            branches[b] = parts = []
             for dp in entropy.density_restoring_partition(sv, delta):
                 s_children = {}
                 for s in _s_strings(len(dp.coords)):
@@ -478,9 +456,10 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
                         continue
                     rho2 = rho.assign(dp.coords, tuple(int(c) for c in s))
                     s_children[s] = build(v.child(b), dp.support, Ys, rho2)
+                free = len(rho.free) - len(dp.coords)
                 parts.append(RPart(dp.order, dp.coords, dp.alpha, dp.support,
-                                   dp.delta_ratio, s_children))
-            branches[b] = RBranch(Xb, parts)
+                                   dp.delta_ratio, s_children,
+                                   _potential(dp.support, free, k)))
         return RAlice(rect, rho, v.fn, branches, pot, defy)
 
     root = build(pt.root, G.full_X(), _root_bob_set(pt, pair_budget),
@@ -505,7 +484,7 @@ def run_refined(rp: RefinedProtocol, xs, ys):
             node = node.children[b]
         else:
             b = node.fn(xs)
-            part = next(p for p in node.branches[b].parts if xs in p.X)
+            part = next(p for p in node.branches[b] if xs in p.X)
             s = "".join(
                 str(bit_at(ys[i - 1], a, G.m))
                 for i, a in zip(part.coords, part.alpha)
@@ -539,11 +518,10 @@ def _leaf_value_in(v):
 
 def protocol_to_dict(pt: ProtocolTree) -> dict:
     G = pt.G
-    bob_tables = _has_bob_table(pt)
-    if bob_tables and G.bob_size > TABLE_BUDGET:
+    if pt.bob_tables and G.bob_size > TABLE_BUDGET:
         raise ResourceError("Bob table serialization", G.bob_size, TABLE_BUDGET)
     alice_domain = list(G.alice_domain())
-    bob_domain = list(G.bob_domain()) if bob_tables else []
+    bob_domain = list(G.bob_domain()) if pt.bob_tables else []
 
     def node_out(node):
         if isinstance(node, PLeaf):
@@ -562,15 +540,6 @@ def protocol_to_dict(pt: ProtocolTree) -> dict:
         "gadget": {"kind": "index", "m": G.m},
         "tree": node_out(pt.root),
     }
-
-
-def _walk_nodes(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, PNode):
-            stack.extend((node.zero, node.one))
 
 
 def protocol_from_dict(d) -> ProtocolTree:

@@ -209,13 +209,14 @@ def _draws(node):
     """The integer-weighted first draw out of an iteration node: its total
     weight, and its entries in b order with absent children and branches
     skipped: (|Y^b|, b, None) at a Bob node, (|X^b|, b, [(|X^i|, part), ...])
-    at an Alice node, whose second draw picks a part of the branch."""
+    at an Alice node, with |X^b| the sum of its parts' |X^i|, whose second
+    draw picks a part of the branch."""
     if isinstance(node, RBob):
         return node.rect.y_size, [(node.children[b].rect.y_size, b, None)
                                   for b in (0, 1) if node.children[b] is not None]
-    brs = node.branches
-    return len(node.rect.X), [(len(brs[b].X), b, [(len(p.X), p) for p in brs[b].parts])
-                              for b in (0, 1) if brs[b] is not None]
+    parts = {b: [(len(p.X), p) for p in ps]
+             for b, ps in node.branches.items() if ps is not None}
+    return len(node.rect.X), [(sum(w for w, _ in ps), b, ps) for b, ps in parts.items()]
 
 
 def _pick(rng, total, draws):
@@ -285,11 +286,8 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
                 # no part announcement and no queries: only Alice's bit counts
                 delta, pot_after = Fraction(1), pot_before * gamma
             else:
-                # the X-side potential after this iteration exists even when
-                # the bit-fixing child does not
-                free_after = len(node.rho.free) - len(coords)
-                delta, pot_after = part.delta_ratio, Fraction(
-                    2 ** (free_after * (G.m.bit_length() - 1)), len(part.X))
+                # the part's potential exists even when the bit-fixing child does not
+                delta, pot_after = part.delta_ratio, part.potential
         ledger.append(LedgerRow(len(ledger) + 1, gamma, delta, len(coords),
                                 pot_before, pot_after))
         queries.extend(coords)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim.analysis import (
     GadgetMatrix,
@@ -69,16 +70,20 @@ def test_true_dist_one_bit_fixture():
     })
 
 
-def test_true_dist_methods_agree():
-    rng = random.Random(21)
-    for _ in range(10):
-        n, m = rng.choice([(1, 2), (1, 4), (2, 2)])
-        rp = refine(random_protocol(rng, instance(n, m), 3), D)
-        for z in itertools.product((0, 1), repeat=n):
-            a = true_transcript_dist(rp, z, method="enumerate")
-            b = true_transcript_dist(rp, z, method="count")
-            assert a == b
-            assert sum(p for _, p in a.items()) == 1
+@settings(max_examples=25, deadline=None, database=None)
+@given(proto_seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from([(1, 2), (1, 4), (2, 2)]),
+       depth=st.integers(0, 4))
+def test_true_dist_methods_agree(proto_seed, shape, depth):
+    """The count route, which sums over rp.leaves(), and the enumerate route,
+    which replays run_refined on the slice, agree on every z."""
+    n, m = shape
+    rp = refine(random_protocol(random.Random(proto_seed), instance(n, m), depth), D)
+    for z in itertools.product((0, 1), repeat=n):
+        a = true_transcript_dist(rp, z, method="enumerate")
+        b = true_transcript_dist(rp, z, method="count")
+        assert a == b
+        assert sum(p for _, p in a.items()) == 1
 
 
 def test_true_dist_projects_to_source_transcripts():

@@ -153,6 +153,34 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0 and read_json(out)["checked"] == 3
 
 
+def test_config_null_means_flag_not_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"command": "partition", "seed": 1, "count": 2,
+                                "out": None}))
+    code, out, _ = run(capsys, "--config", str(conf))
+    assert code == 0 and read_json(out)["checked"] == 2
+    assert not (tmp_path / "None").exists()
+
+
+def test_simulate_report_config_replays(tmp_path, capsys):
+    """A simulate report's config, nulls included, replayed through --config
+    reproduces the report."""
+    code, _, _ = run(capsys, "simulate", "--fixture", "builtin:bob-first", "--m", "4",
+                     "--samples", "20", "--seed", "5", "--out", str(tmp_path / "a"))
+    assert code == 0
+    first = (tmp_path / "a" / "report.json").read_bytes()
+    config = json.loads(first)["config"]
+    assert config["query_cap"] is None and config["deficiency_cap"] is None
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"command": "simulate", **config}))
+    code, _, _ = run(capsys, "--config", str(conf), "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert (tmp_path / "b" / "report.json").read_bytes() == first
+    assert ((tmp_path / "b" / "samples.csv").read_bytes()
+            == (tmp_path / "a" / "samples.csv").read_bytes())
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):
@@ -183,18 +211,19 @@ def test_sweep_csv_shape(tmp_path, capsys):
 def test_sweep_jobs_1_and_2_agree(tmp_path, capsys):
     """The parallel sweep writes the serial sweep's bytes; only config.jobs
     differs in report.json."""
-    reports, curves = [], []
-    for jobs in ("1", "2"):
-        out_dir = tmp_path / jobs
-        code, out, _ = run(capsys, "sweep", "--n", "1", "--m-list", "4", "8",
-                           "--jobs", jobs, "--out", str(out_dir))
-        assert code == 0
-        rep = json.loads((out_dir / "report.json").read_text())
-        assert rep == read_json(out) and rep["config"].pop("jobs") == int(jobs)
-        reports.append(rep)
-        curves.append((out_dir / "curve.csv").read_bytes())
-    assert reports[0] == reports[1]
-    assert curves[0] == curves[1]
+    for n in ("1", "2"):
+        reports, curves = [], []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / n / jobs
+            code, out, _ = run(capsys, "sweep", "--n", n, "--m-list", "4", "8",
+                               "--jobs", jobs, "--out", str(out_dir))
+            assert code == 0
+            rep = json.loads((out_dir / "report.json").read_text())
+            assert rep == read_json(out) and rep["config"].pop("jobs") == int(jobs)
+            reports.append(rep)
+            curves.append((out_dir / "curve.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert curves[0] == curves[1]
 
 
 def test_sweep_rejects_unsorted_mlist(capsys):
@@ -314,8 +343,11 @@ def test_delta_outside_unit_interval_exit2(tmp_path, capsys, command, delta):
     ["verify", "--seed", "1", "--battery", "-1"],
     ["partition", "--seed", "1", "--count", "2", "--m", "0"],
     ["partition", "--seed", "1", "--count", "2", "--m", "-3"],
+    ["verify", "--seed", "1", "--battery", "0", "--z", "ab"],
+    ["simulate", "--fixture", "builtin:one-bit", "--z", "2x"],
 ], ids=["coords-0", "count-neg", "max-support-0", "jobs-0", "budget-0",
-        "samples-neg", "deficiency-cap-abc", "battery-neg", "m-0", "m-neg"])
+        "samples-neg", "deficiency-cap-abc", "battery-neg", "m-0", "m-neg",
+        "z-ab", "z-2x"])
 def test_bad_numeric_flag_exit2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -360,6 +392,21 @@ def test_convert_has_no_n_flag(tmp_path, capsys):
         main(["convert", "--fixture", dt, "--m", "4", "--n", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["refine", "--fixture", "builtin:one-bit", "--seed", "1"],
+    ["sweep", "--m-list", "4", "--seed", "1"],
+    ["convert", "--fixture", "builtin:one-bit", "--seed", "1"],
+    ["partition", "--seed", "1", "--count", "2", "--budget", "100"],
+], ids=["refine-seed", "sweep-seed", "convert-seed", "partition-budget"])
+def test_unread_flag_exit2(capsys, argv):
+    """A subcommand takes --seed only if it draws at random and --budget only
+    if it enumerates; argparse rejects the flag anywhere else."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim.core import (
     BOT,
@@ -186,9 +187,9 @@ def test_refine_one_bit_structure():
     root = rp.root
     assert isinstance(root, RAlice)
     for b, alpha in ((1, 1), (0, 2)):
-        br = root.branches[b]
-        assert br is not None and len(br.parts) == 1
-        part = br.parts[0]
+        parts = root.branches[b]
+        assert parts is not None and len(parts) == 1
+        part = parts[0]
         assert part.coords == (1,) and part.alpha == (alpha,)
         assert set(part.s_children) == {"0", "1"}
         for s, child in part.s_children.items():
@@ -210,19 +211,45 @@ def test_refine_bob_only_keeps_rho_free():
     assert kinds == ["RBob", "RLeaf", "RLeaf"]
 
 
-def test_run_refined_matches_run_protocol_exhaustively():
-    rng = random.Random(101)
-    for _ in range(25):
-        n, m = rng.choice([(1, 2), (1, 4), (2, 2)])
-        g = G(n, m)
-        pt = random_protocol(rng, g, 4)
-        rp = refine(pt, D)
-        for xs in g.alice_domain():
-            for ys in g.bob_domain():
-                t, v = run_protocol(pt, xs, ys)
-                rt, rv = run_refined(rp, xs, ys)
-                assert v == rv
-                assert project_transcript(rt) == t
+_RANDOM_PROTOCOLS = dict(proto_seed=st.integers(0, 2 ** 32 - 1),
+                         shape=st.sampled_from([(1, 2), (1, 4), (2, 2)]),
+                         depth=st.integers(0, 4))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(**_RANDOM_PROTOCOLS)
+def test_run_refined_matches_run_protocol_exhaustively(proto_seed, shape, depth):
+    n, m = shape
+    g = G(n, m)
+    pt = random_protocol(random.Random(proto_seed), g, depth)
+    rp = refine(pt, D)
+    for xs in g.alice_domain():
+        for ys in g.bob_domain():
+            t, v = run_protocol(pt, xs, ys)
+            rt, rv = run_refined(rp, xs, ys)
+            assert v == rv
+            assert project_transcript(rt) == t
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(**_RANDOM_PROTOCOLS)
+def test_refined_potentials_match_their_formula(proto_seed, shape, depth):
+    """Every node's potential is 2^(log m |free|) / |X|; every part's is the
+    same formula with its blocks I fixed, which each present s-child shares."""
+    n, m = shape
+    g = G(n, m)
+    rp = refine(random_protocol(random.Random(proto_seed), g, depth), D)
+    for node in rp.iter_nodes():
+        free = len(node.rho.free)
+        assert node.potential == Fraction(2 ** (g.log_m * free), len(node.rect.X))
+        if not isinstance(node, RAlice):
+            continue
+        for parts in node.branches.values():
+            for part in parts or []:
+                assert part.potential == Fraction(
+                    2 ** (g.log_m * (free - len(part.coords))), len(part.X))
+                for child in part.s_children.values():
+                    assert child is None or child.potential == part.potential
 
 
 def test_refined_iteration_nodes_are_structured():
@@ -281,9 +308,9 @@ def _assert_same_refinement(a, b):
             assert (ba is None) == (bb is None)
             if ba is None:
                 continue
-            assert ([(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in ba.parts]
-                    == [(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in bb.parts])
-            for pa, pb in zip(ba.parts, bb.parts):
+            assert ([(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in ba]
+                    == [(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in bb])
+            for pa, pb in zip(ba, bb):
                 assert sorted(pa.s_children) == sorted(pb.s_children)
                 pairs.extend((pa.s_children[s], pb.s_children[s]) for s in pa.s_children)
     for ca, cb in pairs:
