@@ -12,7 +12,8 @@ Reports are deterministic for a fixed config and seed: JSON summaries carry
 exact rationals as "p/q" strings next to float renderings, curves go to CSV.
 Exit codes: 0 all checks passed; 1 a zero-tolerance invariant failed (the
 report names it and the seed); 2 bad config or fixture; 3 an exact
-computation exceeded its resource budget.
+computation exceeded its resource budget; 4 an internal error (a bug in
+liftsim, not a finding about the input).
 
 Defaults mirror the analysis regime where meaningful: density rate 9/10 and
 deficiency cap n^3 bits.  The regime in which the closeness guarantees are
@@ -62,6 +63,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def rat(x: Fraction) -> dict:
@@ -467,7 +469,7 @@ def cmd_convert(args):
     # "n" stays null: bench/digests.json holds convert reports with it
     report = {"command": "convert",
               "config": {"fixture": args.fixture, "n": None, "m": args.m,
-                         "delta": args.delta, "budget": args.budget}}
+                         "delta": str(Fraction(args.delta)), "budget": args.budget}}
     tables = {}
     outer = None
     if args.outer:
@@ -629,6 +631,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         report, tables = args.fn(args)
+        write_report(args.out, report, tables)
     except Violation as e:
         report = {"command": args.command, "violation": e.invariant,
                   "detail": e.detail, "reproduce_with_seed": e.seed}
@@ -643,7 +646,9 @@ def main(argv=None) -> int:
     except (DomainError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    write_report(args.out, report, tables)
+    except Exception as e:  # exit 1 is kept for genuine invariant failures
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK
 

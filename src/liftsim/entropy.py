@@ -2,15 +2,17 @@
 
 All quantities are kept exact: probabilities are big-integer rationals, and
 an entropy, deficiency or potential of b bits is stored as the positive
-rational q with log2(q) = b.  Every inequality on them is one cmp_pow, decided
-by integer arithmetic (raising both sides to a common power), never by floats;
-log2_float renders a stored ratio in bits for reports only.
+rational q with log2(q) = b.  Every inequality on them is decided by integer
+arithmetic, never by floats: one cmp_pow (raising both sides to a common
+power), or in the partition's inner loop an integer count threshold derived
+the same way; log2_float renders a stored ratio in bits for reports only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,11 +176,6 @@ def _max_prob(v: SetVar, I) -> Fraction:
     return Fraction(max(v.project_counts(I).values()), v.size)
 
 
-def _violates(v: SetVar, I, delta: Fraction, m: int) -> bool:
-    """H_inf(v_I) < delta*|I|*log2(m), i.e. some outcome is too heavy."""
-    return cmp_pow(_max_prob(v, I), m, -delta * len(I)) > 0
-
-
 def is_blockwise_dense(v: SetVar, delta, essential: bool = False) -> bool:
     """Every nonempty marginal has min-entropy rate >= delta (minus 1 bit if essential).
 
@@ -224,22 +221,43 @@ class DensityPart:
         return f"x_{{{idx}}}=({val})"
 
 
-def _choose_violating_set(v: SetVar, delta: Fraction, m: int):
-    """Deterministic maximal min-entropy-violating subset (possibly empty).
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for an integer x >= 0, by integer Newton steps."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)  # a power of two above the root
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
+def violation_threshold(size: int, k: int, delta: Fraction, m: int) -> int:
+    """The largest count c with c/size <= m^(-delta*k), i.e. the heaviest
+    outcome a k-block marginal of a set of `size` points may have and still
+    hold min-entropy delta*k*log2(m).
+
+    With delta = p/q the test c^q * m^(p*k) <= size^q is between integers, so
+    the threshold is the integer q-th root of size^q / m^(p*k), rounded down.
+    """
+    p, q = delta.numerator, delta.denominator
+    if p >= 0:
+        return _iroot(size ** q // m ** (p * k), q)
+    return _iroot(size ** q * m ** (-p * k), q)
+
+
+def _choose_violating_set(coords, violating):
+    """Deterministic maximal set among the violating subsets (frozensets of
+    coords); empty if there are none.
 
     Maximality must be genuine (no violating superset at all): a one-step
     greedy can stall below a violating superset, which would break the
-    partition lemma.  Enumerate violating subsets, then grow from the smallest
-    violating singleton, at each step committing to the smallest coordinate
-    that still lies inside some violating superset; if only multi-coordinate
-    sets violate (e.g. diagonal sets), fall back to the lexicographically
-    smallest maximal violating set.
+    partition lemma.  Grow from the smallest violating singleton, at each
+    step committing to the smallest coordinate that still lies inside some
+    violating superset; if only multi-coordinate sets violate (e.g. diagonal
+    sets), fall back to the lexicographically smallest maximal violating set.
     """
-    violating = [
-        frozenset(I)
-        for I in nonempty_subsets(v.coords)
-        if _violates(v, I, delta, m)
-    ]
     if not violating:
         return ()
     singles = sorted(i for I in violating if len(I) == 1 for i in I)
@@ -247,7 +265,7 @@ def _choose_violating_set(v: SetVar, delta: Fraction, m: int):
         I = frozenset({singles[0]})
         while True:
             grown = False
-            for j in sorted(set(v.coords) - I):
+            for j in sorted(set(coords) - I):
                 if any(T >= I | {j} for T in violating):
                     I = I | {j}
                     grown = True
@@ -258,6 +276,14 @@ def _choose_violating_set(v: SetVar, delta: Fraction, m: int):
     return tuple(sorted(min(maximal, key=lambda I: tuple(sorted(I)))))
 
 
+def _key(pos):
+    """Reads a tuple's values at the positions pos, as a tuple."""
+    if len(pos) == 1:
+        p = pos[0]
+        return lambda t: (t[p],)
+    return operator.itemgetter(*pos)
+
+
 def density_restoring_partition(v: SetVar, delta) -> list:
     """Split v.support into ordered parts, each fixed on a violating block set
     and delta-dense on the rest.
@@ -266,31 +292,49 @@ def density_restoring_partition(v: SetVar, delta) -> list:
     is too concentrated, the heaviest outcome alpha on it (ties: smallest),
     peel off {x : x_I = alpha}.  A remainder that is already dense is emitted
     as a single part with the empty label, which ends the loop.
+
+    Every marginal is counted once, at the start; a peel subtracts the peeled
+    points from each count.  A marginal on k blocks is too concentrated when
+    its heaviest count exceeds violation_threshold(|remainder|, k).
     """
     delta = as_fraction(delta)
     m = _uniform_block_size(v)
     input_size = v.size
     remaining = set(v.support)
+    marginals = {}  # nonempty subset of v.coords -> (its key, its counts)
+    for I in nonempty_subsets(v.coords):
+        key = _key(v.positions(I))
+        marginals[frozenset(I)] = (key, Counter(map(key, remaining)))
     parts = []
     order = 0
     while remaining:
         order += 1
-        cur = SetVar(remaining, v.ambient, v.coords)
-        I = _choose_violating_set(cur, delta, m)
+        size = len(remaining)
+        limit = {k: violation_threshold(size, k, delta, m)
+                 for k in range(1, len(v.coords) + 1)}
+        violating = [I for I, (_, counts) in marginals.items()
+                     if max(counts.values()) > limit[len(I)]]
+        I = _choose_violating_set(v.coords, violating)
         if not I:
             parts.append(DensityPart(order, (), (), frozenset(remaining),
-                                      len(remaining), len(remaining), input_size))
+                                      size, size, input_size))
             break
-        counts = cur.project_counts(I)
+        key, counts = marginals[frozenset(I)]
         best = max(counts.values())
         alpha = min(a for a, c in counts.items() if c == best)
-        pos = cur.positions(I)
-        part = frozenset(
-            t for t in remaining if tuple(t[p] for p in pos) == alpha
-        )
+        part = frozenset(t for t in remaining if key(t) == alpha)
+        if len(part) != best:  # a stale count would loop on an empty part
+            raise RuntimeError(f"marginal count {best} of {I}={alpha} "
+                               f"disagrees with the remainder ({len(part)})")
         parts.append(DensityPart(order, I, alpha, part,
-                                 len(part), len(remaining), input_size))
+                                 len(part), size, input_size))
         remaining -= part
+        for key, counts in marginals.values():
+            for a in map(key, part):
+                if counts[a] == 1:
+                    del counts[a]
+                else:
+                    counts[a] -= 1
     return parts
 
 

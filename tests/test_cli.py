@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from liftsim import cli
 from liftsim.analysis import dt_error
 from liftsim.cli import main
 from liftsim.fixtures import instance, third_error_mixture, xor_decision_tree, xor_outer
@@ -407,6 +408,39 @@ def test_unread_flag_exit2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_convert_records_reduced_delta(capsys):
+    """convert writes --delta as the reduced fraction, as refine does."""
+    argv = ["--fixture", "builtin:one-bit", "--m", "2", "--delta", "18/20"]
+    code, out, _ = run(capsys, "convert", *argv)
+    assert code == 0 and read_json(out)["config"]["delta"] == "9/10"
+    code, out, _ = run(capsys, "refine", *argv)
+    assert code == 0 and read_json(out)["config"]["delta"] == "9/10"
+
+
+def test_internal_error_exit4(capsys, monkeypatch):
+    """An unexpected exception is exit 4 and one line, not a traceback with
+    exit 1, the code of a failed invariant; argparse's exit passes through."""
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_refine", boom)
+    code, out, err = run(capsys, "refine", "--fixture", "builtin:one-bit", "--m", "2")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err == "internal error: RuntimeError: boom\n" and out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "--fixture", "builtin:one-bit", "--no-such-flag"])
+    assert exc.value.code == 2
+
+
+def test_unwritable_out_exit2(tmp_path, capsys):
+    """--out naming a file is a config error, not a traceback."""
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run(capsys, "refine", "--fixture", "builtin:one-bit", "--m", "2",
+                         "--out", str(path))
+    assert code == 2 and "config error" in err and out == ""
 
 
 _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -20,6 +20,7 @@ from liftsim.entropy import (
     log2_float,
     marginal_min_entropy,
     verify_partition_lemma,
+    violation_threshold,
 )
 from liftsim.errors import DomainError, ResourceError
 
@@ -219,6 +220,43 @@ def test_partition_matches_reference_oracle_randomly():
         v = SetVar(support, (m,) * n)
         got = [(p.coords, p.alpha, p.support) for p in density_restoring_partition(v, D)]
         assert got == reference_partition(v, D)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_partition_matches_reference_oracle_over_rates(data):
+    """The same differential over other rates and non-power-of-two blocks:
+    parts, order and alpha agree with the oracle, and the lemma holds."""
+    delta = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), D, Fraction(1, 7)]),
+                      label="delta")
+    m = data.draw(st.sampled_from([2, 3, 4, 5, 8]), label="m")
+    n = data.draw(st.integers(1, 4), label="n")
+    points = data.draw(st.sets(st.tuples(*[st.integers(1, m)] * n),
+                               min_size=1, max_size=40), label="points")
+    v = SetVar(points, (m,) * n)
+    parts = density_restoring_partition(v, delta)
+    assert [p.order for p in parts] == list(range(1, len(parts) + 1))
+    assert [(p.coords, p.alpha, p.support) for p in parts] == reference_partition(v, delta)
+    assert verify_partition_lemma(v, parts, delta).ok
+
+
+@pytest.mark.parametrize("m, delta, k, size, T", [
+    (4, Fraction(1, 2), 1, 4, 2),       # 2/4 = 4^(-1/2) exactly: c = 2 does not violate
+    (2, Fraction(1, 2), 2, 8, 4),       # 4/8 = 2^(-1) exactly
+    (3, Fraction(1, 2), 2, 27, 9),      # 9/27 = 3^(-1) exactly
+    (3, D, 1, 10, 3),                   # 10 * 3^(-9/10) is about 3.72
+    (5, Fraction(2, 3), 2, 50, 5),      # about 5.85
+    (5, Fraction(99, 100), 1, 199, 40), # about 40.45; 100th powers of 199
+    (3, Fraction(7, 11), 2, 30, 7),     # about 7.41
+    (8, Fraction(1, 7), 3, 17, 6),      # about 6.97
+])
+def test_violation_threshold_exact_boundary(m, delta, k, size, T):
+    """A k-block marginal of `size` points violates iff its heaviest count c
+    has c/size > m^(-delta*k); the integer threshold T is the largest c that
+    does not, which cmp_pow confirms at c = T and c = T + 1."""
+    assert violation_threshold(size, k, delta, m) == T
+    assert cmp_pow(Fraction(T, size), m, -delta * k) <= 0
+    assert cmp_pow(Fraction(T + 1, size), m, -delta * k) > 0
 
 
 def test_partition_covers_disjointly():
