@@ -72,7 +72,7 @@ class GadgetSpec:
 
     @classmethod
     def index(cls, m: int) -> "GadgetSpec":
-        if m < 2 or not _is_power_of_two(m):
+        if type(m) is not int or m < 2 or not _is_power_of_two(m):
             raise DomainError(f"index gadget needs m a power of 2, m >= 2; got {m}")
         return cls(m)
 
@@ -101,8 +101,8 @@ class ComposedInstance:
     gadget: GadgetSpec
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("need n >= 1 blocks")
+        if type(self.n) is not int or self.n < 1:
+            raise DomainError(f"need an integer n >= 1 blocks, got {self.n!r}")
 
     @property
     def m(self) -> int:
@@ -212,7 +212,13 @@ class PartialAssignment:
 
 
 # --- Bob sets: a BobCube or an ExplicitBobSet, with one interface; every
-# operation that can come out empty returns None for the empty set. ---
+# operation that can come out empty returns None for the empty set.  `split`
+# is the one way Bob's set is cut, at distinct in-range (block, pos) pairs. ---
+
+def _bit_strings(k: int) -> list:
+    """The 2^k bit strings of length k, ascending ("0...0" first)."""
+    return ["".join(bits) for bits in itertools.product("01", repeat=k)]
+
 
 @dataclass(frozen=True)
 class BobCube:
@@ -243,16 +249,16 @@ class BobCube:
     def contains(self, ys) -> bool:
         return all(bit_at(ys[blk - 1], pos, self.m) == b for (blk, pos), b in self.fixed)
 
-    def restrict(self, pins):
-        """Pin more bits, {(block, pos): bit}; None if inconsistent."""
-        merged = dict(self.fixed)
-        for key, b in pins.items():
-            if merged.setdefault(key, b) != b:
-                return None
-        return BobCube(self.n, self.m, tuple(merged.items()))
-
-    def split_bit(self, blk: int, pos: int):
-        return self.restrict({(blk, pos): 0}), self.restrict({(blk, pos): 1})
+    def split(self, positions) -> dict:
+        """Y cut at (block, pos) pairs: each bit string s over them, ascending,
+        to the subcube reading s there, or None; in closed form."""
+        pins = dict(self.fixed)
+        out = {}
+        for s in _bit_strings(len(positions)):
+            new = tuple(zip(positions, map(int, s)))
+            out[s] = (BobCube(self.n, self.m, self.fixed + new)
+                      if all(pins.get(key, b) == b for key, b in new) else None)
+        return out
 
     def deficiency(self) -> Fraction:
         """D(Y) relative to the full Bob domain, as the ratio 2^(nm) / |Y|
@@ -299,16 +305,17 @@ class ExplicitBobSet:
     def _subset(self, ys):
         return ExplicitBobSet(self.n, self.m, ys) if ys else None
 
-    def restrict(self, pins):
-        """The elements with bit (block, pos) = b for each pin; None if empty."""
-        m = self.m
-        return self._subset(frozenset(
-            ys for ys in self.ys
-            if all(bit_at(ys[blk - 1], pos, m) == b for (blk, pos), b in pins.items())
-        ))
-
-    def split_bit(self, blk: int, pos: int):
-        return self.split_fn(lambda ys: bit_at(ys[blk - 1], pos, self.m))
+    def split(self, positions) -> dict:
+        """Y cut at (block, pos) pairs: each bit string s over them, ascending,
+        to the elements reading s there, or None; one pass over the elements."""
+        shifts = [(blk - 1, self.m - pos) for blk, pos in positions]
+        groups = [[] for _ in range(2 ** len(shifts))]
+        for ys in self.ys:
+            key = 0
+            for i, shift in shifts:
+                key = key << 1 | (ys[i] >> shift) & 1
+            groups[key].append(ys)
+        return {s: self._subset(g) for s, g in zip(_bit_strings(len(shifts)), groups)}
 
     def split_fn(self, fn):
         """(elements fn maps to 0, the rest), one call of fn per element."""
@@ -362,9 +369,6 @@ class Rect:
     @property
     def is_empty(self) -> bool:
         return self.x_size == 0 or self.y_size == 0
-
-    def contains(self, xs, ys) -> bool:
-        return tuple(xs) in self.X and self.Y.contains(ys)
 
 
 @dataclass(frozen=True)
@@ -465,8 +469,7 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
             return False
     if not entropy.is_blockwise_dense(entropy.SetVar(rect.X, (G.m,) * G.n, rho.free), delta):
         return False
-    if not fix:
-        return True
     # on block i, every y must carry bit rho_i at the position X points to
-    held = rect.Y.restrict({(i, rep[i - 1]): rho.value(i) for i in fix})
+    held = rect.Y.split(tuple((i, rep[i - 1]) for i in fix))[
+        "".join(str(rho.value(i)) for i in fix)]
     return held is not None and held.size == rect.Y.size

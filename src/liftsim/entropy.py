@@ -387,8 +387,7 @@ def verify_partition_lemma(v: SetVar, parts, delta) -> PartitionLemmaReport:
         if rest:
             sub = SetVar(part.support, v.ambient, rest)
             density_ok = fixed and is_blockwise_dense(sub, delta)
-            max_count = max(sub.project_counts(rest).values())
-            lhs_arg = Fraction(m ** len(rest) * max_count, size)
+            lhs_arg = deficiency(sub, rest)
         else:
             density_ok = fixed
             lhs_arg = Fraction(1)  # deficiency over no coordinates is 0

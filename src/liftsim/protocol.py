@@ -10,7 +10,6 @@ iteration stays structured with respect to the running partial assignment.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,7 +117,8 @@ class ProtocolTree:
             elif isinstance(fn, BitFn):
                 if node.owner != BOB:
                     raise DomainError("bit-readout maps are Bob-side only")
-                if not (1 <= fn.block <= self.G.n and 1 <= fn.pos <= self.G.m):
+                if not (type(fn.block) is type(fn.pos) is int
+                        and 1 <= fn.block <= self.G.n and 1 <= fn.pos <= self.G.m):
                     raise DomainError("bit-readout map out of range")
             else:
                 raise DomainError("node map must be a TableFn or BitFn")
@@ -152,7 +152,7 @@ def run_protocol(pt: ProtocolTree, xs, ys):
 def _split_bob(Y, fn):
     """Y's halves under Bob's map fn; a bit readout splits without calling fn."""
     if isinstance(fn, BitFn):
-        return Y.split_bit(fn.block, fn.pos)
+        return tuple(Y.split(((fn.block, fn.pos),)).values())
     return Y.split_fn(fn)
 
 
@@ -214,7 +214,7 @@ class DecisionTree:
     def _validate(self, node, path, d):
         if isinstance(node, DLeaf):
             return d
-        if not 1 <= node.coord <= self.n:
+        if type(node.coord) is not int or not 1 <= node.coord <= self.n:
             raise DomainError(f"query coordinate {node.coord} outside 1..{self.n}")
         if node.coord in path:
             raise DomainError(f"coordinate {node.coord} queried twice on a path")
@@ -407,10 +407,6 @@ def _potential(X, free, log_m) -> Fraction:
     return Fraction(2 ** (log_m * free), len(X))
 
 
-def _s_strings(k):
-    return ["".join(bits) for bits in itertools.product("01", repeat=k)]
-
-
 def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
            pair_budget: int = PAIR_BUDGET_DEFAULT) -> RefinedProtocol:
     """Build the refined protocol: Bob bits split Y; Alice bits split X, then a
@@ -439,23 +435,20 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             }
             return RBob(rect, rho, v.fn, children, pot, defy)
         branches = {}
-        for b in (0, 1):
-            Xb = frozenset(x for x in X if v.fn(x) == b)
+        x1 = frozenset(x for x in X if v.fn(x))
+        for b, Xb in ((0, X - x1), (1, x1)):
             if not Xb:
                 branches[b] = None
                 continue
             sv = entropy.SetVar(Xb, (m,) * G.n, rho.free)
             branches[b] = parts = []
             for dp in entropy.density_restoring_partition(sv, delta):
-                s_children = {}
-                for s in _s_strings(len(dp.coords)):
-                    pins = {(i, a): int(c) for i, a, c in zip(dp.coords, dp.alpha, s)}
-                    Ys = Y.restrict(pins)
-                    if Ys is None:
-                        s_children[s] = None
-                        continue
-                    rho2 = rho.assign(dp.coords, tuple(int(c) for c in s))
-                    s_children[s] = build(v.child(b), dp.support, Ys, rho2)
+                s_children = {
+                    s: None if Ys is None else build(
+                        v.child(b), dp.support, Ys,
+                        rho.assign(dp.coords, tuple(int(c) for c in s)))
+                    for s, Ys in Y.split(tuple(zip(dp.coords, dp.alpha))).items()
+                }
                 free = len(rho.free) - len(dp.coords)
                 parts.append(RPart(dp.order, dp.coords, dp.alpha, dp.support,
                                    dp.delta_ratio, s_children,
@@ -513,6 +506,8 @@ def _leaf_value_out(v):
 
 
 def _leaf_value_in(v):
+    if v != "bot" and not (type(v) is int and v in (0, 1)):  # True == 1 is no leaf
+        raise DomainError(f"leaf value {v!r} is not 0, 1 or \"bot\"")
     return BOT if v == "bot" else v
 
 
@@ -555,17 +550,20 @@ def protocol_from_dict(d) -> ProtocolTree:
             return BitFn(fd["block"], fd["pos"], G.m)
         bits, alice = fd["bits"], owner == ALICE
         size = G.alice_size if alice else G.bob_size
-        if len(bits) != size:
+        if not isinstance(bits, str) or len(bits) != size:
             raise DomainError(f"{owner} table has {len(bits)} bits, needs {size}")
         if alice not in domains:
             domains[alice] = list(G.alice_domain() if alice else G.bob_domain())
         return TableFn(zip(domains[alice], map(int, bits)))
 
-    def node_in(nd):
+    def node_in(nd, depth=0):
+        if depth > DEPTH_CAP:  # refused before recursion can exhaust the stack
+            raise DomainError(f"protocol nested deeper than the cap {DEPTH_CAP}")
         if "leaf" in nd:
             return PLeaf(_leaf_value_in(nd["leaf"]))
         owner = nd["owner"]
-        return PNode(owner, fn_in(owner, nd["fn"]), node_in(nd["0"]), node_in(nd["1"]))
+        return PNode(owner, fn_in(owner, nd["fn"]),
+                     node_in(nd["0"], depth + 1), node_in(nd["1"], depth + 1))
 
     return ProtocolTree(G, node_in(d["tree"]))
 
@@ -583,10 +581,12 @@ def dt_from_dict(d) -> DecisionTree:
     if d.get("format") != "decision_tree":
         raise DomainError("not a decision-tree record")
 
-    def node_in(nd):
+    def node_in(nd, depth=0):
+        if depth > DEPTH_CAP:  # as in protocol_from_dict
+            raise DomainError(f"decision tree nested deeper than the cap {DEPTH_CAP}")
         if "leaf" in nd:
             return DLeaf(_leaf_value_in(nd["leaf"]))
-        return DQuery(nd["query"], node_in(nd["0"]), node_in(nd["1"]))
+        return DQuery(nd["query"], node_in(nd["0"], depth + 1), node_in(nd["1"], depth + 1))
 
     return DecisionTree(d["n"], node_in(d["tree"]))
 
@@ -609,8 +609,7 @@ def load_fixture(path_or_obj):
     if isinstance(path_or_obj, dict):
         d, source = path_or_obj, "record"
     else:
-        with open(path_or_obj) as fh:
-            d, source = json.load(fh), path_or_obj
+        d, source = None, path_or_obj
     parsers = {
         "protocol": protocol_from_dict,
         "randomized_protocol": randomized_protocol_from_dict,
@@ -618,9 +617,13 @@ def load_fixture(path_or_obj):
         "outer_function": OuterFunction.from_dict,
     }
     try:
+        if d is None:
+            with open(source, encoding="utf-8") as fh:
+                d = json.load(fh)  # not UTF-8 or not JSON: a ValueError
         fmt = d.get("format")
         if fmt not in parsers:
             raise DomainError(f"unknown fixture format {fmt!r}")
         return parsers[fmt](d)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (ArithmeticError, AttributeError, KeyError, RecursionError, TypeError,
+            ValueError) as e:
         raise DomainError(f"bad fixture {source}: {type(e).__name__}: {e}") from e

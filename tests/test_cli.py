@@ -1,12 +1,17 @@
 """CLI contract tests: subcommands, exit codes, deterministic reports."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim import cli
 from liftsim.analysis import dt_error
@@ -91,11 +96,49 @@ def test_verify_expect_exact_fails_on_lossy_fixture(capsys):
     assert rep["reproduce_with_seed"] == 3
 
 
+def test_verify_reports_support_miss(tmp_path, capsys):
+    """Bob reading both bits of y_1 (m=2) can pin y_1 = 11, which no input of
+    the z=0 slice reaches; the walk still emits that transcript.  verify
+    reports the miss per z and exits 0; --expect-exact fails on its tv."""
+    def bit(pos, zero, one):
+        return {"owner": "bob", "fn": {"kind": "bit", "block": 1, "pos": pos},
+                "0": zero, "1": one}
+
+    record = {"format": "protocol", "n": 1, "gadget": {"kind": "index", "m": 2},
+              "tree": bit(1, {"leaf": 0}, bit(2, {"leaf": 0}, {"leaf": 1}))}
+    path = _write_fixture(tmp_path, "two-bits.json", json.dumps(record))
+    code, out, _ = run(capsys, "verify", "--fixture", path, "--seed", "1", "--battery", "0")
+    assert code == 0
+    per_z = read_json(out)["per_z"]
+    assert per_z["0"]["support_check"] is False and per_z["0"]["tv"]["exact"] == "1/4"
+    assert per_z["1"]["support_check"] is True
+    code, _, err = run(capsys, "verify", "--fixture", path, "--seed", "1", "--battery", "0",
+                       "--expect-exact")
+    assert code == 1 and "exact-simulation expectation" in err
+
+
 def test_bad_config_file_exit2(tmp_path, capsys):
     bad = tmp_path / "conf.json"
     bad.write_text("{not json")
     code, _, err = run(capsys, "verify", "--config", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{",
+    b'{"command": 5}',
+    b'{"command": ["partition"]}',
+    b'{"command": "-h"}',
+    b'{"command": "refine", "fixture": "builtin:one-bit", "out": "a\\u0000b"}',
+], ids=["not-utf8", "command-int", "command-list", "command-flag", "nul-in-value"])
+def test_bad_config_input_exit2(tmp_path, capsys, content):
+    """A config file that cannot be read as a command line is a config error,
+    never a traceback or an internal error."""
+    conf = tmp_path / "c.json"
+    conf.write_bytes(content)
+    code, out, err = run(capsys, "--config", str(conf))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_missing_fixture_exit2(capsys):
@@ -311,6 +354,57 @@ def test_malformed_fixture_exit2(tmp_path, capsys, make):
     assert "Traceback" not in err
 
 
+def _deep_chain(kind, depth=3000):
+    """A tree nested `depth` deep, written as text: json.dumps itself would
+    hit the recursion limit."""
+    if kind == "protocol":
+        head = ('{"format": "protocol", "n": 1, "gadget": {"kind": "index", "m": 2}, '
+                '"tree": ')
+        node = ('{"owner": "bob", "fn": {"kind": "bit", "block": 1, "pos": 1}, '
+                '"1": {"leaf": 1}, "0": ')
+    else:
+        head = '{"format": "decision_tree", "n": 1, "tree": '
+        node = '{"query": 1, "1": {"leaf": 1}, "0": '
+    return (head + node * depth + '{"leaf": 0}' + "}" * depth + "}").encode()
+
+
+def _leaf_record(kind, value):
+    if kind == "protocol":
+        tree = {"owner": "bob", "fn": {"kind": "bit", "block": 1, "pos": 1},
+                "0": {"leaf": 0}, "1": {"leaf": value}}
+        record = {"format": "protocol", "n": 1, "gadget": {"kind": "index", "m": 2},
+                  "tree": tree}
+    else:
+        record = {"format": "decision_tree", "n": 1,
+                  "tree": {"query": 1, "0": {"leaf": 0}, "1": {"leaf": value}}}
+    return json.dumps(record).encode()
+
+
+_BAD_LEAVES = {"list": [0], "object": {"a": 1}, "2": 2, "x": "x", "1.5": 1.5,
+               "null": None, "true": True}
+_BAD_FIXTURES = {
+    "not-utf8": lambda: b'{"format": "protocol", "n": 1\xff}',
+    "deep-protocol": lambda: _deep_chain("protocol"),
+    "deep-decision-tree": lambda: _deep_chain("decision_tree"),
+    **{f"{kind}-leaf-{name}": (lambda kind=kind, v=v: _leaf_record(kind, v))
+       for kind in ("protocol", "decision_tree") for name, v in _BAD_LEAVES.items()},
+}
+_FIXTURE_COMMANDS = {"refine": [], "simulate": ["--samples", "2", "--seed", "1"],
+                     "verify": ["--seed", "1", "--battery", "0"], "convert": ["--m", "2"]}
+
+
+@pytest.mark.parametrize("command", sorted(_FIXTURE_COMMANDS))
+@pytest.mark.parametrize("name", sorted(_BAD_FIXTURES))
+def test_bad_fixture_file_exit2(tmp_path, capsys, name, command):
+    """Undecodable bytes, nesting past the recursion limit and a leaf that is
+    not 0, 1 or "bot" are config errors naming the file."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(_BAD_FIXTURES[name]())
+    code, out, err = run(capsys, command, "--fixture", str(path), *_FIXTURE_COMMANDS[command])
+    assert code == 2 and out == ""
+    assert "config error" in err and str(path) in err and "Traceback" not in err
+
+
 _SUBCOMMANDS = {
     "partition": ["--count", "2", "--seed", "1"],
     "refine": ["--fixture", "builtin:one-bit"],
@@ -441,6 +535,199 @@ def test_unwritable_out_exit2(tmp_path, capsys):
     code, out, err = run(capsys, "refine", "--fixture", "builtin:one-bit", "--m", "2",
                          "--out", str(path))
     assert code == 2 and "config error" in err and out == ""
+
+
+# --- fuzzing the exit-code contract: a bad input is exit 2, never 1 or 4 ---
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 1), st.floats(),
+                  st.text(max_size=3), st.lists(st.integers(0, 1), max_size=2),
+                  st.just({}))
+_BAD_LEAF_VALUES = st.sampled_from([2, "x", 1.5, None, True, [0], {"a": 1}])
+# n*m < 16 keeps every domain small; junk never raises n or m
+_SIZES = [(1, 2), (1, 4), (1, 8), (2, 2), (2, 4), (3, 2), (3, 4)]
+
+
+class _Record:
+    """Builds one fixture record.  A clean record is well formed up to what
+    the tree shape allows (a query repeated on a path, a Bob table under
+    Alice); a noisy one also has missing keys, junk values, out-of-range
+    maps, unknown owners, bad tables and bad leaves."""
+
+    def __init__(self, draw, n, m, noisy):
+        self.draw, self.n, self.m, self.noisy = draw, n, m, noisy
+
+    def spoil(self, rate=20):
+        return self.noisy and self.draw(st.integers(0, rate - 1)) == 0
+
+    def fields(self, **fields):
+        """The fields, each now and then dropped or replaced by junk."""
+        out = {}
+        for key, value in fields.items():
+            if not self.spoil():
+                out[key] = value
+            elif self.draw(st.booleans()):
+                out[key] = self.draw(_JUNK)
+        return out
+
+    def index(self, top):
+        return self.draw(st.integers(0, top + 1) if self.noisy else st.integers(1, top))
+
+    def leaf(self):
+        value = self.draw(_BAD_LEAF_VALUES if self.spoil(4) else st.sampled_from([0, 1, "bot"]))
+        return self.fields(leaf=value)
+
+    def table(self, size):
+        rng = random.Random(self.draw(st.integers(0, 2 ** 16)))
+        bits = "".join(rng.choice("01") for _ in range(size))
+        if self.spoil(4):
+            bits = self.draw(st.sampled_from([bits[1:], bits + "0", "2" + bits[1:],
+                                              [int(c) for c in bits]]))
+        return self.fields(kind="table", bits=bits)
+
+    def protocol_tree(self, depth):
+        if depth == 0 or self.draw(st.integers(0, 2)) == 0:
+            return self.leaf()
+        owner = self.draw(st.sampled_from(["alice", "bob", "carol"] if self.noisy
+                                          else ["alice", "bob"]))
+        if owner != "alice" and self.draw(st.booleans()):
+            fn = self.fields(kind="bit", block=self.index(self.n), pos=self.index(self.m))
+        else:
+            fn = self.table(self.m ** self.n if owner == "alice" else 2 ** (self.n * self.m))
+        return self.fields(owner=owner, fn=fn, **{"0": self.protocol_tree(depth - 1),
+                                                  "1": self.protocol_tree(depth - 1)})
+
+    def protocol(self):
+        return self.fields(format="protocol", n=self.n,
+                           gadget=self.fields(kind="index", m=self.m),
+                           tree=self.protocol_tree(self.draw(st.integers(0, 3))))
+
+    def dt_tree(self, depth):
+        if depth == 0 or self.draw(st.integers(0, 2)) == 0:
+            return self.leaf()
+        return self.fields(query=self.index(self.n), **{"0": self.dt_tree(depth - 1),
+                                                        "1": self.dt_tree(depth - 1)})
+
+
+@st.composite
+def _fixture_bytes(draw):
+    """(n, m, the bytes of a fixture file): any format, clean or noisy, nested
+    past the depth cap, or with an undecodable byte."""
+    n, m = draw(st.sampled_from(_SIZES))
+    noisy = draw(st.booleans())
+    r = _Record(draw, n, m, noisy)
+    kind = draw(st.sampled_from(["protocol", "protocol", "randomized_protocol",
+                                 "decision_tree", "outer_function", "deep", "other"]))
+    if kind == "deep":
+        return n, m, _deep_chain(draw(st.sampled_from(["protocol", "decision_tree"])),
+                                 draw(st.sampled_from([33, 3000])))
+    if kind == "protocol":
+        record = r.protocol()
+    elif kind == "randomized_protocol":
+        weights = ["1/2", "1/2"] if not noisy else draw(st.lists(st.sampled_from(
+            ["1", "1/2", "2/3", "1/3", 0, -1, "1/0", "x", 1e309]), min_size=1, max_size=2))
+        record = r.fields(format=kind, components=[
+            r.fields(weight=w, protocol=r.protocol()) for w in weights])
+    elif kind == "decision_tree":
+        record = r.fields(format=kind, n=n, tree=r.dt_tree(draw(st.integers(0, 3))))
+    elif kind == "outer_function":
+        zs = st.lists(st.sampled_from("01"), min_size=n, max_size=n).map("".join)
+        record = r.fields(format=kind, n=n, values={
+            z: r.leaf().get("leaf") for z in draw(st.lists(zs, max_size=3))})
+    else:
+        record = draw(st.one_of(_JUNK, st.just({"format": "protocol"})))
+    raw = json.dumps(record).encode()
+    if r.spoil(5):
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+    return n, m, raw
+
+
+def _exit_code(argv):
+    """main's exit code with its output swallowed; argparse's exit is 2."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            assert e.code == 2, argv
+            return 2
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(fixture=_fixture_bytes())
+def test_fuzz_fixture_exit_codes(fixture):
+    """No fixture file makes refine, simulate, verify or convert exit 1 (a
+    failed invariant) or 4 (an internal error), or raise."""
+    n, m, raw = fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        for command, flags in _FIXTURE_COMMANDS.items():
+            flags = ["--m", str(m)] if command == "convert" else flags
+            code = _exit_code([command, "--fixture", path, *flags])
+            assert code not in (1, 4), (command, raw)
+
+
+# Each subcommand's own flags but --out, which the fuzz sets on the command
+# line.  Left out: --jobs, whose worker processes a fuzz run should not
+# start, and --expect-exact, which asks for exit 1 when the simulation is
+# not exact.
+_FLAGS = {
+    "partition": ["seed", "delta", "count", "coords", "m", "max_support"],
+    "refine": ["budget", "delta", "fixture", "m"],
+    "simulate": ["seed", "budget", "delta", "fixture", "m", "z", "samples", "strict_zpp",
+                 "deficiency_cap", "query_cap"],
+    "verify": ["seed", "budget", "delta", "fixture", "m", "z", "battery", "strict_zpp",
+               "deficiency_cap", "query_cap"],
+    "sweep": ["budget", "delta", "n", "m_list"],
+    "convert": ["budget", "delta", "fixture", "outer", "m", "strict_zpp", "deficiency_cap",
+                "query_cap"],
+}
+# no float with a long exact expansion: a --delta like 1e-300 runs for minutes
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9),
+    st.sampled_from(["1/2", "9/10", "2", "0", "abc", "all", "01", "1", "-1", "nan", "",
+                     "builtin:one-bit", "builtin:bob-first", "builtin:x", "x\u0000",
+                     0.5, 1.5, float("nan"), float("inf")]),
+    st.lists(st.sampled_from([-1, 2, 4, 8, "x"]), max_size=3), st.just({"a": 1}))
+
+
+# a value each flag accepts, so that some objects run to the end
+_GOOD_VALUES = {"seed": [1, 7], "delta": ["1/2", "9/10"], "count": [2], "coords": [1, 3],
+                "m": [2, 4, 8], "max_support": [4, 16], "budget": [100, 2 ** 24],
+                "fixture": ["builtin:one-bit", "builtin:bob-first"], "z": ["all"],
+                "samples": [0, 3], "strict_zpp": [True, False], "deficiency_cap": ["4"],
+                "query_cap": [1, 2], "battery": [1, 2], "n": [1, 2], "m_list": [[4], [2, 4]],
+                "outer": [None]}
+
+
+@st.composite
+def _config_object(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)) if draw(st.integers(0, 4))
+                   else st.one_of(_JUNK, st.sampled_from(["-h", "--help", "nope"])))
+    own = _FLAGS.get(command, []) if isinstance(command, str) else []
+    # a runnable base with small sizes, which the drawn keys then override
+    base = {"count": 2, "battery": 1, "m_list": [4], "fixture": "builtin:one-bit", "seed": 1}
+    conf = {k: v for k, v in base.items() if k in own}
+    keys = draw(st.lists(st.sampled_from(own * 4 + ["out", "config", "no_such_flag", "count"]),
+                         max_size=5, unique=True))
+    for key in keys:
+        good = st.sampled_from(_GOOD_VALUES.get(key, [None]))
+        conf[key] = draw(st.one_of(good, good, _CONFIG_VALUES))
+    return {**conf, "command": command}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(conf=_config_object())
+def test_fuzz_config_exit_codes(conf):
+    """No --config object makes main exit 1 or 4, or raise; --out on the
+    command line keeps reports inside a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(conf, fh)
+        code = _exit_code(["--config", path, "--out", os.path.join(tmp, "out")])
+        assert code not in (1, 4), conf
 
 
 _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

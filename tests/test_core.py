@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim.core import (
     BobCube,
@@ -189,17 +190,17 @@ def test_cube_matches_explicit_small():
     explicit = g.full_Y()
     assert cube.materialize() == explicit.materialize() == frozenset(g.bob_domain())
 
-    c1 = cube.restrict({(1, 2): 1})
-    e1 = explicit.restrict({(1, 2): 1})
+    c1 = cube.split(((1, 2),))["1"]
+    e1 = explicit.split(((1, 2),))["1"]
     assert c1.materialize() == e1.materialize()
     assert c1.size == e1.size
 
-    z0, o1 = c1.split_bit(2, 3)
-    ez, eo = e1.split_bit(2, 3)
+    z0, o1 = c1.split(((2, 3),)).values()
+    ez, eo = e1.split(((2, 3),)).values()
     assert z0.materialize() == ez.materialize() and o1.materialize() == eo.materialize()
 
-    assert c1.restrict({(1, 2): 0}) is None
-    assert e1.restrict({(1, 2): 0}) is None
+    assert c1.split(((1, 2),))["0"] is None
+    assert e1.split(((1, 2),))["0"] is None
 
     assert c1.deficiency() == 2 ** 1
     assert e1.deficiency() == 2 ** 1
@@ -214,7 +215,7 @@ def test_cube_slice_counts_match_explicit():
         pins = {}
         for _ in range(rng.randint(0, 4)):
             pins[(rng.randint(1, n), rng.randint(1, m))] = rng.randint(0, 1)
-        c = cube.restrict(pins)
+        c = cube.split(tuple(pins))["".join(map(str, pins.values()))]
         if c is None:
             continue
         e = ExplicitBobSet(n, m, c.materialize())
@@ -223,6 +224,32 @@ def test_cube_slice_counts_match_explicit():
         assert c.count_slice(xs, z) == e.count_slice(xs, z)
         assert e.count_slice(xs, z) == sum(
             1 for ys in e.materialize() if compose_eval(g, xs, ys) == z)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 2), m=st.sampled_from([2, 4]))
+def test_split_cube_matches_explicit(data, n, m):
+    """cube.split(P) and the explicit set's split(P) agree key by key, the
+    pieces partition Y, and every element of piece s reads s at P."""
+    spots = st.tuples(st.integers(1, n), st.integers(1, m))
+    pins = data.draw(st.dictionaries(spots, st.integers(0, 1), max_size=3))
+    P = tuple(data.draw(st.lists(spots, min_size=1, max_size=3, unique=True)))
+    cube = BobCube(n, m, tuple(pins.items()))
+    explicit = ExplicitBobSet(n, m, cube.materialize())
+    cs, es = cube.split(P), explicit.split(P)
+    keys = ["".join(bits) for bits in itertools.product("01", repeat=len(P))]
+    assert list(cs) == list(es) == keys
+    for s in keys:
+        assert (cs[s] is None) == (es[s] is None)
+        if cs[s] is not None:
+            assert cs[s].materialize() == es[s].materialize()
+            assert cs[s].size == es[s].size
+    pieces = [piece.materialize() for piece in es.values() if piece is not None]
+    assert sum(map(len, pieces)) == explicit.size
+    assert frozenset().union(*pieces) == explicit.materialize()
+    for s, piece in es.items():
+        for ys in (piece.materialize() if piece is not None else ()):
+            assert "".join(str(bit_at(ys[b - 1], p, m)) for b, p in P) == s
 
 
 def test_cube_contains_and_pinned():
