@@ -120,8 +120,9 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
     z = tuple(z)
     if not rho.consistent(z):
         raise DomainError("z is not consistent with rho")
-    if rect.pair_count > pair_budget:
-        raise ResourceError("marginals enumeration", rect.pair_count, pair_budget)
+    pairs = rect.x_size * rect.y_size
+    if pairs > pair_budget:
+        raise ResourceError("marginals enumeration", pairs, pair_budget)
     cap = Fraction(G.n ** 3) if cap is None else as_fraction(cap)
     Y = rect.Y.materialize(pair_budget)
     x_counts = {xs: 0 for xs in rect.X}

@@ -130,9 +130,12 @@ def write_report(out_dir, report, csv_tables):
 
 def _rational(text, flag) -> Fraction:
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"{flag} {text!r} is not a rational number") from None
+    if max(abs(q.numerator), q.denominator) > entropy.RATIONAL_BUDGET:
+        raise DomainError(f"{flag} {text!r}: numerator or denominator > {entropy.RATIONAL_BUDGET}")
+    return q
 
 
 # integer flag -> its least valid value
@@ -142,9 +145,10 @@ _FLAG_MINIMUM = {"coords": 1, "max_support": 1, "budget": 1, "jobs": 1, "m": 1,
 
 def _check_flags(args):
     """The numeric flags, checked once before dispatch: --delta an exact
-    rational in (0, 1), --deficiency-cap a positive one, and the integer
-    flags of _FLAG_MINIMUM at least their minimum.  The two rationals are
-    stored back on args as Fractions."""
+    rational in (0, 1), --deficiency-cap a positive one, both with numerator
+    and denominator at most entropy.RATIONAL_BUDGET, and the integer flags of
+    _FLAG_MINIMUM at least their minimum.  The two rationals are stored back
+    on args as Fractions."""
     args.delta = _rational(args.delta, "--delta")
     if not 0 < args.delta < 1:
         raise DomainError(f"--delta must lie in (0, 1), got {args.delta}")
@@ -300,14 +304,15 @@ def cmd_verify(args):
         t_z = sim.simulate_exact(rp, z, cfg).transcripts
         t_true = analysis.true_transcript_dist(rp, z, pair_budget=args.budget)
         tv = analysis.tv_distance(t_z, t_true)
-        # reported, not asserted: at desk scale the walk can reach a leaf
-        # whose rectangle misses the slice, as it can err in tv
-        sup = analysis.support_check(t_z, t_true)
+        if not analysis.support_check(t_z, t_true):
+            raise Violation("one-sided support",
+                            f"z={zs}: simulator emits a transcript the slice "
+                            f"never produces", seed=args.seed)
         if args.expect_exact and tv != 0:
             raise Violation("exact-simulation expectation",
                             f"z={zs}: TV = {tv} != 0 for {args.fixture}",
                             seed=args.seed)
-        per_z[zs] = {"tv": rat(tv), "support_check": sup,
+        per_z[zs] = {"tv": rat(tv), "support_check": True,
                      "bot_mass": rat(t_z.prob(BOT))}
     marg_rows = []
     for idx in range(args.battery):

@@ -211,13 +211,15 @@ class PartialAssignment:
         return PartialAssignment(out)
 
 
-# --- Bob sets: a BobCube or an ExplicitBobSet, with one interface; every
-# operation that can come out empty returns None for the empty set.  `split`
-# is the one way Bob's set is cut, at distinct in-range (block, pos) pairs. ---
+# --- Bob sets: a BobCube or an ExplicitBobSet, with one interface; `split` is
+# the one way to cut them, and an empty result is None, not an empty set. ---
 
-def _bit_strings(k: int) -> list:
-    """The 2^k bit strings of length k, ascending ("0...0" first)."""
-    return ["".join(bits) for bits in itertools.product("01", repeat=k)]
+def _split_keys(positions, n, m) -> list:
+    """A split's keys, ascending ("0...0" first); refuses repeated or out-of-range pairs."""
+    if len(set(positions)) < len(positions) or not all(
+            1 <= blk <= n and 1 <= pos <= m for blk, pos in positions):
+        raise DomainError(f"split positions {positions} repeat or fall out of range")
+    return ["".join(bits) for bits in itertools.product("01", repeat=len(positions))]
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ class BobCube:
         to the subcube reading s there, or None; in closed form."""
         pins = dict(self.fixed)
         out = {}
-        for s in _bit_strings(len(positions)):
+        for s in _split_keys(positions, self.n, self.m):
             new = tuple(zip(positions, map(int, s)))
             out[s] = (BobCube(self.n, self.m, self.fixed + new)
                       if all(pins.get(key, b) == b for key, b in new) else None)
@@ -308,14 +310,15 @@ class ExplicitBobSet:
     def split(self, positions) -> dict:
         """Y cut at (block, pos) pairs: each bit string s over them, ascending,
         to the elements reading s there, or None; one pass over the elements."""
+        keys = _split_keys(positions, self.n, self.m)
         shifts = [(blk - 1, self.m - pos) for blk, pos in positions]
-        groups = [[] for _ in range(2 ** len(shifts))]
+        groups = [[] for _ in keys]
         for ys in self.ys:
             key = 0
             for i, shift in shifts:
                 key = key << 1 | (ys[i] >> shift) & 1
             groups[key].append(ys)
-        return {s: self._subset(g) for s, g in zip(_bit_strings(len(shifts)), groups)}
+        return {s: self._subset(g) for s, g in zip(keys, groups)}
 
     def split_fn(self, fn):
         """(elements fn maps to 0, the rest), one call of fn per element."""
@@ -361,14 +364,6 @@ class Rect:
     @property
     def y_size(self) -> int:
         return self.Y.size
-
-    @property
-    def pair_count(self) -> int:
-        return self.x_size * self.y_size
-
-    @property
-    def is_empty(self) -> bool:
-        return self.x_size == 0 or self.y_size == 0
 
 
 @dataclass(frozen=True)
@@ -458,7 +453,7 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
     anything), so once X is constant on fix(rho) it reduces to Y pinning the
     pointed-to bit of each fixed block.
     """
-    if rect.is_empty:
+    if not rect.x_size or not rect.y_size:
         raise DomainError("is_structured needs a nonempty rectangle")
     if rho.n != G.n:
         raise DomainError("rho arity mismatch")
@@ -469,7 +464,6 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
             return False
     if not entropy.is_blockwise_dense(entropy.SetVar(rect.X, (G.m,) * G.n, rho.free), delta):
         return False
-    # on block i, every y must carry bit rho_i at the position X points to
-    held = rect.Y.split(tuple((i, rep[i - 1]) for i in fix))[
-        "".join(str(rho.value(i)) for i in fix)]
-    return held is not None and held.size == rect.Y.size
+    # on block i, every y must carry bit rho_i at the position X points to:
+    # the piece of Y reading the other bit there is empty
+    return all(rect.Y.split(((i, rep[i - 1]),))[str(1 - rho.value(i))] is None for i in fix)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import DomainError, ResourceError
 
 SUBSET_BUDGET = 2 ** 20  # cap on the number of enumerated coordinate subsets
+RATIONAL_BUDGET = 10 ** 4  # cap on p and q of a given rate p/q; exact tests raise to them
 
 
 def as_fraction(x) -> Fraction:

@@ -250,6 +250,11 @@ def test_split_cube_matches_explicit(data, n, m):
     for s, piece in es.items():
         for ys in (piece.materialize() if piece is not None else ()):
             assert "".join(str(bit_at(ys[b - 1], p, m)) for b, p in P) == s
+    # both types refuse a pair out of range, or repeated, the same way
+    bad = data.draw(st.sampled_from([(0, 1), (n + 1, 1), (1, 0), (1, m + 1), P[0]]))
+    for Y in (cube, explicit):
+        with pytest.raises(DomainError, match="repeat or fall out of range"):
+            Y.split(P + (bad,))
 
 
 def test_cube_contains_and_pinned():
