@@ -10,6 +10,7 @@ compared through squared or integer-powered forms.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .core import (
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
     Rect,
+    bit_at,
     compose_eval,
     is_structured,
     iter_slice,
@@ -30,7 +32,7 @@ from .protocol import (
     DecisionTree,
     RandomizedDecisionTree,
     RefinedProtocol,
-    dt_eval,
+    run_protocol,
     run_refined,
 )
 from .simulate import ExactDist
@@ -62,11 +64,8 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
     if method == "enumerate":
         if total > pair_budget:
             raise ResourceError("slice replay", total, pair_budget)
-        counts = {}
-        for xs, ys in iter_slice(G, z):
-            t, _ = run_refined(rp, xs, ys)
-            counts[t] = counts.get(t, 0) + 1
-        return ExactDist.from_counts(counts)
+        return ExactDist.from_counts(
+            Counter(run_refined(rp, xs, ys)[0] for xs, ys in iter_slice(G, z)))
     if method != "count":
         raise DomainError(f"unknown method {method!r}")
     counts = {}
@@ -153,8 +152,6 @@ class GadgetMatrix:
     m: int
 
     def entry(self, x: int, y: int) -> int:
-        from .core import bit_at
-
         return -1 if bit_at(y, x, self.m) else 1
 
     def rows_pairwise_orthogonal(self) -> bool:
@@ -266,29 +263,17 @@ def dt_error(T, f) -> Fraction:
         T = RandomizedDecisionTree(T.n, [(Fraction(1), T)])
     if T.n != f.n:
         raise DomainError("arity mismatch between tree and outer function")
-    worst = Fraction(0)
-    for z in f.defined():
-        err = Fraction(0)
-        for w, t in T.components:
-            v, _ = dt_eval(t, z)
-            if v != f(z):
-                err += w
-        worst = max(worst, err)
-    return worst
+    return max((sum((p for v, p in T.output_dist(z).items() if v != f(z)), Fraction(0))
+                for z in f.defined()), default=Fraction(0))
 
 
 def source_transcript_dist(rp: RefinedProtocol, z,
                            pair_budget: int = PAIR_BUDGET_DEFAULT) -> ExactDist:
     """Distribution of the unrefined protocol's transcripts on the slice;
     the projection of true_transcript_dist must coincide with it."""
-    from .protocol import run_protocol
-
     G = rp.G
     total = slice_count(G, z)
     if total > pair_budget:
         raise ResourceError("slice replay", total, pair_budget)
-    counts = {}
-    for xs, ys in iter_slice(G, z):
-        t, _ = run_protocol(rp.source, xs, ys)
-        counts[t] = counts.get(t, 0) + 1
-    return ExactDist.from_counts(counts)
+    return ExactDist.from_counts(
+        Counter(run_protocol(rp.source, xs, ys)[0] for xs, ys in iter_slice(G, z)))

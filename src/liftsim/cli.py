@@ -90,7 +90,7 @@ def dist_record(d) -> list:
 def load_cli_fixture(spec_str: str, m: int | None, kinds):
     """A fixture path, or builtin:one-bit / builtin:bob-first (sized by m),
     that loads as one of the classes in the tuple `kinds`; any other kind is a
-    DomainError."""
+    DomainError, as is an m other than a protocol's own."""
     if spec_str.startswith("builtin:"):
         name = spec_str.split(":", 1)[1]
         build = {"one-bit": fixtures.one_bit_fixture,
@@ -103,6 +103,8 @@ def load_cli_fixture(spec_str: str, m: int | None, kinds):
     if not isinstance(obj, kinds):
         raise DomainError(f"{spec_str} holds {type(obj).__name__}, not "
                           + " or ".join(k.__name__ for k in kinds))
+    if m is not None and hasattr(obj, "G") and m != obj.G.m:
+        raise DomainError(f"--m {m} differs from m={obj.G.m} in {spec_str}")
     return obj
 
 
@@ -471,13 +473,13 @@ def cmd_convert(args):
         if args.m is None:
             raise DomainError("--m is required to lift a decision tree")
         G = fixtures.instance(obj.n, args.m)
+        pairs = G.alice_size * G.bob_size
+        if pairs > args.budget:
+            raise ResourceError("conversion output agreement", pairs, args.budget)
         pt = dt_to_protocol(obj, G)
         expected = obj.depth * (G.log_m + 1)
         if pt.cost != expected:
             raise Violation("conversion cost", f"{pt.cost} != {expected}")
-        pairs = G.alice_size * G.bob_size
-        if pairs > args.budget:
-            raise ResourceError("conversion output agreement", pairs, args.budget)
         for xs in G.alice_domain():
             for ys in G.bob_domain():
                 if run_protocol(pt, xs, ys)[1] != dt_eval(obj, compose_eval(G, xs, ys))[0]:
@@ -493,8 +495,7 @@ def cmd_convert(args):
         if outer is not None:
             report["round_trip_error"] = rat(analysis.dt_error(back, outer))
     else:
-        PI = obj if isinstance(obj, RandomizedProtocol) else RandomizedProtocol.point(obj)
-        rdt = sim.protocol_to_dt(PI, _sim_config(args), pair_budget=args.budget)
+        rdt = sim.protocol_to_dt(obj, _sim_config(args), pair_budget=args.budget)
         report["direction"] = "protocol->decision_tree"
         report["components"] = len(rdt.components)
         report["depth"] = rdt.depth
@@ -617,6 +618,15 @@ def _apply_config_file(parser, argv):
     return parser.parse_args(rebuilt + rest)
 
 
+def _print_report(report):
+    """The report on stdout; a reader that closed it early changes no exit code."""
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit, which would raise anew
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -632,7 +642,7 @@ def main(argv=None) -> int:
     except Violation as e:
         report = {"command": args.command, "violation": e.invariant,
                   "detail": e.detail, "reproduce_with_seed": e.seed}
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _print_report(report)
         print(f"FAILED {e.invariant}: {e.detail}"
               + (f" (seed {e.seed})" if e.seed is not None else ""),
               file=sys.stderr)
@@ -646,7 +656,7 @@ def main(argv=None) -> int:
     except Exception as e:  # exit 1 is kept for genuine invariant failures
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _print_report(report)
     return EXIT_OK
 
 

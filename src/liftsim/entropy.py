@@ -249,32 +249,20 @@ def violation_threshold(size: int, k: int, delta: Fraction, m: int) -> int:
 
 
 def _choose_violating_set(coords, violating):
-    """Deterministic maximal set among the violating subsets (frozensets of
-    coords); empty if there are none.
+    """A deterministic maximal set among the violating subsets (frozensets of
+    the ascending coords); empty if there are none.
 
-    Maximality must be genuine (no violating superset at all): a one-step
-    greedy can stall below a violating superset, which would break the
-    partition lemma.  Grow from the smallest violating singleton, at each
-    step committing to the smallest coordinate that still lies inside some
-    violating superset; if only multi-coordinate sets violate (e.g. diagonal
-    sets), fall back to the lexicographically smallest maximal violating set.
+    The pool is every violating set that contains the smallest violating
+    singleton, or every violating set when no singleton violates (e.g.
+    diagonal sets).  The choice is the set in the pool whose membership
+    vector over coords is lexicographically largest.  It is genuinely
+    maximal, as the partition lemma needs: a violating strict superset would
+    contain the singleton too and have a larger vector.  On the maximal sets,
+    an antichain, the largest vector is the smallest sorted tuple.
     """
-    if not violating:
-        return ()
-    singles = sorted(i for I in violating if len(I) == 1 for i in I)
-    if singles:
-        I = frozenset({singles[0]})
-        while True:
-            grown = False
-            for j in sorted(set(coords) - I):
-                if any(T >= I | {j} for T in violating):
-                    I = I | {j}
-                    grown = True
-                    break
-            if not grown:
-                return tuple(sorted(I))
-    maximal = [I for I in violating if not any(T > I for T in violating)]
-    return tuple(sorted(min(maximal, key=lambda I: tuple(sorted(I)))))
+    singles = [i for I in violating if len(I) == 1 for i in I]
+    pool = [I for I in violating if min(singles) in I] if singles else violating
+    return tuple(sorted(max(pool, key=lambda I: [c in I for c in coords], default=())))
 
 
 def _key(pos):

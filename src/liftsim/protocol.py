@@ -21,6 +21,7 @@ from .core import (
     ComposedInstance,
     ExplicitBobSet,
     GadgetSpec,
+    OuterFunction,
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
     Rect,
@@ -193,12 +194,12 @@ def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) ->
 
 # --- decision trees ---
 
-@dataclass
+@dataclass(frozen=True)
 class DLeaf:
     value: object  # 0, 1, or BOT
 
 
-@dataclass
+@dataclass(frozen=True)
 class DQuery:
     coord: int
     zero: object
@@ -259,10 +260,6 @@ class RandomizedProtocol:
             if t.G != G:
                 raise DomainError("mixture components must share the input domain")
         self.G = G
-
-    @classmethod
-    def point(cls, pt: ProtocolTree) -> "RandomizedProtocol":
-        return cls([(Fraction(1), pt)])
 
 
 class RandomizedDecisionTree:
@@ -604,8 +601,6 @@ def load_fixture(path_or_obj):
     """Parse a protocol / randomized protocol / decision tree / outer function
     from a dict or a JSON file path.  A malformed record raises DomainError
     naming its source."""
-    from .core import OuterFunction
-
     if isinstance(path_or_obj, dict):
         d, source = path_or_obj, "record"
     else:

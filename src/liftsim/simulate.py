@@ -21,6 +21,8 @@ trees.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,23 +356,11 @@ def ledger_check(outcome: SimOutcome, delta) -> bool:
 
 
 def _merge_components(components):
+    """Sum the weights of equal trees, in first-occurrence order."""
     merged = {}
-    order = []
-
-    def key(node):
-        if isinstance(node, DLeaf):
-            v = node.value
-            return ("L", "bot" if v is BOT else v)
-        return ("Q", node.coord, key(node.zero), key(node.one))
-
     for w, root in components:
-        k = key(root)
-        if k in merged:
-            merged[k] = (merged[k][0] + w, merged[k][1])
-        else:
-            merged[k] = (w, root)
-            order.append(k)
-    return [merged[k] for k in order]
+        merged[root] = merged.get(root, 0) + w
+    return [(w, root) for root, w in merged.items()]
 
 
 def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
@@ -406,16 +396,10 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
         mixture of query chains over coords."""
         if not coords:
             return per_s[""]
-        combos = [(Fraction(1), {})]
-        for s in sorted(per_s):
-            nxt = []
-            for w, chosen in combos:
-                for ws, ts in per_s[s]:
-                    if len(nxt) > COMPONENT_BUDGET:
-                        raise ResourceError("decision-tree realization",
-                                            len(nxt), COMPONENT_BUDGET)
-                    nxt.append((w * ws, {**chosen, s: ts}))
-            combos = nxt
+        answers = sorted(per_s)
+        size = math.prod(len(per_s[s]) for s in answers)
+        if size > COMPONENT_BUDGET:
+            raise ResourceError("decision-tree realization", size, COMPONENT_BUDGET)
 
         def chain(coords_left, prefix, chosen):
             if not coords_left:
@@ -425,8 +409,11 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
                           chain(coords_left[1:], prefix + "0", chosen),
                           chain(coords_left[1:], prefix + "1", chosen))
 
+        # the first answer varies slowest
         return _merge_components(
-            [(w, chain(coords, "", chosen)) for w, chosen in combos]
+            [(math.prod(w for w, _ in combo),
+              chain(coords, "", dict(zip(answers, (t for _, t in combo)))))
+             for combo in itertools.product(*(per_s[s] for s in answers))]
         )
 
     for w, pt in components:

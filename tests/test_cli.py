@@ -17,7 +17,14 @@ from liftsim import cli
 from liftsim.analysis import dt_error
 from liftsim.cli import main
 from liftsim.entropy import RATIONAL_BUDGET
-from liftsim.fixtures import instance, third_error_mixture, xor_decision_tree, xor_outer
+from liftsim.fixtures import (
+    instance,
+    one_bit_fixture,
+    random_protocol,
+    third_error_mixture,
+    xor_decision_tree,
+    xor_outer,
+)
 from liftsim.protocol import (
     ALICE,
     BOB,
@@ -532,6 +539,73 @@ def test_unwritable_out_exit2(tmp_path, capsys):
     code, out, err = run(capsys, "refine", "--fixture", "builtin:one-bit", "--m", "2",
                          "--out", str(path))
     assert code == 2 and "config error" in err and out == ""
+
+
+def test_convert_budget_precedes_lift(tmp_path, capsys, monkeypatch):
+    """convert refuses a decision tree whose lift is over budget before it
+    lifts it: dt_to_protocol lists m^n tuples per Alice node."""
+    def boom(T, G):
+        raise RuntimeError("lifted before the budget check")
+
+    monkeypatch.setattr(cli, "dt_to_protocol", boom)
+    path = _write_fixture(tmp_path, "dt.json", _one_query_tree())
+    code, out, err = run(capsys, "convert", "--fixture", path, "--m", "64")
+    assert code == 3 and out == ""
+    assert f"needs {64 * 2 ** 64} but budget is {2 ** 24};" in err
+
+
+@pytest.mark.parametrize("command, flags, record", [
+    ("refine", [], "protocol"),
+    ("simulate", ["--samples", "2", "--seed", "1"], "protocol"),
+    ("verify", ["--seed", "1", "--battery", "0"], "protocol"),
+    ("convert", [], "protocol"),
+    ("convert", [], "mixture"),
+])
+@pytest.mark.parametrize("m, code", [(2, 0), (4, 2)])
+def test_m_must_match_protocol_file(tmp_path, capsys, command, flags, record, m, code):
+    """--m with a protocol or randomized-protocol file must equal the file's
+    own m; it used to be ignored and written into the report's config."""
+    text = json.dumps(_mixture_record() if record == "mixture"
+                      else protocol_to_dict(one_bit_fixture(2)))
+    path = _write_fixture(tmp_path, "f.json", text)
+    got, out, err = run(capsys, command, "--fixture", path, "--m", str(m), *flags)
+    assert got == code
+    if code == 2:
+        assert "config error: --m 4" in err and out == ""
+
+
+def _cli_process(args, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.Popen([sys.executable, "-m", "liftsim.cli", *args], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_keeps_exit_code(tmp_path, capsys):
+    """A reader that closes stdout after one byte leaves exit 0 and an empty
+    stderr.  The report overflows the pipe, so the close always comes first."""
+    pt = random_protocol(random.Random(3), instance(2, 4), 6)
+    path = _write_fixture(tmp_path, "f.json", json.dumps(protocol_to_dict(pt)))
+    code, out, _ = run(capsys, "simulate", "--fixture", path)
+    assert code == 0 and len(out) > 3 * 2 ** 16
+    proc = _cli_process(["simulate", "--fixture", path], subprocess.PIPE)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_closed_stdout_keeps_violation_exit_code():
+    """A Violation's report meeting a closed stdout still exits 1 with just
+    the FAILED line on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli_process(["verify", "--fixture", "builtin:bob-first", "--m", "2",
+                         "--expect-exact", "--seed", "3", "--battery", "5"], write_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode().startswith("FAILED exact-simulation expectation")
+    assert "Traceback" not in err.decode() and err.count(b"\n") == 1
 
 
 # --- fuzzing the exit-code contract: a bad input is exit 2, never 1 or 4 ---

@@ -259,6 +259,40 @@ def test_violation_threshold_exact_boundary(m, delta, k, size, T):
     assert cmp_pow(Fraction(T + 1, size), m, -delta * k) > 0
 
 
+@pytest.mark.parametrize("violating, chosen", [
+    ([{1, 2}, {2, 3}], (1, 2)),
+    ([{3}, {1, 3}, {2, 3, 4}], (1, 3)),
+    ([{1, 3}, {2}], (2,)),
+    ([{1, 2}, {1, 4}, {2, 3}], (1, 2)),
+    ([{2}, {2, 4}, {1, 2, 3}, {3}], (1, 2, 3)),
+    ([], ()),
+])
+def test_choose_violating_set_pinned(violating, chosen):
+    violating = [frozenset(I) for I in violating]
+    assert entropy._choose_violating_set((1, 2, 3, 4), violating) == chosen
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_choose_violating_set_is_maximal(data):
+    """The choice is a violating set, holds the smallest violating singleton
+    if there is one, and has no violating strict superset."""
+    coords = tuple(range(1, data.draw(st.integers(1, 5)) + 1))
+    subsets = [frozenset(I) for r in range(1, len(coords) + 1)
+               for I in itertools.combinations(coords, r)]
+    violating = data.draw(st.lists(st.sampled_from(subsets), unique=True))
+    chosen = entropy._choose_violating_set(coords, violating)
+    assert chosen == tuple(sorted(chosen))
+    if not violating:
+        assert chosen == ()
+        return
+    I = frozenset(chosen)
+    assert I in violating
+    singles = [i for T in violating if len(T) == 1 for i in T]
+    assert not singles or min(singles) in I
+    assert not any(T > I for T in violating)
+
+
 def test_partition_covers_disjointly():
     rng = random.Random(11)
     for _ in range(60):

@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftsim import simulate
 from liftsim.core import BOT, ComposedInstance, GadgetSpec, PartialAssignment, Rect
 from liftsim.entropy import cmp_pow
-from liftsim.errors import DomainError
+from liftsim.errors import DomainError, ResourceError
 from liftsim.fixtures import (
     bob_first_fixture,
     instance,
@@ -321,10 +322,25 @@ def test_protocol_to_dt_matches_exact_values_randomly():
         cfg = SimConfig(strict_zpp=bool(rng.getrandbits(1)),
                         query_cap=rng.choice([None, 1, 2]))
         rdt = protocol_to_dt(pt, cfg)
+        trees = [t.root for _, t in rdt.components]
+        assert len(set(trees)) == len(trees)
+        assert sum(w for w, _ in rdt.components) == 1
         rp = refine(pt, cfg.delta)
         for z in [(0,) * n, (1,) * n]:
             sim = simulate_exact(rp, z, cfg)
             assert rdt.output_dist(z) == dict(sim.values.items())
+
+
+def test_protocol_to_dt_component_budget(monkeypatch):
+    """The largest answer tensor of this protocol's walk has 16 combinations:
+    refused one below that budget, built at it."""
+    pt = random_protocol(random.Random(1), instance(2, 2), 3)
+    monkeypatch.setattr(simulate, "COMPONENT_BUDGET", 15)
+    with pytest.raises(ResourceError) as exc:
+        protocol_to_dt(pt, CFG)
+    assert exc.value.required == 16
+    monkeypatch.setattr(simulate, "COMPONENT_BUDGET", 16)
+    assert len(protocol_to_dt(pt, CFG).components) == 16
 
 
 def test_protocol_to_dt_respects_query_cap_depth():
