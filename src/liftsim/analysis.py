@@ -44,9 +44,12 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
     """Exact distribution of refined transcripts on a uniform slice input.
 
     method "enumerate" replays the protocol on every slice element; "count"
-    tallies |slice ∩ leaf rectangle| per leaf (closed-form on cube Bob sets).
-    "auto" picks the cheaper exact route.  Both agree; the enumeration is the
-    independent oracle and stays available at small scale.
+    reads |slice ∩ leaf rectangle| from each leaf's `slice_counts`, which
+    holds every z's count, is computed on the leaf's first use (closed form
+    on cube Bob sets) and is shared by the calls for all z.  "auto" picks the
+    cheaper exact route, charging the count route `slice_counts_cost` per
+    leaf row.  Both agree; the enumeration is the independent oracle and
+    stays available at small scale.
     """
     G = rp.G
     z = tuple(z)
@@ -55,7 +58,7 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
         raise DomainError(f"slice of z={z} is empty")
     leaves = rp.leaves()
     if method == "auto":
-        count_cost = sum(len(leaf.rect.X) * leaf.rect.Y.count_slice_cost
+        count_cost = sum(len(leaf.rect.X) * leaf.rect.Y.slice_counts_cost
                          for _, leaf in leaves)
         method = "count" if count_cost < total else "enumerate"
         if min(count_cost, total) > pair_budget:
@@ -71,7 +74,7 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
     counts = {}
     covered = 0
     for t, leaf in leaves:
-        c = sum(leaf.rect.Y.count_slice(xs, z) for xs in leaf.rect.X)
+        c = leaf.slice_counts.get(z, 0)
         if c:
             counts[t] = counts.get(t, 0) + c
             covered += c

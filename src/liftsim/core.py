@@ -10,6 +10,7 @@ returns bit x of y under that order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,7 +127,10 @@ class ComposedInstance:
     def bob_domain(self):
         return itertools.product(range(2 ** self.m), repeat=self.n)
 
-    def full_X(self) -> frozenset:
+    def full_X(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
+        """The Alice domain; refused when its m^n tuples exceed the budget."""
+        if self.alice_size > pair_budget:
+            raise ResourceError("Alice domain", self.alice_size, pair_budget)
         return frozenset(self.alice_domain())
 
     def full_Y(self, pair_budget: int = PAIR_BUDGET_DEFAULT):
@@ -227,13 +231,15 @@ class BobCube:
     """A subcube of Bob's domain: some (block, position) bits pinned.
 
     The large-m representation (sweeps reach 2^32 strings per block).  Bit
-    pinning is exactly what single-bit announcements and pointer fixing do."""
+    pinning is exactly what single-bit announcements and pointer fixing do,
+    and it keeps slice counting closed form: one pin-pattern lookup per row
+    of X, whatever |Y|."""
 
     n: int
     m: int
     fixed: tuple  # sorted ((block, pos), bit)
 
-    count_slice_cost = 1  # count_slice is closed form
+    slice_counts_cost = 1  # per row of X: slice_counts looks up its pin pattern
 
     def __post_init__(self):
         pins = {}
@@ -267,13 +273,22 @@ class BobCube:
         whose log2 it is: 2 to the pinned-bit count."""
         return Fraction(2 ** len(self.fixed))
 
-    def count_slice(self, xs, z) -> int:
-        """|{y in Y : g(xs_i, y_i) = z_i for all i}| without enumerating."""
+    def slice_counts(self, X) -> dict:
+        """{z: |{(xs, y) in X x Y : G(xs, y) = z}|} over every z at once, in
+        closed form.  X is tallied by pin pattern: per block, the bit Y pins
+        where xs points, or None.  A row of a pattern with f unpinned blocks
+        meets the slice of each of the 2^f z agreeing with its pins in
+        2^(nm - |pins| - f) strings: z fixes the f pointed-to bits."""
         pins = dict(self.fixed)
-        for blk, (x, b) in enumerate(zip(xs, z), start=1):
-            if pins.setdefault((blk, x), b) != b:
-                return 0
-        return 2 ** (self.n * self.m - len(pins))
+        patterns = Counter(tuple(pins.get((blk, x)) for blk, x in enumerate(xs, 1))
+                           for xs in X)
+        free_bits = self.n * self.m - len(pins)
+        out = Counter()
+        for pattern, k in patterns.items():
+            share = k << (free_bits - pattern.count(None))
+            for z in itertools.product(*((0, 1) if b is None else (b,) for b in pattern)):
+                out[z] += share
+        return out
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
         if self.size > pair_budget:
@@ -286,7 +301,10 @@ class BobCube:
 
 @dataclass(frozen=True)
 class ExplicitBobSet:
-    """An explicit set of Bob inputs: n-tuples of m-bit strings."""
+    """An explicit set of Bob inputs: n-tuples of m-bit strings.
+
+    Its cuts and slice counts read every element, so slice counting costs
+    |Y| per row of X."""
 
     n: int
     m: int
@@ -299,7 +317,7 @@ class ExplicitBobSet:
     def size(self) -> int:
         return len(self.ys)
 
-    count_slice_cost = size  # count_slice scans every element
+    slice_counts_cost = size  # per row of X: slice_counts reads every element
 
     def contains(self, ys) -> bool:
         return tuple(ys) in self.ys
@@ -332,11 +350,12 @@ class ExplicitBobSet:
             raise DomainError("deficiency of an empty set")
         return Fraction(2 ** (self.n * self.m), len(self.ys))
 
-    def count_slice(self, xs, z) -> int:
-        """|{y in Y : g(xs_i, y_i) = z_i for all i}| by a scan."""
+    def slice_counts(self, X) -> dict:
+        """{z: |{(xs, ys) in X x Y : G(xs, ys) = z}|} over every z at once:
+        one tally of the bits xs points to, over every pair."""
         m = self.m
-        return sum(1 for ys in self.ys
-                   if all(bit_at(y, x, m) == b for x, y, b in zip(xs, ys, z)))
+        return Counter(tuple((y >> (m - x)) & 1 for x, y in zip(xs, ys))
+                       for xs in X for ys in self.ys)
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
         return self.ys

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import entropy
@@ -188,7 +189,7 @@ def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) ->
             walk(node.zero, t + (0,), X, y0)
             walk(node.one, t + (1,), X, y1)
 
-    walk(pt.root, (), G.full_X(), _root_bob_set(pt, pair_budget))
+    walk(pt.root, (), G.full_X(pair_budget), _root_bob_set(pt, pair_budget))
     return out
 
 
@@ -325,6 +326,12 @@ class RLeaf:
     potential: Fraction   # 2^(|free| log m) / |X|: log2 is D(X) on the free blocks
     def_y: Fraction       # Y.deficiency(): log2 is D(Y)
 
+    @cached_property
+    def slice_counts(self) -> dict:
+        """{z: |G^-1(z) ∩ rect|}, computed on first use and kept: refinement
+        does not depend on z, so every z's count oracle shares one pass."""
+        return self.rect.Y.slice_counts(self.rect.X)
+
 
 @dataclass
 class RPart:
@@ -452,7 +459,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
                                    _potential(dp.support, free, k)))
         return RAlice(rect, rho, v.fn, branches, pot, defy)
 
-    root = build(pt.root, G.full_X(), _root_bob_set(pt, pair_budget),
+    root = build(pt.root, G.full_X(pair_budget), _root_bob_set(pt, pair_budget),
                  PartialAssignment.free_everywhere(G.n))
     return RefinedProtocol(G, delta, root, pt)
 

@@ -35,6 +35,7 @@ from liftsim.fixtures import (
     instance,
     one_bit_fixture,
     random_protocol,
+    sweep_family,
     xor_decision_tree,
     xor_outer,
 )
@@ -84,6 +85,23 @@ def test_true_dist_methods_agree(proto_seed, shape, depth):
         b = true_transcript_dist(rp, z, method="count")
         assert a == b
         assert sum(p for _, p in a.items()) == 1
+
+
+@pytest.mark.parametrize("pt", [
+    *(pt for _, pt in sweep_family(2, 4)),
+    random_protocol(random.Random(5), instance(2, 2), 4),
+], ids=[*(name for name, _ in sweep_family(2, 4)), "random-table"])
+def test_count_memo_shared_across_z(pt):
+    """Each leaf keeps its slice counts for every z: asking one refined
+    protocol for all z in reversed, repeated order gives what a fresh
+    refinement per z gives, and what the enumerate route gives."""
+    zs = list(itertools.product((0, 1), repeat=2))
+    fresh = {z: true_transcript_dist(refine(pt, D), z, method="count") for z in zs}
+    shared = refine(pt, D)
+    for z in zs[::-1] + zs:
+        assert true_transcript_dist(shared, z, method="count") == fresh[z]
+    for z in zs:
+        assert fresh[z] == true_transcript_dist(shared, z, method="enumerate")
 
 
 def test_true_dist_projects_to_source_transcripts():

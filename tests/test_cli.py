@@ -173,6 +173,20 @@ def test_budget_binds_every_command_exit3(tmp_path, capsys, command, make, flags
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("refine", []), ("simulate", ["--seed", "1"]), ("verify", ["--seed", "1"]),
+])
+def test_budget_bounds_alice_domain_exit3(tmp_path, capsys, command, flags):
+    """Alice's m^n tuples are refused before they are listed: a leaf-only
+    protocol at n=16, m=2 has 65536 of them."""
+    path = _write_fixture(tmp_path, "leaf.json", json.dumps(
+        {"format": "protocol", "n": 16, "gadget": {"kind": "index", "m": 2},
+         "tree": {"leaf": 0}}))
+    code, out, err = run(capsys, command, "--fixture", path, "--budget", "10", *flags)
+    assert code == 3 and out == ""
+    assert "Alice domain: needs 65536 but budget is 10;" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -221,9 +222,31 @@ def test_cube_slice_counts_match_explicit():
         e = ExplicitBobSet(n, m, c.materialize())
         xs = tuple(rng.randint(1, m) for _ in range(n))
         z = tuple(rng.randint(0, 1) for _ in range(n))
-        assert c.count_slice(xs, z) == e.count_slice(xs, z)
-        assert e.count_slice(xs, z) == sum(
+        counts = c.slice_counts({xs})
+        assert counts == e.slice_counts({xs}) == _brute_slice_counts(g, {xs}, e.materialize())
+        assert counts.get(z, 0) == sum(
             1 for ys in e.materialize() if compose_eval(g, xs, ys) == z)
+
+
+def _brute_slice_counts(g, X, Ys) -> dict:
+    return dict(Counter(compose_eval(g, xs, ys) for xs in X for ys in Ys))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 2), m=st.sampled_from([2, 4]))
+def test_slice_counts_cube_explicit_brute(data, n, m):
+    """A cube's closed-form slice_counts, the explicit set's tally and a brute
+    tally of G over X x Y agree on every z, and sum to |X| * |Y|."""
+    spots = st.tuples(st.integers(1, n), st.integers(1, m))
+    pins = data.draw(st.dictionaries(spots, st.integers(0, 1), max_size=2 * n))
+    rows = st.tuples(*[st.integers(1, m)] * n)
+    X = data.draw(st.frozensets(rows, max_size=m ** n))
+    cube = BobCube(n, m, tuple(pins.items()))
+    Ys = cube.materialize()
+    counts = cube.slice_counts(X)
+    assert counts == ExplicitBobSet(n, m, Ys).slice_counts(X)
+    assert counts == _brute_slice_counts(G(n, m), X, Ys)
+    assert sum(counts.values()) == len(X) * len(Ys)
 
 
 @settings(max_examples=200, deadline=None, database=None)

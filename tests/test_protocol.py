@@ -157,8 +157,8 @@ def test_root_bob_set_one_rule():
     Bob map is a bit readout, whatever the budget; else the explicit domain,
     refused when its 2^(nm) tuples exceed the budget."""
     readouts = bob_first_fixture(4)
-    assert isinstance(refine(readouts, D, pair_budget=1).root.rect.Y, BobCube)
-    assert isinstance(leaf_rectangles(readouts, pair_budget=1)[(0, 1)].Y, BobCube)
+    assert isinstance(refine(readouts, D, pair_budget=4).root.rect.Y, BobCube)
+    assert isinstance(leaf_rectangles(readouts, pair_budget=4)[(0, 1)].Y, BobCube)
     g = G(1, 4)
     table = ProtocolTree(g, PNode(BOB, TableFn({ys: ys[0] & 1 for ys in g.bob_domain()}),
                                   PLeaf(0), PLeaf(1)))
