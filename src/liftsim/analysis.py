@@ -46,10 +46,12 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
     method "enumerate" replays the protocol on every slice element; "count"
     reads |slice ∩ leaf rectangle| from each leaf's `slice_counts`, which
     holds every z's count, is computed on the leaf's first use (closed form
-    on cube Bob sets) and is shared by the calls for all z.  "auto" picks the
-    cheaper exact route, charging the count route `slice_counts_cost` per
-    leaf row.  Both agree; the enumeration is the independent oracle and
-    stays available at small scale.
+    on cube Bob sets) and is shared by the calls for all z.  "auto" counts
+    whenever the count's cost, `slice_counts_cost` per leaf row, fits the
+    budget: that cost is paid once for all 2^n values of z and is at most
+    2^n slices, so it beats replaying every slice.  Otherwise it replays
+    when the slice fits.  Both agree; the enumeration is the independent
+    oracle and stays available at small scale.
     """
     G = rp.G
     z = tuple(z)
@@ -60,10 +62,10 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
     if method == "auto":
         count_cost = sum(len(leaf.rect.X) * leaf.rect.Y.slice_counts_cost
                          for _, leaf in leaves)
-        method = "count" if count_cost < total else "enumerate"
         if min(count_cost, total) > pair_budget:
             raise ResourceError("true transcript distribution",
                                 min(count_cost, total), pair_budget)
+        method = "count" if count_cost <= pair_budget else "enumerate"
     if method == "enumerate":
         if total > pair_budget:
             raise ResourceError("slice replay", total, pair_budget)

@@ -303,8 +303,9 @@ class BobCube:
 class ExplicitBobSet:
     """An explicit set of Bob inputs: n-tuples of m-bit strings.
 
-    Its cuts and slice counts read every element, so slice counting costs
-    |Y| per row of X."""
+    Its cuts and slice counts read every element.  Slice counting reads Y as
+    one column per block, and each row of X tallies the bits it points to
+    across the columns, so it costs |Y| per row of X."""
 
     n: int
     m: int
@@ -317,7 +318,7 @@ class ExplicitBobSet:
     def size(self) -> int:
         return len(self.ys)
 
-    slice_counts_cost = size  # per row of X: slice_counts reads every element
+    slice_counts_cost = size  # per row of X: one pointed-to bit per element and block
 
     def contains(self, ys) -> bool:
         return tuple(ys) in self.ys
@@ -352,10 +353,15 @@ class ExplicitBobSet:
 
     def slice_counts(self, X) -> dict:
         """{z: |{(xs, ys) in X x Y : G(xs, ys) = z}|} over every z at once:
-        one tally of the bits xs points to, over every pair."""
+        Y is read as one column of m-bit strings per block, and each row xs
+        tallies the bits it points to, column by column, over every element."""
         m = self.m
-        return Counter(tuple((y >> (m - x)) & 1 for x, y in zip(xs, ys))
-                       for xs in X for ys in self.ys)
+        cols = list(zip(*self.ys))
+        counts = Counter()
+        for xs in X:
+            counts.update(zip(*[[(y >> (m - x)) & 1 for y in col]
+                                for x, col in zip(xs, cols)]))
+        return counts
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
         return self.ys

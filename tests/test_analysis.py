@@ -29,7 +29,7 @@ from liftsim.core import (
     Rect,
 )
 from liftsim.entropy import SetVar
-from liftsim.errors import DomainError
+from liftsim.errors import DomainError, ResourceError
 from liftsim.fixtures import (
     bob_first_fixture,
     instance,
@@ -40,12 +40,15 @@ from liftsim.fixtures import (
     xor_outer,
 )
 from liftsim.protocol import (
+    BOB,
     DecisionTree,
     DLeaf,
     DQuery,
     PLeaf,
+    PNode,
     ProtocolTree,
     RandomizedDecisionTree,
+    TableFn,
     project_transcript,
     refine,
 )
@@ -73,12 +76,14 @@ def test_true_dist_one_bit_fixture():
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(proto_seed=st.integers(0, 2 ** 32 - 1),
-       shape=st.sampled_from([(1, 2), (1, 4), (2, 2)]),
+       shape=st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 4)]),
        depth=st.integers(0, 4))
 def test_true_dist_methods_agree(proto_seed, shape, depth):
     """The count route, which sums over rp.leaves(), and the enumerate route,
     which replays run_refined on the slice, agree on every z."""
     n, m = shape
+    if shape == (2, 4):
+        depth = min(depth, 3)  # each z replays a 1 024-element slice
     rp = refine(random_protocol(random.Random(proto_seed), instance(n, m), depth), D)
     for z in itertools.product((0, 1), repeat=n):
         a = true_transcript_dist(rp, z, method="enumerate")
@@ -102,6 +107,33 @@ def test_count_memo_shared_across_z(pt):
         assert true_transcript_dist(shared, z, method="count") == fresh[z]
     for z in zs:
         assert fresh[z] == true_transcript_dist(shared, z, method="enumerate")
+
+
+def test_auto_counts_when_the_count_fits_the_budget():
+    """On an explicit-rooted (2, 2) protocol the count reads every pair once,
+    64 of them, for all four z; one slice has 16 elements.  auto counts at a
+    budget of 64, replays the slice at 63, and refuses at 15 with the
+    smaller of the two costs."""
+    G = instance(2, 2)
+    bob_xor = TableFn({ys: (ys[0] ^ ys[1]) & 1 for ys in G.bob_domain()})
+    pt = ProtocolTree(G, PNode(BOB, bob_xor, PLeaf(0), PLeaf(1)))
+    z = (0, 1)
+
+    counted = refine(pt, D)
+    leaves = [leaf for _, leaf in counted.leaves()]
+    assert all(isinstance(leaf.rect.Y, ExplicitBobSet) for leaf in leaves)
+    assert sum(len(leaf.rect.X) * leaf.rect.Y.size for leaf in leaves) == 64
+    dist = true_transcript_dist(counted, z, pair_budget=64)
+    assert all("slice_counts" in leaf.__dict__ for leaf in leaves)
+
+    replayed = refine(pt, D)
+    assert true_transcript_dist(replayed, z, pair_budget=63) == dist
+    assert not any("slice_counts" in leaf.__dict__ for _, leaf in replayed.leaves())
+    assert dist == true_transcript_dist(replayed, z, method="enumerate")
+
+    with pytest.raises(ResourceError) as err:
+        true_transcript_dist(refine(pt, D), z, pair_budget=15)
+    assert (err.value.required, err.value.budget) == (16, 15)
 
 
 def test_true_dist_projects_to_source_transcripts():

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liftsim.core import (
     BobCube,
@@ -245,6 +245,31 @@ def test_slice_counts_cube_explicit_brute(data, n, m):
     Ys = cube.materialize()
     counts = cube.slice_counts(X)
     assert counts == ExplicitBobSet(n, m, Ys).slice_counts(X)
+    assert counts == _brute_slice_counts(G(n, m), X, Ys)
+    assert sum(counts.values()) == len(X) * len(Ys)
+
+
+@st.composite
+def _explicit_rect(draw):
+    """(n, m, X, Ys) with n <= 3, m in {2, 4}: any rows, any nonempty Bob set."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([2, 4]))
+    X = draw(st.frozensets(st.tuples(*[st.integers(1, m)] * n), max_size=12))
+    Ys = draw(st.frozensets(st.tuples(*[st.integers(0, 2 ** m - 1)] * n),
+                            min_size=1, max_size=40))
+    return n, m, X, Ys
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_explicit_rect())
+@example((3, 4, frozenset(), frozenset({(9, 0, 15)})))
+@example((2, 2, frozenset({(1, 2), (2, 2), (2, 1)}), frozenset({(2, 1)})))
+@example((3, 4, frozenset({(4, 1, 2)}), frozenset({(1, 8, 3), (15, 7, 0)})))
+def test_explicit_slice_counts_brute(case):
+    """The explicit set's column tally equals a brute tally of G over X x Y,
+    empty X and one-element Y included."""
+    n, m, X, Ys = case
+    counts = ExplicitBobSet(n, m, Ys).slice_counts(X)
     assert counts == _brute_slice_counts(G(n, m), X, Ys)
     assert sum(counts.values()) == len(X) * len(Ys)
 
