@@ -13,6 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     BOT,
@@ -39,50 +40,47 @@ from .simulate import ExactDist
 
 
 def true_transcript_dist(rp: RefinedProtocol, z, *,
-                         pair_budget: int = PAIR_BUDGET_DEFAULT,
-                         method: str = "auto") -> ExactDist:
+                         pair_budget: int = PAIR_BUDGET_DEFAULT) -> ExactDist:
     """Exact distribution of refined transcripts on a uniform slice input.
 
-    method "enumerate" replays the protocol on every slice element; "count"
-    reads |slice ∩ leaf rectangle| from each leaf's `slice_counts`, which
-    holds every z's count, is computed on the leaf's first use (closed form
-    on cube Bob sets) and is shared by the calls for all z.  "auto" counts
-    whenever the count's cost, `slice_counts_cost` per leaf row, fits the
-    budget: that cost is paid once for all 2^n values of z and is at most
-    2^n slices, so it beats replaying every slice.  Otherwise it replays
-    when the slice fits.  Both agree; the enumeration is the independent
-    oracle and stays available at small scale.
+    The budget picks the route.  The count reads |slice ∩ leaf rectangle| from
+    each leaf's `slice_counts`, computed on first use and shared by all 2^n
+    values of z; it runs when its cost, `slice_counts_cost` per leaf row,
+    fits.  Otherwise the slice is replayed (`replay_transcript_dist`) when it
+    fits, and otherwise ResourceError names the smaller of the two costs.
     """
-    G = rp.G
+    total = slice_count(rp.G, z)
     z = tuple(z)
-    total = slice_count(G, z)
-    if total == 0:
-        raise DomainError(f"slice of z={z} is empty")
     leaves = rp.leaves()
-    if method == "auto":
-        count_cost = sum(len(leaf.rect.X) * leaf.rect.Y.slice_counts_cost
-                         for _, leaf in leaves)
-        if min(count_cost, total) > pair_budget:
+    count_cost = sum(len(leaf.rect.X) * leaf.rect.Y.slice_counts_cost
+                     for _, leaf in leaves)
+    if count_cost > pair_budget:
+        if total > pair_budget:
             raise ResourceError("true transcript distribution",
                                 min(count_cost, total), pair_budget)
-        method = "count" if count_cost <= pair_budget else "enumerate"
-    if method == "enumerate":
-        if total > pair_budget:
-            raise ResourceError("slice replay", total, pair_budget)
-        return ExactDist.from_counts(
-            Counter(run_refined(rp, xs, ys)[0] for xs, ys in iter_slice(G, z)))
-    if method != "count":
-        raise DomainError(f"unknown method {method!r}")
-    counts = {}
-    covered = 0
-    for t, leaf in leaves:
-        c = leaf.slice_counts.get(z, 0)
-        if c:
-            counts[t] = counts.get(t, 0) + c
-            covered += c
-    if covered != total:
+        return replay_transcript_dist(rp, z, pair_budget=pair_budget)
+    # leaf transcripts are distinct, so each leaf's count is its transcript's
+    counts = {t: leaf.slice_counts.get(z, 0) for t, leaf in leaves}
+    if sum(counts.values()) != total:
         raise DomainError("leaf rectangles failed to cover the slice")
     return ExactDist.from_counts(counts)
+
+
+def _replay(G: ComposedInstance, z, run, pair_budget: int) -> ExactDist:
+    """The transcripts run(xs, ys) yields over the slice G^{-1}(z), tallied."""
+    total = slice_count(G, z)
+    if total > pair_budget:
+        raise ResourceError("slice replay", total, pair_budget)
+    return ExactDist.from_counts(
+        Counter(run(xs, ys)[0] for xs, ys in iter_slice(G, z)))
+
+
+def replay_transcript_dist(rp: RefinedProtocol, z, *,
+                           pair_budget: int = PAIR_BUDGET_DEFAULT) -> ExactDist:
+    """true_transcript_dist by replaying the refined protocol on every slice
+    element: the independent reference the count is checked against, and its
+    route when the count does not fit the budget."""
+    return _replay(rp.G, z, partial(run_refined, rp), pair_budget)
 
 
 def tv_distance(d1: ExactDist, d2: ExactDist) -> Fraction:
@@ -274,11 +272,6 @@ def dt_error(T, f) -> Fraction:
 
 def source_transcript_dist(rp: RefinedProtocol, z,
                            pair_budget: int = PAIR_BUDGET_DEFAULT) -> ExactDist:
-    """Distribution of the unrefined protocol's transcripts on the slice;
-    the projection of true_transcript_dist must coincide with it."""
-    G = rp.G
-    total = slice_count(G, z)
-    if total > pair_budget:
-        raise ResourceError("slice replay", total, pair_budget)
-    return ExactDist.from_counts(
-        Counter(run_protocol(rp.source, xs, ys)[0] for xs, ys in iter_slice(G, z)))
+    """Distribution of the unrefined protocol's transcripts, replayed on the
+    slice; the projection of true_transcript_dist must coincide with it."""
+    return _replay(rp.G, z, partial(run_protocol, rp.source), pair_budget)

@@ -154,6 +154,15 @@ class ComposedInstance:
             if not 0 <= y < 2 ** self.m:
                 raise DomainError(f"Bob block value {y} out of range")
 
+    def check_z(self, z) -> tuple:
+        """z as a tuple, refused unless it is a bit string of n blocks."""
+        z = tuple(z)
+        if len(z) != self.n:
+            raise DomainError("z arity mismatch")
+        if any(c not in (0, 1) for c in z):
+            raise DomainError("z must be a bit string")
+        return z
+
 
 def compose_eval(G: ComposedInstance, xs, ys) -> tuple:
     """z with z_i = g(xs_i, ys_i)."""
@@ -441,10 +450,10 @@ class OuterFunction:
 
 
 def slice_count(G: ComposedInstance, z) -> int:
-    """|G^{-1}(z)| in closed form: each block has m pointers, each with
-    2^(m-1) strings carrying z_i at the pointed-to bit."""
-    if len(tuple(z)) != G.n:
-        raise DomainError("z arity mismatch")
+    """|G^{-1}(z)| in closed form, after G.check_z: each block has m pointers,
+    each with 2^(m-1) strings carrying z_i at the pointed-to bit, so every
+    slice is nonempty."""
+    G.check_z(z)
     return (G.m * 2 ** (G.m - 1)) ** G.n
 
 

@@ -35,6 +35,14 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def as_rate(delta) -> Fraction:
+    """A density rate as an exact rational, refused outside (0, 1)."""
+    delta = as_fraction(delta)
+    if not 0 < delta < 1:
+        raise DomainError("delta must be in (0,1)")
+    return delta
+
+
 def cmp_pow(q: Fraction, base, exponent) -> int:
     """Compare q against base**exponent exactly; returns -1, 0, or +1.
 
@@ -243,9 +251,7 @@ def violation_threshold(size: int, k: int, delta: Fraction, m: int) -> int:
     the threshold is the integer q-th root of size^q / m^(p*k), rounded down.
     """
     p, q = delta.numerator, delta.denominator
-    if p >= 0:
-        return _iroot(size ** q // m ** (p * k), q)
-    return _iroot(size ** q * m ** (-p * k), q)
+    return _iroot(size ** q // m ** (p * k), q)
 
 
 def _choose_violating_set(coords, violating):
@@ -286,7 +292,7 @@ def density_restoring_partition(v: SetVar, delta) -> list:
     points from each count.  A marginal on k blocks is too concentrated when
     its heaviest count exceeds violation_threshold(|remainder|, k).
     """
-    delta = as_fraction(delta)
+    delta = as_rate(delta)
     m = _uniform_block_size(v)
     input_size = v.size
     remaining = set(v.support)

@@ -371,9 +371,8 @@ class RefinedProtocol:
     Alice bit is followed by a part announcement and a bit-fixing round, so
     each iteration starts at a structured rectangle."""
 
-    def __init__(self, G, delta, root, source: ProtocolTree):
+    def __init__(self, G, root, source: ProtocolTree):
         self.G = G
-        self.delta = delta
         self.root = root
         self.source = source
 
@@ -421,7 +420,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
     simulator treats an absent bit-fixing child as an impossible message.
     """
     G = pt.G
-    delta = as_fraction(delta)
+    delta = entropy.as_rate(delta)
     k = G.log_m
     m = G.m
 
@@ -461,7 +460,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
 
     root = build(pt.root, G.full_X(pair_budget), _root_bob_set(pt, pair_budget),
                  PartialAssignment.free_everywhere(G.n))
-    return RefinedProtocol(G, delta, root, pt)
+    return RefinedProtocol(G, root, pt)
 
 
 def run_refined(rp: RefinedProtocol, xs, ys):

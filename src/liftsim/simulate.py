@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import BOT, PAIR_BUDGET_DEFAULT
-from .entropy import as_fraction, cmp_pow, log2_float
+from .entropy import as_fraction, as_rate, cmp_pow, log2_float
 from .errors import DomainError, ResourceError
 from .protocol import (
     DLeaf,
@@ -66,9 +66,7 @@ class SimConfig:
     strict_zpp: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if not 0 < self.delta < 1:
-            raise DomainError("delta must be in (0,1)")
+        object.__setattr__(self, "delta", as_rate(self.delta))
         if self.deficiency_cap is not None:
             object.__setattr__(self, "deficiency_cap", as_fraction(self.deficiency_cap))
             if self.deficiency_cap <= 0:
@@ -104,7 +102,6 @@ class SimOutcome:
     failure: str | None        # IMPOSSIBLE_S | DEFICIENCY_CUTOFF | QUERY_CAP
     queries: tuple             # coordinates in query order
     ledger: tuple
-    n: int
     m: int
 
     @property
@@ -196,11 +193,7 @@ class SimExact:
 def _walk_shared(rp: RefinedProtocol, z, cfg: SimConfig):
     """Validation shared by the walks; returns the deficiency cap in bits and
     z's answers to a part (the bits of z on its coordinates)."""
-    z = tuple(z)
-    if len(z) != rp.G.n:
-        raise DomainError("z arity mismatch")
-    if any(c not in (0, 1) for c in z):
-        raise DomainError("z must be a bit string")
+    z = rp.G.check_z(z)
     return cfg.cap_bits(rp.G.n), lambda part: (
         "".join(str(z[i - 1]) for i in part.coords),)
 
@@ -269,7 +262,6 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
     rational probability.  Every seeded report depends on this draw order."""
     cap, answer = _walk_shared(rp, z, cfg)
     rng = random.Random(seed)
-    G = rp.G
     node = rp.root
     transcript, queries, ledger = [], [], []
     while not isinstance(node, RLeaf):
@@ -295,10 +287,10 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
         queries.extend(coords)
         transcript.extend(msgs)
         if isinstance(target, str):
-            return SimOutcome(None, BOT, target, tuple(queries), tuple(ledger), G.n, G.m)
+            return SimOutcome(None, BOT, target, tuple(queries), tuple(ledger), rp.G.m)
         node = target
     return SimOutcome(tuple(transcript), node.value, None, tuple(queries),
-                      tuple(ledger), G.n, G.m)
+                      tuple(ledger), rp.G.m)
 
 
 def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig) -> SimExact:

@@ -19,6 +19,7 @@ from liftsim.analysis import (
     fourier_pointwise_check,
     marginals_report,
     norm_bound_check,
+    replay_transcript_dist,
     support_check,
     true_transcript_dist,
     tv_distance,
@@ -260,9 +261,9 @@ def _curve(n, ms, cross_check_ms=()):
             rp = refine(pt, DELTA)
             for z in itertools.product((0, 1), repeat=n):
                 t_z = simulate_exact(rp, z, CFG).transcripts
-                t_true = true_transcript_dist(rp, z, method="count")
+                t_true = true_transcript_dist(rp, z)
                 if m in cross_check_ms:
-                    assert t_true == true_transcript_dist(rp, z, method="enumerate")
+                    assert t_true == replay_transcript_dist(rp, z)
                 tv = tv_distance(t_z, t_true)
                 tvs.append(tv)
                 rows.append((name, z, m, tv))

@@ -16,6 +16,7 @@ from liftsim.analysis import (
     marginals_report,
     norm_bound_check,
     parity_bias,
+    replay_transcript_dist,
     source_transcript_dist,
     support_check,
     true_transcript_dist,
@@ -52,7 +53,7 @@ from liftsim.protocol import (
     project_transcript,
     refine,
 )
-from liftsim.simulate import ExactDist, SimConfig, simulate_exact
+from liftsim.simulate import ExactDist, SimConfig, simulate_exact, simulate_sample
 
 D = Fraction(9, 10)
 CFG = SimConfig()
@@ -79,15 +80,15 @@ def test_true_dist_one_bit_fixture():
        shape=st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 4)]),
        depth=st.integers(0, 4))
 def test_true_dist_methods_agree(proto_seed, shape, depth):
-    """The count route, which sums over rp.leaves(), and the enumerate route,
+    """The count, which sums over rp.leaves(), and replay_transcript_dist,
     which replays run_refined on the slice, agree on every z."""
     n, m = shape
     if shape == (2, 4):
         depth = min(depth, 3)  # each z replays a 1 024-element slice
     rp = refine(random_protocol(random.Random(proto_seed), instance(n, m), depth), D)
     for z in itertools.product((0, 1), repeat=n):
-        a = true_transcript_dist(rp, z, method="enumerate")
-        b = true_transcript_dist(rp, z, method="count")
+        a = replay_transcript_dist(rp, z)
+        b = true_transcript_dist(rp, z)
         assert a == b
         assert sum(p for _, p in a.items()) == 1
 
@@ -99,20 +100,20 @@ def test_true_dist_methods_agree(proto_seed, shape, depth):
 def test_count_memo_shared_across_z(pt):
     """Each leaf keeps its slice counts for every z: asking one refined
     protocol for all z in reversed, repeated order gives what a fresh
-    refinement per z gives, and what the enumerate route gives."""
+    refinement per z gives, and what the slice replay gives."""
     zs = list(itertools.product((0, 1), repeat=2))
-    fresh = {z: true_transcript_dist(refine(pt, D), z, method="count") for z in zs}
+    fresh = {z: true_transcript_dist(refine(pt, D), z) for z in zs}
     shared = refine(pt, D)
     for z in zs[::-1] + zs:
-        assert true_transcript_dist(shared, z, method="count") == fresh[z]
+        assert true_transcript_dist(shared, z) == fresh[z]
     for z in zs:
-        assert fresh[z] == true_transcript_dist(shared, z, method="enumerate")
+        assert fresh[z] == replay_transcript_dist(shared, z)
 
 
 def test_auto_counts_when_the_count_fits_the_budget():
     """On an explicit-rooted (2, 2) protocol the count reads every pair once,
-    64 of them, for all four z; one slice has 16 elements.  auto counts at a
-    budget of 64, replays the slice at 63, and refuses at 15 with the
+    64 of them, for all four z; one slice has 16 elements.  The oracle counts
+    at a budget of 64, replays the slice at 63, and refuses at 15 with the
     smaller of the two costs."""
     G = instance(2, 2)
     bob_xor = TableFn({ys: (ys[0] ^ ys[1]) & 1 for ys in G.bob_domain()})
@@ -129,7 +130,7 @@ def test_auto_counts_when_the_count_fits_the_budget():
     replayed = refine(pt, D)
     assert true_transcript_dist(replayed, z, pair_budget=63) == dist
     assert not any("slice_counts" in leaf.__dict__ for _, leaf in replayed.leaves())
-    assert dist == true_transcript_dist(replayed, z, method="enumerate")
+    assert dist == replay_transcript_dist(replayed, z)
 
     with pytest.raises(ResourceError) as err:
         true_transcript_dist(refine(pt, D), z, pair_budget=15)
@@ -144,6 +145,51 @@ def test_true_dist_projects_to_source_transcripts():
         for z in itertools.product((0, 1), repeat=n):
             refined = true_transcript_dist(rp, z)
             assert refined.project(project_transcript) == source_transcript_dist(rp, z)
+
+
+def _bob_table_protocol():
+    """One block, m = 2, Bob sends whether y is 11: the count reads its 2 x 4
+    root pairs, 8, against a slice of 4."""
+    G = instance(1, 2)
+    return ProtocolTree(G, PNode(BOB, TableFn({ys: int(ys == (3,)) for ys in G.bob_domain()}),
+                                 PLeaf(0), PLeaf(1)))
+
+
+@pytest.mark.parametrize("z, message", [
+    ((2,), "z must be a bit string"),
+    (("0",), "z must be a bit string"),
+    ((0, 1), "z arity mismatch"),
+])
+def test_bad_z_refused_alike(z, message):
+    """The oracle on both routes (count at the default budget, replay at a
+    budget of 4 that holds the slice but not the count), both replays and
+    both walks refuse a bad z with the same message."""
+    rp = refine(_bob_table_protocol(), D)
+    calls = [
+        lambda: true_transcript_dist(rp, z),
+        lambda: true_transcript_dist(rp, z, pair_budget=4),
+        lambda: replay_transcript_dist(rp, z),
+        lambda: source_transcript_dist(rp, z),
+        lambda: simulate_exact(rp, z, CFG),
+        lambda: simulate_sample(rp, z, CFG, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+    assert (true_transcript_dist(rp, (1,), pair_budget=4)
+            == replay_transcript_dist(rp, (1,)) == true_transcript_dist(rp, (1,)))
+
+
+def test_count_never_runs_past_the_budget():
+    """The count of this (2, 4) protocol reads 4 096 pairs, its slice has
+    1 024 elements: at a budget of 1 the oracle refuses with the smaller cost
+    before any leaf counts."""
+    rp = refine(random_protocol(random.Random(3), instance(2, 4), 3), D)
+    with pytest.raises(ResourceError) as err:
+        true_transcript_dist(rp, (0, 1), pair_budget=1)
+    assert (err.value.required, err.value.budget) == (1024, 1)
+    assert not any("slice_counts" in leaf.__dict__ for _, leaf in rp.leaves())
 
 
 # --- tv distance and support ---
@@ -242,6 +288,14 @@ def test_marginals_rejects_inconsistent_z():
                          (0,), g)
 
 
+def test_marginals_pair_budget():
+    g = instance(1, 2)
+    with pytest.raises(ResourceError) as err:
+        marginals_report(Rect(g.full_X(), g.full_Y()), PartialAssignment.free_everywhere(1),
+                         (0,), g, pair_budget=7)
+    assert (err.value.required, err.value.budget) == (8, 7)
+
+
 # --- parity bias and norm bound ---
 
 def test_parity_bias_uniform_is_zero():
@@ -260,6 +314,15 @@ def test_parity_bias_constant_outputs():
     X1 = SetVar({(1,)}, (2,))
     Y1 = SetVar({(0b10,), (0b11,)}, (4,))
     assert parity_bias(g, (1,), X1, Y1) == -1
+
+
+def test_parity_bias_pair_budget():
+    g = GadgetSpec.index(2)
+    X = SetVar({(1,), (2,)}, (2,))
+    Y = SetVar({(y,) for y in range(4)}, (4,))
+    with pytest.raises(ResourceError) as err:
+        parity_bias(g, (1,), X, Y, pair_budget=7)
+    assert (err.value.required, err.value.budget) == (8, 7)
 
 
 def test_norm_bound_example_m2():

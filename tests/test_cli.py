@@ -104,6 +104,20 @@ def test_verify_expect_exact_fails_on_lossy_fixture(capsys):
     assert rep["reproduce_with_seed"] == 3
 
 
+def test_verify_reports_one_sided_support(tmp_path, capsys):
+    """Bob sending whether y is 11 makes the walk emit, at z = 0, a
+    transcript the slice never produces: measured, not an exit 1."""
+    path = _write_fixture(tmp_path, "f.json", json.dumps(
+        {"format": "protocol", "n": 1, "gadget": {"kind": "index", "m": 2},
+         "tree": {"owner": "bob", "fn": {"kind": "table", "bits": "0001"},
+                  "0": {"leaf": 0}, "1": {"leaf": 1}}}))
+    code, out, err = run(capsys, "verify", "--fixture", path, "--seed", "1",
+                         "--battery", "0")
+    assert code == 0 and err == ""
+    per_z = read_json(out)["per_z"]
+    assert [per_z[z]["support_check"] for z in ("0", "1")] == [False, True]
+
+
 def test_bad_config_file_exit2(tmp_path, capsys):
     bad = tmp_path / "conf.json"
     bad.write_text("{not json")
@@ -728,9 +742,7 @@ def _fixture_bytes(draw):
 
 
 def _assert_exit_contract(argv, what):
-    """main exits 0, 2 or 3, with its output swallowed; argparse's exit is 2.
-    Exit 1 passes only for verify's one-sided support check, which valid
-    protocols can fail at desk scale (see ROADMAP)."""
+    """main exits 0, 2 or 3, with its output swallowed; argparse's exit is 2."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -738,17 +750,14 @@ def _assert_exit_contract(argv, what):
         except SystemExit as e:
             assert e.code == 2, argv
             return
-    if code == 1:
-        assert err.getvalue().startswith("FAILED one-sided support"), (what, err.getvalue())
-    assert code != 4, (what, err.getvalue())
+    assert code not in (1, 4), (what, err.getvalue())
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(fixture=_fixture_bytes())
 def test_fuzz_fixture_exit_codes(fixture):
     """No fixture file makes refine, simulate, verify or convert exit 1 (a
-    failed invariant; but see _assert_exit_contract) or 4 (an internal
-    error), or raise."""
+    failed invariant) or 4 (an internal error), or raise."""
     n, m, raw = fixture
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.json")
@@ -810,8 +819,7 @@ def _config_object(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(conf=_config_object())
 def test_fuzz_config_exit_codes(conf):
-    """No --config object makes main exit 1 (but see _assert_exit_contract)
-    or 4, or raise; --out on the command line keeps reports inside a scratch
+    """No --config object makes main exit 1 or 4, or raise; --out on the command line keeps reports inside a scratch
     directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")

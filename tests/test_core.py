@@ -313,6 +313,9 @@ def test_cube_contains_and_pinned():
     # a repeated pin is one constraint
     assert BobCube(1, 4, (((1, 2), 1), ((1, 2), 1))) == c
     assert c.size == len(c.materialize()) == 8
+    with pytest.raises(ResourceError) as err:
+        c.materialize(pair_budget=7)
+    assert (err.value.required, err.value.budget) == (8, 7)
 
 
 def test_structured_with_cube_y():

@@ -259,6 +259,22 @@ def test_violation_threshold_exact_boundary(m, delta, k, size, T):
     assert cmp_pow(Fraction(T + 1, size), m, -delta * k) > 0
 
 
+@pytest.mark.parametrize("delta", [2, 1, 0, Fraction(-1, 2)])
+def test_rate_outside_unit_interval_refused(delta):
+    """The partition, refine and the simulator's config refuse a rate
+    outside (0, 1) alike."""
+    from liftsim.fixtures import one_bit_fixture
+    from liftsim.protocol import refine
+    from liftsim.simulate import SimConfig
+
+    calls = [lambda: density_restoring_partition(singles([1, 2], 4), delta),
+             lambda: refine(one_bit_fixture(4), delta),
+             lambda: SimConfig(delta=delta)]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^delta must be in \(0,1\)$"):
+            call()
+
+
 @pytest.mark.parametrize("violating, chosen", [
     ([{1, 2}, {2, 3}], (1, 2)),
     ([{3}, {1, 3}, {2, 3, 4}], (1, 3)),

@@ -256,7 +256,7 @@ def test_ledger_checker_rejects_forged_rows():
     forged = SimOutcome(
         transcript=None, value=BOT, failure=IMPOSSIBLE_S, queries=(1,),
         ledger=(LedgerRow(1, Fraction(1), Fraction(1), 1, Fraction(1), Fraction(1)),),
-        n=1, m=4,
+        m=4,
     )
     assert not ledger_check(forged, Fraction(9, 10))
 
@@ -269,7 +269,7 @@ def test_ledger_row_exact_boundary(after, ok):
     from liftsim.simulate import LedgerRow, SimOutcome
 
     row = LedgerRow(1, Fraction(2), Fraction(1), 1, Fraction(1), after)
-    out = SimOutcome(None, BOT, IMPOSSIBLE_S, (1,), (row,), 1, 4)
+    out = SimOutcome(None, BOT, IMPOSSIBLE_S, (1,), (row,), 4)
     assert ledger_check(out, Fraction(9, 10)) is ok
 
 
@@ -341,6 +341,29 @@ def test_protocol_to_dt_component_budget(monkeypatch):
     assert exc.value.required == 16
     monkeypatch.setattr(simulate, "COMPONENT_BUDGET", 16)
     assert len(protocol_to_dt(pt, CFG).components) == 16
+
+
+def test_protocol_to_dt_mixture_budget(monkeypatch):
+    """Two zero-communication components realize one tree each: the mixture
+    of two is refused at a budget of one."""
+    G = instance(1, 2)
+    PI = RandomizedProtocol([(Fraction(1, 2), ProtocolTree(G, PLeaf(v))) for v in (0, 1)])
+    monkeypatch.setattr(simulate, "COMPONENT_BUDGET", 1)
+    with pytest.raises(ResourceError) as exc:
+        protocol_to_dt(PI, CFG)
+    assert (exc.value.required, exc.value.budget) == (2, 1)
+
+
+def test_simulate_exact_node_budget(monkeypatch):
+    """The one-bit fixture's exact walk visits its root and two leaves:
+    refused at a budget of two nodes, run at three."""
+    rp = refine(one_bit_fixture(), CFG.delta)
+    monkeypatch.setattr(simulate, "NODE_BUDGET", 2)
+    with pytest.raises(ResourceError) as exc:
+        simulate_exact(rp, (0,), CFG)
+    assert (exc.value.required, exc.value.budget) == (3, 2)
+    monkeypatch.setattr(simulate, "NODE_BUDGET", 3)
+    simulate_exact(rp, (0,), CFG)
 
 
 def test_protocol_to_dt_respects_query_cap_depth():
