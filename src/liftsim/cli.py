@@ -67,8 +67,7 @@ EXIT_INTERNAL = 4
 
 
 def rat(x: Fraction) -> dict:
-    x = Fraction(x)
-    return {"exact": f"{x.numerator}/{x.denominator}", "float": float(x)}
+    return {"exact": entropy.frac_str(x), "float": float(x)}
 
 
 def transcript_str(t) -> str:
@@ -193,13 +192,9 @@ def cmd_partition(args):
             )
         for p in parts:
             rows.append([idx, p.order, p.label() or "(dense)", p.size,
-                         f"{p.delta_ratio.numerator}/{p.delta_ratio.denominator}",
+                         entropy.frac_str(p.delta_ratio),
                          entropy.log2_float(p.delta_ratio)])
     report = {
-        "command": "partition",
-        "config": {"count": args.count, "coords": args.coords, "m": args.m,
-                   "max_support": args.max_support, "delta": str(args.delta),
-                   "seed": args.seed},
         "checked": args.count,
         "all_lemma_checks_passed": True,
     }
@@ -227,9 +222,6 @@ def cmd_refine(args):
         raise Violation("structured-rectangle invariant",
                         f"iteration node {bad[0]} ({bad[1]}) of {args.fixture}")
     report = {
-        "command": "refine",
-        "config": {"fixture": args.fixture, "m": args.m,
-                   "delta": str(args.delta), "budget": args.budget},
         "source_cost": pt.cost,
         "iteration_nodes": sum(1 for r in rows if r[1] != "RLeaf"),
         "leaves": sum(1 for r in rows if r[1] == "RLeaf"),
@@ -276,17 +268,7 @@ def cmd_simulate(args):
             "bot": {r: rat(p) for r, p in sorted(exact.bot_reasons.items())},
             "samples": args.samples,
         }
-    report = {
-        "command": "simulate",
-        "config": {"fixture": args.fixture, "m": args.m, "z": args.z,
-                   "delta": str(cfg.delta), "strict_zpp": cfg.strict_zpp,
-                   "deficiency_cap": None if cfg.deficiency_cap is None
-                   else str(cfg.deficiency_cap),
-                   "query_cap": cfg.query_cap, "samples": args.samples,
-                   "seed": args.seed, "budget": args.budget},
-        "per_z": per_z,
-        "ledger_checks_passed": True,
-    }
+    report = {"per_z": per_z, "ledger_checks_passed": True}
     tables = {"samples": (["z", "outcome", "count", "samples", "exact_p"],
                           sample_rows)}
     return report, tables
@@ -351,11 +333,6 @@ def cmd_verify(args):
             raise Violation("parity-bias norm bound",
                             f"battery instance {idx}", seed=args.seed)
     report = {
-        "command": "verify",
-        "config": {"fixture": args.fixture, "m": args.m, "z": args.z,
-                   "delta": str(cfg.delta), "strict_zpp": cfg.strict_zpp,
-                   "expect_exact": args.expect_exact, "battery": args.battery,
-                   "seed": args.seed, "budget": args.budget},
         "note": ("marginal closeness guarantees hold only in the large-m "
                  "regime; tv_x/tv_y and emptiness are reported, not asserted"),
         "per_z": per_z,
@@ -435,15 +412,10 @@ def cmd_sweep(args):
     for r in results:
         name, zs, m = r["key"]
         tv_by_m[m].append(r["tv"])
-        rows.append([name, zs, m,
-                     f"{r['tv'].numerator}/{r['tv'].denominator}",
-                     float(r["tv"]), float(r["mean_queries"]),
-                     float(r["bot_rate"])])
+        rows.append([name, zs, m, entropy.frac_str(r["tv"]), float(r["tv"]),
+                     float(r["mean_queries"]), float(r["bot_rate"])])
     medians = {m: statistics.median(sorted(tv_by_m[m])) for m in ms}
     report = {
-        "command": "sweep",
-        "config": {"n": args.n, "m_list": ms, "delta": str(args.delta),
-                   "jobs": args.jobs, "budget": args.budget},
         "family": names,
         "median_tv_by_m": {str(m): rat(medians[m]) for m in ms},
         "median_non_increasing": all(
@@ -458,11 +430,7 @@ def cmd_sweep(args):
 def cmd_convert(args):
     obj = load_cli_fixture(args.fixture, args.m,
                            (DecisionTree, ProtocolTree, RandomizedProtocol))
-    # "n" stays null: bench/digests.json holds convert reports with it
-    report = {"command": "convert",
-              "config": {"fixture": args.fixture, "n": None, "m": args.m,
-                         "delta": str(args.delta), "budget": args.budget}}
-    tables = {}
+    report = {}
     outer = None
     if args.outer:
         outer = load_cli_fixture(args.outer, None, (OuterFunction,))
@@ -498,7 +466,7 @@ def cmd_convert(args):
         report["depth"] = rdt.depth
         if outer is not None:
             report["error"] = rat(analysis.dt_error(rdt, outer))
-    return report, tables
+    return report, {}
 
 
 # --- wiring ---
@@ -521,6 +489,17 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int, default=PAIR_BUDGET_DEFAULT)
         sp.add_argument("--delta", default="9/10", help="density rate (exact rational)")
 
+    def fixture(sp, default=None):
+        # the protocol or decision tree to run, required unless given a default
+        sp.add_argument("--fixture", required=default is None, default=default)
+        sp.add_argument("--m", type=int, default=None)
+
+    def walk(sp):
+        # the SimConfig fields besides --delta (see _sim_config)
+        sp.add_argument("--strict-zpp", action="store_true")
+        sp.add_argument("--deficiency-cap", default=None)
+        sp.add_argument("--query-cap", type=int, default=None)
+
     sp = sub.add_parser("partition", help="random partition + lemma battery")
     common(sp, seed=True, budget=False)
     sp.add_argument("--count", type=int, default=1000)
@@ -531,31 +510,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("refine", help="refine a protocol, check the invariant")
     common(sp)
-    sp.add_argument("--fixture", required=True)
-    sp.add_argument("--m", type=int, default=None)
+    fixture(sp)
     sp.set_defaults(fn=cmd_refine)
 
     sp = sub.add_parser("simulate", help="exact walk distribution + samples")
     common(sp, seed=True)
-    sp.add_argument("--fixture", required=True)
-    sp.add_argument("--m", type=int, default=None)
+    fixture(sp)
     sp.add_argument("--z", default="all")
     sp.add_argument("--samples", type=int, default=0)
-    sp.add_argument("--strict-zpp", action="store_true")
-    sp.add_argument("--deficiency-cap", default=None)
-    sp.add_argument("--query-cap", type=int, default=None)
+    walk(sp)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("verify", help="simulator vs slice truth + batteries")
     common(sp, seed=True)
-    sp.add_argument("--fixture", default="builtin:one-bit")
-    sp.add_argument("--m", type=int, default=None)
+    fixture(sp, default="builtin:one-bit")
     sp.add_argument("--z", default="all")
     sp.add_argument("--battery", type=int, default=200)
     sp.add_argument("--expect-exact", action="store_true")
-    sp.add_argument("--strict-zpp", action="store_true")
-    sp.add_argument("--deficiency-cap", default=None)
-    sp.add_argument("--query-cap", type=int, default=None)
+    walk(sp)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("sweep", help="tv / queries / failure-rate vs m")
@@ -567,12 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("convert", help="decision tree <-> protocol round trips")
     common(sp)
-    sp.add_argument("--fixture", required=True)
+    fixture(sp)
     sp.add_argument("--outer", default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--strict-zpp", action="store_true")
-    sp.add_argument("--deficiency-cap", default=None)
-    sp.add_argument("--query-cap", type=int, default=None)
+    walk(sp)
     sp.set_defaults(fn=cmd_convert)
     return p
 
@@ -615,6 +584,26 @@ def _apply_config_file(parser, argv):
     return parser.parse_args(rebuilt + rest)
 
 
+# command -> (flags its report's config leaves out, keys it adds): the
+# reports in bench/digests.json were recorded this way, so the table empties
+# only together with re-recorded digests
+_CONFIG_LEGACY = {
+    "verify": ({"deficiency_cap", "query_cap"}, {}),
+    "convert": ({"outer", "strict_zpp", "deficiency_cap", "query_cap"}, {"n": None}),
+}
+
+
+def _config(args) -> dict:
+    """A report's config: every parsed flag but --out, so that the report's
+    command and config replay the run through --config (the inverse of
+    _apply_config_file), Fractions as str."""
+    dropped, added = _CONFIG_LEGACY.get(args.command, ((), {}))
+    config = {key: str(value) if isinstance(value, Fraction) else value
+              for key, value in vars(args).items()
+              if key not in {"out", "command", "config", "fn", *dropped}}
+    return {**config, **added}
+
+
 def _print_report(report):
     """The report on stdout; a reader that closed it early changes no exit code."""
     try:
@@ -634,7 +623,8 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        report, tables = args.fn(args)
+        results, tables = args.fn(args)
+        report = {"command": args.command, "config": _config(args), **results}
         write_report(args.out, report, tables)
     except Violation as e:
         report = {"command": args.command, "violation": e.invariant,

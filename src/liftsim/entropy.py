@@ -83,6 +83,12 @@ def log2_float(q) -> float:
     return float(en - ed) + math.log2(float(Fraction(odd_n, odd_d)))
 
 
+def frac_str(q) -> str:
+    """A rational as "p/q", for rendering; an integer keeps its "/1"."""
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
 @dataclass(frozen=True)
 class SetVar:
     """The uniform random variable on an explicit set of tuples, read on some
@@ -190,7 +196,7 @@ def is_blockwise_dense(v: SetVar, delta, essential: bool = False) -> bool:
 
     Exhaustive over all 2^|J| - 1 nonempty coordinate subsets.
     """
-    delta = as_fraction(delta)
+    delta = as_rate(delta)
     m = _uniform_block_size(v)
     for I in nonempty_subsets(v.coords):
         p = _max_prob(v, I)
@@ -367,7 +373,7 @@ def verify_partition_lemma(v: SetVar, parts, delta) -> PartitionLemmaReport:
     rational-vs-m^q comparison, so it stays exact even when m is not a power
     of two.
     """
-    delta = as_fraction(delta)
+    delta = as_rate(delta)
     m = _uniform_block_size(v)
     seen = set()
     tail = v.size  # |X^(>=i)|, before the current part is peeled off

@@ -20,3 +20,7 @@ class ResourceError(RuntimeError):
             f"{what}: needs {required} but budget is {budget}; "
             f"raise the budget to at least {required} to run this exactly"
         )
+
+    def __reduce__(self):
+        # pickled across a process pool, so a worker's refusal reaches the caller
+        return type(self), (self.what, self.required, self.budget)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import BOT, PAIR_BUDGET_DEFAULT
-from .entropy import as_fraction, as_rate, cmp_pow, log2_float
+from .entropy import as_fraction, as_rate, cmp_pow, frac_str, log2_float
 from .errors import DomainError, ResourceError
 from .protocol import (
     DLeaf,
@@ -91,10 +91,6 @@ class LedgerRow:
     potential_after: Fraction
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 @dataclass(frozen=True)
 class SimOutcome:
     transcript: tuple | None   # None on failure
@@ -118,8 +114,8 @@ class SimOutcome:
             "ledger": [
                 {
                     "iteration": row.iteration,
-                    "gamma_ratio": _frac_str(row.gamma_ratio),
-                    "delta_ratio": _frac_str(row.delta_ratio),
+                    "gamma_ratio": frac_str(row.gamma_ratio),
+                    "delta_ratio": frac_str(row.delta_ratio),
                     "queries": row.queries,
                     "potential_before_bits": log2_float(row.potential_before),
                     "potential_after_bits": log2_float(row.potential_after),

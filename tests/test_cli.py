@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from liftsim import cli
 from liftsim.analysis import dt_error
 from liftsim.cli import main
 from liftsim.entropy import RATIONAL_BUDGET
+from liftsim.errors import ResourceError
 from liftsim.fixtures import (
     instance,
     one_bit_fixture,
@@ -222,22 +224,31 @@ def test_config_null_means_flag_not_given(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "None").exists()
 
 
-def test_simulate_report_config_replays(tmp_path, capsys):
-    """A simulate report's config, nulls included, replayed through --config
-    reproduces the report."""
-    code, _, _ = run(capsys, "simulate", "--fixture", "builtin:bob-first", "--m", "4",
-                     "--samples", "20", "--seed", "5", "--out", str(tmp_path / "a"))
+@pytest.mark.parametrize("argv", [
+    ["partition", "--count", "5", "--coords", "2", "--seed", "3"],
+    ["refine", "--fixture", "builtin:bob-first"],
+    ["simulate", "--fixture", "builtin:bob-first", "--m", "4", "--samples", "20",
+     "--seed", "5", "--strict-zpp", "--deficiency-cap", "1", "--query-cap", "1"],
+    ["sweep", "--n", "2", "--m-list", "4", "8"],
+    # verify and convert leave their caps out of config (cli._CONFIG_LEGACY),
+    # so only their default walk flags replay
+    ["verify", "--fixture", "builtin:bob-first", "--m", "4", "--seed", "1",
+     "--battery", "3"],
+    ["convert", "--fixture", "builtin:bob-first", "--m", "4"],
+], ids=lambda argv: argv[0])
+def test_report_config_replays(tmp_path, capsys, argv):
+    """A report's command and config, nulls included, replayed through
+    --config reproduce its report.json and CSVs byte for byte."""
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "a"))
     assert code == 0
-    first = (tmp_path / "a" / "report.json").read_bytes()
-    config = json.loads(first)["config"]
-    assert config["query_cap"] is None and config["deficiency_cap"] is None
+    first = {f.name: f.read_bytes() for f in (tmp_path / "a").iterdir()}
+    report = json.loads(first["report.json"])
+    assert report["command"] == argv[0] and "out" not in report["config"]
     conf = tmp_path / "c.json"
-    conf.write_text(json.dumps({"command": "simulate", **config}))
+    conf.write_text(json.dumps({"command": report["command"], **report["config"]}))
     code, _, _ = run(capsys, "--config", str(conf), "--out", str(tmp_path / "b"))
     assert code == 0
-    assert (tmp_path / "b" / "report.json").read_bytes() == first
-    assert ((tmp_path / "b" / "samples.csv").read_bytes()
-            == (tmp_path / "a" / "samples.csv").read_bytes())
+    assert {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()} == first
 
 
 def test_reports_byte_identical(tmp_path, capsys):
@@ -283,6 +294,25 @@ def test_sweep_jobs_1_and_2_agree(tmp_path, capsys):
             curves.append((out_dir / "curve.csv").read_bytes())
         assert reports[0] == reports[1]
         assert curves[0] == curves[1]
+
+
+def test_sweep_budget_error_same_at_any_jobs(capsys):
+    """A worker's ResourceError reaches main as the serial run's: exit 3 with
+    the same message, not a broken process pool."""
+    errs = []
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "sweep", "--n", "1", "--m-list", "2",
+                             "--jobs", jobs, "--budget", "3")
+        assert code == 3 and out == ""
+        errs.append(err)
+    assert errs[0] == errs[1] and errs[0].startswith("resource budget exceeded: ")
+
+
+def test_resource_error_pickles():
+    err = pickle.loads(pickle.dumps(ResourceError("x", 5, 3)))
+    assert type(err) is ResourceError
+    assert (err.what, err.required, err.budget, str(err)) == (
+        "x", 5, 3, str(ResourceError("x", 5, 3)))
 
 
 def test_sweep_rejects_unsorted_mlist(capsys):

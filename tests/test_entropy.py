@@ -261,13 +261,22 @@ def test_violation_threshold_exact_boundary(m, delta, k, size, T):
 
 @pytest.mark.parametrize("delta", [2, 1, 0, Fraction(-1, 2)])
 def test_rate_outside_unit_interval_refused(delta):
-    """The partition, refine and the simulator's config refuse a rate
-    outside (0, 1) alike."""
-    from liftsim.fixtures import one_bit_fixture
+    """The partition, its lemma verifier, the density check, the structured
+    check, refine and the simulator's config refuse a rate outside (0, 1)
+    alike."""
+    from liftsim.core import PartialAssignment, Rect, is_structured
+    from liftsim.fixtures import instance, one_bit_fixture
     from liftsim.protocol import refine
     from liftsim.simulate import SimConfig
 
-    calls = [lambda: density_restoring_partition(singles([1, 2], 4), delta),
+    v = singles([1, 2], 4)
+    parts = density_restoring_partition(v, Fraction(1, 2))
+    G = instance(1, 4)
+    calls = [lambda: density_restoring_partition(v, delta),
+             lambda: verify_partition_lemma(v, parts, delta),
+             lambda: is_blockwise_dense(v, delta),
+             lambda: is_structured(Rect(G.full_X(), G.full_Y()),
+                                   PartialAssignment.free_everywhere(1), delta, G),
              lambda: refine(one_bit_fixture(4), delta),
              lambda: SimConfig(delta=delta)]
     for call in calls:
