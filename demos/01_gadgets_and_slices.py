@@ -9,17 +9,15 @@ output word z.  Everything below is exact counting.
 from liftsim import (
     ComposedInstance,
     GadgetSpec,
-    bits_str,
     compose_eval,
-    gadget_eval,
+    iter_slice,
     slice_count,
-    slice_enumerate,
 )
 
 # One block: m = 4, so y is a 4-bit string and bit positions read left to right.
-g = GadgetSpec.index(4)
-print("gadget_eval(x=2, y=0110) =", gadget_eval(g, 2, "0110"))
-print("gadget_eval(x=4, y=0001) =", gadget_eval(g, 4, "0001"))
+G4 = ComposedInstance(1, GadgetSpec.index(4))
+print("g(x=2, y=0110) =", compose_eval(G4, (2,), ("0110",)))
+print("g(x=4, y=0001) =", compose_eval(G4, (4,), ("0001",)))
 
 # Two blocks of m = 2: the composition evaluates blockwise.
 G = ComposedInstance(2, GadgetSpec.index(2))
@@ -29,8 +27,8 @@ print(f"\nG{xs, ys} =", compose_eval(G, xs, ys))
 # The slice of z collects every input pair mapped to z.
 G1 = ComposedInstance(1, GadgetSpec.index(2))
 for z in [(0,), (1,)]:
-    sl = slice_enumerate(G1, z)
-    shown = [(x[0], bits_str(y[0], 2)) for x, y in sl]
+    sl = list(iter_slice(G1, z))
+    shown = [(x[0], format(y[0], "02b")) for x, y in sl]
     print(f"\nslice of z={z}: {shown}")
     print(f"  count {len(sl)} = m * 2^(m-1) = {slice_count(G1, z)}")
 

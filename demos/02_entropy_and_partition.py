@@ -1,4 +1,4 @@
-"""Min-entropy, blockwise density, and the density-restoring partition.
+"""Deficiency, blockwise density, and the density-restoring partition.
 
 A set X inside [m]^J is blockwise delta-dense when no projection of it is too
 concentrated.  When density fails, the partition procedure peels off parts
@@ -15,7 +15,6 @@ from liftsim import (
     density_restoring_partition,
     is_blockwise_dense,
     log2_float,
-    marginal_min_entropy,
     verify_partition_lemma,
 )
 
@@ -25,8 +24,8 @@ DELTA = Fraction(9, 10)
 v = SetVar({(1, 1), (1, 2)}, (4, 4))
 print("support:", sorted(v.support))
 for I in [(1,), (2,), (1, 2)]:
-    print(f"  H_min on {I}: {log2_float(marginal_min_entropy(v, I)):.3f} bits, "
-          f"deficiency {log2_float(deficiency(v, I)):.3f} bits")
+    print(f"  deficiency on {I}: {log2_float(deficiency(v, I)):.3f} bits "
+          f"(|I| log m minus the marginal's min-entropy)")
 print("blockwise 0.9-dense?", is_blockwise_dense(v, DELTA))
 print("essentially dense (one bit of slack)?",
       is_blockwise_dense(v, DELTA, essential=True))

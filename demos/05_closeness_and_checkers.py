@@ -51,7 +51,7 @@ Y_zeros = SetVar({(0,)}, (2 ** m,))
 print("bias when Bob is the all-zeros string:",
       parity_bias(g, (1,), X_uniform, Y_zeros))
 nb = norm_bound_check(g, (1,), X_uniform, Y_zeros)
-print(f"norm bound: |bias| = {nb.lhs} <= {nb.rhs:.3f}, holds = {nb.holds}")
+print(f"norm bound: |bias|^2 = {nb.lhs ** 2} <= {nb.rhs_squared}, holds = {nb.holds}")
 
 # Pointwise uniformity from small parities: distributions whose parity biases
 # all fit under n^(-5|I|) are pointwise within a 1/n^3 factor of uniform.

@@ -28,13 +28,10 @@ from .core import (
     OuterFunction,
     PartialAssignment,
     Rect,
-    asymptotic_gadget_size,
-    bits_str,
     compose_eval,
-    gadget_eval,
     is_structured,
+    iter_slice,
     slice_count,
-    slice_enumerate,
 )
 from .entropy import (
     DensityPart,
@@ -43,7 +40,6 @@ from .entropy import (
     density_restoring_partition,
     is_blockwise_dense,
     log2_float,
-    marginal_min_entropy,
     verify_partition_lemma,
 )
 from .errors import DomainError, ResourceError

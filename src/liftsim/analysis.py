@@ -27,7 +27,7 @@ from .core import (
     iter_slice,
     slice_count,
 )
-from .entropy import SetVar, as_fraction, cmp_pow, nonempty_subsets
+from .entropy import SetVar, cmp_pow, nonempty_subsets
 from .errors import DomainError, ResourceError
 from .protocol import (
     DecisionTree,
@@ -36,7 +36,7 @@ from .protocol import (
     run_protocol,
     run_refined,
 )
-from .simulate import ExactDist
+from .simulate import ExactDist, SimConfig
 
 
 def true_transcript_dist(rp: RefinedProtocol, z, *,
@@ -125,7 +125,7 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
     pairs = rect.x_size * rect.y_size
     if pairs > pair_budget:
         raise ResourceError("marginals enumeration", pairs, pair_budget)
-    cap = Fraction(G.n ** 3) if cap is None else as_fraction(cap)
+    cap = SimConfig(deficiency_cap=cap).cap_bits(G.n)
     Y = rect.Y.materialize(pair_budget)
     x_counts = {xs: 0 for xs in rect.X}
     y_counts = {ys: 0 for ys in Y}
@@ -200,10 +200,6 @@ class NormBound:
     rhs_squared: Fraction
     holds: bool
 
-    @property
-    def rhs(self) -> float:
-        return float(self.rhs_squared) ** 0.5
-
 
 def _squared_two_norm(v: SetVar, I) -> Fraction:
     counts = v.project_counts(I)
@@ -214,14 +210,14 @@ def norm_bound_check(g, I, X: SetVar, Y: SetVar,
                      pair_budget: int = PAIR_BUDGET_DEFAULT) -> NormBound:
     """|bias| <= ||dist(X_I)|| * 2^(|I|m/2) * ||dist(Y_I)||, via squares.
 
-    The middle factor is the operator norm of the tensored gadget matrix,
-    which is exactly 2^(m/2) per block for the index gadget.
+    The middle factor is the operator norm of the tensored gadget matrix:
+    GadgetMatrix's per-block squared norm, to the power |I|.
     """
     I, xpos, ypos = _aligned_positions(X, Y, I)
     lhs = abs(parity_bias(g, I, X, Y, pair_budget))
     qx = _squared_two_norm(X, I)
     qy = _squared_two_norm(Y, I)
-    rhs_sq = qx * qy * (2 ** (len(I) * g.m))
+    rhs_sq = qx * qy * GadgetMatrix(g.m).operator_norm_squared ** len(I)
     return NormBound(lhs, rhs_sq, lhs * lhs <= rhs_sq)
 
 

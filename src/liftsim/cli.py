@@ -15,17 +15,21 @@ report names it and the seed); 2 bad config or fixture; 3 an exact
 computation exceeded its resource budget; 4 an internal error (a bug in
 liftsim, not a finding about the input).
 
+--config PATH (or --config=PATH, spelled out in full) reads flags from a JSON
+object: its keys are flag names with "_" for "-", its "command" names the
+subcommand, null leaves a flag out, and flags on the command line win.
+
 Defaults mirror the analysis regime where meaningful: density rate 9/10 and
 deficiency cap n^3 bits.  The regime in which the closeness guarantees are
-proved sets the block size to n**256 (see core.asymptotic_gadget_size); that
-formula is documented here for orientation only, desk-scale runs measure
-trends instead.
+proved sets the block size to n**256; that formula is documented here for
+orientation only, desk-scale runs measure trends instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -471,13 +475,15 @@ def cmd_convert(args):
 
 # --- wiring ---
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommands' parser, built once per process; parsing leaves it
+    unchanged.  --config is read before it, by _config_parser."""
     p = argparse.ArgumentParser(
         prog="liftsim",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, seed=False, budget=True):
@@ -506,12 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coords", type=int, default=2)
     sp.add_argument("--m", type=int, default=4)
     sp.add_argument("--max-support", type=int, default=64)
-    sp.set_defaults(fn=cmd_partition)
 
     sp = sub.add_parser("refine", help="refine a protocol, check the invariant")
     common(sp)
     fixture(sp)
-    sp.set_defaults(fn=cmd_refine)
 
     sp = sub.add_parser("simulate", help="exact walk distribution + samples")
     common(sp, seed=True)
@@ -519,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", default="all")
     sp.add_argument("--samples", type=int, default=0)
     walk(sp)
-    sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("verify", help="simulator vs slice truth + batteries")
     common(sp, seed=True)
@@ -528,34 +531,35 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--battery", type=int, default=200)
     sp.add_argument("--expect-exact", action="store_true")
     walk(sp)
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("sweep", help="tv / queries / failure-rate vs m")
     common(sp)
     sp.add_argument("--n", type=int, default=1, choices=(1, 2))
     sp.add_argument("--m-list", type=int, nargs="+", default=[4, 8, 16, 32])
     sp.add_argument("--jobs", type=int, default=1)
-    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("convert", help="decision tree <-> protocol round trips")
     common(sp)
     fixture(sp)
     sp.add_argument("--outer", default=None)
     walk(sp)
-    sp.set_defaults(fn=cmd_convert)
     return p
 
 
-def _apply_config_file(parser, argv):
-    """defaults < config file < explicit flags (last wins)."""
-    if "--config" not in argv:
-        return parser.parse_args(argv)
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise DomainError("--config needs a path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
-    with open(path, encoding="utf-8") as fh:
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """Takes --config PATH or --config=PATH out of argv; no abbreviation."""
+    p = argparse.ArgumentParser(prog="liftsim", add_help=False, allow_abbrev=False)
+    p.add_argument("--config")
+    return p
+
+
+def _apply_config_file(argv):
+    """The parsed flags: defaults < config file < explicit flags (last wins)."""
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config is None:
+        return build_parser().parse_args(rest)
+    with open(known.config, encoding="utf-8") as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise DomainError("config file must hold a JSON object")
@@ -581,7 +585,7 @@ def _apply_config_file(parser, argv):
             rebuilt.extend([flag, str(value)])
     if any("\0" in arg for arg in rebuilt):
         raise DomainError("config file keys and values cannot hold NUL characters")
-    return parser.parse_args(rebuilt + rest)
+    return build_parser().parse_args(rebuilt + rest)
 
 
 # command -> (flags its report's config leaves out, keys it adds): the
@@ -600,7 +604,7 @@ def _config(args) -> dict:
     dropped, added = _CONFIG_LEGACY.get(args.command, ((), {}))
     config = {key: str(value) if isinstance(value, Fraction) else value
               for key, value in vars(args).items()
-              if key not in {"out", "command", "config", "fn", *dropped}}
+              if key not in {"out", "command", *dropped}}
     return {**config, **added}
 
 
@@ -615,15 +619,14 @@ def _print_report(report):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _apply_config_file(parser, argv)
+        args = _apply_config_file(argv)
         _check_flags(args)
     except (OSError, RecursionError, ValueError) as e:  # DomainError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        results, tables = args.fn(args)
+        results, tables = globals()[f"cmd_{args.command}"](args)
         report = {"command": args.command, "config": _config(args), **results}
         write_report(args.out, report, tables)
     except Violation as e:

@@ -40,24 +40,11 @@ class _BotType:
 BOT = _BotType()
 
 
-def asymptotic_gadget_size(n: int) -> int:
-    """Block-domain size at which the theory's guarantees are stated: n**256.
-
-    Informational only; it is astronomically beyond anything this harness can
-    enumerate, which is why all closeness results here are measured trends.
-    """
-    return n ** 256
-
-
 def bit_at(y: int, pos: int, m: int) -> int:
     """Bit `pos` (1-based, left to right) of the m-bit string stored in y."""
     if not 1 <= pos <= m:
         raise DomainError(f"bit position {pos} outside 1..{m}")
     return (y >> (m - pos)) & 1
-
-
-def bits_str(y: int, m: int) -> str:
-    return format(y, f"0{m}b")
 
 
 def _is_power_of_two(v: int) -> bool:
@@ -83,15 +70,6 @@ class GadgetSpec:
         if not 0 <= y < 2 ** self.m:
             raise DomainError(f"y={y} is not a {self.m}-bit string")
         return bit_at(y, x, self.m)
-
-
-def gadget_eval(g: GadgetSpec, x: int, y) -> int:
-    """g evaluated on one block; y may be an int or a '0101' string."""
-    if isinstance(y, str):
-        if len(y) != g.m or set(y) - {"0", "1"}:
-            raise DomainError(f"y={y!r} is not a {g.m}-bit string")
-        y = int(y, 2)
-    return g.eval(x, y)
 
 
 @dataclass(frozen=True)
@@ -164,10 +142,18 @@ class ComposedInstance:
         return z
 
 
+def _bits(y: str, m: int) -> int:
+    """A '0101' string of exactly m characters as the int that stores it."""
+    if len(y) != m or not set(y) <= {"0", "1"}:
+        raise DomainError(f"y={y!r} is not a {m}-bit string")
+    return int(y, 2)
+
+
 def compose_eval(G: ComposedInstance, xs, ys) -> tuple:
-    """z with z_i = g(xs_i, ys_i)."""
+    """z with z_i = g(xs_i, ys_i); a block of ys is an int or an m-character
+    '0101' string."""
     xs = tuple(xs)
-    ys = tuple(int(y, 2) if isinstance(y, str) else y for y in ys)
+    ys = tuple(_bits(y, G.m) if isinstance(y, str) else y for y in ys)
     G.check_alice(xs)
     G.check_bob(ys)
     return tuple(G.gadget.eval(x, y) for x, y in zip(xs, ys))
@@ -469,14 +455,6 @@ def iter_slice(G: ComposedInstance, z):
         pools = [allowed[(x, zi)] for x, zi in zip(xs, z)]
         for ys in itertools.product(*pools):
             yield xs, ys
-
-
-def slice_enumerate(G: ComposedInstance, z, pair_budget: int = PAIR_BUDGET_DEFAULT) -> list:
-    """Materialize G^{-1}(z); refuses beyond the enumeration budget."""
-    total = slice_count(G, z)
-    if total > pair_budget:
-        raise ResourceError(f"slice enumeration for z={z}", total, pair_budget)
-    return list(iter_slice(G, z))
 
 
 def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance) -> bool:

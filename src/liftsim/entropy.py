@@ -1,4 +1,4 @@
-"""Exact min-entropy, deficiency, blockwise density, and the density-restoring partition.
+"""Exact deficiency, blockwise density, and the density-restoring partition.
 
 All quantities are kept exact: probabilities are big-integer rationals, and
 an entropy, deficiency or potential of b bits is stored as the positive
@@ -143,16 +143,6 @@ class SetVar:
         return Counter(tuple(t[p] for p in pos) for t in self.support)
 
 
-def marginal_min_entropy(v: SetVar, I) -> Fraction:
-    """Min-entropy of v's marginal on coordinate set I, as the ratio
-    |v| / (heaviest outcome's count) whose log2 it is; 1 for I = ()."""
-    I = tuple(I)
-    if not I:
-        return Fraction(1)
-    max_count = max(v.project_counts(I).values())
-    return Fraction(v.size, max_count)
-
-
 def deficiency(v: SetVar, I) -> Fraction:
     """Ambient bits of the I-marginal minus its min-entropy, as the ratio
     (ambient size * heaviest count) / |v| whose log2 it is; 1 for I = ()."""
@@ -187,10 +177,6 @@ def nonempty_subsets(coords):
         yield from itertools.combinations(coords, r)
 
 
-def _max_prob(v: SetVar, I) -> Fraction:
-    return Fraction(max(v.project_counts(I).values()), v.size)
-
-
 def is_blockwise_dense(v: SetVar, delta, essential: bool = False) -> bool:
     """Every nonempty marginal has min-entropy rate >= delta (minus 1 bit if essential).
 
@@ -199,7 +185,7 @@ def is_blockwise_dense(v: SetVar, delta, essential: bool = False) -> bool:
     delta = as_rate(delta)
     m = _uniform_block_size(v)
     for I in nonempty_subsets(v.coords):
-        p = _max_prob(v, I)
+        p = Fraction(max(v.project_counts(I).values()), v.size)
         if essential:
             p = p / 2  # H >= d|I|log m - 1  <=>  p <= 2 * m^(-d|I|)
         if cmp_pow(p, m, -delta * len(I)) > 0:

@@ -224,10 +224,6 @@ class DecisionTree:
         return max(self._validate(node.zero, path, d + 1),
                    self._validate(node.one, path, d + 1))
 
-    @property
-    def cost(self) -> int:
-        return self.depth
-
 
 def dt_eval(T: DecisionTree, z):
     """(leaf value, set of queried coordinates)."""

@@ -171,9 +171,6 @@ class ExactDist:
     def __eq__(self, other):
         return isinstance(other, ExactDist) and self._p == other._p
 
-    def __len__(self):
-        return len(self._p)
-
     def __repr__(self):
         return f"ExactDist({self._p!r})"
 
@@ -327,8 +324,9 @@ def ledger_check(outcome: SimOutcome, delta) -> bool:
     deficiency bound).  In aggregate: (1-delta) log m times the total query
     count is at most the sum of all drops, since the potential starts at zero
     and stays nonnegative.  Both are one cmp_pow on the potentials' ratios.
+    delta is refused outside (0, 1).
     """
-    delta = as_fraction(delta)
+    delta = as_rate(delta)
     k = outcome.m.bit_length() - 1
     rate = (1 - delta) * k
     product = Fraction(1)

@@ -288,6 +288,15 @@ def test_marginals_rejects_inconsistent_z():
                          (0,), g)
 
 
+@pytest.mark.parametrize("cap", [0, Fraction(-1, 2)])
+def test_marginals_refuses_nonpositive_cap(cap):
+    """The cap default and check are SimConfig's: n^3 bits, and positive."""
+    g = instance(1, 2)
+    rect = Rect(g.full_X(), g.full_Y())
+    with pytest.raises(DomainError, match="deficiency cap must be positive"):
+        marginals_report(rect, PartialAssignment.free_everywhere(1), (0,), g, cap=cap)
+
+
 def test_marginals_pair_budget():
     g = instance(1, 2)
     with pytest.raises(ResourceError) as err:
@@ -359,6 +368,18 @@ def test_norm_bound_random_battery():
                     for _ in range(rng.randint(1, 16))}, (2 ** m,) * nI)
         I = tuple(rng.sample(coords, rng.randint(1, nI)))
         assert norm_bound_check(g, I, X, Y).holds
+
+
+def test_norm_bound_reads_gadget_matrix_norm(monkeypatch):
+    """The bound's operator norm is GadgetMatrix's, per block, so the tested
+    row orthogonality is what backs it: a changed constant moves rhs_squared."""
+    g = GadgetSpec.index(4)
+    X = SetVar({(3, 1), (1, 2)}, (4, 4))
+    Y = SetVar({(0b0010, 0b0100), (0b1000, 0b0001)}, (16, 16))
+    before = norm_bound_check(g, (1, 2), X, Y).rhs_squared
+    monkeypatch.setattr(GadgetMatrix, "operator_norm_squared",
+                        property(lambda self: 3 * 2 ** self.m))
+    assert norm_bound_check(g, (1, 2), X, Y).rhs_squared == 9 * before
 
 
 def test_gadget_matrix_orthogonality():

@@ -214,6 +214,49 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0 and read_json(out)["checked"] == 3
 
 
+def test_config_equals_form_applies_file(tmp_path, capsys):
+    """--config=PATH reads the file exactly as --config PATH does."""
+    conf = tmp_path / "n.json"
+    conf.write_text(json.dumps({"count": 3}))
+    for argv in (["--config=" + str(conf)], ["--config", str(conf)]):
+        code, out, _ = run(capsys, *argv, "partition", "--seed", "1")
+        assert code == 0 and read_json(out)["checked"] == 3
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--confi"])
+def test_config_abbreviation_exit2(tmp_path, capsys, flag):
+    """--config is spelled out in full; an abbreviation is refused, never
+    parsed and then ignored."""
+    conf = tmp_path / "n.json"
+    conf.write_text(json.dumps({"count": 3}))
+    with pytest.raises(SystemExit) as exc:
+        main([flag, str(conf), "partition", "--seed", "1"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_successive_config_files_leak_nothing(tmp_path, capsys):
+    """The parser is built once per process, and a run's flags or config
+    file leave nothing behind for the next run."""
+    assert cli.build_parser() is cli.build_parser()
+    tuned = tmp_path / "tuned.json"
+    tuned.write_text(json.dumps({"command": "partition", "seed": 1, "count": 2,
+                                 "coords": 3, "m": 8, "delta": "1/2", "max_support": 4}))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"command": "partition", "seed": 1, "count": 2}))
+    configs = []
+    for argv in (["--config", str(tuned)], ["--config", str(plain)],
+                 ["partition", "--seed", "1", "--count", "2"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        configs.append(read_json(out)["config"])
+    assert configs[0] != configs[1] == configs[2]
+    assert configs[2] == {"seed": 1, "count": 2, "coords": 2, "m": 4, "delta": "9/10",
+                          "max_support": 64}
+    code, _, _ = run(capsys, "sweep", "--m-list", "4", "--n", "1")
+    assert code == 0
+    assert cli.build_parser().parse_args(["sweep"]).m_list == [4, 8, 16, 32]
+
+
 def test_config_null_means_flag_not_given(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     conf = tmp_path / "c.json"

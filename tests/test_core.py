@@ -17,13 +17,13 @@ from liftsim.core import (
     Rect,
     bit_at,
     compose_eval,
-    gadget_eval,
     is_structured,
     iter_slice,
     slice_count,
-    slice_enumerate,
 )
+from liftsim.analysis import replay_transcript_dist
 from liftsim.errors import DomainError, ResourceError
+from liftsim.protocol import PLeaf, ProtocolTree, refine
 
 D = Fraction(9, 10)
 
@@ -35,20 +35,22 @@ def G(n, m):
 # --- gadget evaluation ---
 
 def test_gadget_eval_examples():
-    g4 = GadgetSpec.index(4)
-    assert gadget_eval(g4, 2, "0110") == 1
-    assert gadget_eval(GadgetSpec.index(2), 1, "00") == 0
-    assert gadget_eval(g4, 4, "0001") == 1
+    assert compose_eval(G(1, 4), (2,), ("0110",)) == (1,)
+    assert compose_eval(G(1, 2), (1,), ("00",)) == (0,)
+    assert compose_eval(G(1, 4), (4,), ("0001",)) == (1,)
 
 
 def test_gadget_eval_domain_errors():
-    g = GadgetSpec.index(4)
+    g = G(1, 4)
     with pytest.raises(DomainError):
-        gadget_eval(g, 5, "0000")
+        compose_eval(g, (5,), ("0000",))
     with pytest.raises(DomainError):
-        gadget_eval(g, 0, "0000")
-    with pytest.raises(DomainError):
-        gadget_eval(g, 1, "000")
+        compose_eval(g, (0,), ("0000",))
+    # a string block has exactly m characters, each 0 or 1: a short one is
+    # not zero-padded, and a stray digit is no bare ValueError
+    for y in ("000", "00000", "0102"):
+        with pytest.raises(DomainError, match="is not a 4-bit string"):
+            compose_eval(g, (1,), (y,))
     with pytest.raises(DomainError):
         GadgetSpec.index(3)
     with pytest.raises(DomainError):
@@ -78,17 +80,17 @@ def test_compose_eval_dimension_mismatch():
 # --- slices ---
 
 def test_slice_enumerate_n1_m2():
-    got = {(xs, ys) for xs, ys in slice_enumerate(G(1, 2), (0,))}
+    got = {(xs, ys) for xs, ys in iter_slice(G(1, 2), (0,))}
     want = {((1,), (0b00,)), ((1,), (0b01,)), ((2,), (0b00,)), ((2,), (0b10,))}
     assert got == want
     assert len(got) == 4  # m * 2^(m-1)
-    assert len(slice_enumerate(G(1, 2), (1,))) == 4
+    assert len(list(iter_slice(G(1, 2), (1,)))) == 4
 
 
 def test_slice_counts_product():
     g = G(2, 2)
     assert slice_count(g, (0, 0)) == 16
-    assert len(slice_enumerate(g, (0, 0))) == 16
+    assert len(list(iter_slice(g, (0, 0)))) == 16
 
 
 def test_slices_partition_full_domain():
@@ -97,7 +99,7 @@ def test_slices_partition_full_domain():
         seen = set()
         total = 0
         for z in itertools.product((0, 1), repeat=n):
-            sl = slice_enumerate(g, z)
+            sl = list(iter_slice(g, z))
             assert len(sl) == slice_count(g, z)
             for pair in sl:
                 assert pair not in seen
@@ -113,9 +115,10 @@ def test_slice_sizes_equal_across_z():
 
 
 def test_slice_budget_error_names_requirement():
-    g = G(1, 16)
+    """The slice replay checks the budget before it enumerates the slice."""
+    rp = refine(ProtocolTree(G(1, 16), PLeaf(0)))
     with pytest.raises(ResourceError) as err:
-        slice_enumerate(g, (0,), pair_budget=100)
+        replay_transcript_dist(rp, (0,), pair_budget=100)
     assert err.value.required == 16 * 2 ** 15
     assert err.value.budget == 100
 

@@ -18,7 +18,6 @@ from liftsim.entropy import (
     density_restoring_partition,
     is_blockwise_dense,
     log2_float,
-    marginal_min_entropy,
     verify_partition_lemma,
     violation_threshold,
 )
@@ -60,18 +59,18 @@ def test_as_fraction_reads_floats_decimally():
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
 
 
-# --- marginal min-entropy ---
+# --- marginal min-entropy, read off the deficiency: H = |I| log m - D ---
 
 def test_min_entropy_full_support_all_coords():
     v = SetVar(set(itertools.product((1, 2), repeat=3)), (2, 2, 2))
-    assert marginal_min_entropy(v, (1, 2, 3)) == 2 ** 3
+    assert 2 ** 3 / deficiency(v, (1, 2, 3)) == 2 ** 3
 
 
 def test_min_entropy_concentrated_coordinate():
     v = SetVar({(1, 1), (1, 2)}, (4, 4))
-    assert marginal_min_entropy(v, (1,)) == 2 ** 0
-    assert marginal_min_entropy(v, (2,)) == 2 ** 1
-    assert marginal_min_entropy(v, ()) == 2 ** 0
+    assert 4 / deficiency(v, (1,)) == 2 ** 0
+    assert 4 / deficiency(v, (2,)) == 2 ** 1
+    assert deficiency(v, ()) == 2 ** 0
 
 
 # --- deficiency ---

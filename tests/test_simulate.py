@@ -250,6 +250,17 @@ def test_ledger_battery_including_failures():
     assert failures_seen  # cutoffs actually exercised
 
 
+@pytest.mark.parametrize("delta", [0, 1, 2, Fraction(-1, 2)])
+def test_ledger_check_refuses_rate_outside_unit_interval(delta):
+    """The ledger is checked only at a density rate in (0, 1), as the lemma
+    verifier and SimConfig require; outside it every row would pass."""
+    rp = refine(bob_first_fixture(8), CFG.delta)
+    out = simulate_sample(rp, (0,), CFG, seed=1)
+    assert out.ledger and ledger_check(out, CFG.delta)
+    with pytest.raises(DomainError, match="delta"):
+        ledger_check(out, delta)
+
+
 def test_ledger_checker_rejects_forged_rows():
     from liftsim.simulate import LedgerRow, SimOutcome
 
