@@ -27,8 +27,6 @@ for I in [(1,), (2,), (1, 2)]:
     print(f"  deficiency on {I}: {log2_float(deficiency(v, I)):.3f} bits "
           f"(|I| log m minus the marginal's min-entropy)")
 print("blockwise 0.9-dense?", is_blockwise_dense(v, DELTA))
-print("essentially dense (one bit of slack)?",
-      is_blockwise_dense(v, DELTA, essential=True))
 
 # The partition procedure on a slightly lopsided set.
 w = SetVar({(x,) for x in (1, 2, 3)}, (4,))

@@ -8,7 +8,6 @@ distribution is computed by weighted traversal, and each sampled run carries
 a potential ledger whose per-iteration inequality is checked exactly.
 """
 
-import json
 from fractions import Fraction
 
 from liftsim import SimConfig, ledger_check, refine, simulate_exact, simulate_sample
@@ -44,10 +43,14 @@ for t, c in sorted(counts.items(), key=lambda kv: str(kv[0])):
     print(f"  {'bottom' if t is BOT else t}: {c / 2000:.3f} "
           f"(exact {float(exact.transcripts.prob(t)):.3f})")
 
-# One full outcome record, serialized.
+# One full outcome record, with its ledger's exact ratios.
 out = simulate_sample(rp, z, cfg, seed=3)
 print("\none outcome record:")
-print(json.dumps(out.to_dict(), indent=2))
+print(f"  transcript {out.transcript}, value {'bottom' if out.value is BOT else out.value}, "
+      f"failure {out.failure}, queries {list(out.queries)}")
+for row in out.ledger:
+    print(f"  iteration {row.iteration}: gamma_ratio {row.gamma_ratio}, "
+          f"delta_ratio {row.delta_ratio}, queries {row.queries}")
 
 # The strict failure mode also cuts off runs whose Bob set gets too deficient.
 strict = SimConfig(delta=DELTA, strict_zpp=True, deficiency_cap=Fraction(1))

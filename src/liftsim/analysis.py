@@ -122,10 +122,10 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
     z = tuple(z)
     if not rho.consistent(z):
         raise DomainError("z is not consistent with rho")
+    cap = SimConfig(deficiency_cap=cap).cap_bits(G.n)
     pairs = rect.x_size * rect.y_size
     if pairs > pair_budget:
         raise ResourceError("marginals enumeration", pairs, pair_budget)
-    cap = SimConfig(deficiency_cap=cap).cap_bits(G.n)
     Y = rect.Y.materialize(pair_budget)
     x_counts = {xs: 0 for xs in rect.X}
     y_counts = {ys: 0 for ys in Y}

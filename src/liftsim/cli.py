@@ -310,7 +310,7 @@ def cmd_verify(args):
         z = tuple(rng.randint(0, 1) for _ in range(n))
         rep = analysis.marginals_report(Rect(X, ExplicitBobSet(n, m, Y)),
                                         PartialAssignment.free_everywhere(n),
-                                        z, g)
+                                        z, g, args.delta, pair_budget=args.budget)
         marg_rows.append([idx, n, m, int(rep.nonempty), float(rep.tv_x),
                           float(rep.tv_y), int(rep.structured),
                           int(rep.deficiency_ok)])
@@ -332,7 +332,7 @@ def cmd_verify(args):
         Y = entropy.SetVar({tuple(rng.randrange(2 ** m) for _ in coords)
                             for _ in range(rng.randint(1, 16))}, (2 ** m,) * nI)
         I = tuple(sorted(rng.sample(coords, rng.randint(1, nI))))
-        nb = analysis.norm_bound_check(g, I, X, Y)
+        nb = analysis.norm_bound_check(g, I, X, Y, args.budget)
         if not nb.holds:
             raise Violation("parity-bias norm bound",
                             f"battery instance {idx}", seed=args.seed)
@@ -640,7 +640,7 @@ def main(argv=None) -> int:
     except ResourceError as e:
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DomainError, OSError, json.JSONDecodeError) as e:
+    except (DomainError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # exit 1 is kept for genuine invariant failures

@@ -176,10 +176,6 @@ class PartialAssignment:
     def free_everywhere(cls, n: int) -> "PartialAssignment":
         return cls((None,) * n)
 
-    @classmethod
-    def from_string(cls, s: str) -> "PartialAssignment":
-        return cls(tuple(None if c == "*" else int(c) for c in s))
-
     def __str__(self):
         return "".join("*" if e is None else str(e) for e in self.entries)
 
@@ -388,7 +384,8 @@ class Rect:
 
 @dataclass(frozen=True)
 class OuterFunction:
-    """A (possibly partial) boolean function on {0,1}^n; missing z = undefined.
+    """A (possibly partial) boolean function on {0,1}^n, built from a dict
+    z -> bit; missing z = undefined.
 
     Undefined inputs are promise violations: they never participate in error
     maximization.
@@ -399,15 +396,13 @@ class OuterFunction:
 
     def __init__(self, n, values):
         pairs = []
-        for z, b in (values.items() if isinstance(values, dict) else values):
+        for z, b in values.items():
             z = tuple(z)
             if len(z) != n or any(c not in (0, 1) for c in z) or b not in (0, 1):
                 raise DomainError(f"bad outer-function entry {z}->{b}")
             pairs.append((z, b))
         if not pairs:
             raise DomainError("outer function needs at least one defined input")
-        if len({z for z, _ in pairs}) != len(pairs):
-            raise DomainError("duplicate outer-function entries")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", tuple(sorted(pairs)))
 

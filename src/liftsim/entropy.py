@@ -177,8 +177,8 @@ def nonempty_subsets(coords):
         yield from itertools.combinations(coords, r)
 
 
-def is_blockwise_dense(v: SetVar, delta, essential: bool = False) -> bool:
-    """Every nonempty marginal has min-entropy rate >= delta (minus 1 bit if essential).
+def is_blockwise_dense(v: SetVar, delta) -> bool:
+    """Every nonempty marginal has min-entropy rate >= delta.
 
     Exhaustive over all 2^|J| - 1 nonempty coordinate subsets.
     """
@@ -186,8 +186,6 @@ def is_blockwise_dense(v: SetVar, delta, essential: bool = False) -> bool:
     m = _uniform_block_size(v)
     for I in nonempty_subsets(v.coords):
         p = Fraction(max(v.project_counts(I).values()), v.size)
-        if essential:
-            p = p / 2  # H >= d|I|log m - 1  <=>  p <= 2 * m^(-d|I|)
         if cmp_pow(p, m, -delta * len(I)) > 0:
             return False
     return True

@@ -51,9 +51,6 @@ class TableFn:
     def __call__(self, inp):
         return self.table[tuple(inp)]
 
-    def __eq__(self, other):
-        return isinstance(other, TableFn) and self.table == other.table
-
 
 class BitFn:
     """Bob reads a single bit: position `pos` of block `block`."""
@@ -65,10 +62,6 @@ class BitFn:
 
     def __call__(self, ys):
         return bit_at(ys[self.block - 1], self.pos, self.m)
-
-    def __eq__(self, other):
-        return (isinstance(other, BitFn)
-                and (self.block, self.pos, self.m) == (other.block, other.pos, other.m))
 
 
 @dataclass
@@ -284,10 +277,6 @@ def dt_to_protocol(T, G: ComposedInstance):
     Alice log m bits (the pointer x_i, high bit first) plus one Bob bit (the
     pointed-to y bit), so cost = depth * (log m + 1) exactly.
     """
-    if isinstance(T, RandomizedDecisionTree):
-        return RandomizedProtocol(
-            [(w, dt_to_protocol(t, G)) for w, t in T.components]
-        )
     if T.n != G.n:
         raise DomainError("decision tree arity does not match the instance")
     k = G.log_m
@@ -599,14 +588,9 @@ def randomized_protocol_from_dict(d) -> RandomizedProtocol:
     )
 
 
-def load_fixture(path_or_obj):
+def load_fixture(path):
     """Parse a protocol / randomized protocol / decision tree / outer function
-    from a dict or a JSON file path.  A malformed record raises DomainError
-    naming its source."""
-    if isinstance(path_or_obj, dict):
-        d, source = path_or_obj, "record"
-    else:
-        d, source = None, path_or_obj
+    from a JSON file.  A malformed record raises DomainError naming the file."""
     parsers = {
         "protocol": protocol_from_dict,
         "randomized_protocol": randomized_protocol_from_dict,
@@ -614,13 +598,12 @@ def load_fixture(path_or_obj):
         "outer_function": OuterFunction.from_dict,
     }
     try:
-        if d is None:
-            with open(source, encoding="utf-8") as fh:
-                d = json.load(fh)  # not UTF-8 or not JSON: a ValueError
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)  # not UTF-8 or not JSON: a ValueError
         fmt = d.get("format")
         if fmt not in parsers:
             raise DomainError(f"unknown fixture format {fmt!r}")
         return parsers[fmt](d)
     except (ArithmeticError, AttributeError, KeyError, RecursionError, TypeError,
             ValueError) as e:
-        raise DomainError(f"bad fixture {source}: {type(e).__name__}: {e}") from e
+        raise DomainError(f"bad fixture {path}: {type(e).__name__}: {e}") from e

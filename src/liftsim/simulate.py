@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import BOT, PAIR_BUDGET_DEFAULT
-from .entropy import as_fraction, as_rate, cmp_pow, frac_str, log2_float
+from .entropy import as_fraction, as_rate, cmp_pow
 from .errors import DomainError, ResourceError
 from .protocol import (
     DLeaf,
@@ -103,26 +103,6 @@ class SimOutcome:
     @property
     def outcome(self):
         return BOT if self.transcript is None else self.transcript
-
-    def to_dict(self) -> dict:
-        return {
-            "transcript": None if self.transcript is None
-            else [list(msg) for msg in self.transcript],
-            "value": "bot" if self.value is BOT else self.value,
-            "failure": self.failure,
-            "queries": list(self.queries),
-            "ledger": [
-                {
-                    "iteration": row.iteration,
-                    "gamma_ratio": frac_str(row.gamma_ratio),
-                    "delta_ratio": frac_str(row.delta_ratio),
-                    "queries": row.queries,
-                    "potential_before_bits": log2_float(row.potential_before),
-                    "potential_after_bits": log2_float(row.potential_after),
-                }
-                for row in self.ledger
-            ],
-        }
 
 
 class ExactDist:

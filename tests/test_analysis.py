@@ -290,11 +290,14 @@ def test_marginals_rejects_inconsistent_z():
 
 @pytest.mark.parametrize("cap", [0, Fraction(-1, 2)])
 def test_marginals_refuses_nonpositive_cap(cap):
-    """The cap default and check are SimConfig's: n^3 bits, and positive."""
+    """The cap default and check are SimConfig's: n^3 bits, and positive.  A
+    bad cap is refused whether or not the 8 pairs fit the budget."""
     g = instance(1, 2)
     rect = Rect(g.full_X(), g.full_Y())
-    with pytest.raises(DomainError, match="deficiency cap must be positive"):
-        marginals_report(rect, PartialAssignment.free_everywhere(1), (0,), g, cap=cap)
+    for pair_budget in (8, 7):
+        with pytest.raises(DomainError, match="deficiency cap must be positive"):
+            marginals_report(rect, PartialAssignment.free_everywhere(1), (0,), g, cap=cap,
+                             pair_budget=pair_budget)
 
 
 def test_marginals_pair_budget():

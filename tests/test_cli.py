@@ -9,13 +9,14 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftsim import cli
-from liftsim.analysis import dt_error
+from liftsim.analysis import dt_error, marginals_report
 from liftsim.cli import main
 from liftsim.entropy import RATIONAL_BUDGET
 from liftsim.errors import ResourceError
@@ -118,6 +119,32 @@ def test_verify_reports_one_sided_support(tmp_path, capsys):
     assert code == 0 and err == ""
     per_z = read_json(out)["per_z"]
     assert [per_z[z]["support_check"] for z in ("0", "1")] == [False, True]
+
+
+def test_verify_marginals_battery_runs_at_delta(tmp_path, capsys, monkeypatch):
+    """The battery's structured column is marginals_report's at --delta,
+    recounted here on the same rectangles."""
+    rects = []
+
+    def spy(rect, rho, z, g, *args, **kwargs):
+        rects.append((rect, rho, z, g))
+        return marginals_report(rect, rho, z, g, *args, **kwargs)
+
+    monkeypatch.setattr(cli.analysis, "marginals_report", spy)
+    code, _, _ = run(capsys, "verify", "--seed", "1", "--battery", "30",
+                     "--delta", "1/2", "--out", str(tmp_path))
+    assert code == 0 and len(rects) == 30
+    rows = (tmp_path / "marginals.csv").read_text().splitlines()[1:]
+    structured = sum(row.split(",")[6] == "1" for row in rows)
+    assert structured == sum(marginals_report(*r, Fraction(1, 2)).structured
+                             for r in rects)
+
+
+def test_verify_batteries_honour_budget(capsys):
+    code, _, err = run(capsys, "verify", "--seed", "1", "--battery", "20",
+                       "--budget", "100")
+    assert code == 3
+    assert "parity bias enumeration: needs 192" in err
 
 
 def test_bad_config_file_exit2(tmp_path, capsys):

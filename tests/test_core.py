@@ -172,7 +172,7 @@ def test_structured_empty_rect_rejected():
 # --- partial assignments ---
 
 def test_partial_assignment_basics():
-    rho = PartialAssignment.from_string("0*1")
+    rho = PartialAssignment((0, None, 1))
     assert str(rho) == "0*1"
     assert rho.free == (2,)
     assert rho.fix == (1, 3)

@@ -120,10 +120,9 @@ def test_density_fails_on_fixed_coordinate():
     assert not is_blockwise_dense(v, D)
 
 
-def test_essential_density_one_bit_slack():
+def test_density_fails_on_three_of_four():
     v = singles({1, 2, 3}, 4)
-    # log2(3) >= 0.9*2 - 1 holds, but log2(3) >= 1.8 does not.
-    assert is_blockwise_dense(v, D, essential=True)
+    # log2(3) >= 0.9*2 does not hold.
     assert not is_blockwise_dense(v, D)
 
 

@@ -404,10 +404,6 @@ def test_randomized_wrappers_validate():
         RandomizedProtocol([(Fraction(1, 2), const_protocol(g, 1))])
     rp = RandomizedProtocol([(Fraction(1, 2), const_protocol(g, 1)),
                              (Fraction(1, 2), const_protocol(g, 0))])
-    conv = dt_to_protocol(
-        RandomizedDecisionTree(1, [(Fraction(1), DecisionTree(1, DLeaf(1)))]), g
-    )
-    assert isinstance(conv, RandomizedProtocol)
     assert rp.G == g
 
 
