@@ -425,9 +425,15 @@ class OuterFunction:
 
     @classmethod
     def from_dict(cls, d) -> "OuterFunction":
+        """A `values` key must be exactly n ASCII '0'/'1' characters, so two
+        distinct keys never name the same z."""
         if d.get("format") != "outer_function":
             raise DomainError("not an outer-function record")
-        return cls(d["n"], {tuple(int(c) for c in k): v for k, v in d["values"].items()})
+        n = d["n"]
+        for k in d["values"]:
+            if len(k) != n or not set(k) <= {"0", "1"}:
+                raise DomainError(f"outer-function key {k!r} is not {n} characters of 0/1")
+        return cls(n, {tuple(map(int, k)): v for k, v in d["values"].items()})
 
 
 def slice_count(G: ComposedInstance, z) -> int:

@@ -168,13 +168,14 @@ def _uniform_block_size(v: SetVar) -> int:
 
 
 def nonempty_subsets(coords):
-    """The nonempty subsets of coords by size, then lexicographically;
-    refused beyond SUBSET_BUDGET."""
+    """The nonempty subsets of coords by size, then lexicographically, as a
+    lazy iterator; refused beyond SUBSET_BUDGET at the call, before any is
+    listed."""
     n = len(coords)
     if n and 2 ** n > SUBSET_BUDGET:
         raise ResourceError("subset enumeration", 2 ** n, SUBSET_BUDGET)
-    for r in range(1, n + 1):
-        yield from itertools.combinations(coords, r)
+    return itertools.chain.from_iterable(
+        itertools.combinations(coords, r) for r in range(1, n + 1))
 
 
 def is_blockwise_dense(v: SetVar, delta) -> bool:
@@ -278,28 +279,59 @@ def density_restoring_partition(v: SetVar, delta) -> list:
     peel off {x : x_I = alpha}.  A remainder that is already dense is emitted
     as a single part with the empty label, which ends the loop.
 
-    Every marginal is counted once, at the start; a peel subtracts the peeled
-    points from each count.  A marginal on k blocks is too concentrated when
-    its heaviest count exceeds violation_threshold(|remainder|, k).
+    A marginal on k blocks is too concentrated when its heaviest count
+    exceeds violation_threshold(|remainder|, k).  Every marginal is counted
+    once, in the first round that needs them; a peel subtracts the peeled
+    points from each count.
+
+    The singleton regime, in closed form (each group is one point when J is
+    every block).  Let J = v.coords be nonempty.  In a round where
+    violation_threshold(|remainder|, |J|) is 0, the rest of the partition is
+    the remainder grouped by its value on J, heaviest group first, ties to
+    the smallest alpha, and no marginal needs counting:
+    - every outcome of the J-marginal has count >= 1 > 0, so J violates;
+    - J's membership vector over coords is all ones, the largest there is,
+      and J holds every violating singleton, so _choose_violating_set picks
+      J whichever pool it searches; the peel is then the heaviest group;
+    - the threshold never grows as the size shrinks, so it stays 0 in every
+      later round and J is picked again;
+    - a peel on J removes one whole group and leaves the others' J-counts
+      as they were, so the order of the groups is fixed on entry.
+    Below m^(delta*|J|) points the regime holds from the start, and then the
+    subsets are never listed; SUBSET_BUDGET still refuses a J too large.
     """
     delta = as_rate(delta)
     m = _uniform_block_size(v)
+    J = v.coords
+    subsets = nonempty_subsets(J)  # refused here, beyond SUBSET_BUDGET
     input_size = v.size
     remaining = set(v.support)
-    marginals = {}  # nonempty subset of v.coords -> (its key, its counts)
-    for I in nonempty_subsets(v.coords):
-        key = _key(v.positions(I))
-        marginals[frozenset(I)] = (key, Counter(map(key, remaining)))
+    marginals = {}  # nonempty subset of J -> (its key, its counts)
     parts = []
     order = 0
     while remaining:
         order += 1
         size = len(remaining)
         limit = {k: violation_threshold(size, k, delta, m)
-                 for k in range(1, len(v.coords) + 1)}
+                 for k in range(1, len(J) + 1)}
+        if J and not limit[len(J)]:
+            key, groups = _key(v.positions(J)), {}
+            for t in remaining:
+                groups.setdefault(key(t), []).append(t)
+            for alpha in sorted(groups, key=lambda a: (-len(groups[a]), a)):
+                part = frozenset(groups[alpha])
+                parts.append(DensityPart(order, J, alpha, part,
+                                         len(part), size, input_size))
+                order += 1
+                size -= len(part)
+            break
+        if order == 1:
+            for I in subsets:
+                key = _key(v.positions(I))
+                marginals[frozenset(I)] = (key, Counter(map(key, remaining)))
         violating = [I for I, (_, counts) in marginals.items()
                      if max(counts.values()) > limit[len(I)]]
-        I = _choose_violating_set(v.coords, violating)
+        I = _choose_violating_set(J, violating)
         if not I:
             parts.append(DensityPart(order, (), (), frozenset(remaining),
                                       size, size, input_size))

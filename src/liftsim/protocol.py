@@ -588,9 +588,19 @@ def randomized_protocol_from_dict(d) -> RandomizedProtocol:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refused if it repeats a key."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise DomainError(f"repeated key {next(k for k in d if keys.count(k) > 1)!r}")
+    return d
+
+
 def load_fixture(path):
     """Parse a protocol / randomized protocol / decision tree / outer function
-    from a JSON file.  A malformed record raises DomainError naming the file."""
+    from a JSON file.  A malformed record, or an object that repeats a key,
+    raises DomainError naming the file."""
     parsers = {
         "protocol": protocol_from_dict,
         "randomized_protocol": randomized_protocol_from_dict,
@@ -599,7 +609,8 @@ def load_fixture(path):
     }
     try:
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)  # not UTF-8 or not JSON: a ValueError
+            # not UTF-8 or not JSON: a ValueError
+            d = json.load(fh, object_pairs_hook=_unique_keys)
         fmt = d.get("format")
         if fmt not in parsers:
             raise DomainError(f"unknown fixture format {fmt!r}")

@@ -195,6 +195,15 @@ def test_budget_exit3(tmp_path, capsys):
     assert "needs 16 " in err and "budget is 8;" in err
 
 
+def test_partition_subset_budget_exit3(capsys):
+    """A 21-block set of at most 4 points counts no marginal, yet its 2^21
+    subsets are refused against SUBSET_BUDGET."""
+    code, out, err = run(capsys, "partition", "--count", "1", "--coords", "21", "--m", "8",
+                         "--seed", "1", "--max-support", "4")
+    assert code == 3 and out == ""
+    assert "subset enumeration: needs 2097152 but budget is 1048576;" in err
+
+
 def _one_query_tree():
     return json.dumps(dt_to_dict(DecisionTree(1, DQuery(1, DLeaf(0), DLeaf(1)))))
 
@@ -402,6 +411,22 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert rep["cost"] == 6
     assert rep["output_agreement"] is True
     assert rep["round_trip_error"]["exact"] == "0/1"
+
+
+@pytest.mark.parametrize("values, complaint", [
+    ('{"01": 0, "\u0661\u0660": 1, "10": 0}', "is not 2 characters of 0/1"),
+    ('{"01": 0, "01": 1, "10": 0}', "repeated key '01'"),
+], ids=["arabic-indic-digits", "repeated-key"])
+def test_convert_bad_outer_exit2(tmp_path, capsys, values, complaint):
+    """An outer function whose values name some z twice, through digits
+    int() reads or through a repeated JSON key, is a config error naming the
+    file."""
+    tree = _write_fixture(tmp_path, "dt.json", json.dumps(dt_to_dict(xor_decision_tree(2))))
+    outer = _write_fixture(tmp_path, "f.json",
+                           '{"format": "outer_function", "n": 2, "values": %s}' % values)
+    code, out, err = run(capsys, "convert", "--fixture", tree, "--outer", outer, "--m", "4")
+    assert code == 2 and out == ""
+    assert f"config error: bad fixture {outer}: DomainError: " in err and complaint in err
 
 
 def test_convert_randomized_protocol_record(tmp_path, capsys):

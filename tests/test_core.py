@@ -13,6 +13,7 @@ from liftsim.core import (
     ComposedInstance,
     ExplicitBobSet,
     GadgetSpec,
+    OuterFunction,
     PartialAssignment,
     Rect,
     bit_at,
@@ -55,6 +56,18 @@ def test_gadget_eval_domain_errors():
         GadgetSpec.index(3)
     with pytest.raises(DomainError):
         GadgetSpec.index(1)
+
+
+@pytest.mark.parametrize("key", ["\u0661\u0660", "1", "011", "0 ", " 1", "+1", "1_0"])
+def test_outer_function_keys_are_ascii_bits(key):
+    """A values key is exactly n ASCII 0/1 characters: int() would read the
+    Arabic-Indic digits of "\u0661\u0660" as 1, 0 and merge them with "10"."""
+    with pytest.raises(DomainError, match="is not 2 characters of 0/1"):
+        OuterFunction.from_dict({"format": "outer_function", "n": 2,
+                                 "values": {"01": 0, key: 1, "10": 0}})
+    f = OuterFunction.from_dict({"format": "outer_function", "n": 2,
+                                 "values": {"01": 0, "10": 1}})
+    assert f.values == (((0, 1), 0), ((1, 0), 1))
 
 
 def test_bit_order_is_left_to_right():

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liftsim import entropy
 from liftsim.entropy import (
@@ -133,6 +133,16 @@ def test_density_subset_budget(monkeypatch):
         is_blockwise_dense(v, D)
 
 
+def test_partition_subset_budget(monkeypatch):
+    # 2 points on 5 blocks are far below m^(delta*5): the partition counts no
+    # marginal, yet 2^5 subsets are still refused against a budget of 8
+    monkeypatch.setattr(entropy, "SUBSET_BUDGET", 8)
+    v = SetVar({(1,) * 5, (2,) * 5}, (2,) * 5)
+    assert violation_threshold(v.size, 5, D, 2) == 0
+    with pytest.raises(ResourceError, match="^subset enumeration: needs 32 but budget is 8;"):
+        density_restoring_partition(v, D)
+
+
 # --- density-restoring partition ---
 
 def reference_partition(v, delta):
@@ -140,17 +150,17 @@ def reference_partition(v, delta):
     searching subsets exhaustively every round.  Kept separate from the
     implementation on purpose."""
     delta = as_fraction(delta)
-    m = v.ambient[0] if v.ambient else 2
+    coords = v.coords
+    m = v.ambient[coords[0] - 1] if coords else 2
     remaining = set(v.support)
     out = []
     while remaining:
         size = len(remaining)
         counts = {}
         violating = []
-        coords = v.coords
         for r in range(1, len(coords) + 1):
             for I in itertools.combinations(coords, r):
-                pos = [coords.index(i) for i in I]
+                pos = [i - 1 for i in I]  # block i sits at tuple position i - 1
                 c = {}
                 for t in remaining:
                     key = tuple(t[p] for p in pos)
@@ -178,7 +188,7 @@ def reference_partition(v, delta):
         c = counts[I]
         best = max(c.values())
         alpha = min(k for k, cnt in c.items() if cnt == best)
-        pos = [coords.index(i) for i in I]
+        pos = [i - 1 for i in I]
         part = frozenset(t for t in remaining if tuple(t[p] for p in pos) == alpha)
         out.append((I, alpha, part))
         remaining -= part
@@ -236,6 +246,66 @@ def test_partition_matches_reference_oracle_over_rates(data):
     assert [p.order for p in parts] == list(range(1, len(parts) + 1))
     assert [(p.coords, p.alpha, p.support) for p in parts] == reference_partition(v, delta)
     assert verify_partition_lemma(v, parts, delta).ok
+
+
+# Read on blocks 1-3 of four at delta = 1/2, m = 2: the six points need no
+# grouping on J at the start (threshold 2 on J), (1,2) = (1,1) holds 4 > 3 of
+# them, and the 2 left, which agree on J, fall below the threshold.
+_MID_LOOP = ({(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 1), (1, 1, 2, 2), (2, 2, 1, 1),
+              (2, 2, 1, 2)}, 2, 4, (1, 2, 3), Fraction(1, 2))
+
+
+@st.composite
+def _view_sets(draw):
+    """(points, m, n, coords, delta): a set read on a strict subset of its
+    blocks, so several points may share a value on the blocks it is read on."""
+    m = draw(st.sampled_from([2, 3, 4, 8]), label="m")
+    n = draw(st.integers(2, 4), label="n")
+    coords = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1),
+                               label="coords")))
+    points = draw(st.sets(st.tuples(*[st.integers(1, m)] * n), min_size=1, max_size=40),
+                  label="points")
+    delta = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), D, Fraction(1, 7)]),
+                 label="delta")
+    return points, m, n, coords, delta
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_view_sets())
+@example(case=_MID_LOOP)
+def test_partition_matches_reference_oracle_on_views(case):
+    """Parts of a set read on some of its blocks agree with the oracle in
+    order, coords, alpha, support, size and tails, whether the grouping on J
+    holds from the start, from some round on, or never.  The lemma is not
+    asserted: its verifier takes D(X) as log2(m^|J| / |X|), which needs the
+    points to differ on J, and here they need not."""
+    points, m, n, coords, delta = case
+    v = SetVar(points, (m,) * n, coords)
+    parts = density_restoring_partition(v, delta)
+    assert [(p.coords, p.alpha, p.support) for p in parts] == reference_partition(v, delta)
+    tail = v.size
+    for order, p in enumerate(parts, 1):
+        assert (p.order, p.size, p.tail_size, p.input_size) == (
+            order, len(p.support), tail, v.size)
+        tail -= p.size
+
+
+@pytest.mark.parametrize("case, expected", [
+    # read on blocks 1 and 3, five points below 8^(0.9*2): grouped on J from
+    # the start; (1,7) and (2,5) tie at two points and the smaller alpha goes
+    # first, then the single (1,1)
+    (({(2, 1, 5), (2, 8, 5), (1, 3, 7), (1, 4, 7), (1, 1, 1)}, 8, 3, (1, 3), D),
+     [((1, 3), (1, 7), {(1, 3, 7), (1, 4, 7)}, 5),
+      ((1, 3), (2, 5), {(2, 1, 5), (2, 8, 5)}, 3),
+      ((1, 3), (1, 1), {(1, 1, 1)}, 1)]),
+    (_MID_LOOP,
+     [((1, 2), (1, 1), {(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 1), (1, 1, 2, 2)}, 6),
+      ((1, 2, 3), (2, 2, 1), {(2, 2, 1, 1), (2, 2, 1, 2)}, 2)]),
+], ids=["tie-from-start", "mid-loop"])
+def test_partition_groups_on_J_pinned(case, expected):
+    points, m, n, coords, delta = case
+    parts = density_restoring_partition(SetVar(points, (m,) * n, coords), delta)
+    assert [(p.coords, p.alpha, p.support, p.tail_size) for p in parts] == expected
 
 
 @pytest.mark.parametrize("m, delta, k, size, T", [
