@@ -8,24 +8,23 @@ output word z.  Everything below is exact counting.
 
 from liftsim import (
     ComposedInstance,
-    GadgetSpec,
     compose_eval,
     iter_slice,
     slice_count,
 )
 
 # One block: m = 4, so y is a 4-bit string and bit positions read left to right.
-G4 = ComposedInstance(1, GadgetSpec.index(4))
+G4 = ComposedInstance(1, 4)
 print("g(x=2, y=0110) =", compose_eval(G4, (2,), ("0110",)))
 print("g(x=4, y=0001) =", compose_eval(G4, (4,), ("0001",)))
 
 # Two blocks of m = 2: the composition evaluates blockwise.
-G = ComposedInstance(2, GadgetSpec.index(2))
+G = ComposedInstance(2, 2)
 xs, ys = (1, 2), ("10", "01")
 print(f"\nG{xs, ys} =", compose_eval(G, xs, ys))
 
 # The slice of z collects every input pair mapped to z.
-G1 = ComposedInstance(1, GadgetSpec.index(2))
+G1 = ComposedInstance(1, 2)
 for z in [(0,), (1,)]:
     sl = list(iter_slice(G1, z))
     shown = [(x[0], format(y[0], "02b")) for x, y in sl]

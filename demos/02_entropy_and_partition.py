@@ -21,7 +21,7 @@ from liftsim import (
 DELTA = Fraction(9, 10)
 
 # A correlated set in [4]^2: both coordinates concentrated on 1.
-v = SetVar({(1, 1), (1, 2)}, (4, 4))
+v = SetVar({(1, 1), (1, 2)}, 4)
 print("support:", sorted(v.support))
 for I in [(1,), (2,), (1, 2)]:
     print(f"  deficiency on {I}: {log2_float(deficiency(v, I)):.3f} bits "
@@ -29,7 +29,7 @@ for I in [(1,), (2,), (1, 2)]:
 print("blockwise 0.9-dense?", is_blockwise_dense(v, DELTA))
 
 # The partition procedure on a slightly lopsided set.
-w = SetVar({(x,) for x in (1, 2, 3)}, (4,))
+w = SetVar({(x,) for x in (1, 2, 3)}, 4)
 print("\npartitioning {1,2,3} inside [4]:")
 parts = density_restoring_partition(w, DELTA)
 for p in parts:
@@ -42,7 +42,7 @@ print("lemma verified on every part?", report.ok)
 
 # A diagonal set shows why the offending block set can be genuinely joint:
 # no single coordinate is concentrated, but the pair is.
-diag = SetVar({(x, x) for x in range(1, 5)}, (4, 4))
+diag = SetVar({(x, x) for x in range(1, 5)}, 4)
 print("\ndiagonal set dense?", is_blockwise_dense(diag, DELTA))
 for p in density_restoring_partition(diag, DELTA):
     print(f"  part {p.order}: {p.label()}")

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from liftsim import (
     ExactDist,
-    GadgetSpec,
     SetVar,
     SimConfig,
     fourier_pointwise_check,
@@ -42,15 +41,14 @@ print("the walk's per-announcement bias scales like 1/m, so the curve halves.")
 
 # Parity bias: uniform inputs give unbiased gadget outputs; constant ones max
 # it out; the norm bound caps it always.
-g = GadgetSpec.index(4)
 m = 4
-X_uniform = SetVar({(x,) for x in range(1, m + 1)}, (m,))
-Y_uniform = SetVar({(y,) for y in range(2 ** m)}, (2 ** m,))
-print("\nbias under uniform X, Y:", parity_bias(g, (1,), X_uniform, Y_uniform))
-Y_zeros = SetVar({(0,)}, (2 ** m,))
+X_uniform = SetVar({(x,) for x in range(1, m + 1)}, m)
+Y_uniform = SetVar({(y,) for y in range(2 ** m)}, 2 ** m)
+print("\nbias under uniform X, Y:", parity_bias((1,), X_uniform, Y_uniform))
+Y_zeros = SetVar({(0,)}, 2 ** m)
 print("bias when Bob is the all-zeros string:",
-      parity_bias(g, (1,), X_uniform, Y_zeros))
-nb = norm_bound_check(g, (1,), X_uniform, Y_zeros)
+      parity_bias((1,), X_uniform, Y_zeros))
+nb = norm_bound_check((1,), X_uniform, Y_zeros)
 print(f"norm bound: |bias|^2 = {nb.lhs ** 2} <= {nb.rhs_squared}, holds = {nb.holds}")
 
 # Pointwise uniformity from small parities: distributions whose parity biases

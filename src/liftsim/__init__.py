@@ -24,11 +24,11 @@ from .core import (
     BobCube,
     ComposedInstance,
     ExplicitBobSet,
-    GadgetSpec,
     OuterFunction,
     PartialAssignment,
     Rect,
     compose_eval,
+    gadget,
     is_structured,
     iter_slice,
     slice_count,

@@ -23,6 +23,7 @@ from .core import (
     Rect,
     bit_at,
     compose_eval,
+    gadget,
     is_structured,
     iter_slice,
     slice_count,
@@ -178,9 +179,10 @@ def _aligned_positions(X: SetVar, Y: SetVar, I):
     return I, X.positions(I), Y.positions(I)
 
 
-def parity_bias(g, I, X: SetVar, Y: SetVar,
+def parity_bias(I, X: SetVar, Y: SetVar,
                 pair_budget: int = PAIR_BUDGET_DEFAULT) -> Fraction:
-    """E[(-1)^(xor of gadget outputs on I)] under independent uniform X and Y."""
+    """E[(-1)^(xor of gadget outputs on I)] under independent uniform X and Y,
+    the index gadget on X's block size m (Y's blocks are m-bit strings)."""
     I, xpos, ypos = _aligned_positions(X, Y, I)
     if X.size * Y.size > pair_budget:
         raise ResourceError("parity bias enumeration", X.size * Y.size, pair_budget)
@@ -189,7 +191,7 @@ def parity_bias(g, I, X: SetVar, Y: SetVar,
         for ys in Y.support:
             parity = 0
             for xp, yp in zip(xpos, ypos):
-                parity ^= g.eval(xs[xp], ys[yp])
+                parity ^= gadget(xs[xp], ys[yp], X.m)
             acc += -1 if parity else 1
     return Fraction(acc, X.size * Y.size)
 
@@ -206,7 +208,7 @@ def _squared_two_norm(v: SetVar, I) -> Fraction:
     return sum((Fraction(c, v.size) ** 2 for c in counts.values()), Fraction(0))
 
 
-def norm_bound_check(g, I, X: SetVar, Y: SetVar,
+def norm_bound_check(I, X: SetVar, Y: SetVar,
                      pair_budget: int = PAIR_BUDGET_DEFAULT) -> NormBound:
     """|bias| <= ||dist(X_I)|| * 2^(|I|m/2) * ||dist(Y_I)||, via squares.
 
@@ -214,10 +216,10 @@ def norm_bound_check(g, I, X: SetVar, Y: SetVar,
     GadgetMatrix's per-block squared norm, to the power |I|.
     """
     I, xpos, ypos = _aligned_positions(X, Y, I)
-    lhs = abs(parity_bias(g, I, X, Y, pair_budget))
+    lhs = abs(parity_bias(I, X, Y, pair_budget))
     qx = _squared_two_norm(X, I)
     qy = _squared_two_norm(Y, I)
-    rhs_sq = qx * qy * GadgetMatrix(g.m).operator_norm_squared ** len(I)
+    rhs_sq = qx * qy * GadgetMatrix(X.m).operator_norm_squared ** len(I)
     return NormBound(lhs, rhs_sq, lhs * lhs <= rhs_sq)
 
 

@@ -42,7 +42,6 @@ from . import analysis, entropy, fixtures, simulate as sim
 from .core import (
     BOT,
     ExplicitBobSet,
-    GadgetSpec,
     OuterFunction,
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
@@ -56,6 +55,7 @@ from .protocol import (
     ProtocolTree,
     RLeaf,
     RandomizedProtocol,
+    _unique_keys,
     dt_eval,
     dt_to_protocol,
     load_fixture,
@@ -183,7 +183,7 @@ def cmd_partition(args):
     for idx in range(args.count):
         support = fixtures.random_support(rng, args.coords, args.m,
                                           max_size=args.max_support)
-        v = entropy.SetVar(support, (args.m,) * args.coords)
+        v = entropy.SetVar(support, args.m)
         parts = entropy.density_restoring_partition(v, args.delta)
         report = entropy.verify_partition_lemma(v, parts, args.delta)
         if not report.ok:
@@ -325,14 +325,12 @@ def cmd_verify(args):
     for idx in range(args.battery):
         m = rng.choice([2, 4, 8])
         nI = rng.choice([1, 2])
-        g = GadgetSpec.index(m)
         coords = tuple(range(1, nI + 1))
-        X = entropy.SetVar(fixtures.random_support(rng, nI, m, max_size=16),
-                           (m,) * nI)
+        X = entropy.SetVar(fixtures.random_support(rng, nI, m, max_size=16), m)
         Y = entropy.SetVar({tuple(rng.randrange(2 ** m) for _ in coords)
-                            for _ in range(rng.randint(1, 16))}, (2 ** m,) * nI)
+                            for _ in range(rng.randint(1, 16))}, 2 ** m)
         I = tuple(sorted(rng.sample(coords, rng.randint(1, nI))))
-        nb = analysis.norm_bound_check(g, I, X, Y, args.budget)
+        nb = analysis.norm_bound_check(I, X, Y, args.budget)
         if not nb.holds:
             raise Violation("parity-bias norm bound",
                             f"battery instance {idx}", seed=args.seed)
@@ -406,7 +404,7 @@ def cmd_sweep(args):
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as ex:
             per_task = list(ex.map(_sweep_instance, tasks))
     else:
         per_task = [_sweep_instance(t) for t in tasks]
@@ -560,7 +558,7 @@ def _apply_config_file(argv):
     if known.config is None:
         return build_parser().parse_args(rest)
     with open(known.config, encoding="utf-8") as fh:
-        conf = json.load(fh)
+        conf = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(conf, dict):
         raise DomainError("config file must hold a JSON object")
     command = conf.pop("command", None)

@@ -47,45 +47,27 @@ def bit_at(y: int, pos: int, m: int) -> int:
     return (y >> (m - pos)) & 1
 
 
-def _is_power_of_two(v: int) -> bool:
-    return v >= 1 and (v & (v - 1)) == 0
-
-
-@dataclass(frozen=True)
-class GadgetSpec:
-    """The index gadget on one block: g(x, y) = bit x of y, for x in [m] and
-    y in {0,1}^m."""
-
-    m: int
-
-    @classmethod
-    def index(cls, m: int) -> "GadgetSpec":
-        if type(m) is not int or m < 2 or not _is_power_of_two(m):
-            raise DomainError(f"index gadget needs m a power of 2, m >= 2; got {m}")
-        return cls(m)
-
-    def eval(self, x: int, y: int) -> int:
-        if not 1 <= x <= self.m:
-            raise DomainError(f"x={x} outside [{self.m}]")
-        if not 0 <= y < 2 ** self.m:
-            raise DomainError(f"y={y} is not a {self.m}-bit string")
-        return bit_at(y, x, self.m)
+def gadget(x: int, y: int, m: int) -> int:
+    """The index gadget on one block: bit x of y, for x in [m] and y in {0,1}^m."""
+    if not 1 <= x <= m:
+        raise DomainError(f"x={x} outside [{m}]")
+    if not 0 <= y < 2 ** m:
+        raise DomainError(f"y={y} is not a {m}-bit string")
+    return bit_at(y, x, m)
 
 
 @dataclass(frozen=True)
 class ComposedInstance:
-    """G = g^n on [m]^n x ({0,1}^m)^n, evaluated blockwise."""
+    """G = g^n on [m]^n x ({0,1}^m)^n, the index gadget on every block."""
 
     n: int
-    gadget: GadgetSpec
+    m: int
 
     def __post_init__(self):
+        if type(self.m) is not int or self.m < 2 or self.m & (self.m - 1):
+            raise DomainError(f"index gadget needs m a power of 2, m >= 2; got {self.m}")
         if type(self.n) is not int or self.n < 1:
             raise DomainError(f"need an integer n >= 1 blocks, got {self.n!r}")
-
-    @property
-    def m(self) -> int:
-        return self.gadget.m
 
     @property
     def log_m(self) -> int:
@@ -156,7 +138,7 @@ def compose_eval(G: ComposedInstance, xs, ys) -> tuple:
     ys = tuple(_bits(y, G.m) if isinstance(y, str) else y for y in ys)
     G.check_alice(xs)
     G.check_bob(ys)
-    return tuple(G.gadget.eval(x, y) for x, y in zip(xs, ys))
+    return tuple(gadget(x, y, G.m) for x, y in zip(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -447,11 +429,10 @@ def slice_count(G: ComposedInstance, z) -> int:
 def iter_slice(G: ComposedInstance, z):
     """Yield every (xs, ys) with G(xs, ys) = z, grouped by xs."""
     z = tuple(z)
-    g = G.gadget
     allowed = {}
-    for x in range(1, g.m + 1):
+    for x in range(1, G.m + 1):
         for b in (0, 1):
-            allowed[(x, b)] = [y for y in range(2 ** g.m) if g.eval(x, y) == b]
+            allowed[(x, b)] = [y for y in range(2 ** G.m) if gadget(x, y, G.m) == b]
     for xs in G.alice_domain():
         pools = [allowed[(x, zi)] for x, zi in zip(xs, z)]
         for ys in itertools.product(*pools):
@@ -475,7 +456,7 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
     for i in fix:
         if any(xs[i - 1] != rep[i - 1] for xs in rect.X):
             return False
-    if not entropy.is_blockwise_dense(entropy.SetVar(rect.X, (G.m,) * G.n, rho.free), delta):
+    if not entropy.is_blockwise_dense(entropy.SetVar(rect.X, G.m, rho.free), delta):
         return False
     # on block i, every y must carry bit rho_i at the position X points to:
     # the piece of Y reading the other bit there is empty

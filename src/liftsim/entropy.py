@@ -94,8 +94,8 @@ class SetVar:
     """The uniform random variable on an explicit set of tuples, read on some
     of their blocks.
 
-    support: tuples, one entry per block of the ambient;
-    ambient: per-block domain sizes;
+    support: tuples of one arity, one entry per block;
+    m:       the domain size of every block;
     coords:  the blocks it is read on (1-based, distinct, ascending), all by
              default.  Marginals, densities and partitions see only these
              blocks, under the caller's block labels, and parts keep the full
@@ -105,26 +105,22 @@ class SetVar:
     """
 
     support: frozenset
-    ambient: tuple
+    m: int
     coords: tuple
 
-    def __init__(self, support, ambient, coords=None):
+    def __init__(self, support, m, coords=None):
         support = frozenset(support)
-        ambient = tuple(ambient)
-        if coords is None:
-            coords = tuple(range(1, len(ambient) + 1))
-        coords = tuple(coords)
-        if not support:
-            raise DomainError("SetVar support must be nonempty")
+        arities = set(map(len, support))
+        if len(arities) != 1:
+            raise DomainError("SetVar support must be nonempty, of one tuple arity")
+        (n,) = arities
+        coords = tuple(range(1, n + 1)) if coords is None else tuple(coords)
         if (coords != tuple(sorted(set(coords)))
-                or not set(coords) <= set(range(1, len(ambient) + 1))):
+                or not set(coords) <= set(range(1, n + 1))):
             raise DomainError(f"coords {coords} are not distinct, ascending "
-                              f"blocks of 1..{len(ambient)}")
-        for t in support:
-            if len(t) != len(ambient):
-                raise DomainError("support tuple arity does not match ambient")
+                              f"blocks of 1..{n}")
         super().__setattr__("support", support)
-        super().__setattr__("ambient", ambient)
+        super().__setattr__("m", m)
         super().__setattr__("coords", coords)
 
     @property
@@ -145,26 +141,11 @@ class SetVar:
 
 def deficiency(v: SetVar, I) -> Fraction:
     """Ambient bits of the I-marginal minus its min-entropy, as the ratio
-    (ambient size * heaviest count) / |v| whose log2 it is; 1 for I = ()."""
+    (m^|I| * heaviest count) / |v| whose log2 it is; 1 for I = ()."""
     I = tuple(I)
     if not I:
         return Fraction(1)
-    pos = v.positions(I)
-    ambient_size = 1
-    for p in pos:
-        ambient_size *= v.ambient[p]
-    max_count = max(v.project_counts(I).values())
-    return Fraction(ambient_size * max_count, v.size)
-
-
-def _uniform_block_size(v: SetVar) -> int:
-    """The common domain size of the blocks v is read on."""
-    sizes = {v.ambient[i - 1] for i in v.coords}
-    if not sizes:
-        return 2  # irrelevant: no nonempty subsets exist
-    if len(sizes) > 1:
-        raise DomainError("blockwise density needs a uniform per-coordinate domain")
-    return sizes.pop()
+    return Fraction(v.m ** len(I) * max(v.project_counts(I).values()), v.size)
 
 
 def nonempty_subsets(coords):
@@ -184,10 +165,9 @@ def is_blockwise_dense(v: SetVar, delta) -> bool:
     Exhaustive over all 2^|J| - 1 nonempty coordinate subsets.
     """
     delta = as_rate(delta)
-    m = _uniform_block_size(v)
     for I in nonempty_subsets(v.coords):
         p = Fraction(max(v.project_counts(I).values()), v.size)
-        if cmp_pow(p, m, -delta * len(I)) > 0:
+        if cmp_pow(p, v.m, -delta * len(I)) > 0:
             return False
     return True
 
@@ -301,7 +281,7 @@ def density_restoring_partition(v: SetVar, delta) -> list:
     subsets are never listed; SUBSET_BUDGET still refuses a J too large.
     """
     delta = as_rate(delta)
-    m = _uniform_block_size(v)
+    m = v.m
     J = v.coords
     subsets = nonempty_subsets(J)  # refused here, beyond SUBSET_BUDGET
     input_size = v.size
@@ -385,12 +365,15 @@ def verify_partition_lemma(v: SetVar, parts, delta) -> PartitionLemmaReport:
     Density: every tuple of the part equals alpha on its coords, and the part
     is delta-dense on the remaining blocks of v.
     Deficiency: D(X^i on J\\I_i) <= D(X) - (1-delta)|I_i| log m + delta_i,
-    with delta_i taken from the recomputed tail.  It is checked as one
-    rational-vs-m^q comparison, so it stays exact even when m is not a power
-    of two.
+    with delta_i taken from the recomputed tail and D(X) = deficiency(v, J),
+    which reads X's heaviest value on J, so points may repeat a value there.
+    It is checked as one rational-vs-m^q comparison, so it stays exact even
+    when m is not a power of two.
     """
     delta = as_rate(delta)
-    m = _uniform_block_size(v)
+    m = v.m
+    # D(X) + log2|X| = log2(m^|J| * heaviest count on J), once per call
+    d_x_size = deficiency(v, v.coords) * v.size
     seen = set()
     tail = v.size  # |X^(>=i)|, before the current part is peeled off
     checks = []
@@ -402,15 +385,15 @@ def verify_partition_lemma(v: SetVar, parts, delta) -> PartitionLemmaReport:
                                 part.tail_size) == (order, size, v.size, tail)
         rest = tuple(i for i in v.coords if i not in part.coords)
         if rest:
-            sub = SetVar(part.support, v.ambient, rest)
+            sub = SetVar(part.support, m, rest)
             density_ok = fixed and is_blockwise_dense(sub, delta)
             lhs_arg = deficiency(sub, rest)
         else:
             density_ok = fixed
             lhs_arg = Fraction(1)  # deficiency over no coordinates is 0
         # lhs <= D(X) + delta_i - (1-delta)|I| log m, with
-        # D(X) = log2(m^|J| / |X|) and delta_i = log2(|X| / tail).
-        deficiency_ok = counted and cmp_pow(lhs_arg * tail / m ** len(v.coords), m,
+        # delta_i = log2(|X| / tail).
+        deficiency_ok = counted and cmp_pow(lhs_arg * tail / d_x_size, m,
                                             -(1 - delta) * len(part.coords)) <= 0
         checks.append(PartCheck(order, part.label(), density_ok, deficiency_ok))
         seen |= part.support

@@ -16,10 +16,7 @@ class ResourceError(RuntimeError):
         self.what = what
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"{what}: needs {required} but budget is {budget}; "
-            f"raise the budget to at least {required} to run this exactly"
-        )
+        super().__init__(f"{what}: needs {required} but budget is {budget}")
 
     def __reduce__(self):
         # pickled across a process pool, so a worker's refusal reaches the caller

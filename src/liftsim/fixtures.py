@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .core import BOT, ComposedInstance, GadgetSpec, OuterFunction
+from .core import BOT, ComposedInstance, OuterFunction
 from .protocol import (
     ALICE,
     BOB,
@@ -32,7 +32,7 @@ from .protocol import (
 
 
 def instance(n: int, m: int) -> ComposedInstance:
-    return ComposedInstance(n, GadgetSpec.index(m))
+    return ComposedInstance(n, m)
 
 
 def alice_predicate(G: ComposedInstance, pred) -> TableFn:

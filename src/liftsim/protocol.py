@@ -21,7 +21,6 @@ from .core import (
     BobCube,
     ComposedInstance,
     ExplicitBobSet,
-    GadgetSpec,
     OuterFunction,
     PAIR_BUDGET_DEFAULT,
     PartialAssignment,
@@ -428,7 +427,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             if not Xb:
                 branches[b] = None
                 continue
-            sv = entropy.SetVar(Xb, (m,) * G.n, rho.free)
+            sv = entropy.SetVar(Xb, m, rho.free)
             branches[b] = parts = []
             for dp in entropy.density_restoring_partition(sv, delta):
                 s_children = {
@@ -530,7 +529,7 @@ def protocol_from_dict(d) -> ProtocolTree:
         raise DomainError("not a protocol record")
     if d["gadget"]["kind"] != "index":
         raise DomainError("only index-gadget protocols are serialized")
-    G = ComposedInstance(d["n"], GadgetSpec.index(d["gadget"]["m"]))
+    G = ComposedInstance(d["n"], d["gadget"]["m"])
     domains = {}  # is Alice the owner -> that side's inputs, listed on first use
 
     def fn_in(owner, fd):

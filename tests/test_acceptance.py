@@ -27,7 +27,6 @@ from liftsim.analysis import (
 from liftsim.core import (
     BOT,
     ExplicitBobSet,
-    GadgetSpec,
     PartialAssignment,
     Rect,
     compose_eval,
@@ -101,7 +100,7 @@ def test_criterion_2_partition_lemma():
     for _ in range(1000):
         j = rng.randint(1, 3)
         m = rng.choice([2, 3, 4, 5, 8])
-        v = SetVar(random_support(rng, j, m, max_size=64), (m,) * j)
+        v = SetVar(random_support(rng, j, m, max_size=64), m)
         parts = density_restoring_partition(v, DELTA)
         report = verify_partition_lemma(v, parts, DELTA)
         assert report.ok, f"lemma violated on {v}"
@@ -190,13 +189,12 @@ def test_criterion_5_norm_bound():
     for _ in range(1000):
         m = rng.choice([2, 4, 8])
         nI = rng.choice([1, 2])
-        g = GadgetSpec.index(m)
         coords = tuple(range(1, nI + 1))
-        X = SetVar(random_support(rng, nI, m, max_size=16), (m,) * nI)
+        X = SetVar(random_support(rng, nI, m, max_size=16), m)
         Y = SetVar({tuple(rng.randrange(2 ** m) for _ in coords)
-                    for _ in range(rng.randint(1, 16))}, (2 ** m,) * nI)
+                    for _ in range(rng.randint(1, 16))}, 2 ** m)
         I = tuple(sorted(rng.sample(coords, rng.randint(1, nI))))
-        assert norm_bound_check(g, I, X, Y).holds
+        assert norm_bound_check(I, X, Y).holds
 
 
 @pytest.mark.acceptance("06 query locality and ledger")

@@ -25,7 +25,6 @@ from liftsim.analysis import (
 from liftsim.core import (
     BOT,
     ExplicitBobSet,
-    GadgetSpec,
     PartialAssignment,
     Rect,
 )
@@ -312,36 +311,32 @@ def test_marginals_pair_budget():
 
 def test_parity_bias_uniform_is_zero():
     for m in (2, 4):
-        g = GadgetSpec.index(m)
-        X = SetVar({(x,) for x in range(1, m + 1)}, (m,))
-        Y = SetVar({(y,) for y in range(2 ** m)}, (2 ** m,))
-        assert parity_bias(g, (1,), X, Y) == 0
+        X = SetVar({(x,) for x in range(1, m + 1)}, m)
+        Y = SetVar({(y,) for y in range(2 ** m)}, 2 ** m)
+        assert parity_bias((1,), X, Y) == 0
 
 
 def test_parity_bias_constant_outputs():
-    g = GadgetSpec.index(2)
-    X = SetVar({(1,), (2,)}, (2,))
-    Y0 = SetVar({(0,)}, (4,))
-    assert parity_bias(g, (1,), X, Y0) == 1
-    X1 = SetVar({(1,)}, (2,))
-    Y1 = SetVar({(0b10,), (0b11,)}, (4,))
-    assert parity_bias(g, (1,), X1, Y1) == -1
+    X = SetVar({(1,), (2,)}, 2)
+    Y0 = SetVar({(0,)}, 4)
+    assert parity_bias((1,), X, Y0) == 1
+    X1 = SetVar({(1,)}, 2)
+    Y1 = SetVar({(0b10,), (0b11,)}, 4)
+    assert parity_bias((1,), X1, Y1) == -1
 
 
 def test_parity_bias_pair_budget():
-    g = GadgetSpec.index(2)
-    X = SetVar({(1,), (2,)}, (2,))
-    Y = SetVar({(y,) for y in range(4)}, (4,))
+    X = SetVar({(1,), (2,)}, 2)
+    Y = SetVar({(y,) for y in range(4)}, 4)
     with pytest.raises(ResourceError) as err:
-        parity_bias(g, (1,), X, Y, pair_budget=7)
+        parity_bias((1,), X, Y, pair_budget=7)
     assert (err.value.required, err.value.budget) == (8, 7)
 
 
 def test_norm_bound_example_m2():
-    g = GadgetSpec.index(2)
-    X = SetVar({(1,), (2,)}, (2,))
-    Y = SetVar({(y,) for y in range(4)}, (4,))
-    nb = norm_bound_check(g, (1,), X, Y)
+    X = SetVar({(1,), (2,)}, 2)
+    Y = SetVar({(y,) for y in range(4)}, 4)
+    nb = norm_bound_check((1,), X, Y)
     assert nb.lhs == 0
     # rhs = sqrt(1/2) * 2 * sqrt(1/4): squared = 1/2 * 4 * 1/4
     assert nb.rhs_squared == Fraction(1, 2)
@@ -349,10 +344,9 @@ def test_norm_bound_example_m2():
 
 
 def test_norm_bound_point_masses():
-    g = GadgetSpec.index(4)
-    X = SetVar({(3,)}, (4,))
-    Y = SetVar({(0b0010,)}, (16,))
-    nb = norm_bound_check(g, (1,), X, Y)
+    X = SetVar({(3,)}, 4)
+    Y = SetVar({(0b0010,)}, 16)
+    nb = norm_bound_check((1,), X, Y)
     assert nb.lhs == 1
     assert nb.rhs_squared == 2 ** 4
     assert nb.holds
@@ -363,26 +357,24 @@ def test_norm_bound_random_battery():
     for _ in range(150):
         m = rng.choice([2, 4, 8])
         nI = rng.choice([1, 2])
-        g = GadgetSpec.index(m)
         coords = tuple(range(1, nI + 1))
         X = SetVar({tuple(rng.randint(1, m) for _ in coords)
-                    for _ in range(rng.randint(1, 16))}, (m,) * nI)
+                    for _ in range(rng.randint(1, 16))}, m)
         Y = SetVar({tuple(rng.randrange(2 ** m) for _ in coords)
-                    for _ in range(rng.randint(1, 16))}, (2 ** m,) * nI)
+                    for _ in range(rng.randint(1, 16))}, 2 ** m)
         I = tuple(rng.sample(coords, rng.randint(1, nI)))
-        assert norm_bound_check(g, I, X, Y).holds
+        assert norm_bound_check(I, X, Y).holds
 
 
 def test_norm_bound_reads_gadget_matrix_norm(monkeypatch):
     """The bound's operator norm is GadgetMatrix's, per block, so the tested
     row orthogonality is what backs it: a changed constant moves rhs_squared."""
-    g = GadgetSpec.index(4)
-    X = SetVar({(3, 1), (1, 2)}, (4, 4))
-    Y = SetVar({(0b0010, 0b0100), (0b1000, 0b0001)}, (16, 16))
-    before = norm_bound_check(g, (1, 2), X, Y).rhs_squared
+    X = SetVar({(3, 1), (1, 2)}, 4)
+    Y = SetVar({(0b0010, 0b0100), (0b1000, 0b0001)}, 16)
+    before = norm_bound_check((1, 2), X, Y).rhs_squared
     monkeypatch.setattr(GadgetMatrix, "operator_norm_squared",
                         property(lambda self: 3 * 2 ** self.m))
-    assert norm_bound_check(g, (1, 2), X, Y).rhs_squared == 9 * before
+    assert norm_bound_check((1, 2), X, Y).rhs_squared == 9 * before
 
 
 def test_gadget_matrix_orthogonality():

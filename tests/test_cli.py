@@ -192,7 +192,7 @@ def test_budget_exit3(tmp_path, capsys):
     path.write_text(_bob_table_record(1, 4))
     code, _, err = run(capsys, "refine", "--fixture", str(path), "--budget", "8")
     assert code == 3
-    assert "needs 16 " in err and "budget is 8;" in err
+    assert "needs 16 " in err and "budget is 8\n" in err
 
 
 def test_partition_subset_budget_exit3(capsys):
@@ -201,7 +201,7 @@ def test_partition_subset_budget_exit3(capsys):
     code, out, err = run(capsys, "partition", "--count", "1", "--coords", "21", "--m", "8",
                          "--seed", "1", "--max-support", "4")
     assert code == 3 and out == ""
-    assert "subset enumeration: needs 2097152 but budget is 1048576;" in err
+    assert "subset enumeration: needs 2097152 but budget is 1048576\n" in err
 
 
 def _one_query_tree():
@@ -221,7 +221,7 @@ def test_budget_binds_every_command_exit3(tmp_path, capsys, command, make, flags
     path = _write_fixture(tmp_path, "fixture.json", make())
     code, out, err = run(capsys, command, "--fixture", path, *flags)
     assert code == 3 and out == ""
-    assert f"needs {needs} but budget is {budget};" in err
+    assert f"needs {needs} but budget is {budget}\n" in err
     assert "Traceback" not in err
 
 
@@ -236,7 +236,7 @@ def test_budget_bounds_alice_domain_exit3(tmp_path, capsys, command, flags):
          "tree": {"leaf": 0}}))
     code, out, err = run(capsys, command, "--fixture", path, "--budget", "10", *flags)
     assert code == 3 and out == ""
-    assert "Alice domain: needs 65536 but budget is 10;" in err
+    assert "Alice domain: needs 65536 but budget is 10\n" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -248,6 +248,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0 and read_json(out)["checked"] == 10
     code, out, _ = run(capsys, "--config", str(conf), "--count", "3")
     assert code == 0 and read_json(out)["checked"] == 3
+
+
+def test_config_repeated_key_exit2(tmp_path, capsys):
+    """A config file that repeats a key is refused, not read with the last
+    value winning."""
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"command": "partition", "seed": 1, "count": 3, "count": 5}')
+    code, out, err = run(capsys, "--config", str(conf))
+    assert code == 2 and out == ""
+    assert err == "config error: repeated key 'count'\n"
 
 
 def test_config_equals_form_applies_file(tmp_path, capsys):
@@ -373,6 +383,32 @@ def test_sweep_jobs_1_and_2_agree(tmp_path, capsys):
             curves.append((out_dir / "curve.csv").read_bytes())
         assert reports[0] == reports[1]
         assert curves[0] == curves[1]
+
+
+def test_sweep_jobs_capped_at_task_count(capsys, monkeypatch):
+    """--jobs 64 on 4 tasks asks the pool for 4 workers, and the report still
+    records the flag; the stand-in pool maps serially, so no process starts."""
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run(capsys, "sweep", "--n", "1", "--m-list", "4", "--jobs", "64")
+    assert code == 0 and asked == [4]
+    assert read_json(out)["config"]["jobs"] == 64
 
 
 def test_sweep_budget_error_same_at_any_jobs(capsys):
@@ -704,7 +740,7 @@ def test_convert_budget_precedes_lift(tmp_path, capsys, monkeypatch):
     path = _write_fixture(tmp_path, "dt.json", _one_query_tree())
     code, out, err = run(capsys, "convert", "--fixture", path, "--m", "64")
     assert code == 3 and out == ""
-    assert f"needs {64 * 2 ** 64} but budget is {2 ** 24};" in err
+    assert f"needs {64 * 2 ** 64} but budget is {2 ** 24}\n" in err
 
 
 @pytest.mark.parametrize("command, flags, record", [

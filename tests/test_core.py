@@ -12,7 +12,6 @@ from liftsim.core import (
     BobCube,
     ComposedInstance,
     ExplicitBobSet,
-    GadgetSpec,
     OuterFunction,
     PartialAssignment,
     Rect,
@@ -30,7 +29,7 @@ D = Fraction(9, 10)
 
 
 def G(n, m):
-    return ComposedInstance(n, GadgetSpec.index(m))
+    return ComposedInstance(n, m)
 
 
 # --- gadget evaluation ---
@@ -52,10 +51,9 @@ def test_gadget_eval_domain_errors():
     for y in ("000", "00000", "0102"):
         with pytest.raises(DomainError, match="is not a 4-bit string"):
             compose_eval(g, (1,), (y,))
-    with pytest.raises(DomainError):
-        GadgetSpec.index(3)
-    with pytest.raises(DomainError):
-        GadgetSpec.index(1)
+    for m in (3, 1):
+        with pytest.raises(DomainError, match=f"m a power of 2, m >= 2; got {m}$"):
+            ComposedInstance(1, m)
 
 
 @pytest.mark.parametrize("key", ["\u0661\u0660", "1", "011", "0 ", " 1", "+1", "1_0"])
@@ -171,7 +169,7 @@ def test_structured_reduces_to_density_when_all_free():
     for _ in range(40):
         X = {(x,) for x in rng.sample(range(1, 5), rng.randint(1, 4))}
         rect = Rect(X, g.full_Y())
-        sv = SetVar(X, (4,))
+        sv = SetVar(X, 4)
         assert is_structured(rect, rho, D, g) == is_blockwise_dense(sv, D)
 
 

@@ -27,7 +27,7 @@ D = Fraction(9, 10)
 
 
 def singles(values, m):
-    return SetVar({(v,) for v in values}, (m,))
+    return SetVar({(v,) for v in values}, m)
 
 
 # --- exact arithmetic helpers ---
@@ -62,12 +62,12 @@ def test_as_fraction_reads_floats_decimally():
 # --- marginal min-entropy, read off the deficiency: H = |I| log m - D ---
 
 def test_min_entropy_full_support_all_coords():
-    v = SetVar(set(itertools.product((1, 2), repeat=3)), (2, 2, 2))
+    v = SetVar(set(itertools.product((1, 2), repeat=3)), 2)
     assert 2 ** 3 / deficiency(v, (1, 2, 3)) == 2 ** 3
 
 
 def test_min_entropy_concentrated_coordinate():
-    v = SetVar({(1, 1), (1, 2)}, (4, 4))
+    v = SetVar({(1, 1), (1, 2)}, 4)
     assert 4 / deficiency(v, (1,)) == 2 ** 0
     assert 4 / deficiency(v, (2,)) == 2 ** 1
     assert deficiency(v, ()) == 2 ** 0
@@ -76,19 +76,19 @@ def test_min_entropy_concentrated_coordinate():
 # --- deficiency ---
 
 def test_deficiency_uniform_is_zero():
-    v = SetVar(set(itertools.product((1, 2, 3, 4), repeat=2)), (4, 4))
+    v = SetVar(set(itertools.product((1, 2, 3, 4), repeat=2)), 4)
     for I in [(1,), (2,), (1, 2), ()]:
         assert deficiency(v, I) == 2 ** 0
 
 
 def test_deficiency_bob_halved_set():
     # Y in {0,1}^4 with |Y| = 8: one bit of deficiency.
-    v = SetVar({(y,) for y in range(8)}, (16,))
+    v = SetVar({(y,) for y in range(8)}, 16)
     assert deficiency(v, (1,)) == 2 ** 1
 
 
 def test_deficiency_fixed_coordinate():
-    v = SetVar({(1, 1), (1, 2)}, (4, 4))
+    v = SetVar({(1, 1), (1, 2)}, 4)
     assert deficiency(v, (1,)) == 2 ** 2
 
 
@@ -99,7 +99,7 @@ def test_deficiency_monotone_under_marginalization():
         m = rng.choice([2, 4, 8])
         pop = list(itertools.product(range(1, m + 1), repeat=n))
         support = rng.sample(pop, rng.randint(1, min(24, len(pop))))
-        v = SetVar(support, (m,) * n)
+        v = SetVar(support, m)
         full = tuple(range(1, n + 1))
         dJ = deficiency(v, full)
         for r in range(0, n + 1):
@@ -111,12 +111,12 @@ def test_deficiency_monotone_under_marginalization():
 # --- blockwise density ---
 
 def test_density_full_domain():
-    v = SetVar(set(itertools.product((1, 2, 3, 4), repeat=2)), (4, 4))
+    v = SetVar(set(itertools.product((1, 2, 3, 4), repeat=2)), 4)
     assert is_blockwise_dense(v, D)
 
 
 def test_density_fails_on_fixed_coordinate():
-    v = SetVar({(1, 1), (1, 2)}, (4, 4))
+    v = SetVar({(1, 1), (1, 2)}, 4)
     assert not is_blockwise_dense(v, D)
 
 
@@ -128,7 +128,7 @@ def test_density_fails_on_three_of_four():
 
 def test_density_subset_budget(monkeypatch):
     monkeypatch.setattr(entropy, "SUBSET_BUDGET", 8)
-    v = SetVar(set(itertools.product((1, 2), repeat=5)), (2,) * 5)
+    v = SetVar(set(itertools.product((1, 2), repeat=5)), 2)
     with pytest.raises(ResourceError):
         is_blockwise_dense(v, D)
 
@@ -137,9 +137,9 @@ def test_partition_subset_budget(monkeypatch):
     # 2 points on 5 blocks are far below m^(delta*5): the partition counts no
     # marginal, yet 2^5 subsets are still refused against a budget of 8
     monkeypatch.setattr(entropy, "SUBSET_BUDGET", 8)
-    v = SetVar({(1,) * 5, (2,) * 5}, (2,) * 5)
+    v = SetVar({(1,) * 5, (2,) * 5}, 2)
     assert violation_threshold(v.size, 5, D, 2) == 0
-    with pytest.raises(ResourceError, match="^subset enumeration: needs 32 but budget is 8;"):
+    with pytest.raises(ResourceError, match="^subset enumeration: needs 32 but budget is 8$"):
         density_restoring_partition(v, D)
 
 
@@ -151,7 +151,7 @@ def reference_partition(v, delta):
     implementation on purpose."""
     delta = as_fraction(delta)
     coords = v.coords
-    m = v.ambient[coords[0] - 1] if coords else 2
+    m = v.m
     remaining = set(v.support)
     out = []
     while remaining:
@@ -213,7 +213,7 @@ def test_partition_three_points_in_four():
 
 
 def test_partition_square_matches_reference_oracle():
-    v = SetVar({(1, 1), (1, 2), (2, 1), (2, 2)}, (4, 4))
+    v = SetVar({(1, 1), (1, 2), (2, 1), (2, 2)}, 4)
     got = [(p.coords, p.alpha, p.support) for p in density_restoring_partition(v, D)]
     assert got == reference_partition(v, D)
 
@@ -225,7 +225,7 @@ def test_partition_matches_reference_oracle_randomly():
         m = rng.choice([2, 4, 8])
         pop = list(itertools.product(range(1, m + 1), repeat=n))
         support = rng.sample(pop, rng.randint(1, min(30, len(pop))))
-        v = SetVar(support, (m,) * n)
+        v = SetVar(support, m)
         got = [(p.coords, p.alpha, p.support) for p in density_restoring_partition(v, D)]
         assert got == reference_partition(v, D)
 
@@ -241,7 +241,7 @@ def test_partition_matches_reference_oracle_over_rates(data):
     n = data.draw(st.integers(1, 4), label="n")
     points = data.draw(st.sets(st.tuples(*[st.integers(1, m)] * n),
                                min_size=1, max_size=40), label="points")
-    v = SetVar(points, (m,) * n)
+    v = SetVar(points, m)
     parts = density_restoring_partition(v, delta)
     assert [p.order for p in parts] == list(range(1, len(parts) + 1))
     assert [(p.coords, p.alpha, p.support) for p in parts] == reference_partition(v, delta)
@@ -276,13 +276,14 @@ def _view_sets(draw):
 def test_partition_matches_reference_oracle_on_views(case):
     """Parts of a set read on some of its blocks agree with the oracle in
     order, coords, alpha, support, size and tails, whether the grouping on J
-    holds from the start, from some round on, or never.  The lemma is not
-    asserted: its verifier takes D(X) as log2(m^|J| / |X|), which needs the
-    points to differ on J, and here they need not."""
+    holds from the start, from some round on, or never; and they pass the
+    lemma, with D(X) read from X's heaviest count on J, since several points
+    may share a value there."""
     points, m, n, coords, delta = case
-    v = SetVar(points, (m,) * n, coords)
+    v = SetVar(points, m, coords)
     parts = density_restoring_partition(v, delta)
     assert [(p.coords, p.alpha, p.support) for p in parts] == reference_partition(v, delta)
+    assert verify_partition_lemma(v, parts, delta).ok
     tail = v.size
     for order, p in enumerate(parts, 1):
         assert (p.order, p.size, p.tail_size, p.input_size) == (
@@ -304,8 +305,10 @@ def test_partition_matches_reference_oracle_on_views(case):
 ], ids=["tie-from-start", "mid-loop"])
 def test_partition_groups_on_J_pinned(case, expected):
     points, m, n, coords, delta = case
-    parts = density_restoring_partition(SetVar(points, (m,) * n, coords), delta)
+    v = SetVar(points, m, coords)
+    parts = density_restoring_partition(v, delta)
     assert [(p.coords, p.alpha, p.support, p.tail_size) for p in parts] == expected
+    assert verify_partition_lemma(v, parts, delta).ok
 
 
 @pytest.mark.parametrize("m, delta, k, size, T", [
@@ -393,7 +396,7 @@ def test_partition_covers_disjointly():
         n = rng.randint(1, 3)
         pop = list(itertools.product(range(1, m + 1), repeat=n))
         support = rng.sample(pop, rng.randint(1, len(pop)))
-        v = SetVar(support, (m,) * n)
+        v = SetVar(support, m)
         parts = density_restoring_partition(v, D)
         union = set()
         total = 0
@@ -432,7 +435,7 @@ def test_lemma_random_battery():
         m = 8
         pop = list(itertools.product(range(1, m + 1), repeat=n))
         support = rng.sample(pop, rng.randint(1, min(40, len(pop))))
-        v = SetVar(support, (m,) * n)
+        v = SetVar(support, m)
         parts = density_restoring_partition(v, D)
         assert verify_partition_lemma(v, parts, D).ok
 
@@ -463,7 +466,7 @@ def test_lemma_rejects_fake_parts():
     pop = list(itertools.product(range(1, m + 1), repeat=3))
     forged = 0
     for _ in range(8):
-        v = SetVar(rng.sample(pop, rng.randint(1, 40)), (m,) * 3)
+        v = SetVar(rng.sample(pop, rng.randint(1, 40)), m)
         parts = density_restoring_partition(v, D)
         assert verify_partition_lemma(v, parts, D).ok
         for k, part in enumerate(parts):
@@ -482,22 +485,22 @@ def test_lemma_non_power_of_two_domain():
         pop = list(itertools.product(range(1, m + 1), repeat=2))
         for _ in range(20):
             support = rng.sample(pop, rng.randint(1, min(20, len(pop))))
-            v = SetVar(support, (m, m))
+            v = SetVar(support, m)
             parts = density_restoring_partition(v, D)
             assert verify_partition_lemma(v, parts, D).ok
 
 
 def test_setvar_validation():
     with pytest.raises(DomainError):
-        SetVar(set(), (4,))
+        SetVar(set(), 4)
+    with pytest.raises(DomainError, match="one tuple arity"):
+        SetVar({(1, 2), (1,)}, 4)  # mixed arities
     with pytest.raises(DomainError):
-        SetVar({(1, 2)}, (4,))
+        SetVar({(1, 2)}, 4, (1, 3))  # block 3 outside the tuples
     with pytest.raises(DomainError):
-        SetVar({(1, 2)}, (4, 4), (1, 3))  # block 3 outside the ambient
+        SetVar({(1, 2)}, 4, (2, 2))  # a repeated block
     with pytest.raises(DomainError):
-        SetVar({(1, 2)}, (4, 4), (2, 2))  # a repeated block
-    with pytest.raises(DomainError):
-        SetVar({(1, 2)}, (4, 4), (2, 1))  # blocks out of order
+        SetVar({(1, 2)}, 4, (2, 1))  # blocks out of order
 
 
 # --- reading a set on some of its blocks ---
@@ -524,20 +527,20 @@ def test_view_partition_matches_projection(data):
         return tuple(x[i - 1] for i in free)
 
     X = {full(p) for p in points}
-    view = density_restoring_partition(SetVar(X, (m,) * n, free), D)
-    projected = density_restoring_partition(SetVar(points, (m,) * len(free)), D)
+    view = density_restoring_partition(SetVar(X, m, free), D)
+    projected = density_restoring_partition(SetVar(points, m), D)
     mapped = [(p.order, tuple(free[j - 1] for j in p.coords), p.alpha,
                frozenset(x for x in X if proj(x) in p.support),
                p.size, p.tail_size, p.input_size) for p in projected]
     assert [(p.order, p.coords, p.alpha, p.support, p.size, p.tail_size, p.input_size)
             for p in view] == mapped
-    assert verify_partition_lemma(SetVar(X, (m,) * n, free), view, D).ok
+    assert verify_partition_lemma(SetVar(X, m, free), view, D).ok
 
 
 def test_view_reads_only_its_blocks():
-    # Block 2 is not read: its domain size may differ, and its values do not
+    # Block 2 is not read: its values may lie outside [m], and they do not
     # enter the marginals, the density or the partition labels.
-    v = SetVar({(1, 5, 1), (1, 5, 2), (2, 5, 1), (2, 5, 2)}, (4, 16, 4), (1, 3))
+    v = SetVar({(1, 5, 1), (1, 5, 2), (2, 5, 1), (2, 5, 2)}, 4, (1, 3))
     assert v.positions((3, 1)) == [0, 2]
     assert deficiency(v, (1, 3)) == 4
     assert is_blockwise_dense(v, Fraction(1, 2))

@@ -12,7 +12,6 @@ from liftsim.core import (
     BobCube,
     ComposedInstance,
     ExplicitBobSet,
-    GadgetSpec,
     PartialAssignment,
     bob_size,
     compose_eval,
@@ -53,7 +52,7 @@ D = Fraction(9, 10)
 
 
 def G(n, m):
-    return ComposedInstance(n, GadgetSpec.index(m))
+    return ComposedInstance(n, m)
 
 
 def alice_eq(G_, i, val):

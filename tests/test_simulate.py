@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftsim import simulate
-from liftsim.core import BOT, ComposedInstance, GadgetSpec, PartialAssignment, Rect
+from liftsim.core import BOT, ComposedInstance, PartialAssignment, Rect
 from liftsim.entropy import cmp_pow
 from liftsim.errors import DomainError, ResourceError
 from liftsim.fixtures import (
