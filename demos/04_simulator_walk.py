@@ -4,13 +4,14 @@ Given only query access to z, the simulator walks the refined tree as if both
 inputs were uniform on the current rectangle; the bit-fixing rounds are where
 it actually reads z.  When the message z demands is impossible (Bob's set has
 no such string), the walk fails with a bottom outcome.  The exact outcome
-distribution is computed by weighted traversal, and each sampled run carries
-a potential ledger whose per-iteration inequality is checked exactly.
+distribution is computed by weighted traversal.  Each run carries a potential
+ledger that depends only on its path, so every path's ledger is listed and
+checked exactly once, and each sampled run's ledger must be one of them.
 """
 
 from fractions import Fraction
 
-from liftsim import SimConfig, ledger_check, refine, simulate_exact, simulate_sample
+from liftsim import SimConfig, ledger_exact, refine, simulate_exact, simulate_sample
 from liftsim.core import BOT
 from liftsim.fixtures import bob_first_fixture
 
@@ -32,13 +33,17 @@ for t, p in sorted(exact.transcripts.items(), key=lambda kv: str(kv[0])):
 print("failure breakdown:", {r: str(p) for r, p in exact.bot_reasons.items()})
 print("query-count distribution:", {q: str(p) for q, p in exact.queries.items()})
 
-# Sampled runs agree with the exact law and their ledgers always verify.
+# Every path's ledger verifies; sampled runs agree with the exact law and
+# carry one of those ledgers.
+ledgers = ledger_exact(rp, cfg)
+assert all(ledgers.values())
+print(f"\ndistinct path ledgers, each checked once: {len(ledgers)}")
 counts = {}
 for seed in range(2000):
     out = simulate_sample(rp, z, cfg, seed=seed)
-    assert ledger_check(out, DELTA)
+    assert out.ledger in ledgers
     counts[out.outcome] = counts.get(out.outcome, 0) + 1
-print("\n2000 seeded samples:")
+print("2000 seeded samples:")
 for t, c in sorted(counts.items(), key=lambda kv: str(kv[0])):
     print(f"  {'bottom' if t is BOT else t}: {c / 2000:.3f} "
           f"(exact {float(exact.transcripts.prob(t)):.3f})")

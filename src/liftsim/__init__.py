@@ -69,6 +69,7 @@ from .simulate import (
     SimConfig,
     SimOutcome,
     ledger_check,
+    ledger_exact,
     protocol_to_dt,
     simulate_exact,
     simulate_sample,

@@ -145,7 +145,9 @@ def _rational(text, flag) -> Fraction:
 
 # integer flag -> its least valid value
 _FLAG_MINIMUM = {"coords": 1, "max_support": 1, "budget": 1, "jobs": 1, "m": 1,
-                 "count": 0, "samples": 0, "battery": 0}
+                 "count": 0, "samples": 0, "battery": 0,
+                 # random.Random(-k) seeds the same stream as Random(k)
+                 "seed": 0}
 
 
 def _check_flags(args):
@@ -250,6 +252,14 @@ def cmd_simulate(args):
         raise DomainError("--seed is mandatory for randomized runs")
     cfg = _sim_config(args)
     rp = refine(pt, cfg.delta, pair_budget=args.budget)
+    # every path's ledger, checked once; a sample's must be one of them
+    ledgers = sim.ledger_exact(rp, cfg)
+    failed = [ledger for ledger, ok in ledgers.items() if not ok]
+    if failed:
+        raise Violation("per-path potential ledger",
+                        f"{len(failed)} of {len(ledgers)} path ledgers of "
+                        f"{args.fixture}; the first has {len(failed[0])} rows "
+                        f"and {sum(r.queries for r in failed[0])} queries")
     per_z = {}
     sample_rows = []
     for z in _z_values(args.z, pt.G.n):
@@ -258,7 +268,7 @@ def cmd_simulate(args):
         counts = {}
         for i in range(args.samples):
             out = sim.simulate_sample(rp, z, cfg, seed=args.seed + i)
-            if not sim.ledger_check(out, cfg.delta):
+            if out.ledger not in ledgers:
                 raise Violation("per-run potential ledger",
                                 f"z={zs} sample {i}", seed=args.seed + i)
             counts[out.outcome] = counts.get(out.outcome, 0) + 1

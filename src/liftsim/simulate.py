@@ -13,10 +13,16 @@ those bits.  The walk ends at a bottom outcome for one of three reasons:
 - deficiency-cutoff (strict_zpp only): a child's Bob deficiency passes the
   cap; checked on entering any child, charged the queries made so far.
 
-These rules are written once (_draws, _enter, _move, _steps) and folded
-three ways: simulate_sample draws one move per step, simulate_exact sums the
-weighted moves, and protocol_to_dt realizes them as a mixture of decision
-trees.
+These rules are written once (_draws, _enter, _move, _steps, and _row for
+the ledger row of an edge) and folded four ways: simulate_sample draws one
+move per step, simulate_exact sums the weighted moves, ledger_exact expands
+every move on every z and checks each distinct path ledger once, and
+protocol_to_dt realizes them as a mixture of decision trees.
+
+A ledger row depends only on the edge the walk takes, never on z or the
+seed, so the ledgers of ledger_exact are every ledger a sampled run can
+carry: the CLI's "ledger_checks_passed" asserts that every path ledger
+passes ledger_check and that every sampled run's ledger is one of them.
 """
 
 from __future__ import annotations
@@ -220,6 +226,22 @@ def _move(node, b, part, q, cfg: SimConfig, cap, answers):
         for s in answers(part)]
 
 
+def _row(iteration, node, total, wb, b, part, target) -> LedgerRow:
+    """The ledger row of the edge taking bit b, drawn with weight wb of total,
+    then part at an Alice node, landing on target."""
+    before = node.potential
+    if part is None:
+        return LedgerRow(iteration, Fraction(1), Fraction(1), 0, before,
+                         node.children[b].potential)
+    gamma = Fraction(total, wb)
+    if target == QUERY_CAP:
+        # no part announcement and no queries: only Alice's bit counts
+        return LedgerRow(iteration, gamma, Fraction(1), 0, before, before * gamma)
+    # the part's potential exists even when the bit-fixing child does not
+    return LedgerRow(iteration, gamma, part.delta_ratio, len(part.coords), before,
+                     part.potential)
+
+
 def _steps(node, q, cfg: SimConfig, cap, answers):
     """Every move out of an iteration node: (probability,) + _move's result."""
     total, draws = _draws(node)
@@ -238,25 +260,12 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
     node = rp.root
     transcript, queries, ledger = [], [], []
     while not isinstance(node, RLeaf):
-        pot_before = node.potential
         total, draws = _draws(node)
         wb, b, parts = _pick(rng, total, draws)
         part = None if parts is None else _pick(rng, wb, parts)[1]
         coords, ((_, msgs, target, _),) = _move(node, b, part, len(queries),
                                                   cfg, cap, answer)
-        if part is None:
-            gamma = delta = Fraction(1)
-            pot_after = node.children[b].potential
-        else:
-            gamma = Fraction(total, wb)
-            if target == QUERY_CAP:
-                # no part announcement and no queries: only Alice's bit counts
-                delta, pot_after = Fraction(1), pot_before * gamma
-            else:
-                # the part's potential exists even when the bit-fixing child does not
-                delta, pot_after = part.delta_ratio, part.potential
-        ledger.append(LedgerRow(len(ledger) + 1, gamma, delta, len(coords),
-                                pot_before, pot_after))
+        ledger.append(_row(len(ledger) + 1, node, total, wb, b, part, target))
         queries.extend(coords)
         transcript.extend(msgs)
         if isinstance(target, str):
@@ -294,6 +303,45 @@ def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig) -> SimExact:
     walk(rp.root, Fraction(1), 0, ())
     return SimExact(ExactDist(transcripts), ExactDist(queries), reasons,
                     ExactDist(values))
+
+
+def ledger_exact(rp: RefinedProtocol, cfg: SimConfig) -> dict:
+    """Every ledger the walk can carry, mapped to ledger_check's verdict on it.
+
+    The fold takes every move out of every node and every answer s of a part,
+    so its root-to-leaf and root-to-bottom paths are the walk's paths over all
+    z; their ledgers, as simulate_sample emits them, are the keys, and each
+    distinct one is checked once."""
+    cap = cfg.cap_bits(rp.G.n)
+    paths = {}
+    visited = 0
+
+    def walk(node, q, ledger):
+        nonlocal visited
+        visited += 1
+        if visited > NODE_BUDGET:
+            raise ResourceError("exact ledger traversal", visited, NODE_BUDGET)
+        if isinstance(node, RLeaf):
+            paths[ledger] = None
+            return
+        total, draws = _draws(node)
+        for wb, b, parts in draws:
+            for _, part in parts or [(wb, None)]:
+                _, landings = _move(node, b, part, q, cfg, cap,
+                                    lambda p: p.s_children)
+                for _, _, target, q2 in landings:
+                    path = ledger + (_row(len(ledger) + 1, node, total, wb, b,
+                                          part, target),)
+                    if isinstance(target, str):
+                        paths[path] = None
+                    else:
+                        walk(target, q2, path)
+
+    walk(rp.root, 0, ())
+    # ledger_check reads only an outcome's ledger and m
+    return {ledger: ledger_check(SimOutcome(None, BOT, None, (), ledger, rp.G.m),
+                                 cfg.delta)
+            for ledger in paths}
 
 
 def ledger_check(outcome: SimOutcome, delta) -> bool:

@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, exit codes, deterministic reports."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftsim import cli
+from liftsim import cli, simulate
 from liftsim.analysis import dt_error, marginals_report
 from liftsim.cli import main
 from liftsim.entropy import RATIONAL_BUDGET
@@ -83,6 +84,42 @@ def test_simulate_ledger_and_dists(capsys):
     rep = read_json(out)
     assert rep["per_z"]["0"]["queries"] == [{"count": 1, "p": {"exact": "1/1",
                                                                "float": 1.0}}]
+
+
+def test_simulate_checks_path_ledgers_without_samples(capsys, monkeypatch):
+    """Every path ledger is checked before any run is sampled, so a failing
+    one is exit 1 at --samples 0, with no seed to reproduce."""
+    monkeypatch.setattr(simulate, "ledger_check", lambda out, delta: False)
+    code, out, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
+                         "--m", "8", "--samples", "0")
+    assert code == 1
+    assert err.startswith("FAILED per-path potential ledger: 2 of 2 path ledgers")
+    rep = read_json(out)
+    assert rep["violation"] == "per-path potential ledger"
+    assert rep["reproduce_with_seed"] is None
+
+
+def test_simulate_refuses_sample_off_every_path(capsys, monkeypatch):
+    """A sampled ledger that no path of the refined tree carries is exit 1,
+    naming the sample and its seed."""
+    sample = simulate.simulate_sample
+
+    def forged(rp, z, cfg, seed):
+        out = sample(rp, z, cfg, seed)
+        if seed == 6:
+            last = out.ledger[-1]
+            row = dataclasses.replace(last, queries=last.queries + 1)
+            out = dataclasses.replace(out, ledger=out.ledger[:-1] + (row,))
+        return out
+
+    monkeypatch.setattr(simulate, "simulate_sample", forged)
+    code, out, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
+                         "--m", "8", "--z", "0", "--samples", "2", "--seed", "5")
+    assert code == 1
+    assert err == "FAILED per-run potential ledger: z=0 sample 1 (seed 6)\n"
+    rep = read_json(out)
+    assert rep["violation"] == "per-run potential ledger"
+    assert rep["reproduce_with_seed"] == 6
 
 
 def test_verify_bundled_fixture_exact(capsys):
@@ -610,6 +647,7 @@ def test_delta_outside_unit_interval_exit2(tmp_path, capsys, command, delta):
     ["sweep", "--m-list", "4", "--jobs", "0"],
     ["refine", "--fixture", "builtin:one-bit", "--budget", "0"],
     ["simulate", "--fixture", "builtin:one-bit", "--seed", "1", "--samples", "-5"],
+    ["simulate", "--fixture", "builtin:one-bit", "--samples", "3", "--seed", "-1"],
     ["simulate", "--fixture", "builtin:one-bit", "--deficiency-cap", "abc"],
     ["verify", "--seed", "1", "--battery", "-1"],
     ["partition", "--seed", "1", "--count", "2", "--m", "0"],
@@ -622,7 +660,7 @@ def test_delta_outside_unit_interval_exit2(tmp_path, capsys, command, delta):
     ["simulate", "--fixture", "builtin:one-bit", "--strict-zpp", "--deficiency-cap", "10001"],
     ["verify", "--seed", "1", "--deficiency-cap", "1/10001"],
 ], ids=["coords-0", "count-neg", "max-support-0", "jobs-0", "budget-0",
-        "samples-neg", "deficiency-cap-abc", "battery-neg", "m-0", "m-neg",
+        "samples-neg", "seed-neg", "deficiency-cap-abc", "battery-neg", "m-0", "m-neg",
         "z-ab", "z-2x", "delta-1e-300", "delta-long", "delta-over-budget",
         "deficiency-cap-over-budget", "deficiency-cap-denominator"])
 def test_bad_numeric_flag_exit2(capsys, argv):

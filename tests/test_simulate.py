@@ -40,6 +40,7 @@ from liftsim.simulate import (
     ExactDist,
     SimConfig,
     ledger_check,
+    ledger_exact,
     protocol_to_dt,
     simulate_exact,
     simulate_sample,
@@ -239,15 +240,42 @@ def test_ledger_battery_including_failures():
         rp = refine(random_protocol(rng, G, 4), CFG.delta)
         cfg = SimConfig(strict_zpp=True, deficiency_cap=Fraction(3),
                         query_cap=1)
+        ledgers = ledger_exact(rp, cfg)
+        assert all(ledgers.values())
         for seed in range(40):
             z = tuple(rng.randint(0, 1) for _ in range(n))
             out = simulate_sample(rp, z, cfg, seed=seed)
             assert ledger_check(out, cfg.delta)
+            assert out.ledger in ledgers
             checked += 1
             if out.failure:
                 failures_seen.add(out.failure)
     assert checked == 1000
     assert failures_seen  # cutoffs actually exercised
+
+
+def test_ledger_exact_bob_first_pinned():
+    """bob_first_fixture(8) has two path ledgers, both passing: Alice's
+    7-of-8 bit with no query, and her 1-of-8 bit with one.  The seeded runs
+    at either z carry both and no other."""
+    rp = refine(bob_first_fixture(8), CFG.delta)
+    ledgers = ledger_exact(rp, CFG)
+    assert len(ledgers) == 2 and all(ledgers.values())
+    assert {ledger[-1].queries for ledger in ledgers} == {0, 1}
+    for z in ((0,), (1,)):
+        assert {simulate_sample(rp, z, CFG, seed=seed).ledger
+                for seed in range(40)} == set(ledgers)
+
+
+def test_ledger_exact_checks_each_ledger_once(monkeypatch):
+    """The fold's verdicts are ledger_check's, taken once per distinct ledger."""
+    rp = refine(bob_first_fixture(8), CFG.delta)
+    checked = []
+    monkeypatch.setattr(simulate, "ledger_check",
+                        lambda out, delta: checked.append(out.ledger) or False)
+    ledgers = ledger_exact(rp, CFG)
+    assert len(checked) == len(ledgers) and set(checked) == set(ledgers)
+    assert not any(ledgers.values())
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2, Fraction(-1, 2)])
@@ -377,6 +405,18 @@ def test_simulate_exact_node_budget(monkeypatch):
     simulate_exact(rp, (0,), CFG)
 
 
+def test_ledger_exact_node_budget(monkeypatch):
+    """The ledger fold expands both answers, so on the one-bit fixture it
+    visits the root and four leaves: refused at four nodes, run at five."""
+    rp = refine(one_bit_fixture(), CFG.delta)
+    monkeypatch.setattr(simulate, "NODE_BUDGET", 4)
+    with pytest.raises(ResourceError) as exc:
+        ledger_exact(rp, CFG)
+    assert (exc.value.required, exc.value.budget) == (5, 4)
+    monkeypatch.setattr(simulate, "NODE_BUDGET", 5)
+    ledger_exact(rp, CFG)
+
+
 def test_protocol_to_dt_respects_query_cap_depth():
     rng = random.Random(12)
     G = instance(2, 2)
@@ -468,13 +508,16 @@ def test_sampler_seeded_output_pinned():
        query_cap=st.sampled_from([None, 1, 2]))
 def test_walk_differential_property(proto_seed, shape, depth, strict, def_cap,
                                     query_cap):
-    """protocol_to_dt and simulate_exact agree on every z, and every seeded
-    sample lands in the exact support and passes the ledger check."""
+    """protocol_to_dt and simulate_exact agree on every z, every path ledger
+    passes, and every seeded sample lands in the exact support, passes the
+    ledger check and carries one of the path ledgers."""
     n, m = shape
     pt = random_protocol(random.Random(proto_seed), instance(n, m), depth)
     cfg = SimConfig(strict_zpp=strict, deficiency_cap=def_cap, query_cap=query_cap)
     rdt = protocol_to_dt(pt, cfg)
     rp = refine(pt, cfg.delta)
+    ledgers = ledger_exact(rp, cfg)
+    assert all(ledgers.values())
     for z in itertools.product((0, 1), repeat=n):
         exact = simulate_exact(rp, z, cfg)
         assert rdt.output_dist(z) == dict(exact.values.items())
@@ -488,3 +531,4 @@ def test_walk_differential_property(proto_seed, shape, depth, strict, def_cap,
             else:
                 assert exact.bot_reasons.get(out.failure, 0) > 0
             assert ledger_check(out, cfg.delta)
+            assert out.ledger in ledgers
