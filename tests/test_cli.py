@@ -144,6 +144,25 @@ def test_verify_expect_exact_fails_on_lossy_fixture(capsys):
     assert rep["reproduce_with_seed"] == 3
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ("--samples", "20", "--seed", "1", "--strict-zpp",
+                  "--deficiency-cap", "3")),
+    ("verify", ("--seed", "1", "--battery", "0")),
+])
+def test_single_z_restricts_all_z(tmp_path, capsys, command, flags):
+    """A --z run reports exactly the --z all run's entry for that z."""
+    pt = random_protocol(random.Random(8), instance(2, 4), 3)
+    path = _write_fixture(tmp_path, "n2.json", json.dumps(protocol_to_dict(pt)))
+    code, out, _ = run(capsys, command, "--fixture", path, *flags)
+    assert code == 0
+    every = read_json(out)["per_z"]
+    assert sorted(every) == ["00", "01", "10", "11"]
+    for zs, entry in every.items():
+        code, out, _ = run(capsys, command, "--fixture", path, "--z", zs, *flags)
+        assert code == 0
+        assert read_json(out)["per_z"] == {zs: entry}
+
+
 def test_verify_reports_one_sided_support(tmp_path, capsys):
     """Bob sending whether y is 11 makes the walk emit, at z = 0, a
     transcript the slice never produces: measured, not an exit 1."""

@@ -18,6 +18,7 @@ from liftsim.fixtures import (
     instance,
     one_bit_fixture,
     random_protocol,
+    sweep_family,
     third_error_mixture,
     xor_decision_tree,
     xor_outer,
@@ -27,6 +28,7 @@ from liftsim.protocol import (
     DLeaf,
     PLeaf,
     ProtocolTree,
+    RBob,
     RLeaf,
     RandomizedProtocol,
     dt_eval,
@@ -134,6 +136,104 @@ def test_exact_bob_first_has_quarter_bot():
         sim = simulate_exact(rp, z, CFG)
         assert sim.transcripts.prob(BOT) == Fraction(1, 4)
         assert sim.bot_reasons == {IMPOSSIBLE_S: Fraction(1, 4)}
+        # the impossible-s bottom is charged the q + |I| queries it made
+        assert sim.queries == ExactDist.point(1)
+
+
+def reference_walk(rp, z, cfg):
+    """The walk's exact law on z, written from the rules in simulate.py's
+    docstring over the refined tree's data alone: rectangle sizes, parts,
+    s_children and def_y.  Returns the transcript, query-count, value and
+    bottom-reason masses as dicts."""
+    cap = cfg.deficiency_cap if cfg.deficiency_cap is not None else Fraction(rp.G.n ** 3)
+    transcripts, queries, values, reasons = {}, {}, {}, {}
+
+    def add(d, key, w):
+        d[key] = d.get(key, 0) + w
+
+    def end(w, transcript, q, value):
+        add(transcripts, transcript, w)
+        add(queries, q, w)
+        add(values, value, w)
+
+    def bottom(w, reason, q):
+        end(w, BOT, q, BOT)
+        add(reasons, reason, w)
+
+    def enter(w, child, t, q):
+        # strict ZPP cuts when def_y > 2^cap, i.e. def_y^c > 2^a for cap = a/c
+        if cfg.strict_zpp and child.def_y ** cap.denominator > 2 ** cap.numerator:
+            bottom(w, DEFICIENCY_CUTOFF, q)
+        else:
+            visit(w, child, t, q)
+
+    def visit(w, node, t, q):
+        if isinstance(node, RLeaf):
+            end(w, t, q, node.value)
+        elif isinstance(node, RBob):
+            for b, child in node.children.items():
+                if child is not None:
+                    enter(w * Fraction(child.rect.y_size, node.rect.y_size), child,
+                          t + (("b", b),), q)
+        else:
+            for b, parts in node.branches.items():
+                for part in parts or ():
+                    # |X^b|/|X| for the bit, times |X^i|/|X^b| for the part
+                    wp = w * Fraction(len(part.X), len(node.rect.X))
+                    q2 = q + len(part.coords)
+                    if cfg.query_cap is not None and q2 > cfg.query_cap:
+                        bottom(wp, QUERY_CAP, q)
+                        continue
+                    s = "".join(str(z[i - 1]) for i in part.coords)
+                    if part.s_children[s] is None:
+                        bottom(wp, IMPOSSIBLE_S, q2)
+                    else:
+                        enter(wp, part.s_children[s],
+                              t + (("b", b), ("i", part.order), ("s", s)), q2)
+
+    visit(Fraction(1), rp.root, (), 0)
+    return transcripts, queries, values, reasons
+
+
+def _reference_cases():
+    """Every bundled fixture and 16 seeded random protocols at n <= 2, m <= 4."""
+    pts = [one_bit_fixture(2), one_bit_fixture(4), bob_first_fixture(2),
+           bob_first_fixture(4)]
+    pts += [pt for n in (1, 2) for _, pt in sweep_family(n, 4)]
+    rng = random.Random(41)
+    for shape in ((1, 2), (1, 4), (2, 2), (2, 4)):
+        pts += [random_protocol(rng, instance(*shape), 3) for _ in range(4)]
+    return [refine(pt, CFG.delta) for pt in pts]
+
+
+REFERENCE_CONFIGS = {
+    "default": SimConfig(),
+    "strict-zpp": SimConfig(strict_zpp=True, deficiency_cap=1),
+    "query-cap": SimConfig(query_cap=1),
+    "both": SimConfig(strict_zpp=True, deficiency_cap=1, query_cap=1),
+}
+
+
+@pytest.mark.parametrize("kind", REFERENCE_CONFIGS)
+def test_exact_matches_reference_walk(kind):
+    """simulate_exact's transcripts, queries charged, values and bottom-reason
+    masses equal the reference walk's on every z of every case."""
+    cfg = REFERENCE_CONFIGS[kind]
+    reasons_seen = set()
+    for rp in _reference_cases():
+        for z in itertools.product((0, 1), repeat=rp.G.n):
+            transcripts, queries, values, reasons = reference_walk(rp, z, cfg)
+            sim = simulate_exact(rp, z, cfg)
+            assert dict(sim.transcripts.items()) == transcripts
+            assert dict(sim.queries.items()) == queries
+            assert dict(sim.values.items()) == values
+            assert sim.bot_reasons == reasons
+            reasons_seen |= set(reasons)
+    # every bottom reason the config allows is reached somewhere
+    expected = {IMPOSSIBLE_S}
+    expected |= {DEFICIENCY_CUTOFF} if cfg.strict_zpp else set()
+    expected |= {QUERY_CAP} if cfg.query_cap else set()
+    assert reasons_seen == expected
 
 
 def test_sample_frequencies_match_exact():
