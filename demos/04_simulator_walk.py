@@ -3,15 +3,18 @@
 Given only query access to z, the simulator walks the refined tree as if both
 inputs were uniform on the current rectangle; the bit-fixing rounds are where
 it actually reads z.  When the message z demands is impossible (Bob's set has
-no such string), the walk fails with a bottom outcome.  The exact outcome
-distribution is computed by weighted traversal.  Each run carries a potential
-ledger that depends only on its path, so every path's ledger is listed and
-checked exactly once, and each sampled run's ledger must be one of them.
+no such string), the walk fails with a bottom outcome.  The walk's draws never
+read z, so one pass over the refined tree, taking every answer, lists every
+leaf and bottom with its z-free probability; the exact outcome distribution on
+z sums those consistent with z.  Each run carries a potential ledger that
+depends only on its path, so every path's ledger is listed and checked exactly
+once, and each sampled run's ledger must be one of them.
 """
 
 from fractions import Fraction
 
-from liftsim import SimConfig, ledger_exact, refine, simulate_exact, simulate_sample
+from liftsim import (SimConfig, ledger_exact, refine, simulate_exact, simulate_sample,
+                     walk_law)
 from liftsim.core import BOT
 from liftsim.fixtures import bob_first_fixture
 
@@ -25,7 +28,8 @@ pt = bob_first_fixture(m=2)
 rp = refine(pt, DELTA)
 z = (0,)
 
-exact = simulate_exact(rp, z, cfg)
+law = walk_law(rp, cfg)
+exact = simulate_exact(law, z)
 print(f"exact outcome distribution on z={z}:")
 for t, p in sorted(exact.transcripts.items(), key=lambda kv: str(kv[0])):
     label = "bottom" if t is BOT else t
@@ -35,7 +39,7 @@ print("query-count distribution:", {q: str(p) for q, p in exact.queries.items()}
 
 # Every path's ledger verifies; sampled runs agree with the exact law and
 # carry one of those ledgers.
-ledgers = ledger_exact(rp, cfg)
+ledgers = ledger_exact(law)
 assert all(ledgers.values())
 print(f"\ndistinct path ledgers, each checked once: {len(ledgers)}")
 counts = {}
@@ -60,4 +64,4 @@ for row in out.ledger:
 # The strict failure mode also cuts off runs whose Bob set gets too deficient.
 strict = SimConfig(delta=DELTA, strict_zpp=True, deficiency_cap=Fraction(1))
 print("\nwith a 1-bit deficiency cap:",
-      {r: str(p) for r, p in simulate_exact(rp, z, strict).bot_reasons.items()})
+      {r: str(p) for r, p in simulate_exact(walk_law(rp, strict), z).bot_reasons.items()})

@@ -22,6 +22,7 @@ from liftsim import (
     simulate_exact,
     true_transcript_dist,
     tv_distance,
+    walk_law,
 )
 from liftsim.fixtures import sweep_family
 
@@ -32,8 +33,9 @@ for m in (4, 8, 16, 32):
     tvs = []
     for name, pt in sweep_family(1, m):
         rp = refine(pt, cfg.delta)
+        law = walk_law(rp, cfg)
         for z in ((0,), (1,)):
-            tvs.append(tv_distance(simulate_exact(rp, z, cfg).transcripts,
+            tvs.append(tv_distance(simulate_exact(law, z).transcripts,
                                    true_transcript_dist(rp, z)))
     print(f"  m={m:>2}: median {statistics.median(sorted(tvs))} "
           f"({float(statistics.median(sorted(tvs))):.5f})")

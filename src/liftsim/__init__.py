@@ -73,6 +73,7 @@ from .simulate import (
     protocol_to_dt,
     simulate_exact,
     simulate_sample,
+    walk_law,
 )
 
 __version__ = "0.1.0"

@@ -252,8 +252,9 @@ def cmd_simulate(args):
         raise DomainError("--seed is mandatory for randomized runs")
     cfg = _sim_config(args)
     rp = refine(pt, cfg.delta, pair_budget=args.budget)
+    law = sim.walk_law(rp, cfg)
     # every path's ledger, checked once; a sample's must be one of them
-    ledgers = sim.ledger_exact(rp, cfg)
+    ledgers = sim.ledger_exact(law)
     failed = [ledger for ledger, ok in ledgers.items() if not ok]
     if failed:
         raise Violation("per-path potential ledger",
@@ -264,7 +265,7 @@ def cmd_simulate(args):
     sample_rows = []
     for z in _z_values(args.z, pt.G.n):
         zs = "".join(map(str, z))
-        exact = sim.simulate_exact(rp, z, cfg)
+        exact = sim.simulate_exact(law, z)
         counts = {}
         for i in range(args.samples):
             out = sim.simulate_sample(rp, z, cfg, seed=args.seed + i)
@@ -295,11 +296,11 @@ def cmd_verify(args):
     cfg = _sim_config(args)
     rng = random.Random(args.seed)
     rp = refine(pt, cfg.delta, pair_budget=args.budget)
-    G = rp.G
+    law = sim.walk_law(rp, cfg)
     per_z = {}
-    for z in _z_values(args.z, G.n):
+    for z in _z_values(args.z, rp.G.n):
         zs = "".join(map(str, z))
-        t_z = sim.simulate_exact(rp, z, cfg).transcripts
+        t_z = sim.simulate_exact(law, z).transcripts
         t_true = analysis.true_transcript_dist(rp, z, pair_budget=args.budget)
         tv = analysis.tv_distance(t_z, t_true)
         if args.expect_exact and tv != 0:
@@ -389,10 +390,10 @@ def _sweep_instance(task):
     n, m, name, delta, budget = task
     pt = dict(fixtures.sweep_family(n, m))[name]
     rp = refine(pt, delta, pair_budget=budget)
-    cfg = sim.SimConfig(delta=delta)
+    law = sim.walk_law(rp, sim.SimConfig(delta=delta))
     cells = []
     for z in itertools.product((0, 1), repeat=n):
-        exact = sim.simulate_exact(rp, z, cfg)
+        exact = sim.simulate_exact(law, z)
         t_true = analysis.true_transcript_dist(rp, z, pair_budget=budget)
         cells.append({
             "key": (name, "".join(map(str, z)), m),

@@ -14,15 +14,15 @@ those bits.  The walk ends at a bottom outcome for one of three reasons:
   cap; checked on entering any child, charged the queries made so far.
 
 These rules are written once (_draws, _enter, _move, _steps, and _row for
-the ledger row of an edge) and folded four ways: simulate_sample draws one
-move per step, simulate_exact sums the weighted moves, ledger_exact expands
-every move on every z and checks each distinct path ledger once, and
-protocol_to_dt realizes them as a mixture of decision trees.
-
-A ledger row depends only on the edge the walk takes, never on z or the
-seed, so the ledgers of ledger_exact are every ledger a sampled run can
-carry: the CLI's "ledger_checks_passed" asserts that every path ledger
-passes ledger_check and that every sampled run's ledger is one of them.
+the ledger row of an edge) and read three ways: simulate_sample draws one
+run on one z, protocol_to_dt realizes the walk as decision trees, and
+walk_law takes every move and every answer s once.  The draws never read z,
+whose answer s the child's rho records, so each leaf or bottom of the law is
+reached on z with a z-free probability iff its rho is consistent with z:
+simulate_exact sums those of one z.  A ledger row depends only on its edge,
+so the law's ledgers are every ledger a run can carry; ledger_exact checks
+each distinct one once, and the CLI's "ledger_checks_passed" asserts that
+all pass and that every sampled run's ledger is one of them.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .core import BOT, PAIR_BUDGET_DEFAULT
+from .core import BOT, PAIR_BUDGET_DEFAULT, ComposedInstance, PartialAssignment
 from .entropy import as_fraction, as_rate, cmp_pow
 from .errors import DomainError, ResourceError
 from .protocol import (
@@ -52,7 +53,7 @@ IMPOSSIBLE_S = "impossible-s"
 DEFICIENCY_CUTOFF = "deficiency-cutoff"
 QUERY_CAP = "query-cap"
 
-NODE_BUDGET = 10 ** 6        # refined nodes one exact walk may visit
+NODE_BUDGET = 10 ** 6        # refined nodes one walk_law pass may visit
 COMPONENT_BUDGET = 10 ** 5   # decision trees in one realized mixture
 
 
@@ -117,7 +118,7 @@ class ExactDist:
     def __init__(self, mapping):
         probs = {}
         for o, p in dict(mapping).items():
-            p = Fraction(p)
+            p = p if isinstance(p, Fraction) else Fraction(p)
             if p < 0:
                 raise DomainError("negative probability")
             if p:
@@ -147,13 +148,6 @@ class ExactDist:
     def support(self) -> frozenset:
         return frozenset(self._p)
 
-    def project(self, fn) -> "ExactDist":
-        out = {}
-        for o, p in self._p.items():
-            key = fn(o)
-            out[key] = out.get(key, Fraction(0)) + p
-        return ExactDist(out)
-
     def __eq__(self, other):
         return isinstance(other, ExactDist) and self._p == other._p
 
@@ -169,15 +163,29 @@ class SimExact:
     values: ExactDist          # over leaf values plus BOT
 
 
-def _walk_shared(rp: RefinedProtocol, z, cfg: SimConfig):
-    """Validation shared by the walks; returns the deficiency cap in bits and
-    z's answers to a part (the bits of z on its coordinates)."""
-    z = rp.G.check_z(z)
-    return cfg.cap_bits(rp.G.n), lambda part: (
-        "".join(str(z[i - 1]) for i in part.coords),)
+class WalkEvent(NamedTuple):
+    """A leaf or bottom, reached on z with probability weight iff rho is
+    consistent with z.  A bottom's rho is the parent's with s written on the
+    blocks queried: the child's at a deficiency cutoff, the parent's plus s
+    at impossible-s, the parent's at a query cap."""
+
+    weight: Fraction
+    rho: PartialAssignment
+    transcript: object         # refined transcript, or BOT
+    value: object              # leaf value, or BOT
+    queries: int               # queries charged
+    failure: str | None        # IMPOSSIBLE_S | DEFICIENCY_CUTOFF | QUERY_CAP
+    ledger: tuple
 
 
-# --- the walk's rules, shared by the three folds below ---
+class WalkLaw(NamedTuple):
+    G: ComposedInstance
+    cfg: SimConfig
+    events: tuple              # WalkEvent, depth first
+    by_rho: dict               # rho -> its events, so one z reads only its own
+
+
+# --- the walk's rules, shared by the sampler, the law and protocol_to_dt ---
 
 def _draws(node):
     """The integer-weighted first draw out of an iteration node: its total
@@ -212,8 +220,8 @@ def _enter(child, cfg: SimConfig, cap):
 def _move(node, b, part, q, cfg: SimConfig, cap, answers):
     """Bit b, then part at an Alice node, after q queries: the coordinates
     queried, and one landing (s, messages, node or bottom reason, queries
-    charged) for each s in answers(part); s is "" for a Bob bit or a capped
-    part, which have no answer round."""
+    charged) for each s in the iterable answers; s is "" for a Bob bit or a
+    capped part, which have no answer round and ignore answers."""
     if part is None:
         return (), [("", (("b", b),), _enter(node.children[b], cfg, cap), q)]
     if cfg.query_cap is not None and q + len(part.coords) > cfg.query_cap:
@@ -223,12 +231,12 @@ def _move(node, b, part, q, cfg: SimConfig, cap, answers):
     return part.coords, [
         (s, sent + (("s", s),), IMPOSSIBLE_S if part.s_children[s] is None
          else _enter(part.s_children[s], cfg, cap), q)
-        for s in answers(part)]
+        for s in answers]
 
 
 def _row(iteration, node, total, wb, b, part, target) -> LedgerRow:
     """The ledger row of the edge taking bit b, drawn with weight wb of total,
-    then part at an Alice node, landing on target."""
+    then part at an Alice node; of its landing target only QUERY_CAP counts."""
     before = node.potential
     if part is None:
         return LedgerRow(iteration, Fraction(1), Fraction(1), 0, before,
@@ -242,20 +250,23 @@ def _row(iteration, node, total, wb, b, part, target) -> LedgerRow:
                      part.potential)
 
 
-def _steps(node, q, cfg: SimConfig, cap, answers):
-    """Every move out of an iteration node: (probability,) + _move's result."""
+def _steps(node, q, cfg: SimConfig, cap):
+    """Every move out of an iteration node, with every answer s: (probability,
+    total, wb, b, part) + _move's result, total and wb being _row's weights."""
     total, draws = _draws(node)
-    return [(Fraction(wi, total),) + _move(node, b, part, q, cfg, cap, answers)
+    return [(Fraction(wi, total), total, wb, b, part)
+            + _move(node, b, part, q, cfg, cap, () if part is None else part.s_children)
             for wb, b, parts in draws for wi, part in parts or [(wb, None)]]
 
 
-# --- the folds ---
+# --- the sampler and the law ---
 
 def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOutcome:
     """One reproducible run of the random walk: one _pick at a Bob node, two
     (the bit, then the part) at an Alice node, each taken with exactly its
     rational probability.  Every seeded report depends on this draw order."""
-    cap, answer = _walk_shared(rp, z, cfg)
+    z = rp.G.check_z(z)
+    cap = cfg.cap_bits(rp.G.n)
     rng = random.Random(seed)
     node = rp.root
     transcript, queries, ledger = [], [], []
@@ -263,6 +274,7 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
         total, draws = _draws(node)
         wb, b, parts = _pick(rng, total, draws)
         part = None if parts is None else _pick(rng, wb, parts)[1]
+        answer = () if part is None else ("".join(str(z[i - 1]) for i in part.coords),)
         coords, ((_, msgs, target, _),) = _move(node, b, part, len(queries),
                                                   cfg, cap, answer)
         ledger.append(_row(len(ledger) + 1, node, total, wb, b, part, target))
@@ -275,73 +287,59 @@ def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOut
                       tuple(ledger), rp.G.m)
 
 
-def simulate_exact(rp: RefinedProtocol, z, cfg: SimConfig) -> SimExact:
-    """Aggregate the walk's exact outcome distribution by weighted traversal."""
-    cap, answer = _walk_shared(rp, z, cfg)
-    transcripts, queries, reasons, values = {}, {}, {}, {}
-    visited = 0
-
-    def tally(w, t, q, value):
-        for d, key in ((transcripts, t), (queries, q), (values, value)):
-            d[key] = d[key] + w if key in d else w
-
-    def walk(node, w, q, t):
-        nonlocal visited
-        visited += 1
-        if visited > NODE_BUDGET:
-            raise ResourceError("exact simulation traversal", visited, NODE_BUDGET)
-        if isinstance(node, RLeaf):
-            tally(w, t, q, node.value)
-            return
-        for p, _, ((_, msgs, target, q2),) in _steps(node, q, cfg, cap, answer):
-            if isinstance(target, str):
-                tally(w * p, BOT, q2, BOT)
-                reasons[target] = reasons.get(target, 0) + w * p
-            else:
-                walk(target, w * p, q2, t + msgs)
-
-    walk(rp.root, Fraction(1), 0, ())
-    return SimExact(ExactDist(transcripts), ExactDist(queries), reasons,
-                    ExactDist(values))
-
-
-def ledger_exact(rp: RefinedProtocol, cfg: SimConfig) -> dict:
-    """Every ledger the walk can carry, mapped to ledger_check's verdict on it.
-
-    The fold takes every move out of every node and every answer s of a part,
-    so its root-to-leaf and root-to-bottom paths are the walk's paths over all
-    z; their ledgers, as simulate_sample emits them, are the keys, and each
-    distinct one is checked once."""
+def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
+    """The walk's terminal events over every z: one depth-first pass taking
+    every move and every answer s, visiting at most NODE_BUDGET nodes.  A
+    ledger row does not depend on s, so it is built once per edge."""
     cap = cfg.cap_bits(rp.G.n)
-    paths = {}
-    visited = 0
+    events = []
+    visits = itertools.count(1)
 
-    def walk(node, q, ledger):
-        nonlocal visited
-        visited += 1
-        if visited > NODE_BUDGET:
-            raise ResourceError("exact ledger traversal", visited, NODE_BUDGET)
+    def walk(node, w, q, t, ledger):
+        if (visited := next(visits)) > NODE_BUDGET:
+            raise ResourceError("walk law traversal", visited, NODE_BUDGET)
         if isinstance(node, RLeaf):
-            paths[ledger] = None
+            events.append(WalkEvent(w, node.rho, t, node.value, q, None, ledger))
             return
-        total, draws = _draws(node)
-        for wb, b, parts in draws:
-            for _, part in parts or [(wb, None)]:
-                _, landings = _move(node, b, part, q, cfg, cap,
-                                    lambda p: p.s_children)
-                for _, _, target, q2 in landings:
-                    path = ledger + (_row(len(ledger) + 1, node, total, wb, b,
-                                          part, target),)
-                    if isinstance(target, str):
-                        paths[path] = None
-                    else:
-                        walk(target, q2, path)
+        for pi, total, wb, b, part, coords, landings in _steps(node, q, cfg, cap):
+            path = ledger + (_row(len(ledger) + 1, node, total, wb, b, part,
+                                  landings[0][2]),)
+            p = w * pi
+            for s, msgs, target, q2 in landings:
+                if isinstance(target, str):
+                    rho = node.rho.assign(coords, map(int, s))
+                    events.append(WalkEvent(p, rho, BOT, BOT, q2, target, path))
+                else:
+                    walk(target, p, q2, t + msgs, path)
 
-    walk(rp.root, 0, ())
-    # ledger_check reads only an outcome's ledger and m
-    return {ledger: ledger_check(SimOutcome(None, BOT, None, (), ledger, rp.G.m),
-                                 cfg.delta)
-            for ledger in paths}
+    walk(rp.root, Fraction(1), 0, (), ())
+    by_rho = {}
+    for e in events:
+        by_rho.setdefault(e.rho, []).append(e)
+    return WalkLaw(rp.G, cfg, tuple(events), by_rho)
+
+
+def simulate_exact(law: WalkLaw, z) -> SimExact:
+    """The exact outcome distribution on z: the law's events consistent with z."""
+    z = law.G.check_z(z)
+    transcripts, queries, reasons, values = {}, {}, {}, {}
+    for rho, events in law.by_rho.items():
+        if rho.consistent(z):
+            for e in events:
+                for d, key in ((transcripts, e.transcript), (queries, e.queries),
+                               (values, e.value)):
+                    d[key] = d[key] + e.weight if key in d else e.weight
+                if e.failure is not None:
+                    reasons[e.failure] = reasons.get(e.failure, 0) + e.weight
+    return SimExact(ExactDist(transcripts), ExactDist(queries), reasons, ExactDist(values))
+
+
+def ledger_exact(law: WalkLaw) -> dict:
+    """Every ledger the walk can carry, mapped to ledger_check's verdict on it,
+    which reads only an outcome's ledger and m: each distinct one once."""
+    return {ledger: ledger_check(SimOutcome(None, BOT, None, (), ledger, law.G.m),
+                                 law.cfg.delta)
+            for ledger in dict.fromkeys(e.ledger for e in law.events)}
 
 
 def ledger_check(outcome: SimOutcome, delta) -> bool:
@@ -398,8 +396,7 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
         if isinstance(node, RLeaf):
             return [(Fraction(1), DLeaf(node.value))]
         mix = []
-        for p, coords, landings in _steps(node, q, cfg, cap,
-                                          lambda part: sorted(part.s_children)):
+        for p, *_, coords, landings in _steps(node, q, cfg, cap):
             per_s = {s: [(Fraction(1), DLeaf(BOT))] if isinstance(target, str)
                      else realize(target, q2) for s, _, target, q2 in landings}
             mix.extend((p * w, t) for w, t in query_chains(coords, per_s))

@@ -60,6 +60,7 @@ from liftsim.simulate import (
     ledger_check,
     simulate_exact,
     simulate_sample,
+    walk_law,
 )
 
 DELTA = Fraction(9, 10)
@@ -227,9 +228,9 @@ def test_criterion_6_query_locality_and_ledger():
 @pytest.mark.acceptance("07 bundled fixture exact")
 def test_criterion_7_bundled_fixture():
     rp = refine(one_bit_fixture(2), DELTA)
-    cfg = SimConfig(delta=DELTA, strict_zpp=True)
+    law = walk_law(rp, SimConfig(delta=DELTA, strict_zpp=True))
     for z in ((0,), (1,)):
-        t_z = simulate_exact(rp, z, cfg).transcripts
+        t_z = simulate_exact(law, z).transcripts
         t_true = true_transcript_dist(rp, z)
         assert tv_distance(t_z, t_true) == 0
         assert support_check(t_z, t_true)
@@ -257,8 +258,9 @@ def _curve(n, ms, cross_check_ms=()):
         tvs = []
         for name, pt in sweep_family(n, m):
             rp = refine(pt, DELTA)
+            law = walk_law(rp, CFG)
             for z in itertools.product((0, 1), repeat=n):
-                t_z = simulate_exact(rp, z, CFG).transcripts
+                t_z = simulate_exact(law, z).transcripts
                 t_true = true_transcript_dist(rp, z)
                 if m in cross_check_ms:
                     assert t_true == replay_transcript_dist(rp, z)
@@ -296,7 +298,7 @@ def test_criterion_10_sampler_consistency():
     n_samples = 10 ** 4
     for pt, z in cases:
         rp = refine(pt, DELTA)
-        exact = simulate_exact(rp, z, CFG).transcripts
+        exact = simulate_exact(walk_law(rp, CFG), z).transcripts
         counts = {}
         for i in range(n_samples):
             out = simulate_sample(rp, z, CFG, seed=i)

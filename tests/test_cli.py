@@ -148,7 +148,7 @@ def test_verify_expect_exact_fails_on_lossy_fixture(capsys):
     ("simulate", ("--samples", "20", "--seed", "1", "--strict-zpp",
                   "--deficiency-cap", "3")),
     ("verify", ("--seed", "1", "--battery", "0")),
-])
+], ids=["simulate", "verify"])
 def test_single_z_restricts_all_z(tmp_path, capsys, command, flags):
     """A --z run reports exactly the --z all run's entry for that z."""
     pt = random_protocol(random.Random(8), instance(2, 4), 3)

@@ -46,6 +46,7 @@ from liftsim.simulate import (
     protocol_to_dt,
     simulate_exact,
     simulate_sample,
+    walk_law,
 )
 
 CFG = SimConfig()
@@ -63,7 +64,6 @@ def test_exactdist_validates():
     d = ExactDist({"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(0)})
     assert d.support == {"a", "b"}
     assert d.prob("c") == 0
-    assert d.project(lambda o: "x") == ExactDist({"x": Fraction(1)})
 
 
 # --- sampling ---
@@ -112,7 +112,7 @@ def test_query_count_equals_fixed_blocks():
 # --- exact distribution ---
 
 def test_exact_zero_communication():
-    sim = simulate_exact(zero_comm(), (0,), CFG)
+    sim = simulate_exact(walk_law(zero_comm(), CFG), (0,))
     assert sim.transcripts == ExactDist.point(())
     assert sim.queries == ExactDist.point(0)
     assert sim.bot_reasons == {}
@@ -120,7 +120,7 @@ def test_exact_zero_communication():
 
 def test_exact_one_bit_fixture():
     rp = refine(one_bit_fixture(), CFG.delta)
-    sim = simulate_exact(rp, (0,), CFG)
+    sim = simulate_exact(walk_law(rp, CFG), (0,))
     assert sim.transcripts == ExactDist({
         (("b", 1), ("i", 1), ("s", "0")): Fraction(1, 2),
         (("b", 0), ("i", 1), ("s", "0")): Fraction(1, 2),
@@ -131,9 +131,9 @@ def test_exact_one_bit_fixture():
 def test_exact_bob_first_has_quarter_bot():
     """Bob announces y_1; on the branch disagreeing with z the part fixing
     x=1 has no consistent child: bot mass = 1/2 * 1/2."""
-    rp = refine(bob_first_fixture(), CFG.delta)
+    law = walk_law(refine(bob_first_fixture(), CFG.delta), CFG)
     for z in ((0,), (1,)):
-        sim = simulate_exact(rp, z, CFG)
+        sim = simulate_exact(law, z)
         assert sim.transcripts.prob(BOT) == Fraction(1, 4)
         assert sim.bot_reasons == {IMPOSSIBLE_S: Fraction(1, 4)}
         # the impossible-s bottom is charged the q + |I| queries it made
@@ -221,9 +221,10 @@ def test_exact_matches_reference_walk(kind):
     cfg = REFERENCE_CONFIGS[kind]
     reasons_seen = set()
     for rp in _reference_cases():
+        law = walk_law(rp, cfg)
         for z in itertools.product((0, 1), repeat=rp.G.n):
             transcripts, queries, values, reasons = reference_walk(rp, z, cfg)
-            sim = simulate_exact(rp, z, cfg)
+            sim = simulate_exact(law, z)
             assert dict(sim.transcripts.items()) == transcripts
             assert dict(sim.queries.items()) == queries
             assert dict(sim.values.items()) == values
@@ -239,7 +240,7 @@ def test_exact_matches_reference_walk(kind):
 def test_sample_frequencies_match_exact():
     rp = refine(bob_first_fixture(), CFG.delta)
     z = (0,)
-    sim = simulate_exact(rp, z, CFG)
+    sim = simulate_exact(walk_law(rp, CFG), z)
     n_samples = 4000
     counts = {}
     for seed in range(n_samples):
@@ -260,10 +261,10 @@ def test_strict_zpp_deficiency_cutoff():
     # fixing round is not.
     rp = refine(bob_first_fixture(), CFG.delta)
     tight = SimConfig(deficiency_cap=Fraction(1), strict_zpp=True)
-    sim = simulate_exact(rp, (0,), tight)
+    sim = simulate_exact(walk_law(rp, tight), (0,))
     assert sim.bot_reasons.get(DEFICIENCY_CUTOFF, 0) > 0
     loose = SimConfig(deficiency_cap=Fraction(100), strict_zpp=True)
-    sim2 = simulate_exact(rp, (0,), loose)
+    sim2 = simulate_exact(walk_law(rp, loose), (0,))
     assert DEFICIENCY_CUTOFF not in sim2.bot_reasons
 
 
@@ -279,7 +280,7 @@ def test_strict_zpp_gate_on_emitted_transcripts():
         cfg = SimConfig(strict_zpp=True)
         cap = cfg.cap_bits(G.n)
         leaves = dict(rp.leaves())
-        sim = simulate_exact(rp, (0, 1), cfg)
+        sim = simulate_exact(walk_law(rp, cfg), (0, 1))
         for t in sim.transcripts.support:
             if t is BOT:
                 continue
@@ -291,7 +292,7 @@ def test_strict_zpp_gate_on_emitted_transcripts():
 def test_query_cap():
     rp = refine(one_bit_fixture(), CFG.delta)
     capped = SimConfig(query_cap=1)
-    sim = simulate_exact(rp, (0,), capped)
+    sim = simulate_exact(walk_law(rp, capped), (0,))
     assert QUERY_CAP not in sim.bot_reasons  # one query fits
     # a protocol needing two fixing rounds at n=2
     G = instance(2, 2)
@@ -299,10 +300,10 @@ def test_query_cap():
     found = False
     for _ in range(50):
         rp2 = refine(random_protocol(rng, G, 4), CFG.delta)
-        sim2 = simulate_exact(rp2, (0, 0), SimConfig(query_cap=1))
+        sim2 = simulate_exact(walk_law(rp2, SimConfig(query_cap=1)), (0, 0))
         if QUERY_CAP in sim2.bot_reasons:
             found = True
-            full = simulate_exact(rp2, (0, 0), CFG)
+            full = simulate_exact(walk_law(rp2, CFG), (0, 0))
             assert max(full.queries.support) > 1
             break
     assert found
@@ -340,7 +341,7 @@ def test_ledger_battery_including_failures():
         rp = refine(random_protocol(rng, G, 4), CFG.delta)
         cfg = SimConfig(strict_zpp=True, deficiency_cap=Fraction(3),
                         query_cap=1)
-        ledgers = ledger_exact(rp, cfg)
+        ledgers = ledger_exact(walk_law(rp, cfg))
         assert all(ledgers.values())
         for seed in range(40):
             z = tuple(rng.randint(0, 1) for _ in range(n))
@@ -359,7 +360,7 @@ def test_ledger_exact_bob_first_pinned():
     7-of-8 bit with no query, and her 1-of-8 bit with one.  The seeded runs
     at either z carry both and no other."""
     rp = refine(bob_first_fixture(8), CFG.delta)
-    ledgers = ledger_exact(rp, CFG)
+    ledgers = ledger_exact(walk_law(rp, CFG))
     assert len(ledgers) == 2 and all(ledgers.values())
     assert {ledger[-1].queries for ledger in ledgers} == {0, 1}
     for z in ((0,), (1,)):
@@ -373,7 +374,7 @@ def test_ledger_exact_checks_each_ledger_once(monkeypatch):
     checked = []
     monkeypatch.setattr(simulate, "ledger_check",
                         lambda out, delta: checked.append(out.ledger) or False)
-    ledgers = ledger_exact(rp, CFG)
+    ledgers = ledger_exact(walk_law(rp, CFG))
     assert len(checked) == len(ledgers) and set(checked) == set(ledgers)
     assert not any(ledgers.values())
 
@@ -423,7 +424,8 @@ def test_strict_zpp_cutoff_exact_boundary(def_y, cap, cut):
     rp = refine(one_bit_fixture(), CFG.delta)
     for _, leaf in rp.leaves():
         leaf.def_y = def_y
-    sim = simulate_exact(rp, (0,), SimConfig(strict_zpp=True, deficiency_cap=cap))
+    law = walk_law(rp, SimConfig(strict_zpp=True, deficiency_cap=cap))
+    sim = simulate_exact(law, (0,))
     assert (DEFICIENCY_CUTOFF in sim.bot_reasons) is cut
 
 
@@ -442,11 +444,10 @@ def test_protocol_to_dt_roundtrip_depth1():
     G = instance(1, 2)
     t = DecisionTree(1, xor_decision_tree(1).root)
     pt = dt_to_protocol(t, G)
-    rp = refine(pt, CFG.delta)
+    law = walk_law(refine(pt, CFG.delta), CFG)
     rdt = protocol_to_dt(pt, CFG)
-    leaves = dict(rp.leaves())
     for z in ((0,), (1,)):
-        sim = simulate_exact(rp, z, CFG)
+        sim = simulate_exact(law, z)
         got = rdt.output_dist(z)
         assert got == {v: p for v, p in sim.values.items()}
         assert got.get(dt_eval(t, z)[0], 0) == 1 - sim.transcripts.prob(BOT)
@@ -464,9 +465,9 @@ def test_protocol_to_dt_matches_exact_values_randomly():
         trees = [t.root for _, t in rdt.components]
         assert len(set(trees)) == len(trees)
         assert sum(w for w, _ in rdt.components) == 1
-        rp = refine(pt, cfg.delta)
+        law = walk_law(refine(pt, cfg.delta), cfg)
         for z in [(0,) * n, (1,) * n]:
-            sim = simulate_exact(rp, z, cfg)
+            sim = simulate_exact(law, z)
             assert rdt.output_dist(z) == dict(sim.values.items())
 
 
@@ -493,28 +494,21 @@ def test_protocol_to_dt_mixture_budget(monkeypatch):
     assert (exc.value.required, exc.value.budget) == (2, 1)
 
 
-def test_simulate_exact_node_budget(monkeypatch):
-    """The one-bit fixture's exact walk visits its root and two leaves:
-    refused at a budget of two nodes, run at three."""
-    rp = refine(one_bit_fixture(), CFG.delta)
-    monkeypatch.setattr(simulate, "NODE_BUDGET", 2)
-    with pytest.raises(ResourceError) as exc:
-        simulate_exact(rp, (0,), CFG)
-    assert (exc.value.required, exc.value.budget) == (3, 2)
-    monkeypatch.setattr(simulate, "NODE_BUDGET", 3)
-    simulate_exact(rp, (0,), CFG)
-
-
-def test_ledger_exact_node_budget(monkeypatch):
-    """The ledger fold expands both answers, so on the one-bit fixture it
-    visits the root and four leaves: refused at four nodes, run at five."""
+def test_walk_law_node_budget(monkeypatch):
+    """The law takes both answers of the one-bit fixture's part, so it visits
+    the root and four leaves: refused at four nodes, run at five, once for
+    every z and the ledger check alike."""
     rp = refine(one_bit_fixture(), CFG.delta)
     monkeypatch.setattr(simulate, "NODE_BUDGET", 4)
     with pytest.raises(ResourceError) as exc:
-        ledger_exact(rp, CFG)
+        walk_law(rp, CFG)
     assert (exc.value.required, exc.value.budget) == (5, 4)
     monkeypatch.setattr(simulate, "NODE_BUDGET", 5)
-    ledger_exact(rp, CFG)
+    law = walk_law(rp, CFG)
+    assert len(law.events) == 4
+    assert all(ledger_exact(law).values())
+    for z in ((0,), (1,)):
+        assert simulate_exact(law, z).queries == ExactDist.point(1)
 
 
 def test_protocol_to_dt_respects_query_cap_depth():
@@ -536,10 +530,11 @@ def test_third_error_mixture_bound():
     err = dt_error(rdt, f)
     slack = Fraction(0)
     worst_z = max(f.defined(), key=lambda z: 0)
-    for z in f.defined():
-        for w, pt in PI.components:
-            rp = refine(pt, cfg.delta)
-            t_z = simulate_exact(rp, z, cfg).transcripts
+    for w, pt in PI.components:
+        rp = refine(pt, cfg.delta)
+        law = walk_law(rp, cfg)
+        for z in f.defined():
+            t_z = simulate_exact(law, z).transcripts
             t_true = true_transcript_dist(rp, z)
             slack = max(slack, tv_distance(t_z, t_true))
     assert abs(err - Fraction(1, 3)) <= slack
@@ -616,10 +611,11 @@ def test_walk_differential_property(proto_seed, shape, depth, strict, def_cap,
     cfg = SimConfig(strict_zpp=strict, deficiency_cap=def_cap, query_cap=query_cap)
     rdt = protocol_to_dt(pt, cfg)
     rp = refine(pt, cfg.delta)
-    ledgers = ledger_exact(rp, cfg)
+    law = walk_law(rp, cfg)
+    ledgers = ledger_exact(law)
     assert all(ledgers.values())
     for z in itertools.product((0, 1), repeat=n):
-        exact = simulate_exact(rp, z, cfg)
+        exact = simulate_exact(law, z)
         assert rdt.output_dist(z) == dict(exact.values.items())
         for seed in range(8):
             out = simulate_sample(rp, z, cfg, seed=seed)
