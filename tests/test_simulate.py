@@ -494,21 +494,29 @@ def test_protocol_to_dt_mixture_budget(monkeypatch):
     assert (exc.value.required, exc.value.budget) == (2, 1)
 
 
-def test_walk_law_node_budget(monkeypatch):
+def _one_bit_law_at_node_budget(monkeypatch):
     """The law takes both answers of the one-bit fixture's part, so it visits
-    the root and four leaves: refused at four nodes, run at five, once for
-    every z and the ledger check alike."""
+    the root and four leaves: refused at four nodes, built at five.  The one
+    counter serves every z and the ledger check alike."""
     rp = refine(one_bit_fixture(), CFG.delta)
     monkeypatch.setattr(simulate, "NODE_BUDGET", 4)
     with pytest.raises(ResourceError) as exc:
         walk_law(rp, CFG)
     assert (exc.value.required, exc.value.budget) == (5, 4)
     monkeypatch.setattr(simulate, "NODE_BUDGET", 5)
-    law = walk_law(rp, CFG)
-    assert len(law.events) == 4
-    assert all(ledger_exact(law).values())
+    return walk_law(rp, CFG)
+
+
+def test_simulate_exact_node_budget(monkeypatch):
+    law = _one_bit_law_at_node_budget(monkeypatch)
     for z in ((0,), (1,)):
         assert simulate_exact(law, z).queries == ExactDist.point(1)
+
+
+def test_ledger_exact_node_budget(monkeypatch):
+    law = _one_bit_law_at_node_budget(monkeypatch)
+    assert len(law.events) == 4
+    assert all(ledger_exact(law).values())
 
 
 def test_protocol_to_dt_respects_query_cap_depth():
