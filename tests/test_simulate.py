@@ -1,5 +1,6 @@
 """Simulator walk, exact distribution, ledger, and lifting tests."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -40,7 +41,9 @@ from liftsim.simulate import (
     IMPOSSIBLE_S,
     QUERY_CAP,
     ExactDist,
+    LedgerRow,
     SimConfig,
+    SimOutcome,
     ledger_check,
     ledger_exact,
     protocol_to_dt,
@@ -237,6 +240,81 @@ def test_exact_matches_reference_walk(kind):
     assert reasons_seen == expected
 
 
+def reference_sample(rp, z, cfg, seed):
+    """One seeded run of the walk on z, written from the rules in
+    simulate.py's docstring over the refined tree's data alone: rectangle
+    sizes, parts, s_children, def_y and potentials.  It draws in the pinned
+    order: one randrange at a Bob node (the bit, |Y^b| of |Y|), two at an
+    Alice node (the bit, |X^b| of |X| with |X^b| the sum of its parts'
+    |X^i|, then the part, |X^i| of |X^b|), each over its entries in order
+    with absent children and branches skipped."""
+    cap = cfg.deficiency_cap if cfg.deficiency_cap is not None else Fraction(rp.G.n ** 3)
+    rng = random.Random(seed)
+    transcript, queries, ledger = [], [], []
+
+    def pick(total, entries):
+        r = rng.randrange(total)
+        for w, x in entries:
+            if r < w:
+                return x
+            r -= w
+
+    def bottom(reason):
+        return SimOutcome(None, BOT, reason, tuple(queries), tuple(ledger), rp.G.m)
+
+    node = rp.root
+    while not isinstance(node, RLeaf):
+        row = functools.partial(LedgerRow, len(ledger) + 1)
+        before = node.potential
+        if isinstance(node, RBob):
+            b, child = pick(node.rect.y_size, [(c.rect.y_size, (b, c))
+                                               for b, c in node.children.items()
+                                               if c is not None])
+            ledger.append(row(Fraction(1), Fraction(1), 0, before, child.potential))
+            transcript.append(("b", b))
+        else:
+            branches = [(sum(len(p.X) for p in ps), b, ps)
+                        for b, ps in node.branches.items() if ps is not None]
+            xb, b, parts = pick(len(node.rect.X), [(br[0], br) for br in branches])
+            part = pick(xb, [(len(p.X), p) for p in parts])
+            gamma = Fraction(len(node.rect.X), xb)
+            if cfg.query_cap is not None and len(queries) + len(part.coords) > cfg.query_cap:
+                ledger.append(row(gamma, Fraction(1), 0, before, before * gamma))
+                return bottom(QUERY_CAP)
+            queries.extend(part.coords)
+            ledger.append(row(gamma, part.delta_ratio, len(part.coords), before,
+                              part.potential))
+            s = "".join(str(z[i - 1]) for i in part.coords)
+            child = part.s_children[s]
+            if child is None:
+                return bottom(IMPOSSIBLE_S)
+            transcript.extend((("b", b), ("i", part.order), ("s", s)))
+        # strict ZPP cuts when def_y > 2^cap, i.e. def_y^c > 2^a for cap = a/c
+        if cfg.strict_zpp and child.def_y ** cap.denominator > 2 ** cap.numerator:
+            return bottom(DEFICIENCY_CUTOFF)
+        node = child
+    return SimOutcome(tuple(transcript), node.value, None, tuple(queries), tuple(ledger),
+                      rp.G.m)
+
+
+@pytest.mark.parametrize("kind", REFERENCE_CONFIGS)
+def test_sample_matches_reference_sample(kind):
+    """simulate_sample's transcript, value, failure, queries and every ledger
+    row equal the reference run's on every z of every case, seeds 0-7."""
+    cfg = REFERENCE_CONFIGS[kind]
+    reasons_seen = set()
+    for rp in _reference_cases():
+        for z in itertools.product((0, 1), repeat=rp.G.n):
+            for seed in range(8):
+                ref = reference_sample(rp, z, cfg, seed)
+                assert simulate_sample(rp, z, cfg, seed=seed) == ref
+                reasons_seen.add(ref.failure)
+    expected = {None, IMPOSSIBLE_S}
+    expected |= {DEFICIENCY_CUTOFF} if cfg.strict_zpp else set()
+    expected |= {QUERY_CAP} if cfg.query_cap else set()
+    assert reasons_seen == expected
+
+
 def test_sample_frequencies_match_exact():
     rp = refine(bob_first_fixture(), CFG.delta)
     z = (0,)
@@ -391,8 +469,6 @@ def test_ledger_check_refuses_rate_outside_unit_interval(delta):
 
 
 def test_ledger_checker_rejects_forged_rows():
-    from liftsim.simulate import LedgerRow, SimOutcome
-
     forged = SimOutcome(
         transcript=None, value=BOT, failure=IMPOSSIBLE_S, queries=(1,),
         ledger=(LedgerRow(1, Fraction(1), Fraction(1), 1, Fraction(1), Fraction(1)),),
@@ -406,8 +482,6 @@ def test_ledger_checker_rejects_forged_rows():
 def test_ledger_row_exact_boundary(after, ok):
     """gamma = 2, delta_i = 1, one query at m = 4, delta = 9/10: the row holds
     iff after <= 1 * 2 * 2^(-(1/10) * 2 * 1) = 2^(4/5), about 1.741."""
-    from liftsim.simulate import LedgerRow, SimOutcome
-
     row = LedgerRow(1, Fraction(2), Fraction(1), 1, Fraction(1), after)
     out = SimOutcome(None, BOT, IMPOSSIBLE_S, (1,), (row,), 4)
     assert ledger_check(out, Fraction(9, 10)) is ok
