@@ -44,7 +44,7 @@ assert all(ledgers.values())
 print(f"\ndistinct path ledgers, each checked once: {len(ledgers)}")
 counts = {}
 for seed in range(2000):
-    out = simulate_sample(rp, z, cfg, seed=seed)
+    out = simulate_sample(law, z, seed=seed)
     assert out.ledger in ledgers
     counts[out.outcome] = counts.get(out.outcome, 0) + 1
 print("2000 seeded samples:")
@@ -53,7 +53,7 @@ for t, c in sorted(counts.items(), key=lambda kv: str(kv[0])):
           f"(exact {float(exact.transcripts.prob(t)):.3f})")
 
 # One full outcome record, with its ledger's exact ratios.
-out = simulate_sample(rp, z, cfg, seed=3)
+out = simulate_sample(law, z, seed=3)
 print("\none outcome record:")
 print(f"  transcript {out.transcript}, value {'bottom' if out.value is BOT else out.value}, "
       f"failure {out.failure}, queries {list(out.queries)}")

@@ -268,7 +268,7 @@ def cmd_simulate(args):
         exact = sim.simulate_exact(law, z)
         counts = {}
         for i in range(args.samples):
-            out = sim.simulate_sample(rp, z, cfg, seed=args.seed + i)
+            out = sim.simulate_sample(law, z, seed=args.seed + i)
             if out.ledger not in ledgers:
                 raise Violation("per-run potential ledger",
                                 f"z={zs} sample {i}", seed=args.seed + i)

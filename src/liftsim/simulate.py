@@ -14,19 +14,25 @@ those bits.  The walk ends at a bottom outcome for one of three reasons:
   cap; checked on entering any child, charged the queries made so far.
 
 These rules are written once (_draws, _enter, _move, _steps, and _row for
-the ledger row of an edge) and read three ways: simulate_sample draws one
-run on one z, protocol_to_dt realizes the walk as decision trees, and
-walk_law takes every move and every answer s once.  The draws never read z,
-whose answer s the child's rho records, so each leaf or bottom of the law is
-reached on z with a z-free probability iff its rho is consistent with z:
-simulate_exact sums those of one z.  A ledger row depends only on its edge,
-so the law's ledgers are every ledger a run can carry; ledger_exact checks
-each distinct one once, and the CLI's "ledger_checks_passed" asserts that
-all pass and that every sampled run's ledger is one of them.
+the ledger row of an edge) and read two ways: protocol_to_dt realizes the
+walk as decision trees, and walk_law takes every move and every answer s
+once.  The draws never read z, whose answer s the child's rho records, so
+each leaf or bottom of the law is reached on z with a z-free probability iff
+its rho is consistent with z: simulate_exact sums those of one z.  A node's
+path fixes its q and iteration number, so its moves depend only on the node
+and the config: the law also keeps each node's integer draw weights and each
+edge's landing for every s, down to the leaf or bottom event that holds the
+run's transcript, value and ledger.  simulate_sample draws one run on one z
+from those draws and returns that event's ledger, made of the law's own rows.
+A ledger row depends only on its edge, so the law's ledgers are every ledger
+a run can carry; ledger_exact checks each distinct one once, and the CLI's
+"ledger_checks_passed" asserts that all pass and that every sampled run's
+ledger is one of them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -96,6 +102,16 @@ class LedgerRow:
     queries: int
     potential_before: Fraction
     potential_after: Fraction
+
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self):
+        """The fields' hash, taken once: each Fraction's hash costs a modular
+        inverse, and every sampled run's ledger is looked up by hash."""
+        return hash((self.iteration, self.gamma_ratio, self.delta_ratio, self.queries,
+                     self.potential_before, self.potential_after))
 
 
 @dataclass(frozen=True)
@@ -178,14 +194,35 @@ class WalkEvent(NamedTuple):
     ledger: tuple
 
 
+class Edge(NamedTuple):
+    """One move out of an iteration node, drawn with an integer weight: the
+    coordinates it queries, and for each answer s ("" when it reads none) its
+    landing, the next node's Draw or the leaf's or bottom's WalkEvent."""
+
+    weight: int                # |Y^b| for a Bob bit, |X^i| for a part
+    coords: tuple
+    landings: dict
+
+
+class Draw(NamedTuple):
+    """An integer-weighted draw: a uniform integer below total picks the first
+    entry whose running weight passes it, each entry's weight being its first
+    field.  A Bob node's entries are one Edge per bit; an Alice node's are one
+    Draw per bit, of total |X^b|, over the bit's parts."""
+
+    total: int
+    entries: list
+
+
 class WalkLaw(NamedTuple):
     G: ComposedInstance
     cfg: SimConfig
     events: tuple              # WalkEvent, depth first
     by_rho: dict               # rho -> its events, so one z reads only its own
+    root: Draw | WalkEvent     # the root's draw, or its event when it is a leaf
 
 
-# --- the walk's rules, shared by the sampler, the law and protocol_to_dt ---
+# --- the walk's rules, shared by the law and protocol_to_dt ---
 
 def _draws(node):
     """The integer-weighted first draw out of an iteration node: its total
@@ -199,15 +236,6 @@ def _draws(node):
     parts = {b: [(len(p.X), p) for p in ps]
              for b, ps in node.branches.items() if ps is not None}
     return len(node.rect.X), [(sum(w for w, _ in ps), b, ps) for b, ps in parts.items()]
-
-
-def _pick(rng, total, draws):
-    """One draw: a uniform integer below the total weight picks its entry."""
-    r = rng.randrange(total)
-    for d in draws:
-        r -= d[0]
-        if r < 0:
-            return d
 
 
 def _enter(child, cfg: SimConfig, cap):
@@ -251,72 +279,92 @@ def _row(iteration, node, total, wb, b, part, target) -> LedgerRow:
 
 
 def _steps(node, q, cfg: SimConfig, cap):
-    """Every move out of an iteration node, with every answer s: (probability,
-    total, wb, b, part) + _move's result, total and wb being _row's weights."""
+    """Every move out of an iteration node, with every answer s: the node's
+    total weight, and per move (wi, wb, b, part) + _move's result, in b then
+    part order; the move's probability is wi/total, and total and wb are
+    _row's weights."""
     total, draws = _draws(node)
-    return [(Fraction(wi, total), total, wb, b, part)
-            + _move(node, b, part, q, cfg, cap, () if part is None else part.s_children)
-            for wb, b, parts in draws for wi, part in parts or [(wb, None)]]
+    return total, [
+        (wi, wb, b, part)
+        + _move(node, b, part, q, cfg, cap, () if part is None else part.s_children)
+        for wb, b, parts in draws for wi, part in parts or [(wb, None)]]
 
 
 # --- the sampler and the law ---
 
-def simulate_sample(rp: RefinedProtocol, z, cfg: SimConfig, seed: int) -> SimOutcome:
-    """One reproducible run of the random walk: one _pick at a Bob node, two
-    (the bit, then the part) at an Alice node, each taken with exactly its
-    rational probability.  Every seeded report depends on this draw order."""
-    z = rp.G.check_z(z)
-    cap = cfg.cap_bits(rp.G.n)
+def _pick(rng, draw: Draw):
+    """One draw: a uniform integer below the total weight picks its entry."""
+    r = rng.randrange(draw.total)
+    for entry in draw.entries:
+        r -= entry[0]
+        if r < 0:
+            return entry
+
+
+def simulate_sample(law: WalkLaw, z, seed: int) -> SimOutcome:
+    """One reproducible run of the random walk on z, read from the law's
+    draws: one _pick at a Bob node, two (the bit, then the part) at an Alice
+    node, each taken with exactly its rational probability.  Every seeded
+    report depends on this draw order.  The run ends at one of the law's
+    events, whose transcript, value and ledger (the law's own rows) it
+    returns."""
+    z = law.G.check_z(z)
+    zs = "".join(map(str, z))
     rng = random.Random(seed)
-    node = rp.root
-    transcript, queries, ledger = [], [], []
-    while not isinstance(node, RLeaf):
-        total, draws = _draws(node)
-        wb, b, parts = _pick(rng, total, draws)
-        part = None if parts is None else _pick(rng, wb, parts)[1]
-        answer = () if part is None else ("".join(str(z[i - 1]) for i in part.coords),)
-        coords, ((_, msgs, target, _),) = _move(node, b, part, len(queries),
-                                                  cfg, cap, answer)
-        ledger.append(_row(len(ledger) + 1, node, total, wb, b, part, target))
-        queries.extend(coords)
-        transcript.extend(msgs)
-        if isinstance(target, str):
-            return SimOutcome(None, BOT, target, tuple(queries), tuple(ledger), rp.G.m)
-        node = target
-    return SimOutcome(tuple(transcript), node.value, None, tuple(queries),
-                      tuple(ledger), rp.G.m)
+    node, queries = law.root, []
+    while isinstance(node, Draw):
+        edge = _pick(rng, node)
+        if isinstance(edge, Draw):
+            edge = _pick(rng, edge)
+        queries.extend(edge.coords)
+        node = edge.landings["".join(zs[i - 1] for i in edge.coords)]
+    return SimOutcome(None if node.failure else node.transcript, node.value, node.failure,
+                      tuple(queries), node.ledger, law.G.m)
 
 
 def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
-    """The walk's terminal events over every z: one depth-first pass taking
-    every move and every answer s, visiting at most NODE_BUDGET nodes.  A
-    ledger row does not depend on s, so it is built once per edge."""
+    """The walk's terminal events over every z, and each node's draw: one
+    depth-first pass taking every move and every answer s, visiting at most
+    NODE_BUDGET nodes.  A ledger row does not depend on s, so it is built
+    once per edge."""
     cap = cfg.cap_bits(rp.G.n)
     events = []
     visits = itertools.count(1)
 
+    def event(*fields):
+        events.append(WalkEvent(*fields))
+        return events[-1]
+
     def walk(node, w, q, t, ledger):
+        """Fold node's subtree into events; return its Draw, or its event at a leaf."""
         if (visited := next(visits)) > NODE_BUDGET:
             raise ResourceError("walk law traversal", visited, NODE_BUDGET)
         if isinstance(node, RLeaf):
-            events.append(WalkEvent(w, node.rho, t, node.value, q, None, ledger))
-            return
-        for pi, total, wb, b, part, coords, landings in _steps(node, q, cfg, cap):
+            return event(w, node.rho, t, node.value, q, None, ledger)
+        total, steps = _steps(node, q, cfg, cap)
+        bits = {}              # b -> (wb, [Edge, ...]), in b order
+        for wi, wb, b, part, coords, landings in steps:
             path = ledger + (_row(len(ledger) + 1, node, total, wb, b, part,
                                   landings[0][2]),)
-            p = w * pi
+            p = w * Fraction(wi, total)
+            lands = {}
             for s, msgs, target, q2 in landings:
                 if isinstance(target, str):
                     rho = node.rho.assign(coords, map(int, s))
-                    events.append(WalkEvent(p, rho, BOT, BOT, q2, target, path))
+                    lands[s] = event(p, rho, BOT, BOT, q2, target, path)
                 else:
-                    walk(target, p, q2, t + msgs, path)
+                    lands[s] = walk(target, p, q2, t + msgs, path)
+            bits.setdefault(b, (wb, []))[1].append(Edge(wi, coords, lands))
+        # a Bob bit is one edge; an Alice bit draws again, among its parts
+        return Draw(total, [edges[0] if isinstance(node, RBob) else Draw(wb, edges)
+                            for wb, edges in bits.values()])
 
-    walk(rp.root, Fraction(1), 0, (), ())
+    root = walk(rp.root, Fraction(1), 0, (), ())
+    del walk                   # it closes over itself: free the events with the law
     by_rho = {}
     for e in events:
         by_rho.setdefault(e.rho, []).append(e)
-    return WalkLaw(rp.G, cfg, tuple(events), by_rho)
+    return WalkLaw(rp.G, cfg, tuple(events), by_rho, root)
 
 
 def simulate_exact(law: WalkLaw, z) -> SimExact:
@@ -396,7 +444,9 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
         if isinstance(node, RLeaf):
             return [(Fraction(1), DLeaf(node.value))]
         mix = []
-        for p, *_, coords, landings in _steps(node, q, cfg, cap):
+        total, steps = _steps(node, q, cfg, cap)
+        for wi, *_, coords, landings in steps:
+            p = Fraction(wi, total)
             per_s = {s: [(Fraction(1), DLeaf(BOT))] if isinstance(target, str)
                      else realize(target, q2) for s, _, target, q2 in landings}
             mix.extend((p * w, t) for w, t in query_chains(coords, per_s))

@@ -210,11 +210,12 @@ def test_criterion_6_query_locality_and_ledger():
     cfg = SimConfig(delta=DELTA, strict_zpp=True, query_cap=2)
     for pt in fixtures_:
         rp = refine(pt, DELTA)
+        law = walk_law(rp, cfg)
         leaves = dict(rp.leaves())
         n = pt.G.n
         for i in range(1000):
             z = tuple(rng.randint(0, 1) for _ in range(n))
-            out = simulate_sample(rp, z, cfg, seed=i)
+            out = simulate_sample(law, z, seed=i)
             assert ledger_check(out, DELTA)
             if out.failure is None:
                 leaf = leaves[out.transcript]
@@ -298,10 +299,11 @@ def test_criterion_10_sampler_consistency():
     n_samples = 10 ** 4
     for pt, z in cases:
         rp = refine(pt, DELTA)
-        exact = simulate_exact(walk_law(rp, CFG), z).transcripts
+        law = walk_law(rp, CFG)
+        exact = simulate_exact(law, z).transcripts
         counts = {}
         for i in range(n_samples):
-            out = simulate_sample(rp, z, CFG, seed=i)
+            out = simulate_sample(law, z, seed=i)
             counts[out.outcome] = counts.get(out.outcome, 0) + 1
         assert set(counts) <= exact.support
         for o in exact.support:

@@ -173,13 +173,14 @@ def test_bad_z_refused_alike(z, message):
     budget of 4 that holds the slice but not the count), both replays and
     both walks refuse a bad z with the same message."""
     rp = refine(_bob_table_protocol(), D)
+    law = walk_law(rp, CFG)
     calls = [
         lambda: true_transcript_dist(rp, z),
         lambda: true_transcript_dist(rp, z, pair_budget=4),
         lambda: replay_transcript_dist(rp, z),
         lambda: source_transcript_dist(rp, z),
-        lambda: simulate_exact(walk_law(rp, CFG), z),
-        lambda: simulate_sample(rp, z, CFG, seed=1),
+        lambda: simulate_exact(law, z),
+        lambda: simulate_sample(law, z, seed=1),
     ]
     for call in calls:
         with pytest.raises(DomainError) as err:

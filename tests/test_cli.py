@@ -104,8 +104,8 @@ def test_simulate_refuses_sample_off_every_path(capsys, monkeypatch):
     naming the sample and its seed."""
     sample = simulate.simulate_sample
 
-    def forged(rp, z, cfg, seed):
-        out = sample(rp, z, cfg, seed)
+    def forged(law, z, seed):
+        out = sample(law, z, seed)
         if seed == 6:
             last = out.ledger[-1]
             row = dataclasses.replace(last, queries=last.queries + 1)

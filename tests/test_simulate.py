@@ -1,5 +1,6 @@
 """Simulator walk, exact distribution, ledger, and lifting tests."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -72,16 +73,15 @@ def test_exactdist_validates():
 # --- sampling ---
 
 def test_sample_zero_communication():
-    rp = zero_comm()
-    out = simulate_sample(rp, (0,), CFG, seed=1)
+    out = simulate_sample(walk_law(zero_comm(), CFG), (0,), seed=1)
     assert out.transcript == () and out.value == 1
     assert out.queries == () and out.failure is None
 
 
 def test_sample_one_bit_fixture_hand_trace():
-    rp = refine(one_bit_fixture(), CFG.delta)
+    law = walk_law(refine(one_bit_fixture(), CFG.delta), CFG)
     for seed in range(40):
-        out = simulate_sample(rp, (0,), CFG, seed=seed)
+        out = simulate_sample(law, (0,), seed=seed)
         assert out.failure is None
         assert out.queries == (1,)
         b = out.transcript[0][1]
@@ -89,10 +89,32 @@ def test_sample_one_bit_fixture_hand_trace():
 
 
 def test_sample_reproducible():
-    rp = refine(bob_first_fixture(), CFG.delta)
-    a = simulate_sample(rp, (1,), CFG, seed=77)
-    b = simulate_sample(rp, (1,), CFG, seed=77)
+    law = walk_law(refine(bob_first_fixture(), CFG.delta), CFG)
+    a = simulate_sample(law, (1,), seed=77)
+    b = simulate_sample(law, (1,), seed=77)
     assert a == b
+
+
+def test_sample_reads_only_the_law(monkeypatch):
+    """Once the law is built, a run only reads its draws: it rebuilds no
+    node's draws, moves or ledger rows, and its ledger holds the law's own
+    row objects."""
+    laws = [walk_law(rp, cfg) for rp in _walk_cases() for cfg in PINNED_CONFIGS]
+
+    def runs():
+        return [simulate_sample(law, z, seed=seed) for law in laws
+                for z in itertools.product((0, 1), repeat=law.G.n) for seed in range(4)]
+
+    before = runs()
+
+    def rebuilt(*args):
+        raise AssertionError("the sampler rebuilt a move of the walk")
+
+    for name in ("_draws", "_move", "_row"):
+        monkeypatch.setattr(simulate, name, rebuilt)
+    assert runs() == before
+    law_rows = {id(row) for law in laws for e in law.events for row in e.ledger}
+    assert all(id(row) in law_rows for out in before for row in out.ledger)
 
 
 def test_query_count_equals_fixed_blocks():
@@ -100,10 +122,10 @@ def test_query_count_equals_fixed_blocks():
     for _ in range(15):
         n, m = rng.choice([(1, 2), (2, 2), (2, 4)])
         G = instance(n, m)
-        rp = refine(random_protocol(rng, G, 3), CFG.delta)
+        law = walk_law(refine(random_protocol(rng, G, 3), CFG.delta), CFG)
         for seed in range(30):
             z = tuple(rng.randint(0, 1) for _ in range(n))
-            out = simulate_sample(rp, z, CFG, seed=seed)
+            out = simulate_sample(law, z, seed=seed)
             if out.failure is None:
                 # locate the terminal leaf by replaying the transcript choices
                 assert sorted(set(out.queries)) == list(out.queries)
@@ -304,10 +326,11 @@ def test_sample_matches_reference_sample(kind):
     cfg = REFERENCE_CONFIGS[kind]
     reasons_seen = set()
     for rp in _reference_cases():
+        law = walk_law(rp, cfg)
         for z in itertools.product((0, 1), repeat=rp.G.n):
             for seed in range(8):
                 ref = reference_sample(rp, z, cfg, seed)
-                assert simulate_sample(rp, z, cfg, seed=seed) == ref
+                assert simulate_sample(law, z, seed=seed) == ref
                 reasons_seen.add(ref.failure)
     expected = {None, IMPOSSIBLE_S}
     expected |= {DEFICIENCY_CUTOFF} if cfg.strict_zpp else set()
@@ -318,11 +341,12 @@ def test_sample_matches_reference_sample(kind):
 def test_sample_frequencies_match_exact():
     rp = refine(bob_first_fixture(), CFG.delta)
     z = (0,)
-    sim = simulate_exact(walk_law(rp, CFG), z)
+    law = walk_law(rp, CFG)
+    sim = simulate_exact(law, z)
     n_samples = 4000
     counts = {}
     for seed in range(n_samples):
-        out = simulate_sample(rp, z, CFG, seed=seed)
+        out = simulate_sample(law, z, seed=seed)
         counts[out.outcome] = counts.get(out.outcome, 0) + 1
     assert set(counts) <= sim.transcripts.support
     for o in sim.transcripts.support:
@@ -390,14 +414,14 @@ def test_query_cap():
 # --- ledger ---
 
 def test_ledger_zero_queries_trivial():
-    out = simulate_sample(zero_comm(), (0,), CFG, seed=0)
+    out = simulate_sample(walk_law(zero_comm(), CFG), (0,), seed=0)
     assert out.ledger == ()
     assert ledger_check(out, CFG.delta)
 
 
 def test_ledger_one_bit_values():
-    rp = refine(one_bit_fixture(), CFG.delta)
-    out = simulate_sample(rp, (0,), CFG, seed=0)
+    law = walk_law(refine(one_bit_fixture(), CFG.delta), CFG)
+    out = simulate_sample(law, (0,), seed=0)
     (row,) = out.ledger
     assert row.gamma_ratio == Fraction(2, 1)   # gamma = 1 bit
     assert row.delta_ratio == Fraction(1, 1)   # single part: delta_1 = 0
@@ -419,11 +443,12 @@ def test_ledger_battery_including_failures():
         rp = refine(random_protocol(rng, G, 4), CFG.delta)
         cfg = SimConfig(strict_zpp=True, deficiency_cap=Fraction(3),
                         query_cap=1)
-        ledgers = ledger_exact(walk_law(rp, cfg))
+        law = walk_law(rp, cfg)
+        ledgers = ledger_exact(law)
         assert all(ledgers.values())
         for seed in range(40):
             z = tuple(rng.randint(0, 1) for _ in range(n))
-            out = simulate_sample(rp, z, cfg, seed=seed)
+            out = simulate_sample(law, z, seed=seed)
             assert ledger_check(out, cfg.delta)
             assert out.ledger in ledgers
             checked += 1
@@ -437,12 +462,12 @@ def test_ledger_exact_bob_first_pinned():
     """bob_first_fixture(8) has two path ledgers, both passing: Alice's
     7-of-8 bit with no query, and her 1-of-8 bit with one.  The seeded runs
     at either z carry both and no other."""
-    rp = refine(bob_first_fixture(8), CFG.delta)
-    ledgers = ledger_exact(walk_law(rp, CFG))
+    law = walk_law(refine(bob_first_fixture(8), CFG.delta), CFG)
+    ledgers = ledger_exact(law)
     assert len(ledgers) == 2 and all(ledgers.values())
     assert {ledger[-1].queries for ledger in ledgers} == {0, 1}
     for z in ((0,), (1,)):
-        assert {simulate_sample(rp, z, CFG, seed=seed).ledger
+        assert {simulate_sample(law, z, seed=seed).ledger
                 for seed in range(40)} == set(ledgers)
 
 
@@ -461,11 +486,21 @@ def test_ledger_exact_checks_each_ledger_once(monkeypatch):
 def test_ledger_check_refuses_rate_outside_unit_interval(delta):
     """The ledger is checked only at a density rate in (0, 1), as the lemma
     verifier and SimConfig require; outside it every row would pass."""
-    rp = refine(bob_first_fixture(8), CFG.delta)
-    out = simulate_sample(rp, (0,), CFG, seed=1)
+    law = walk_law(refine(bob_first_fixture(8), CFG.delta), CFG)
+    out = simulate_sample(law, (0,), seed=1)
     assert out.ledger and ledger_check(out, CFG.delta)
     with pytest.raises(DomainError, match="delta"):
         ledger_check(out, delta)
+
+
+def test_ledger_row_hash_is_its_fields():
+    """Rows built apart from equal fields are one key, whichever was hashed
+    first; a row differing in one field is another."""
+    fields = (1, Fraction(2), Fraction(1), 1, Fraction(1), Fraction(17, 10))
+    row = LedgerRow(*fields)
+    assert {row: True}.get(LedgerRow(*fields)) is True
+    assert hash(LedgerRow(*fields)) == hash(row)
+    assert dataclasses.replace(row, queries=2) not in {row}
 
 
 def test_ledger_checker_rejects_forged_rows():
@@ -667,9 +702,10 @@ def test_sampler_seeded_output_pinned():
     reasons = set()
     for rp in _walk_cases():
         for cfg in PINNED_CONFIGS:
+            law = walk_law(rp, cfg)
             for z in itertools.product((0, 1), repeat=rp.G.n):
                 for seed in range(12):
-                    out = simulate_sample(rp, z, cfg, seed=seed)
+                    out = simulate_sample(law, z, seed=seed)
                     reasons.add(out.failure)
                     h.update(_outcome_record(out).encode() + b"\n")
     assert reasons == {None, IMPOSSIBLE_S, DEFICIENCY_CUTOFF, QUERY_CAP}
@@ -700,7 +736,7 @@ def test_walk_differential_property(proto_seed, shape, depth, strict, def_cap,
         exact = simulate_exact(law, z)
         assert rdt.output_dist(z) == dict(exact.values.items())
         for seed in range(8):
-            out = simulate_sample(rp, z, cfg, seed=seed)
+            out = simulate_sample(law, z, seed=seed)
             assert exact.transcripts.prob(out.outcome) > 0
             assert exact.values.prob(out.value) > 0
             assert exact.queries.prob(len(out.queries)) > 0
