@@ -4,11 +4,14 @@ assignments, and slices.
 Conventions used throughout: Alice's per-block value x is 1-based in [m];
 Bob's per-block value y is an m-bit string, written left to right, so bit 1 is
 the most significant bit of the integer that stores it.  The index gadget
-returns bit x of y under that order.
+returns bit x of y under that order.  An explicit set of Bob inputs is one
+integer bit mask over the 2^(nm) inputs, and its cuts and counts are ANDs
+and popcounts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -94,11 +97,11 @@ class ComposedInstance:
         return frozenset(self.alice_domain())
 
     def full_Y(self, pair_budget: int = PAIR_BUDGET_DEFAULT):
-        """The explicit Bob domain; refused when its 2^(nm) tuples exceed the
-        budget."""
+        """The explicit Bob domain, the all-ones mask; refused when its
+        2^(nm) elements exceed the budget."""
         if self.bob_size > pair_budget:
             raise ResourceError("explicit Bob domain", self.bob_size, pair_budget)
-        return ExplicitBobSet(self.n, self.m, self.bob_domain())
+        return ExplicitBobSet._of_bits(self.n, self.m, (1 << self.bob_size) - 1)
 
     def check_alice(self, xs):
         if len(xs) != self.n:
@@ -272,72 +275,119 @@ class BobCube:
         return frozenset(itertools.product(*per_block))
 
 
-@dataclass(frozen=True)
-class ExplicitBobSet:
-    """An explicit set of Bob inputs: n-tuples of m-bit strings.
+def _bob_index(ys, n: int, m: int) -> int:
+    """ys's index in an ExplicitBobSet mask; DomainError off the domain."""
+    if len(ys) != n or not all(0 <= y < 1 << m for y in ys):
+        raise DomainError(f"{ys!r} is not {n} blocks of {m}-bit strings")
+    return functools.reduce(lambda i, y: i << m | y, ys, 0)
 
-    Its cuts and slice counts read every element.  Slice counting reads Y as
-    one column per block, and each row of X tallies the bits it points to
-    across the columns, so it costs |Y| per row of X."""
+
+@functools.cache
+def _position_mask(n: int, m: int, blk: int, pos: int) -> int:
+    """The ExplicitBobSet mask of every element reading 1 at bit pos of block
+    blk, kept per instance size: those whose index has bit
+    k = (n - blk) m + m - pos set, so runs of 2^k zeros and 2^k ones alternate
+    over the 2^(nm) indices.  One period is doubled until it covers them."""
+    run = 1 << ((n - blk) * m + m - pos)
+    mask, width = ((1 << run) - 1) << run, 2 * run
+    while width < 1 << n * m:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class ExplicitBobSet:
+    """An explicit set of Bob inputs, n-tuples of m-bit strings, stored as one
+    integer bit mask over the 2^(nm) domain indices.
+
+    An element's index is its blocks' m-bit strings concatenated, block 1
+    most significant, so index order is `ComposedInstance.bob_domain`'s.  A
+    cut ANDs the mask with per-position masks (`_position_mask`) or with a
+    Bob table map's 1-mask, and a size is a popcount, so no element is read.
+    A set costs 2^(nm)/8 bytes whatever its size, and the per-position masks
+    add n m more of that size per instance size."""
 
     n: int
     m: int
-    ys: frozenset
+    bits: int  # bit i set: the element of index i is in the set
 
-    def __post_init__(self):
-        object.__setattr__(self, "ys", frozenset(self.ys))
+    def __init__(self, n: int, m: int, ys):
+        """The set of the n-tuples ys; DomainError on one off the domain."""
+        buf = bytearray(((1 << n * m) + 7) // 8)
+        for i in (_bob_index(e, n, m) for e in ys):
+            buf[i >> 3] |= 1 << (i & 7)
+        self.__dict__.update(n=n, m=m, bits=int.from_bytes(buf, "little"))
+
+    @classmethod
+    def _of_bits(cls, n: int, m: int, bits: int) -> "ExplicitBobSet":
+        out = object.__new__(cls)
+        out.__dict__.update(n=n, m=m, bits=bits)
+        return out
+
+    def __repr__(self):
+        return f"ExplicitBobSet(n={self.n}, m={self.m}, bits={self.bits:#x})"
 
     @property
     def size(self) -> int:
-        return len(self.ys)
+        return self.bits.bit_count()
 
-    slice_counts_cost = size  # per row of X: one pointed-to bit per element and block
+    slice_counts_cost = size  # per row of X: ANDs and popcounts over the mask
 
     def contains(self, ys) -> bool:
-        return tuple(ys) in self.ys
+        """Whether ys is in the set: one bit of the mask; DomainError off the
+        domain."""
+        return self.bits >> _bob_index(ys, self.n, self.m) & 1 == 1
 
-    def _subset(self, ys):
-        return ExplicitBobSet(self.n, self.m, ys) if ys else None
+    def _subset(self, bits):
+        return ExplicitBobSet._of_bits(self.n, self.m, bits) if bits else None
+
+    def _pieces(self, positions) -> list:
+        """The masks of Y cut at (block, pos) pairs, in `split`'s key order."""
+        pieces = [self.bits]
+        for blk, pos in positions:
+            ones = _position_mask(self.n, self.m, blk, pos)
+            zeros = ~ones  # negative, so an AND with it clears just those bits
+            pieces = [q for p in pieces for q in (p & zeros, p & ones)]
+        return pieces
 
     def split(self, positions) -> dict:
         """Y cut at (block, pos) pairs: each bit string s over them, ascending,
-        to the elements reading s there, or None; one pass over the elements."""
+        to the elements reading s there, or None; by ANDs with the masks."""
         keys = _split_keys(positions, self.n, self.m)
-        shifts = [(blk - 1, self.m - pos) for blk, pos in positions]
-        groups = [[] for _ in keys]
-        for ys in self.ys:
-            key = 0
-            for i, shift in shifts:
-                key = key << 1 | (ys[i] >> shift) & 1
-            groups[key].append(ys)
-        return {s: self._subset(g) for s, g in zip(keys, groups)}
+        return dict(zip(keys, map(self._subset, self._pieces(positions))))
 
     def split_fn(self, fn):
-        """(elements fn maps to 0, the rest), one call of fn per element."""
-        zero = frozenset(ys for ys in self.ys if fn(ys) == 0)
-        return self._subset(zero), self._subset(self.ys - zero)
+        """(elements fn maps to 0, the rest): Y ANDed with the table map's
+        1-mask, `fn.bob_mask`, which the map builds once and keeps."""
+        ones = self.bits & fn.bob_mask(self.n, self.m)
+        return self._subset(self.bits ^ ones), self._subset(ones)
 
     def deficiency(self) -> Fraction:
         """D(Y) relative to the full Bob domain, as the ratio 2^(nm) / |Y|
         whose log2 it is."""
-        if not self.ys:
+        if not self.bits:
             raise DomainError("deficiency of an empty set")
-        return Fraction(2 ** (self.n * self.m), len(self.ys))
+        return Fraction(2 ** (self.n * self.m), self.size)
 
     def slice_counts(self, X) -> dict:
-        """{z: |{(xs, ys) in X x Y : G(xs, ys) = z}|} over every z at once:
-        Y is read as one column of m-bit strings per block, and each row xs
-        tallies the bits it points to, column by column, over every element."""
-        m = self.m
-        cols = list(zip(*self.ys))
+        """{z: |{(xs, ys) in X x Y : G(xs, ys) = z}|} over every z at once,
+        zero counts left out: each row xs cuts Y at its n pointed-to
+        positions, whose pieces come in z's order, and counts each by
+        popcount."""
+        zs = list(itertools.product((0, 1), repeat=self.n))
         counts = Counter()
         for xs in X:
-            counts.update(zip(*[[(y >> (m - x)) & 1 for y in col]
-                                for x, col in zip(xs, cols)]))
+            for z, piece in zip(zs, self._pieces(tuple(enumerate(xs, 1)))):
+                if piece:
+                    counts[z] += piece.bit_count()
         return counts
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
-        return self.ys
+        """The elements as tuples, decoded from the mask in index order."""
+        flags = map("1".__eq__, reversed(format(self.bits, f"0{1 << self.n * self.m}b")))
+        return frozenset(itertools.compress(
+            itertools.product(range(1 << self.m), repeat=self.n), flags))
 
 
 def bob_size(Y) -> int:

@@ -46,9 +46,23 @@ class TableFn:
         for v in self.table.values():
             if v not in (0, 1):
                 raise DomainError("table values must be bits")
+        self._bob_masks = {}
 
     def __call__(self, inp):
         return self.table[tuple(inp)]
+
+    @cached_property
+    def ones(self) -> frozenset:
+        """The inputs mapped to 1, listed on first use and kept."""
+        return frozenset(inp for inp, b in self.table.items() if b)
+
+    def bob_mask(self, n: int, m: int) -> int:
+        """The inputs mapped to 1 as an ExplicitBobSet mask over
+        ({0,1}^m)^n, built on first use and kept with the map."""
+        if (n, m) not in self._bob_masks:
+            ones = (ys for ys, b in self.table.items() if b)
+            self._bob_masks[n, m] = ExplicitBobSet(n, m, ones).bits
+        return self._bob_masks[n, m]
 
 
 class BitFn:
@@ -92,6 +106,7 @@ class ProtocolTree:
         bob_size = self.G.bob_size
         depth = 0
         bob_tables = False
+        domains = {}  # owner -> that side's inputs, listed on first use
         stack = [(self.root, 0)]
         while stack:
             node, d = stack.pop()
@@ -107,6 +122,11 @@ class ProtocolTree:
                     raise DomainError(
                         f"{node.owner} table has {len(fn.table)} entries, needs {expect}"
                     )
+                if node.owner not in domains:
+                    domains[node.owner] = frozenset(
+                        self.G.alice_domain() if node.owner == ALICE else self.G.bob_domain())
+                if fn.table.keys() != domains[node.owner]:
+                    raise DomainError(f"{node.owner} table is not keyed by the {node.owner} inputs")
                 bob_tables = bob_tables or node.owner == BOB
             elif isinstance(fn, BitFn):
                 if node.owner != BOB:
@@ -153,7 +173,7 @@ def _split_bob(Y, fn):
 def _root_bob_set(pt: ProtocolTree, pair_budget: int):
     """Bob's side of the root rectangle: the full cube when every Bob map is a
     bit readout, which never needs Y written out; otherwise the explicit
-    domain, refused up front when its 2^(nm) tuples exceed pair_budget."""
+    domain's mask, refused up front when its 2^(nm) inputs exceed pair_budget."""
     G = pt.G
     return G.full_Y(pair_budget) if pt.bob_tables else BobCube(G.n, G.m, ())
 
@@ -383,9 +403,13 @@ class RefinedProtocol:
     def iteration_nodes(self):
         return [nd for _, nd in self.traverse() if not isinstance(nd, RLeaf)]
 
-    def leaves(self):
-        """(refined transcript, leaf) pairs."""
-        return [(t, nd) for t, nd in self.traverse() if isinstance(nd, RLeaf)]
+    def leaves(self) -> tuple:
+        """(refined transcript, leaf) pairs, listed on first use and kept."""
+        return self._leaves
+
+    @cached_property
+    def _leaves(self) -> tuple:
+        return tuple((t, nd) for t, nd in self.traverse() if isinstance(nd, RLeaf))
 
 
 def _potential(X, free, log_m) -> Fraction:
@@ -422,7 +446,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             }
             return RBob(rect, rho, v.fn, children, pot, defy)
         branches = {}
-        x1 = frozenset(x for x in X if v.fn(x))
+        x1 = X & v.fn.ones
         for b, Xb in ((0, X - x1), (1, x1)):
             if not Xb:
                 branches[b] = None

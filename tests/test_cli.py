@@ -122,6 +122,22 @@ def test_simulate_refuses_sample_off_every_path(capsys, monkeypatch):
     assert rep["reproduce_with_seed"] == 6
 
 
+def test_simulate_refuses_sample_ledger_not_the_laws_own(capsys, monkeypatch):
+    """A sample's ledger must be its event's own tuple: an equal copy is
+    refused like a forged one, so the lookup never compares rows."""
+    sample = simulate.simulate_sample
+
+    def copied(law, z, seed):
+        out = sample(law, z, seed)
+        return dataclasses.replace(out, ledger=tuple(list(out.ledger)))
+
+    monkeypatch.setattr(simulate, "simulate_sample", copied)
+    code, _, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
+                       "--m", "8", "--z", "0", "--samples", "1", "--seed", "5")
+    assert code == 1
+    assert err == "FAILED per-run potential ledger: z=0 sample 0 (seed 5)\n"
+
+
 def test_verify_bundled_fixture_exact(capsys):
     code, out, _ = run(capsys, "verify", "--fixture", "builtin:one-bit",
                        "--m", "2", "--strict-zpp", "--expect-exact",

@@ -23,7 +23,7 @@ from liftsim.core import (
 )
 from liftsim.analysis import replay_transcript_dist
 from liftsim.errors import DomainError, ResourceError
-from liftsim.protocol import PLeaf, ProtocolTree, refine
+from liftsim.protocol import PLeaf, ProtocolTree, TableFn, refine
 
 D = Fraction(9, 10)
 
@@ -317,6 +317,60 @@ def test_split_cube_matches_explicit(data, n, m):
     for Y in (cube, explicit):
         with pytest.raises(DomainError, match="repeat or fall out of range"):
             Y.split(P + (bad,))
+
+
+def _read(ys, blk, pos, m) -> int:
+    """Bit pos (1-based, left to right) of block blk of the Bob input ys."""
+    return (ys[blk - 1] >> (m - pos)) & 1
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data(), nm=st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]))
+def test_explicit_set_matches_tuple_reference(data, nm):
+    """Every query of an explicit Bob set equals the same query on a frozenset
+    of tuples, written here from the definitions: sizes, deficiency,
+    membership, decoding, a split at distinct positions, a table map's split
+    and the slice counts.  The same tuples in another order build an equal
+    set with an equal hash."""
+    n, m = nm
+    domain = list(itertools.product(range(2 ** m), repeat=n))
+    drawn = data.draw(st.frozensets(st.sampled_from(domain), max_size=len(domain)))
+    ref = frozenset(domain) - drawn if data.draw(st.booleans()) else drawn
+    order = data.draw(st.permutations(sorted(ref)))
+    Y = ExplicitBobSet(n, m, order)
+    assert Y == ExplicitBobSet(n, m, reversed(order))
+    assert hash(Y) == hash(ExplicitBobSet(n, m, reversed(order)))
+    assert Y.size == len(ref)
+    assert Y.materialize() == ref
+    assert [ys for ys in domain if Y.contains(ys)] == [ys for ys in domain if ys in ref]
+    if ref:
+        assert Y.deficiency() == Fraction(2 ** (n * m), len(ref))
+    else:
+        with pytest.raises(DomainError):
+            Y.deficiency()
+
+    def same(piece, elements):
+        return piece is None if not elements else piece.materialize() == elements
+
+    spots = st.tuples(st.integers(1, n), st.integers(1, m))
+    P = tuple(data.draw(st.lists(spots, max_size=min(3, n * m), unique=True)))
+    pieces = Y.split(P)
+    assert list(pieces) == ["".join(b) for b in itertools.product("01", repeat=len(P))]
+    for s, piece in pieces.items():
+        assert same(piece, frozenset(ys for ys in ref
+                                     if "".join(str(_read(ys, b, p, m)) for b, p in P) == s))
+
+    table = dict(zip(domain, data.draw(st.lists(st.integers(0, 1), min_size=len(domain),
+                                                max_size=len(domain)))))
+    zero, one = Y.split_fn(TableFn(table))
+    assert same(zero, frozenset(ys for ys in ref if table[ys] == 0))
+    assert same(one, frozenset(ys for ys in ref if table[ys] == 1))
+
+    X = data.draw(st.frozensets(st.tuples(*[st.integers(1, m)] * n), max_size=8))
+    tally = Counter(tuple(_read(ys, i, x, m) for i, x in enumerate(xs, 1))
+                    for xs in X for ys in ref)
+    counts = Y.slice_counts(X)
+    assert counts == tally and all(counts.values())
 
 
 def test_cube_contains_and_pinned():

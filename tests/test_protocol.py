@@ -122,6 +122,18 @@ def test_protocol_totality_validated():
         ProtocolTree(g, PNode(ALICE, TableFn({(1,): 0}), PLeaf(0), PLeaf(1)))
 
 
+@pytest.mark.parametrize("owner, table", [
+    (ALICE, {(1,): 0, (3,): 1}),                     # (2,) missing, (3,) off [2]
+    (BOB, {(0,): 0, (1,): 1, (2,): 1, (4,): 0}),     # (3,) missing, (4,) off 2 bits
+])
+def test_table_keyed_off_the_domain_refused(owner, table):
+    """A table of the right size must still be keyed by its owner's inputs:
+    refine reads an Alice table's 1-inputs and a Bob table's 1-mask, so an
+    input missing from the table would otherwise be read as a 0."""
+    with pytest.raises(DomainError, match="not keyed by"):
+        ProtocolTree(G(1, 2), PNode(owner, TableFn(table), PLeaf(0), PLeaf(1)))
+
+
 def test_leaf_rectangles_zero_comm():
     g = G(1, 2)
     rects = leaf_rectangles(const_protocol(g, 1))
