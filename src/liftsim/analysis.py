@@ -28,7 +28,7 @@ from .core import (
     iter_slice,
     slice_count,
 )
-from .entropy import SetVar, cmp_pow, nonempty_subsets
+from .entropy import SetVar, cmp_pow, exact_sum, nonempty_subsets
 from .errors import DomainError, ResourceError
 from .protocol import (
     DecisionTree,
@@ -86,10 +86,7 @@ def replay_transcript_dist(rp: RefinedProtocol, z, *,
 
 def tv_distance(d1: ExactDist, d2: ExactDist) -> Fraction:
     """Half the L1 distance, over the union of supports (bottom included)."""
-    out = Fraction(0)
-    for o in d1.support | d2.support:
-        out += abs(d1.prob(o) - d2.prob(o))
-    return out / 2
+    return exact_sum(abs(d1.prob(o) - d2.prob(o)) for o in d1.support | d2.support) / 2
 
 
 def support_check(t_z: ExactDist, t_true: ExactDist) -> bool:

@@ -119,13 +119,17 @@ class Violation(Exception):
         super().__init__(f"{invariant}: {detail}")
 
 
-def write_report(out_dir, report, csv_tables):
-    """report -> report.json; csv_tables: name -> (header, rows)."""
+# a report's JSON text, encoded once for report.json and stdout alike
+_encode = functools.partial(json.dumps, sort_keys=True, indent=2)
+
+
+def write_report(out_dir, text, csv_tables):
+    """text (the encoded report) -> report.json; csv_tables: name -> (header, rows)."""
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
     for name, (header, rows) in csv_tables.items():
         with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -390,7 +394,7 @@ def _sweep_instance(task):
     """One family member at one m, refined once (refinement does not depend
     on z), and one (protocol, z, m) cell per z; exact, so no seed is involved."""
     n, m, name, delta, budget = task
-    pt = dict(fixtures.sweep_family(n, m))[name]
+    [(_, pt)] = fixtures.sweep_family(n, m, name)
     rp = refine(pt, delta, pair_budget=budget)
     law = sim.walk_law(rp, sim.SimConfig(delta=delta))
     cells = []
@@ -619,10 +623,10 @@ def _config(args) -> dict:
     return {**config, **added}
 
 
-def _print_report(report):
-    """The report on stdout; a reader that closed it early changes no exit code."""
+def _print_report(text):
+    """The encoded report on stdout; a reader that closed it early changes no exit code."""
     try:
-        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+        print(text, flush=True)
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit, which would raise anew
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -638,12 +642,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         results, tables = globals()[f"cmd_{args.command}"](args)
-        report = {"command": args.command, "config": _config(args), **results}
-        write_report(args.out, report, tables)
+        text = _encode({"command": args.command, "config": _config(args), **results})
+        write_report(args.out, text, tables)
     except Violation as e:
-        report = {"command": args.command, "violation": e.invariant,
-                  "detail": e.detail, "reproduce_with_seed": e.seed}
-        _print_report(report)
+        _print_report(_encode({"command": args.command, "violation": e.invariant,
+                               "detail": e.detail, "reproduce_with_seed": e.seed}))
         print(f"FAILED {e.invariant}: {e.detail}"
               + (f" (seed {e.seed})" if e.seed is not None else ""),
               file=sys.stderr)
@@ -657,7 +660,7 @@ def main(argv=None) -> int:
     except Exception as e:  # exit 1 is kept for genuine invariant failures
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    _print_report(report)
+    _print_report(text)
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import entropy
 from .errors import DomainError, ResourceError
@@ -146,7 +147,8 @@ def compose_eval(G: ComposedInstance, xs, ys) -> tuple:
 
 @dataclass(frozen=True)
 class PartialAssignment:
-    """rho in {0,1,*}^n; entries use None for *."""
+    """rho in {0,1,*}^n; entries use None for *.  `free` and `fix` are
+    listed on first use and kept; equality and hashing read `entries` only."""
 
     entries: tuple
 
@@ -168,11 +170,11 @@ class PartialAssignment:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
+    @functools.cached_property
     def free(self) -> tuple:
         return tuple(i + 1 for i, e in enumerate(self.entries) if e is None)
 
-    @property
+    @functools.cached_property
     def fix(self) -> tuple:
         return tuple(i + 1 for i, e in enumerate(self.entries) if e is not None)
 
@@ -252,13 +254,16 @@ class BobCube:
     def slice_counts(self, X) -> dict:
         """{z: |{(xs, y) in X x Y : G(xs, y) = z}|} over every z at once, in
         closed form.  X is tallied by pin pattern: per block, the bit Y pins
-        where xs points, or None.  A row of a pattern with f unpinned blocks
-        meets the slice of each of the 2^f z agreeing with its pins in
-        2^(nm - |pins| - f) strings: z fixes the f pointed-to bits."""
-        pins = dict(self.fixed)
-        patterns = Counter(tuple(pins.get((blk, x)) for blk, x in enumerate(xs, 1))
-                           for xs in X)
-        free_bits = self.n * self.m - len(pins)
+        where xs points, or None, read by one {pos: bit} lookup per block
+        along X's column of that block.  A row of a pattern with f unpinned
+        blocks meets the slice of each of the 2^f z agreeing with its pins
+        in 2^(nm - |pins| - f) strings: z fixes the f pointed-to bits."""
+        pins = [{} for _ in range(self.n)]
+        for (blk, pos), b in self.fixed:
+            pins[blk - 1][pos] = b
+        patterns = Counter(zip(*(map(pins[i].get, map(itemgetter(i), X))
+                                 for i in range(self.n))))
+        free_bits = self.n * self.m - len(self.fixed)
         out = Counter()
         for pattern, k in patterns.items():
             share = k << (free_bits - pattern.count(None))

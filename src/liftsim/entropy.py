@@ -65,6 +65,15 @@ def cmp_pow(q: Fraction, base, exponent) -> int:
     return 0
 
 
+def exact_sum(qs) -> Fraction:
+    """The exact sum of rationals (ints or Fractions) in one integer pass:
+    each numerator is scaled to the lcm of the denominators, and the total is
+    reduced once, where a chain of Fraction additions reduces at every step."""
+    qs = tuple(qs)
+    den = math.lcm(*(q.denominator for q in qs))
+    return Fraction(sum(q.numerator * (den // q.denominator) for q in qs), den)
+
+
 def _split_pow2(n: int) -> tuple[int, int]:
     """n = 2**e * odd; returns (e, odd)."""
     e = (n & -n).bit_length() - 1

@@ -10,6 +10,7 @@ domain is too large to tabulate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -63,39 +64,42 @@ def bob_first_fixture(m: int = 2) -> ProtocolTree:
     return ProtocolTree(G, PNode(BOB, BitFn(1, 1, m), sub(), sub()))
 
 
-def family_n1(m: int) -> list:
-    """Sweep family at n=1, depth <= 4, instantiable at any power-of-two m."""
-    G = instance(1, m)
-    a_first = alice_predicate(G, lambda xs: xs[0] == 1)
-    a_half = alice_predicate(G, lambda xs: xs[0] <= m // 2)
+def _alice_table(G: ComposedInstance, pred):
+    """A function returning G's Alice table of pred, built on first call and
+    then shared; each sweep_family call makes its own and drops them."""
+    return functools.cache(lambda: alice_predicate(G, pred))
+
+
+def _family_n1(G: ComposedInstance) -> dict:
+    """Sweep family at n=1, depth <= 4, instantiable at any power-of-two m:
+    member name -> a function that builds its root."""
+    m = G.m
+    a_first = _alice_table(G, lambda xs: xs[0] == 1)
+    a_half = _alice_table(G, lambda xs: xs[0] <= m // 2)
     leaf0, leaf1 = PLeaf(0), PLeaf(1)
-
-    def named(name, root):
-        return name, ProtocolTree(G, root)
-
-    return [
-        named("bob1-alice1", PNode(BOB, BitFn(1, 1, m),
-                                   PNode(ALICE, a_first, leaf0, leaf1),
-                                   PNode(ALICE, a_first, leaf1, leaf0))),
-        named("alice1-bob2", PNode(ALICE, a_first,
-                                   PNode(BOB, BitFn(1, min(2, m), m), leaf0, leaf1),
-                                   PNode(BOB, BitFn(1, min(2, m), m), leaf1, leaf0))),
-        named("bob1-bob2-alicehalf",
-              PNode(BOB, BitFn(1, 1, m),
-                    PNode(BOB, BitFn(1, min(2, m), m),
-                          PNode(ALICE, a_half, leaf0, leaf1), leaf1),
-                    PNode(BOB, BitFn(1, min(2, m), m), leaf0,
-                          PNode(ALICE, a_half, leaf1, leaf0)))),
-        named("alicehalf-bob1-alice1",
-              PNode(ALICE, a_half,
-                    PNode(BOB, BitFn(1, 1, m),
-                          PNode(ALICE, a_first, leaf0, leaf1), leaf1),
-                    PNode(BOB, BitFn(1, 1, m), leaf0, leaf1))),
-    ]
+    return {
+        "bob1-alice1": lambda: PNode(BOB, BitFn(1, 1, m),
+                                     PNode(ALICE, a_first(), leaf0, leaf1),
+                                     PNode(ALICE, a_first(), leaf1, leaf0)),
+        "alice1-bob2": lambda: PNode(ALICE, a_first(),
+                                     PNode(BOB, BitFn(1, min(2, m), m), leaf0, leaf1),
+                                     PNode(BOB, BitFn(1, min(2, m), m), leaf1, leaf0)),
+        "bob1-bob2-alicehalf": lambda: PNode(
+            BOB, BitFn(1, 1, m),
+            PNode(BOB, BitFn(1, min(2, m), m),
+                  PNode(ALICE, a_half(), leaf0, leaf1), leaf1),
+            PNode(BOB, BitFn(1, min(2, m), m), leaf0,
+                  PNode(ALICE, a_half(), leaf1, leaf0))),
+        "alicehalf-bob1-alice1": lambda: PNode(
+            ALICE, a_half(),
+            PNode(BOB, BitFn(1, 1, m),
+                  PNode(ALICE, a_first(), leaf0, leaf1), leaf1),
+            PNode(BOB, BitFn(1, 1, m), leaf0, leaf1)),
+    }
 
 
-def family_n2(m: int) -> list:
-    """Sweep family at n=2, depth <= 4.
+def _family_n2(G: ComposedInstance) -> dict:
+    """Sweep family at n=2, depth <= 4: name -> a function building its root.
 
     Every member opens with Bob reading a bit of a block whose pointer is
     still free: that announcement carries the Theta(1/m) slice bias this
@@ -103,51 +107,54 @@ def family_n2(m: int) -> list:
     at very small m their density repairs fix every block and the walk
     becomes trivially exact, which reverses the closeness-vs-m trend.
     """
-    G = instance(2, m)
-    a1 = alice_predicate(G, lambda xs: xs[0] == 1)
-    a2 = alice_predicate(G, lambda xs: xs[1] == 1)
+    m = G.m
+    a1 = _alice_table(G, lambda xs: xs[0] == 1)
+    a2 = _alice_table(G, lambda xs: xs[1] == 1)
     leaf0, leaf1 = PLeaf(0), PLeaf(1)
     p2 = min(2, m)
-
-    def named(name, root):
-        return name, ProtocolTree(G, root)
-
-    return [
-        named("bob11-alice1", PNode(BOB, BitFn(1, 1, m),
-                                    PNode(ALICE, a1, leaf0, leaf1),
-                                    PNode(ALICE, a1, leaf1, leaf0))),
-        named("bob21-alice1", PNode(BOB, BitFn(2, 1, m),
-                                    PNode(ALICE, a1, leaf0, leaf1),
-                                    PNode(ALICE, a1, leaf1, leaf0))),
-        named("bob11-alice2-bob22",
-              PNode(BOB, BitFn(1, 1, m),
-                    PNode(ALICE, a2,
-                          PNode(BOB, BitFn(2, p2, m), leaf0, leaf1),
-                          leaf1),
-                    PNode(ALICE, a2, leaf0,
-                          PNode(BOB, BitFn(2, p2, m), leaf1, leaf0)))),
-        named("bob11-bob21-alice1",
-              PNode(BOB, BitFn(1, 1, m),
-                    PNode(BOB, BitFn(2, 1, m),
-                          PNode(ALICE, a1, leaf0, leaf1),
-                          PNode(ALICE, a1, leaf1, leaf0)),
-                    PNode(BOB, BitFn(2, 1, m), leaf0,
-                          PNode(ALICE, a1, leaf1, leaf0)))),
-        named("bob12-alice1-bob22",
-              PNode(BOB, BitFn(1, p2, m),
-                    PNode(ALICE, a1,
-                          PNode(BOB, BitFn(2, p2, m), leaf0, leaf1),
-                          PNode(BOB, BitFn(2, p2, m), leaf1, leaf0)),
-                    PNode(ALICE, a1, leaf1, leaf0))),
-    ]
+    return {
+        "bob11-alice1": lambda: PNode(BOB, BitFn(1, 1, m),
+                                      PNode(ALICE, a1(), leaf0, leaf1),
+                                      PNode(ALICE, a1(), leaf1, leaf0)),
+        "bob21-alice1": lambda: PNode(BOB, BitFn(2, 1, m),
+                                      PNode(ALICE, a1(), leaf0, leaf1),
+                                      PNode(ALICE, a1(), leaf1, leaf0)),
+        "bob11-alice2-bob22": lambda: PNode(
+            BOB, BitFn(1, 1, m),
+            PNode(ALICE, a2(),
+                  PNode(BOB, BitFn(2, p2, m), leaf0, leaf1),
+                  leaf1),
+            PNode(ALICE, a2(), leaf0,
+                  PNode(BOB, BitFn(2, p2, m), leaf1, leaf0))),
+        "bob11-bob21-alice1": lambda: PNode(
+            BOB, BitFn(1, 1, m),
+            PNode(BOB, BitFn(2, 1, m),
+                  PNode(ALICE, a1(), leaf0, leaf1),
+                  PNode(ALICE, a1(), leaf1, leaf0)),
+            PNode(BOB, BitFn(2, 1, m), leaf0,
+                  PNode(ALICE, a1(), leaf1, leaf0))),
+        "bob12-alice1-bob22": lambda: PNode(
+            BOB, BitFn(1, p2, m),
+            PNode(ALICE, a1(),
+                  PNode(BOB, BitFn(2, p2, m), leaf0, leaf1),
+                  PNode(BOB, BitFn(2, p2, m), leaf1, leaf0)),
+            PNode(ALICE, a1(), leaf1, leaf0)),
+    }
 
 
-def sweep_family(n: int, m: int) -> list:
-    if n == 1:
-        return family_n1(m)
-    if n == 2:
-        return family_n2(m)
-    raise ValueError("bundled sweep families cover n in {1, 2}")
+def sweep_family(n: int, m: int, name: str | None = None) -> list:
+    """The bundled sweep family at n in {1, 2} as (name, ProtocolTree) pairs,
+    or only the named member's pair, built with only the tables it reads."""
+    family = {1: _family_n1, 2: _family_n2}.get(n)
+    if family is None:
+        raise ValueError("bundled sweep families cover n in {1, 2}")
+    G = instance(n, m)
+    members = family(G)
+    if name is not None:
+        if name not in members:
+            raise ValueError(f"the n={n} sweep family has no member {name!r}")
+        members = {name: members[name]}
+    return [(key, ProtocolTree(G, build())) for key, build in members.items()]
 
 
 def xor_outer(n: int = 2) -> OuterFunction:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import BOT, PAIR_BUDGET_DEFAULT, ComposedInstance, PartialAssignment
-from .entropy import as_fraction, as_rate, cmp_pow
+from .entropy import as_fraction, as_rate, cmp_pow, exact_sum
 from .errors import DomainError, ResourceError
 from .protocol import (
     DLeaf,
@@ -139,7 +139,7 @@ class ExactDist:
                 raise DomainError("negative probability")
             if p:
                 probs[o] = p
-        if sum(probs.values()) != 1:
+        if exact_sum(probs.values()) != 1:
             raise DomainError("probabilities must sum to exactly 1")
         self._p = probs
 
@@ -368,7 +368,8 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
 
 
 def simulate_exact(law: WalkLaw, z) -> SimExact:
-    """The exact outcome distribution on z: the law's events consistent with z."""
+    """The exact outcome distribution on z: the law's events consistent with
+    z, each outcome's weights collected and summed once (exact_sum)."""
     z = law.G.check_z(z)
     transcripts, queries, reasons, values = {}, {}, {}, {}
     for rho, events in law.by_rho.items():
@@ -376,9 +377,12 @@ def simulate_exact(law: WalkLaw, z) -> SimExact:
             for e in events:
                 for d, key in ((transcripts, e.transcript), (queries, e.queries),
                                (values, e.value)):
-                    d[key] = d[key] + e.weight if key in d else e.weight
+                    d.setdefault(key, []).append(e.weight)
                 if e.failure is not None:
-                    reasons[e.failure] = reasons.get(e.failure, 0) + e.weight
+                    reasons.setdefault(e.failure, []).append(e.weight)
+    transcripts, queries, reasons, values = (
+        {key: exact_sum(ws) for key, ws in d.items()}
+        for d in (transcripts, queries, reasons, values))
     return SimExact(ExactDist(transcripts), ExactDist(queries), reasons, ExactDist(values))
 
 

@@ -1,5 +1,6 @@
 """Gadget, composition, slice, and structured-rectangle tests."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -195,6 +196,17 @@ def test_partial_assignment_basics():
         rho.assign((1,), (0,))
 
 
+def test_partial_assignment_keeps_free_and_fix():
+    """free and fix are listed once and kept; a copy that never read them is
+    still equal, with the same hash."""
+    rho, fresh = PartialAssignment((None, 1, None)), PartialAssignment((None, 1, None))
+    assert rho.free is rho.free == (1, 3) and rho.fix is rho.fix == (2,)
+    assert rho == fresh and hash(rho) == hash(fresh)
+    assert {rho: 1}[fresh] == 1 and rho != PartialAssignment((None, 0, None))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.entries = (0, 0, 0)
+
+
 # --- cube Bob sets agree with explicit ones ---
 
 def test_cube_matches_explicit_small():
@@ -247,10 +259,12 @@ def _brute_slice_counts(g, X, Ys) -> dict:
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(data=st.data(), n=st.integers(1, 2), m=st.sampled_from([2, 4]))
-def test_slice_counts_cube_explicit_brute(data, n, m):
+@given(data=st.data(), nm=st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]))
+def test_slice_counts_cube_explicit_brute(data, nm):
     """A cube's closed-form slice_counts, the explicit set's tally and a brute
-    tally of G over X x Y agree on every z, and sum to |X| * |Y|."""
+    tally of G over X x Y agree on every z, and sum to |X| * |Y|.  At n = 3
+    a pin read against the wrong block's column shows in the z's order."""
+    n, m = nm
     spots = st.tuples(st.integers(1, n), st.integers(1, m))
     pins = data.draw(st.dictionaries(spots, st.integers(0, 1), max_size=2 * n))
     rows = st.tuples(*[st.integers(1, m)] * n)

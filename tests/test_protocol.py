@@ -330,6 +330,19 @@ def _assert_same_refinement(a, b):
             _assert_same_refinement(ca, cb)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_sweep_family_builds_one_named_member(n, m):
+    """sweep_family(n, m, name) is the full family's member of that name, and
+    an unknown name is refused."""
+    family = sweep_family(n, m)
+    for name, pt in family:
+        [(got, one)] = sweep_family(n, m, name)
+        assert got == name and protocol_to_dict(one) == protocol_to_dict(pt)
+    with pytest.raises(ValueError):
+        sweep_family(n, m, "no-such-member")
+
+
 def _bit_readout_protocols():
     for n in (1, 2):
         for m in (2, 4):

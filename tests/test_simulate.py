@@ -70,6 +70,16 @@ def test_exactdist_validates():
     assert d.prob("c") == 0
 
 
+@pytest.mark.parametrize("k", [1, 7, 64, 300])
+def test_exactdist_refuses_sums_off_by_a_power_of_two(k):
+    """A distribution whose probabilities sum to 1 +- 1/2^k is refused."""
+    third = Fraction(1, 3)
+    for off in (Fraction(1, 2 ** k), -Fraction(1, 2 ** (k + 1))):
+        with pytest.raises(DomainError, match="sum to exactly 1"):
+            ExactDist({"a": third, "b": third, "c": third + off})
+    assert ExactDist({"a": third, "b": third, "c": third}).prob("c") == third
+
+
 # --- sampling ---
 
 def test_sample_zero_communication():
