@@ -85,8 +85,11 @@ def replay_transcript_dist(rp: RefinedProtocol, z, *,
 
 
 def tv_distance(d1: ExactDist, d2: ExactDist) -> Fraction:
-    """Half the L1 distance, over the union of supports (bottom included)."""
-    return exact_sum(abs(d1.prob(o) - d2.prob(o)) for o in d1.support | d2.support) / 2
+    """Half the L1 distance, over the union of supports (bottom included).
+
+    Both sum to 1, so it is 1 - sum min(p, q) over the common support: one
+    exact_sum, with no difference built per outcome."""
+    return 1 - exact_sum(min(d1.prob(o), d2.prob(o)) for o in d1.support & d2.support)
 
 
 def support_check(t_z: ExactDist, t_true: ExactDist) -> bool:
@@ -139,10 +142,10 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
     if total == 0:
         return MarginalsReport(False, Fraction(1), Fraction(1),
                                structured, deficiency_ok, 0)
-    tv_x = sum((abs(Fraction(c, total) - Fraction(1, len(rect.X)))
-                for c in x_counts.values()), Fraction(0)) / 2
-    tv_y = sum((abs(Fraction(c, total) - Fraction(1, len(Y)))
-                for c in y_counts.values()), Fraction(0)) / 2
+    # half of sum |c/total - 1/|X||, over the denominator total * |X|
+    nx, ny = len(rect.X), len(Y)
+    tv_x = Fraction(sum(abs(c * nx - total) for c in x_counts.values()), 2 * total * nx)
+    tv_y = Fraction(sum(abs(c * ny - total) for c in y_counts.values()), 2 * total * ny)
     return MarginalsReport(True, tv_x, tv_y, structured, deficiency_ok, total)
 
 
@@ -201,8 +204,7 @@ class NormBound:
 
 
 def _squared_two_norm(v: SetVar, I) -> Fraction:
-    counts = v.project_counts(I)
-    return sum((Fraction(c, v.size) ** 2 for c in counts.values()), Fraction(0))
+    return Fraction(sum(c * c for c in v.project_counts(I).values()), v.size ** 2)
 
 
 def norm_bound_check(I, X: SetVar, Y: SetVar,
@@ -222,11 +224,7 @@ def norm_bound_check(I, X: SetVar, Y: SetVar,
 
 def fourier_coefficient(D: ExactDist, I) -> Fraction:
     """E[chi_I(z)] = sum_z D(z) * (-1)^(parity of z on I)."""
-    acc = Fraction(0)
-    for z, p in D.items():
-        parity = sum(z[i - 1] for i in I) % 2
-        acc += -p if parity else p
-    return acc
+    return exact_sum(-p if sum(z[i - 1] for i in I) % 2 else p for z, p in D.items())
 
 
 def fourier_pointwise_check(D: ExactDist, n: int) -> tuple:

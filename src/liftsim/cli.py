@@ -374,20 +374,20 @@ def _random_dist(rng, j, n):
 
 
 def _fourier_noise(rng, j, n):
-    probs = {}
-    coeffs = {}
+    """(1 + sum over I of +-c_I) / 2^j at each z, the sign that of z's parity
+    on I, with c_I = k/100 * n^(-5|I|) for a drawn k.  Over D = 100 n^(5j),
+    c_I is k n^(5(j-|I|)) / D, so each p(z) is one integer over D 2^j."""
+    D = 100 * n ** (5 * j)
+    coeffs = []
     for r in range(1, j + 1):
         for I in itertools.combinations(range(1, j + 1), r):
-            c = Fraction(1, n ** (5 * r)) * Fraction(rng.randint(-100, 100), 100)
-            if c:
-                coeffs[I] = c
-    for z in itertools.product((0, 1), repeat=j):
-        p = Fraction(1, 2 ** j)
-        for I, c in coeffs.items():
-            parity = sum(z[i - 1] for i in I) % 2
-            p += Fraction(1, 2 ** j) * (-c if parity else c)
-        probs[z] = p
-    return sim.ExactDist(probs)
+            k = rng.randint(-100, 100)
+            if k:
+                coeffs.append((I, k * n ** (5 * (j - r))))
+    return sim.ExactDist({
+        z: Fraction(D + sum(-c if sum(z[i - 1] for i in I) % 2 else c
+                            for I, c in coeffs), D * 2 ** j)
+        for z in itertools.product((0, 1), repeat=j)})
 
 
 def _sweep_instance(task):
@@ -415,7 +415,7 @@ def cmd_sweep(args):
     ms = args.m_list
     if ms != sorted(ms) or len(set(ms)) != len(ms):
         raise DomainError("m sweep list must be strictly ascending")
-    names = [name for name, _ in fixtures.sweep_family(args.n, ms[0])]
+    names = list(fixtures.SWEEP_FAMILIES[args.n](fixtures.instance(args.n, ms[0])))
     tasks = [(args.n, m, name, args.delta, args.budget)
              for name in names for m in ms]
     if args.jobs > 1:

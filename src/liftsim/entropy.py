@@ -3,9 +3,11 @@
 All quantities are kept exact: probabilities are big-integer rationals, and
 an entropy, deficiency or potential of b bits is stored as the positive
 rational q with log2(q) = b.  Every inequality on them is decided by integer
-arithmetic, never by floats: one cmp_pow (raising both sides to a common
-power), or in the partition's inner loop an integer count threshold derived
-the same way; log2_float renders a stored ratio in bits for reports only.
+arithmetic, never by floats: one cmp_pow (both sides raised to a common
+power and cross-multiplied, as integers), or in the partition's inner loop an
+integer count threshold derived the same way; log2_float renders a stored
+ratio in bits for reports only.  Sums of rationals go over one denominator
+(exact_sum), so no Fraction is built, and reduced, per term.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ def as_fraction(x) -> Fraction:
 
     Fraction(0.9) would be the exact binary float 0.9000000000000000222...,
     which is never what a caller means by a density rate, so floats are read
-    back from str().
+    back from str().  A Fraction is immutable and is returned as is.
     """
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
@@ -43,26 +47,32 @@ def as_rate(delta) -> Fraction:
     return delta
 
 
+def _ratio(x, read=Fraction) -> tuple[int, int]:
+    """(numerator, denominator) of x, read by `read` unless an int or a Fraction."""
+    x = x if isinstance(x, (int, Fraction)) else read(x)
+    return x.numerator, x.denominator
+
+
 def cmp_pow(q: Fraction, base, exponent) -> int:
     """Compare q against base**exponent exactly; returns -1, 0, or +1.
 
-    exponent may be any rational; both sides are raised to its denominator so
-    the comparison happens between rationals with integer exponents.
+    exponent may be any rational r/s; with q = a/b and base = c/d, both sides
+    are raised to the power s and cross-multiplied, so the comparison is one
+    between the integers a^s * d^r and c^r * b^s (a^s * c^-r and d^-r * b^s
+    when r < 0).  A float exponent is read through its decimal repr.
     """
-    q = Fraction(q)
-    if q <= 0:
+    a, b = _ratio(q)
+    if a <= 0:
         raise DomainError("cmp_pow requires a positive left side")
-    base = Fraction(base)
-    if base <= 0:
+    c, d = _ratio(base)
+    if c <= 0:
         raise DomainError("cmp_pow requires a positive base")
-    exponent = as_fraction(exponent)
-    lhs = q ** exponent.denominator
-    rhs = base ** exponent.numerator
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
+    r, s = _ratio(exponent, as_fraction)
+    if r < 0:
+        c, d, r = d, c, -r
+    lhs = a ** s * d ** r
+    rhs = c ** r * b ** s
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def exact_sum(qs) -> Fraction:
@@ -144,8 +154,13 @@ class SetVar:
         return sorted(i - 1 for i in I)
 
     def project_counts(self, I) -> Counter:
+        """The tuples counted by their values on the blocks I, as tuples."""
         pos = self.positions(I)
-        return Counter(tuple(t[p] for p in pos) for t in self.support)
+        if not pos:
+            return Counter({(): self.size})
+        get = operator.itemgetter(*pos)
+        return Counter(zip(map(get, self.support)) if len(pos) == 1
+                       else map(get, self.support))
 
 
 def deficiency(v: SetVar, I) -> Fraction:
@@ -316,8 +331,11 @@ def density_restoring_partition(v: SetVar, delta) -> list:
             break
         if order == 1:
             for I in subsets:
-                key = _key(v.positions(I))
-                marginals[frozenset(I)] = (key, Counter(map(key, remaining)))
+                pos = v.positions(I)
+                key = _key(pos)
+                marginals[frozenset(I)] = (key, Counter(
+                    zip(map(operator.itemgetter(*pos), remaining)) if len(pos) == 1
+                    else map(key, remaining)))
         violating = [I for I, (_, counts) in marginals.items()
                      if max(counts.values()) > limit[len(I)]]
         I = _choose_violating_set(J, violating)

@@ -142,10 +142,14 @@ def _family_n2(G: ComposedInstance) -> dict:
     }
 
 
+# n -> the family on an instance: member name -> a function building its root
+SWEEP_FAMILIES = {1: _family_n1, 2: _family_n2}
+
+
 def sweep_family(n: int, m: int, name: str | None = None) -> list:
     """The bundled sweep family at n in {1, 2} as (name, ProtocolTree) pairs,
     or only the named member's pair, built with only the tables it reads."""
-    family = {1: _family_n1, 2: _family_n2}.get(n)
+    family = SWEEP_FAMILIES.get(n)
     if family is None:
         raise ValueError("bundled sweep families cover n in {1, 2}")
     G = instance(n, m)

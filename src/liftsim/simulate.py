@@ -59,6 +59,8 @@ IMPOSSIBLE_S = "impossible-s"
 DEFICIENCY_CUTOFF = "deficiency-cutoff"
 QUERY_CAP = "query-cap"
 
+ZERO, ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+
 NODE_BUDGET = 10 ** 6        # refined nodes one walk_law pass may visit
 COMPONENT_BUDGET = 10 ** 5   # decision trees in one realized mixture
 
@@ -152,10 +154,10 @@ class ExactDist:
 
     @classmethod
     def point(cls, outcome) -> "ExactDist":
-        return cls({outcome: Fraction(1)})
+        return cls({outcome: ONE})
 
     def prob(self, outcome) -> Fraction:
-        return self._p.get(outcome, Fraction(0))
+        return self._p.get(outcome, ZERO)
 
     def items(self):
         return self._p.items()
@@ -267,12 +269,11 @@ def _row(iteration, node, total, wb, b, part, target) -> LedgerRow:
     then part at an Alice node; of its landing target only QUERY_CAP counts."""
     before = node.potential
     if part is None:
-        return LedgerRow(iteration, Fraction(1), Fraction(1), 0, before,
-                         node.children[b].potential)
+        return LedgerRow(iteration, ONE, ONE, 0, before, node.children[b].potential)
     gamma = Fraction(total, wb)
     if target == QUERY_CAP:
         # no part announcement and no queries: only Alice's bit counts
-        return LedgerRow(iteration, gamma, Fraction(1), 0, before, before * gamma)
+        return LedgerRow(iteration, gamma, ONE, 0, before, before * gamma)
     # the part's potential exists even when the bit-fixing child does not
     return LedgerRow(iteration, gamma, part.delta_ratio, len(part.coords), before,
                      part.potential)
@@ -359,7 +360,7 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
         return Draw(total, [edges[0] if isinstance(node, RBob) else Draw(wb, edges)
                             for wb, edges in bits.values()])
 
-    root = walk(rp.root, Fraction(1), 0, (), ())
+    root = walk(rp.root, ONE, 0, (), ())
     del walk                   # it closes over itself: free the events with the law
     by_rho = {}
     for e in events:
@@ -407,7 +408,7 @@ def ledger_check(outcome: SimOutcome, delta) -> bool:
     delta = as_rate(delta)
     k = outcome.m.bit_length() - 1
     rate = (1 - delta) * k
-    product = Fraction(1)
+    product = ONE
     total_queries = 0
     for row in outcome.ledger:
         drop = row.gamma_ratio * row.delta_ratio
@@ -439,19 +440,19 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
     """
     G = PI.G
     components = (PI.components if isinstance(PI, RandomizedProtocol)
-                  else [(Fraction(1), PI)])
+                  else [(ONE, PI)])
     cap = cfg.cap_bits(G.n)
     out = []
 
     def realize(node, q):
         """Mixture of deterministic subtrees for the walk started at node."""
         if isinstance(node, RLeaf):
-            return [(Fraction(1), DLeaf(node.value))]
+            return [(ONE, DLeaf(node.value))]
         mix = []
         total, steps = _steps(node, q, cfg, cap)
         for wi, *_, coords, landings in steps:
             p = Fraction(wi, total)
-            per_s = {s: [(Fraction(1), DLeaf(BOT))] if isinstance(target, str)
+            per_s = {s: [(ONE, DLeaf(BOT))] if isinstance(target, str)
                      else realize(target, q2) for s, _, target, q2 in landings}
             mix.extend((p * w, t) for w, t in query_chains(coords, per_s))
         return _merge_components(mix)

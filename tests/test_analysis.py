@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from liftsim.analysis import (
     GadgetMatrix,
     NormBound,
+    _squared_two_norm,
     dt_error,
     fourier_coefficient,
     fourier_pointwise_check,
@@ -27,6 +29,7 @@ from liftsim.core import (
     ExplicitBobSet,
     PartialAssignment,
     Rect,
+    compose_eval,
 )
 from liftsim.entropy import SetVar
 from liftsim.errors import DomainError, ResourceError
@@ -211,6 +214,20 @@ def test_tv_examples():
     assert tv_distance(d, d2) == Fraction(1, 4)
 
 
+_weights = st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 50), min_size=1)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(w1=_weights, w2=_weights)
+def test_tv_is_half_the_l1_sum(w1, w2):
+    """1 - sum of min(p, q) over the common support is half the L1 distance,
+    overlapping supports or not."""
+    d1, d2 = ExactDist.from_counts(w1), ExactDist.from_counts(w2)
+    half_l1 = sum((abs(d1.prob(o) - d2.prob(o)) for o in d1.support | d2.support),
+                  Fraction(0)) / 2
+    assert tv_distance(d1, d2) == tv_distance(d2, d1) == half_l1
+
+
 def test_support_check_examples():
     d = ExactDist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
     assert support_check(d, d)
@@ -315,6 +332,43 @@ def test_marginals_pair_budget():
         marginals_report(Rect(g.full_X(), g.full_Y()), PartialAssignment.free_everywhere(1),
                          (0,), g, pair_budget=7)
     assert (err.value.required, err.value.budget) == (8, 7)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_marginals_tv_is_the_fraction_sum(data):
+    """tv_x and tv_y, taken over one denominator, are the old per-term sums
+    of |c/total - 1/|X||, from a tally of the slice taken here."""
+    n, m = data.draw(st.sampled_from([(1, 2), (1, 4), (2, 2)]), label="n, m")
+    g = instance(n, m)
+    X = data.draw(st.sets(st.tuples(*[st.integers(1, m)] * n), min_size=1), label="X")
+    Y = data.draw(st.sets(st.tuples(*[st.integers(0, 2 ** m - 1)] * n),
+                          min_size=1, max_size=16), label="Y")
+    z = data.draw(st.tuples(*[st.integers(0, 1)] * n), label="z")
+    rep = marginals_report(Rect(X, ExplicitBobSet(n, m, Y)),
+                           PartialAssignment.free_everywhere(n), z, g)
+    hits = [(xs, ys) for xs in X for ys in Y if compose_eval(g, xs, ys) == z]
+    assert rep.intersection_size == len(hits)
+    if not hits:
+        assert (rep.nonempty, rep.tv_x, rep.tv_y) == (False, 1, 1)
+        return
+    xc, yc, total = Counter(x for x, _ in hits), Counter(y for _, y in hits), len(hits)
+    assert rep.tv_x == sum((abs(Fraction(xc[x], total) - Fraction(1, len(X)))
+                            for x in X), Fraction(0)) / 2
+    assert rep.tv_y == sum((abs(Fraction(yc[y], total) - Fraction(1, len(Y)))
+                            for y in Y), Fraction(0)) / 2
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_squared_two_norm_is_the_fraction_sum(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    points = data.draw(st.sets(st.tuples(*[st.integers(1, 4)] * n),
+                               min_size=1, max_size=30), label="points")
+    I = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1), label="I")))
+    counts = Counter(tuple(t[i - 1] for i in I) for t in points)
+    assert _squared_two_norm(SetVar(points, 4), I) == sum(
+        (Fraction(c, len(points)) ** 2 for c in counts.values()), Fraction(0))
 
 
 # --- parity bias and norm bound ---

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import pickle
@@ -43,6 +44,37 @@ from liftsim.protocol import (
     protocol_to_dict,
 )
 from liftsim.simulate import protocol_to_dt
+
+
+def _fraction_fourier_noise(rng, j, n):
+    """cli._fourier_noise as it was written, one Fraction per term: the
+    reference for its sums over one denominator."""
+    probs = {}
+    coeffs = {}
+    for r in range(1, j + 1):
+        for I in itertools.combinations(range(1, j + 1), r):
+            c = Fraction(1, n ** (5 * r)) * Fraction(rng.randint(-100, 100), 100)
+            if c:
+                coeffs[I] = c
+    for z in itertools.product((0, 1), repeat=j):
+        p = Fraction(1, 2 ** j)
+        for I, c in coeffs.items():
+            parity = sum(z[i - 1] for i in I) % 2
+            p += Fraction(1, 2 ** j) * (-c if parity else c)
+        probs[z] = p
+    return simulate.ExactDist(probs)
+
+
+def test_fourier_noise_matches_the_fraction_sums():
+    """Same probabilities in the same order, from the same draws: both leave
+    the Random in the same state."""
+    for seed in range(50):
+        n = (2, 4)[seed % 2]
+        j = 1 + seed // 2 % n
+        ours, ref = random.Random(seed), random.Random(seed)
+        got, want = cli._fourier_noise(ours, j, n), _fraction_fourier_noise(ref, j, n)
+        assert list(got.items()) == list(want.items())
+        assert ours.getstate() == ref.getstate()
 
 
 def run(capsys, *argv):

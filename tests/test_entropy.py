@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -83,7 +84,79 @@ def test_log2_float_rendering():
 def test_as_fraction_reads_floats_decimally():
     assert as_fraction(0.9) == Fraction(9, 10)
     assert as_fraction("0.9") == Fraction(9, 10)
-    assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    third = Fraction(1, 3)
+    assert as_fraction(third) is third  # immutable, so not rebuilt
+
+
+def _fraction_cmp_pow(q, base, exponent):
+    """cmp_pow as it was written over Fractions, before the integer
+    cross-multiplication: the reference the property below holds it to."""
+    q = Fraction(q)
+    if q <= 0:
+        raise DomainError("cmp_pow requires a positive left side")
+    base = Fraction(base)
+    if base <= 0:
+        raise DomainError("cmp_pow requires a positive base")
+    exponent = as_fraction(exponent)
+    lhs = q ** exponent.denominator
+    rhs = base ** exponent.numerator
+    if lhs < rhs:
+        return -1
+    if lhs > rhs:
+        return 1
+    return 0
+
+
+def _outcome(f, *args):
+    """f's result, or the message of the DomainError it raised."""
+    try:
+        return f(*args)
+    except DomainError as e:
+        return str(e)
+
+
+_cmp_values = st.one_of(st.integers(-30, 30),
+                        st.fractions(-30, 30, max_denominator=40),
+                        st.fractions(0, 10 ** 6, max_denominator=10 ** 6))
+_exponents = st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=9),
+                       st.sampled_from([0.9, -0.9, 0.5, -1.5, 0.0, 2.0]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(q=_cmp_values, base=_cmp_values, exponent=_exponents)
+@example(q=0, base=2, exponent=1)
+@example(q=Fraction(-1, 2), base=2, exponent=Fraction(1, 2))
+@example(q=1, base=0, exponent=1)
+@example(q=Fraction(1, 3), base=Fraction(-2, 3), exponent=-1)
+def test_cmp_pow_matches_the_fraction_comparison(q, base, exponent):
+    """Ints, Fractions and float exponents (read through str), exponents
+    negative, zero and non-integral, and both DomainErrors."""
+    assert _outcome(cmp_pow, q, base, exponent) == _outcome(
+        _fraction_cmp_pow, q, base, exponent)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(root=st.one_of(st.integers(1, 40), st.fractions(0, 40, max_denominator=40)
+                      .filter(lambda t: t > 0)),
+       r=st.integers(-7, 7), s=st.integers(1, 7), nudge=st.sampled_from([-1, 0, 1]))
+def test_cmp_pow_exact_powers(root, r, s, nudge):
+    """q = base^(r/s) exactly, with base = root^s and q = root^r, is equality;
+    moving q by a 1/(big) nudge moves the result with it."""
+    base, q = Fraction(root) ** s, Fraction(root) ** r
+    q += Fraction(nudge, 10 ** 12 * q.denominator)
+    e = Fraction(r, s)
+    assert cmp_pow(q, base, e) == _fraction_cmp_pow(q, base, e) == nudge
+    if e.denominator == 1 and base.denominator == q.denominator == 1:
+        assert cmp_pow(int(q), int(base), int(e)) == nudge
+
+
+def test_cmp_pow_refusals():
+    with pytest.raises(DomainError, match="positive left side"):
+        cmp_pow(0, 2, 1)
+    with pytest.raises(DomainError, match="positive left side"):
+        cmp_pow(Fraction(-1, 2), 0, 1)  # the left side is read first
+    with pytest.raises(DomainError, match="positive base"):
+        cmp_pow(1, Fraction(-1, 2), 1)
 
 
 # --- marginal min-entropy, read off the deficiency: H = |I| log m - D ---
@@ -528,6 +601,21 @@ def test_setvar_validation():
         SetVar({(1, 2)}, 4, (2, 2))  # a repeated block
     with pytest.raises(DomainError):
         SetVar({(1, 2)}, 4, (2, 1))  # blocks out of order
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_project_counts_is_the_per_tuple_tally(data):
+    """On 0-3 blocks, keys are tuples, one block included."""
+    n = data.draw(st.integers(1, 3), label="n")
+    m = data.draw(st.sampled_from([2, 3, 4]), label="m")
+    points = data.draw(st.sets(st.tuples(*[st.integers(1, m)] * n),
+                               min_size=1, max_size=30), label="points")
+    v = SetVar(points, m)
+    for r in range(n + 1):
+        for I in itertools.permutations(range(1, n + 1), r):
+            want = Counter(tuple(t[i - 1] for i in sorted(I)) for t in points)
+            assert v.project_counts(I) == want
 
 
 # --- reading a set on some of its blocks ---

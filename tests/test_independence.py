@@ -10,6 +10,11 @@ constructor), every node map's `__call__`, and what those reach.
 
 `leaf_rectangles`, refinement's reference, keeps its Alice split one call of
 the map per tuple; its Bob split goes through the one helper listed in SHARED.
+
+Likewise the partition verifier (`verify_partition_lemma` and the density
+check it runs, `is_blockwise_dense`) reaches none of the partition's own
+code: the partition, its marginal keys, its count threshold and root, and
+its choice of violating set.
 """
 
 import ast
@@ -26,6 +31,11 @@ ORACLES = ("iter_slice", "run_refined", "run_protocol", "replay_transcript_dist"
 MASK_CODE = {"_position_mask", "TableFn.bob_mask", "TableFn.ones",
              "ExplicitBobSet._pieces", "ExplicitBobSet.split",
              "ExplicitBobSet.split_fn", "ExplicitBobSet.slice_counts"}
+
+PARTITION_VERIFIERS = ("verify_partition_lemma", "is_blockwise_dense")
+
+PARTITION_CODE = {"density_restoring_partition", "_key", "violation_threshold",
+                  "_iroot", "_choose_violating_set"}
 
 # helper -> why an oracle may call it although it reaches the mask code
 SHARED = {
@@ -93,8 +103,8 @@ def _reach(edges, root):
 
 def test_mask_code_and_shared_helpers_exist():
     edges = _graph()
-    assert MASK_CODE <= edges.keys()
-    assert set(ORACLES) <= edges.keys()
+    assert MASK_CODE | PARTITION_CODE <= edges.keys()
+    assert set(ORACLES) | set(PARTITION_VERIFIERS) <= edges.keys()
     # each exemption is in use and is needed: without it the oracle would
     # reach the mask code
     assert "_split_bob" in edges["leaf_rectangles"]
@@ -105,4 +115,11 @@ def test_mask_code_and_shared_helpers_exist():
 def test_oracle_reaches_no_mask_code(oracle):
     chains = _reach(_graph(), oracle)
     found = {" -> ".join(chains[q]) for q in MASK_CODE & chains.keys()}
+    assert not found
+
+
+@pytest.mark.parametrize("verifier", PARTITION_VERIFIERS)
+def test_partition_verifier_reaches_no_partition_code(verifier):
+    chains = _reach(_graph(), verifier)
+    found = {" -> ".join(chains[q]) for q in PARTITION_CODE & chains.keys()}
     assert not found
