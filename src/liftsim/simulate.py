@@ -13,21 +13,21 @@ those bits.  The walk ends at a bottom outcome for one of three reasons:
 - deficiency-cutoff (strict_zpp only): a child's Bob deficiency passes the
   cap; checked on entering any child, charged the queries made so far.
 
-These rules are written once (_draws, _enter, _move, _steps, and _row for
-the ledger row of an edge) and read two ways: protocol_to_dt realizes the
-walk as decision trees, and walk_law takes every move and every answer s
-once.  The draws never read z, whose answer s the child's rho records, so
-each leaf or bottom of the law is reached on z with a z-free probability iff
-its rho is consistent with z: simulate_exact sums those of one z.  A node's
-path fixes its q and iteration number, so its moves depend only on the node
-and the config: the law also keeps each node's integer draw weights and each
-edge's landing for every s, down to the leaf or bottom event that holds the
-run's transcript, value and ledger.  simulate_sample draws one run on one z
-from those draws and returns that event's ledger, made of the law's own rows.
-A ledger row depends only on its edge, so the law's ledgers are every ledger
-a run can carry; ledger_exact checks each distinct one once, and the CLI's
+These rules are written once, in walk_law, and read four ways.  walk_law
+takes every move and every answer s once.  The draws never read z, whose
+answer s the child's rho records, so each leaf or bottom of the law is
+reached on z with a z-free probability iff its rho is consistent with z:
+simulate_exact sums those of one z.  A node's path fixes its q and iteration
+number, so its moves depend only on the node and the config: the law also
+keeps each node's integer draw weights and each edge's landing for every s,
+down to the leaf or bottom event that holds the run's transcript, value and
+ledger.  simulate_sample draws one run on one z from those draws and returns
+that event's ledger, made of the law's own rows.  A ledger row depends only
+on its edge, so the law's ledgers are every ledger a run can carry;
+ledger_exact checks each distinct one once, and the CLI's
 "ledger_checks_passed" asserts that all pass and that every sampled run's
-ledger is one of them.
+ledger is one of them.  protocol_to_dt realizes the same draws as an explicit
+mixture of decision trees.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ QUERY_CAP = "query-cap"
 
 ZERO, ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
-NODE_BUDGET = 10 ** 6        # refined nodes one walk_law pass may visit
+NODE_BUDGET = 10 ** 6        # refined nodes one walk_law pass may visit, protocol_to_dt's too
 COMPONENT_BUDGET = 10 ** 5   # decision trees in one realized mixture
 
 
@@ -224,73 +224,6 @@ class WalkLaw(NamedTuple):
     root: Draw | WalkEvent     # the root's draw, or its event when it is a leaf
 
 
-# --- the walk's rules, shared by the law and protocol_to_dt ---
-
-def _draws(node):
-    """The integer-weighted first draw out of an iteration node: its total
-    weight, and its entries in b order with absent children and branches
-    skipped: (|Y^b|, b, None) at a Bob node, (|X^b|, b, [(|X^i|, part), ...])
-    at an Alice node, with |X^b| the sum of its parts' |X^i|, whose second
-    draw picks a part of the branch."""
-    if isinstance(node, RBob):
-        return node.rect.y_size, [(node.children[b].rect.y_size, b, None)
-                                  for b in (0, 1) if node.children[b] is not None]
-    parts = {b: [(len(p.X), p) for p in ps]
-             for b, ps in node.branches.items() if ps is not None}
-    return len(node.rect.X), [(sum(w for w, _ in ps), b, ps) for b, ps in parts.items()]
-
-
-def _enter(child, cfg: SimConfig, cap):
-    """The child, or the strict-ZPP cutoff when its Bob deficiency passes cap
-    bits, i.e. its def_y ratio exceeds 2^cap."""
-    return (DEFICIENCY_CUTOFF if cfg.strict_zpp and cmp_pow(child.def_y, 2, cap) > 0
-            else child)
-
-
-def _move(node, b, part, q, cfg: SimConfig, cap, answers):
-    """Bit b, then part at an Alice node, after q queries: the coordinates
-    queried, and one landing (s, messages, node or bottom reason, queries
-    charged) for each s in the iterable answers; s is "" for a Bob bit or a
-    capped part, which have no answer round and ignore answers."""
-    if part is None:
-        return (), [("", (("b", b),), _enter(node.children[b], cfg, cap), q)]
-    if cfg.query_cap is not None and q + len(part.coords) > cfg.query_cap:
-        return (), [("", (("b", b),), QUERY_CAP, q)]
-    q += len(part.coords)
-    sent = (("b", b), ("i", part.order))
-    return part.coords, [
-        (s, sent + (("s", s),), IMPOSSIBLE_S if part.s_children[s] is None
-         else _enter(part.s_children[s], cfg, cap), q)
-        for s in answers]
-
-
-def _row(iteration, node, total, wb, b, part, target) -> LedgerRow:
-    """The ledger row of the edge taking bit b, drawn with weight wb of total,
-    then part at an Alice node; of its landing target only QUERY_CAP counts."""
-    before = node.potential
-    if part is None:
-        return LedgerRow(iteration, ONE, ONE, 0, before, node.children[b].potential)
-    gamma = Fraction(total, wb)
-    if target == QUERY_CAP:
-        # no part announcement and no queries: only Alice's bit counts
-        return LedgerRow(iteration, gamma, ONE, 0, before, before * gamma)
-    # the part's potential exists even when the bit-fixing child does not
-    return LedgerRow(iteration, gamma, part.delta_ratio, len(part.coords), before,
-                     part.potential)
-
-
-def _steps(node, q, cfg: SimConfig, cap):
-    """Every move out of an iteration node, with every answer s: the node's
-    total weight, and per move (wi, wb, b, part) + _move's result, in b then
-    part order; the move's probability is wi/total, and total and wb are
-    _row's weights."""
-    total, draws = _draws(node)
-    return total, [
-        (wi, wb, b, part)
-        + _move(node, b, part, q, cfg, cap, () if part is None else part.s_children)
-        for wb, b, parts in draws for wi, part in parts or [(wb, None)]]
-
-
 # --- the sampler and the law ---
 
 def _pick(rng, draw: Draw):
@@ -326,42 +259,73 @@ def simulate_sample(law: WalkLaw, z, seed: int) -> SimOutcome:
 def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
     """The walk's terminal events over every z, and each node's draw: one
     depth-first pass taking every move and every answer s, visiting at most
-    NODE_BUDGET nodes.  A ledger row does not depend on s, so it is built
+    NODE_BUDGET nodes.  A Bob bit b is one Edge of weight |Y^b|; an Alice bit
+    b is a Draw of total |X^b| over its parts, each an Edge of weight |X^i|.
+    A path's weight is carried as an integer pair (num, den), made one
+    Fraction at its event.  A ledger row does not depend on s, so it is built
     once per edge."""
     cap = cfg.cap_bits(rp.G.n)
+    query_cap = cfg.query_cap
     events = []
     visits = itertools.count(1)
 
-    def event(*fields):
-        events.append(WalkEvent(*fields))
+    def event(num, den, *fields):
+        events.append(WalkEvent(Fraction(num, den), *fields))
         return events[-1]
 
-    def walk(node, w, q, t, ledger):
+    def land(node, coords, s, child, num, den, q, t, ledger):
+        """The walk on child after answer s on coords, or its bottom:
+        impossible-s when the child is absent, the strict-ZPP cutoff when its
+        Bob deficiency passes cap bits, i.e. its def_y ratio exceeds 2^cap."""
+        if child is not None and not (cfg.strict_zpp and cmp_pow(child.def_y, 2, cap) > 0):
+            return walk(child, num, den, q, t, ledger)
+        return event(num, den, node.rho.assign(coords, map(int, s)), BOT, BOT, q,
+                     IMPOSSIBLE_S if child is None else DEFICIENCY_CUTOFF, ledger)
+
+    def walk(node, num, den, q, t, ledger):
         """Fold node's subtree into events; return its Draw, or its event at a leaf."""
         if (visited := next(visits)) > NODE_BUDGET:
             raise ResourceError("walk law traversal", visited, NODE_BUDGET)
         if isinstance(node, RLeaf):
-            return event(w, node.rho, t, node.value, q, None, ledger)
-        total, steps = _steps(node, q, cfg, cap)
-        bits = {}              # b -> (wb, [Edge, ...]), in b order
-        for wi, wb, b, part, coords, landings in steps:
-            path = ledger + (_row(len(ledger) + 1, node, total, wb, b, part,
-                                  landings[0][2]),)
-            p = w * Fraction(wi, total)
-            lands = {}
-            for s, msgs, target, q2 in landings:
-                if isinstance(target, str):
-                    rho = node.rho.assign(coords, map(int, s))
-                    lands[s] = event(p, rho, BOT, BOT, q2, target, path)
-                else:
-                    lands[s] = walk(target, p, q2, t + msgs, path)
-            bits.setdefault(b, (wb, []))[1].append(Edge(wi, coords, lands))
-        # a Bob bit is one edge; an Alice bit draws again, among its parts
-        return Draw(total, [edges[0] if isinstance(node, RBob) else Draw(wb, edges)
-                            for wb, edges in bits.values()])
+            return event(num, den, node.rho, t, node.value, q, None, ledger)
+        before, it = node.potential, len(ledger) + 1
+        if isinstance(node, RBob):
+            total = node.rect.y_size
+            return Draw(total, [
+                Edge(c.rect.y_size, (), {"": land(
+                    node, (), "", c, num * c.rect.y_size, den * total, q, t + (("b", b),),
+                    ledger + (LedgerRow(it, ONE, ONE, 0, before, c.potential),))})
+                for b, c in node.children.items() if c is not None])
+        total = len(node.rect.X)
+        den *= total
+        bits = []              # one Draw per present bit, in b order
+        for b, parts in node.branches.items():
+            if parts is None:
+                continue
+            wb = sum(len(part.X) for part in parts)
+            gamma = Fraction(total, wb)
+            edges = []
+            for part in parts:
+                wi, coords = len(part.X), part.coords
+                if query_cap is not None and q + len(coords) > query_cap:
+                    # no part announcement and no queries: only Alice's bit counts
+                    row = LedgerRow(it, gamma, ONE, 0, before, before * gamma)
+                    edges.append(Edge(wi, (), {"": event(
+                        num * wi, den, node.rho, BOT, BOT, q, QUERY_CAP, ledger + (row,))}))
+                    continue
+                # the part's potential exists even when the bit-fixing child does not
+                path = ledger + (LedgerRow(it, gamma, part.delta_ratio, len(coords), before,
+                                           part.potential),)
+                sent = t + (("b", b), ("i", part.order))
+                edges.append(Edge(wi, coords, {
+                    s: land(node, coords, s, c, num * wi, den, q + len(coords),
+                            sent + (("s", s),), path)
+                    for s, c in part.s_children.items()}))
+            bits.append(Draw(wb, edges))
+        return Draw(total, bits)
 
-    root = walk(rp.root, ONE, 0, (), ())
-    del walk                   # it closes over itself: free the events with the law
+    root = walk(rp.root, 1, 1, 0, (), ())
+    del walk, land             # they close over each other: free the events with the law
     by_rho = {}
     for e in events:
         by_rho.setdefault(e.rho, []).append(e)
@@ -428,64 +392,67 @@ def _merge_components(components):
     return [(w, root) for root, w in merged.items()]
 
 
+def _realize(node):
+    """The law's walk from node as a mixture of deterministic subtrees:
+    (den, [(num, tree), ...]), each tree taken with probability num/den.  A
+    Draw takes each Edge with probability edge.weight / draw.total, an Alice
+    bit's parts read directly against the node's total; the answers s of an
+    edge get independent realizations, tensored by _query_chains."""
+    if isinstance(node, WalkEvent):
+        return 1, [(1, DLeaf(node.value))]
+    chains = [(edge.weight, _query_chains(edge.coords, {
+                   s: _realize(landing) for s, landing in edge.landings.items()}))
+              for entry in node.entries
+              for edge in (entry.entries if isinstance(entry, Draw) else (entry,))]
+    den = math.lcm(*(d for _, (d, _) in chains))
+    return node.total * den, _merge_components(
+        [(w * num * (den // d), t) for w, (d, mix) in chains for num, t in mix])
+
+
+def _query_chains(coords, per_s):
+    """Tensor the independent realizations of each answer s into a mixture
+    of query chains over coords, over the product of their denominators."""
+    if not coords:
+        return per_s[""]
+    answers = sorted(per_s)
+    size = math.prod(len(per_s[s][1]) for s in answers)
+    if size > COMPONENT_BUDGET:
+        raise ResourceError("decision-tree realization", size, COMPONENT_BUDGET)
+
+    def chain(coords_left, prefix, chosen):
+        if not coords_left:
+            return chosen[prefix]
+        c = coords_left[0]
+        return DQuery(c,
+                      chain(coords_left[1:], prefix + "0", chosen),
+                      chain(coords_left[1:], prefix + "1", chosen))
+
+    # the first answer varies slowest
+    return math.prod(per_s[s][0] for s in answers), _merge_components(
+        [(math.prod(w for w, _ in combo),
+          chain(coords, "", dict(zip(answers, (t for _, t in combo)))))
+         for combo in itertools.product(*(per_s[s][1] for s in answers))]
+    )
+
+
 def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
                    pair_budget: int = PAIR_BUDGET_DEFAULT) -> RandomizedDecisionTree:
     """Lift a protocol to a randomized decision tree.
 
-    Pick a deterministic component, refine it, and realize the simulator's
-    walk over the refined tree as an explicit mixture of deterministic
-    decision trees whose leaves carry the refined-leaf values (bottom leaves
-    preserved).  Distinct query branches get independent realizations, which
-    leaves the per-input output distribution unchanged.
+    Pick a deterministic component, refine it, and realize its walk law as an
+    explicit mixture of deterministic decision trees whose leaves carry the
+    refined-leaf values (bottom leaves preserved).  Distinct query branches
+    get independent realizations, which leaves the per-input output
+    distribution unchanged.  Each component's law visits at most NODE_BUDGET
+    nodes.
     """
-    G = PI.G
     components = (PI.components if isinstance(PI, RandomizedProtocol)
                   else [(ONE, PI)])
-    cap = cfg.cap_bits(G.n)
     out = []
-
-    def realize(node, q):
-        """Mixture of deterministic subtrees for the walk started at node."""
-        if isinstance(node, RLeaf):
-            return [(ONE, DLeaf(node.value))]
-        mix = []
-        total, steps = _steps(node, q, cfg, cap)
-        for wi, *_, coords, landings in steps:
-            p = Fraction(wi, total)
-            per_s = {s: [(ONE, DLeaf(BOT))] if isinstance(target, str)
-                     else realize(target, q2) for s, _, target, q2 in landings}
-            mix.extend((p * w, t) for w, t in query_chains(coords, per_s))
-        return _merge_components(mix)
-
-    def query_chains(coords, per_s):
-        """Tensor the independent realizations of each answer s into a
-        mixture of query chains over coords."""
-        if not coords:
-            return per_s[""]
-        answers = sorted(per_s)
-        size = math.prod(len(per_s[s]) for s in answers)
-        if size > COMPONENT_BUDGET:
-            raise ResourceError("decision-tree realization", size, COMPONENT_BUDGET)
-
-        def chain(coords_left, prefix, chosen):
-            if not coords_left:
-                return chosen[prefix]
-            c = coords_left[0]
-            return DQuery(c,
-                          chain(coords_left[1:], prefix + "0", chosen),
-                          chain(coords_left[1:], prefix + "1", chosen))
-
-        # the first answer varies slowest
-        return _merge_components(
-            [(math.prod(w for w, _ in combo),
-              chain(coords, "", dict(zip(answers, (t for _, t in combo)))))
-             for combo in itertools.product(*(per_s[s] for s in answers))]
-        )
-
     for w, pt in components:
-        rp = refine(pt, cfg.delta, pair_budget=pair_budget)
-        out.extend((w * wt, t) for wt, t in realize(rp.root, 0))
+        den, mix = _realize(walk_law(refine(pt, cfg.delta, pair_budget=pair_budget), cfg).root)
+        out.extend((w * Fraction(num, den), t) for num, t in mix)
         if len(out) > COMPONENT_BUDGET:
             raise ResourceError("decision-tree realization", len(out), COMPONENT_BUDGET)
     merged = _merge_components(out)
-    return RandomizedDecisionTree(G.n, [(w, DecisionTree(G.n, t)) for w, t in merged])
+    return RandomizedDecisionTree(PI.G.n, [(w, DecisionTree(PI.G.n, t)) for w, t in merged])

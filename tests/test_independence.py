@@ -15,6 +15,9 @@ Likewise the partition verifier (`verify_partition_lemma` and the density
 check it runs, `is_blockwise_dense`) reaches none of the partition's own
 code: the partition, its marginal keys, its count threshold and root, and
 its choice of violating set.
+
+And the ledger check, the independent judge of every run's ledger, reaches
+neither the walk law that builds the ledgers nor the refinement under it.
 """
 
 import ast
@@ -40,8 +43,12 @@ PARTITION_CODE = {"density_restoring_partition", "_key", "violation_threshold",
 # helper -> why an oracle may call it although it reaches the mask code
 SHARED = {
     "_split_bob": "leaf_rectangles cuts Bob's side with the split refine uses "
-                  "(ROADMAP item 2: the source-protocol reference is still open)",
+                  "(ROADMAP item 6: the source-protocol reference is still open)",
 }
+
+LEDGER_CHECK = "ledger_check"
+
+LEDGER_BUILDERS = {"walk_law", "refine"}
 
 CONSTRUCTORS = ("__init__", "__post_init__", "__new__")
 
@@ -103,8 +110,8 @@ def _reach(edges, root):
 
 def test_mask_code_and_shared_helpers_exist():
     edges = _graph()
-    assert MASK_CODE | PARTITION_CODE <= edges.keys()
-    assert set(ORACLES) | set(PARTITION_VERIFIERS) <= edges.keys()
+    assert MASK_CODE | PARTITION_CODE | LEDGER_BUILDERS <= edges.keys()
+    assert set(ORACLES) | set(PARTITION_VERIFIERS) | {LEDGER_CHECK} <= edges.keys()
     # each exemption is in use and is needed: without it the oracle would
     # reach the mask code
     assert "_split_bob" in edges["leaf_rectangles"]
@@ -122,4 +129,10 @@ def test_oracle_reaches_no_mask_code(oracle):
 def test_partition_verifier_reaches_no_partition_code(verifier):
     chains = _reach(_graph(), verifier)
     found = {" -> ".join(chains[q]) for q in PARTITION_CODE & chains.keys()}
+    assert not found
+
+
+def test_ledger_check_reaches_no_ledger_builder():
+    chains = _reach(_graph(), LEDGER_CHECK)
+    found = {" -> ".join(chains[q]) for q in LEDGER_BUILDERS & chains.keys()}
     assert not found

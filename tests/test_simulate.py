@@ -106,9 +106,9 @@ def test_sample_reproducible():
 
 
 def test_sample_reads_only_the_law(monkeypatch):
-    """Once the law is built, a run only reads its draws: it rebuilds no
-    node's draws, moves or ledger rows, and its ledger holds the law's own
-    row objects."""
+    """Once the law is built, a run only reads its draws: walk_law is the only
+    code that builds a move or a ledger row, and the sampler does not call
+    it; a run's ledger holds the law's own row objects."""
     laws = [walk_law(rp, cfg) for rp in _walk_cases() for cfg in PINNED_CONFIGS]
 
     def runs():
@@ -120,8 +120,7 @@ def test_sample_reads_only_the_law(monkeypatch):
     def rebuilt(*args):
         raise AssertionError("the sampler rebuilt a move of the walk")
 
-    for name in ("_draws", "_move", "_row"):
-        monkeypatch.setattr(simulate, name, rebuilt)
+    monkeypatch.setattr(simulate, "walk_law", rebuilt)
     assert runs() == before
     law_rows = {id(row) for law in laws for e in law.events for row in e.ledger}
     assert all(id(row) in law_rows for out in before for row in out.ledger)
@@ -616,12 +615,13 @@ def test_protocol_to_dt_mixture_budget(monkeypatch):
 def _one_bit_law_at_node_budget(monkeypatch):
     """The law takes both answers of the one-bit fixture's part, so it visits
     the root and four leaves: refused at four nodes, built at five.  The one
-    counter serves every z and the ledger check alike."""
+    counter serves every z, the ledger check and the realization alike."""
     rp = refine(one_bit_fixture(), CFG.delta)
     monkeypatch.setattr(simulate, "NODE_BUDGET", 4)
-    with pytest.raises(ResourceError) as exc:
-        walk_law(rp, CFG)
-    assert (exc.value.required, exc.value.budget) == (5, 4)
+    for build in (lambda: walk_law(rp, CFG), lambda: protocol_to_dt(one_bit_fixture(), CFG)):
+        with pytest.raises(ResourceError) as exc:
+            build()
+        assert (exc.value.required, exc.value.budget) == (5, 4)
     monkeypatch.setattr(simulate, "NODE_BUDGET", 5)
     return walk_law(rp, CFG)
 
@@ -722,6 +722,22 @@ def test_sampler_seeded_output_pinned():
     assert h.hexdigest() == PINNED_SAMPLER_DIGEST
 
 
+# sha256 of protocol_to_dt's components, (weight, tree) in order, for each
+# walk case under each pinned config and for the third-error mixture.  A
+# change means the realized trees, their order or an exact weight changed.
+PINNED_MIXTURE_DIGEST = (
+    "394164c24999220b1b1d1be675d383edfdfab94a9f0447ca507ea493b672ae80")
+
+
+def test_realized_mixture_pinned():
+    h = hashlib.sha256()
+    cases = [(rp.source, cfg) for rp in _walk_cases() for cfg in PINNED_CONFIGS]
+    for PI, cfg in cases + [(third_error_mixture(2)[0], CFG)]:
+        for w, t in protocol_to_dt(PI, cfg).components:
+            h.update(repr((w, t.root)).encode() + b"\n")
+    assert h.hexdigest() == PINNED_MIXTURE_DIGEST
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(proto_seed=st.integers(0, 2 ** 32 - 1),
        shape=st.sampled_from([(1, 2), (2, 2), (2, 4)]),
@@ -733,7 +749,11 @@ def test_walk_differential_property(proto_seed, shape, depth, strict, def_cap,
                                     query_cap):
     """protocol_to_dt and simulate_exact agree on every z, every path ledger
     passes, and every seeded sample lands in the exact support, passes the
-    ledger check and carries one of the path ledgers."""
+    ledger check and carries one of the path ledgers.
+
+    Both sides read walk_law, so the agreement checks only the realization
+    against the law; the law's independent references are reference_walk
+    and reference_sample."""
     n, m = shape
     pt = random_protocol(random.Random(proto_seed), instance(n, m), depth)
     cfg = SimConfig(strict_zpp=strict, deficiency_cap=def_cap, query_cap=query_cap)
