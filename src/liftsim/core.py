@@ -364,8 +364,8 @@ class ExplicitBobSet:
 
     def split_fn(self, fn):
         """(elements fn maps to 0, the rest): Y ANDed with the table map's
-        1-mask, `fn.bob_mask`, which the map builds once and keeps."""
-        ones = self.bits & fn.bob_mask(self.n, self.m)
+        1-mask, `fn.bob_mask`, which the map reads once and keeps."""
+        ones = self.bits & fn.bob_mask
         return self._subset(self.bits ^ ones), self._subset(ones)
 
     def deficiency(self) -> Fraction:

@@ -37,7 +37,7 @@ def instance(n: int, m: int) -> ComposedInstance:
 
 
 def alice_predicate(G: ComposedInstance, pred) -> TableFn:
-    return TableFn({xs: int(pred(xs)) for xs in G.alice_domain()})
+    return TableFn(G, ALICE, "".join("1" if pred(xs) else "0" for xs in G.alice_domain()))
 
 
 def one_bit_fixture(m: int = 2) -> ProtocolTree:
@@ -201,11 +201,9 @@ def random_protocol(rng: random.Random, G: ComposedInstance,
     def build(d):
         if d >= max_depth or (d > 0 and rng.random() < 0.25):
             return PLeaf(rng.randint(0, 1))
-        if rng.random() < 0.5:
-            fn = TableFn({xs: rng.randint(0, 1) for xs in alice_domain})
-            return PNode(ALICE, fn, build(d + 1), build(d + 1))
-        fn = TableFn({ys: rng.randint(0, 1) for ys in bob_domain})
-        return PNode(BOB, fn, build(d + 1), build(d + 1))
+        owner, domain = (ALICE, alice_domain) if rng.random() < 0.5 else (BOB, bob_domain)
+        fn = TableFn(G, owner, "".join(str(rng.randint(0, 1)) for _ in domain))
+        return PNode(owner, fn, build(d + 1), build(d + 1))
 
     return ProtocolTree(G, build(0))
 

@@ -10,6 +10,7 @@ iteration stays structured with respect to the running partial assignment.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,30 +40,38 @@ TABLE_BUDGET = 2 ** 20   # largest Bob domain written out as a table
 # --- node send-functions ---
 
 class TableFn:
-    """Extensional input -> bit map, stored as an explicit table."""
+    """Extensional input -> bit map over G's `owner` inputs, stored as a
+    fixture stores it: one '0'/'1' string in `alice_domain`/`bob_domain`
+    order.  Its other views are read from the string on first use."""
 
-    def __init__(self, table):
-        self.table = dict(table)
-        for v in self.table.values():
-            if v not in (0, 1):
-                raise DomainError("table values must be bits")
-        self._bob_masks = {}
+    def __init__(self, G: ComposedInstance, owner: str, bits):
+        size = G.alice_size if owner == ALICE else G.bob_size
+        if not isinstance(bits, str) or len(bits) != size or bits.strip("01"):
+            got = f"{len(bits)} characters" if isinstance(bits, str) else type(bits).__name__
+            raise DomainError(f"{owner} table needs {size} '0'/'1' bits, got {got}")
+        self.G = G
+        self.owner = owner
+        self.bits = bits
+        self._table = None  # input -> bit, built on the first call
+
+    def _domain(self):
+        return self.G.alice_domain() if self.owner == ALICE else self.G.bob_domain()
 
     def __call__(self, inp):
-        return self.table[tuple(inp)]
+        if self._table is None:
+            self._table = dict(zip(self._domain(), map(int, self.bits)))
+        return self._table[tuple(inp)]
 
     @cached_property
     def ones(self) -> frozenset:
         """The inputs mapped to 1, listed on first use and kept."""
-        return frozenset(inp for inp, b in self.table.items() if b)
+        return frozenset(itertools.compress(self._domain(), map("1".__eq__, self.bits)))
 
-    def bob_mask(self, n: int, m: int) -> int:
-        """The inputs mapped to 1 as an ExplicitBobSet mask over
-        ({0,1}^m)^n, built on first use and kept with the map."""
-        if (n, m) not in self._bob_masks:
-            ones = (ys for ys, b in self.table.items() if b)
-            self._bob_masks[n, m] = ExplicitBobSet(n, m, ones).bits
-        return self._bob_masks[n, m]
+    @cached_property
+    def bob_mask(self) -> int:
+        """The inputs mapped to 1 as an ExplicitBobSet mask, whose index
+        order is the Bob domain's: bit i is the string's i-th character."""
+        return int(self.bits[::-1], 2)
 
 
 class BitFn:
@@ -102,11 +111,8 @@ class ProtocolTree:
         self._validate()
 
     def _validate(self):
-        alice_size = self.G.alice_size
-        bob_size = self.G.bob_size
         depth = 0
         bob_tables = False
-        domains = {}  # owner -> that side's inputs, listed on first use
         stack = [(self.root, 0)]
         while stack:
             node, d = stack.pop()
@@ -117,16 +123,9 @@ class ProtocolTree:
                 raise DomainError(f"unknown owner {node.owner!r}")
             fn = node.fn
             if isinstance(fn, TableFn):
-                expect = alice_size if node.owner == ALICE else bob_size
-                if len(fn.table) != expect:
-                    raise DomainError(
-                        f"{node.owner} table has {len(fn.table)} entries, needs {expect}"
-                    )
-                if node.owner not in domains:
-                    domains[node.owner] = frozenset(
-                        self.G.alice_domain() if node.owner == ALICE else self.G.bob_domain())
-                if fn.table.keys() != domains[node.owner]:
-                    raise DomainError(f"{node.owner} table is not keyed by the {node.owner} inputs")
+                if (fn.G, fn.owner) != (self.G, node.owner):
+                    raise DomainError(f"{node.owner} node holds a table built for "
+                                      f"{fn.owner} on {fn.G}")
                 bob_tables = bob_tables or node.owner == BOB
             elif isinstance(fn, BitFn):
                 if node.owner != BOB:
@@ -307,7 +306,8 @@ def dt_to_protocol(T, G: ComposedInstance):
             return PNode(BOB, reply,
                          build(dnode.zero), build(dnode.one))
         shift = k - t
-        fn = TableFn({xs: ((xs[i - 1] - 1) >> shift) & 1 for xs in G.alice_domain()})
+        fn = TableFn(G, ALICE, "".join(str(((xs[i - 1] - 1) >> shift) & 1)
+                                       for xs in G.alice_domain()))
         return PNode(ALICE, fn,
                      pointer_chain(dnode, i, t + 1, prefix << 1),
                      pointer_chain(dnode, i, t + 1, (prefix << 1) | 1))
@@ -505,11 +505,10 @@ def project_transcript(refined_transcript) -> tuple:
 
 # --- serialization: canonical nested JSON-friendly dicts ---
 
-def _fn_to_dict(fn, domain):
+def _fn_to_dict(fn):
     if isinstance(fn, BitFn):
         return {"kind": "bit", "block": fn.block, "pos": fn.pos}
-    bits = "".join(str(fn.table[inp]) for inp in domain)
-    return {"kind": "table", "bits": bits}
+    return {"kind": "table", "bits": fn.bits}
 
 
 def _leaf_value_out(v):
@@ -526,16 +525,13 @@ def protocol_to_dict(pt: ProtocolTree) -> dict:
     G = pt.G
     if pt.bob_tables and G.bob_size > TABLE_BUDGET:
         raise ResourceError("Bob table serialization", G.bob_size, TABLE_BUDGET)
-    alice_domain = list(G.alice_domain())
-    bob_domain = list(G.bob_domain()) if pt.bob_tables else []
 
     def node_out(node):
         if isinstance(node, PLeaf):
             return {"leaf": _leaf_value_out(node.value)}
-        domain = alice_domain if node.owner == ALICE else bob_domain
         return {
             "owner": node.owner,
-            "fn": _fn_to_dict(node.fn, domain),
+            "fn": _fn_to_dict(node.fn),
             "0": node_out(node.zero),
             "1": node_out(node.one),
         }
@@ -554,18 +550,13 @@ def protocol_from_dict(d) -> ProtocolTree:
     if d["gadget"]["kind"] != "index":
         raise DomainError("only index-gadget protocols are serialized")
     G = ComposedInstance(d["n"], d["gadget"]["m"])
-    domains = {}  # is Alice the owner -> that side's inputs, listed on first use
 
     def fn_in(owner, fd):
         if fd["kind"] == "bit":
             return BitFn(fd["block"], fd["pos"], G.m)
-        bits, alice = fd["bits"], owner == ALICE
-        size = G.alice_size if alice else G.bob_size
-        if not isinstance(bits, str) or len(bits) != size:
-            raise DomainError(f"{owner} table has {len(bits)} bits, needs {size}")
-        if alice not in domains:
-            domains[alice] = list(G.alice_domain() if alice else G.bob_domain())
-        return TableFn(zip(domains[alice], map(int, bits)))
+        if fd["kind"] != "table":
+            raise DomainError(f"unknown map kind {fd['kind']!r}")
+        return TableFn(G, owner, fd["bits"])
 
     def node_in(nd, depth=0):
         if depth > DEPTH_CAP:  # refused before recursion can exhaust the stack

@@ -119,7 +119,7 @@ def test_auto_counts_when_the_count_fits_the_budget():
     at a budget of 64, replays the slice at 63, and refuses at 15 with the
     smaller of the two costs."""
     G = instance(2, 2)
-    bob_xor = TableFn({ys: (ys[0] ^ ys[1]) & 1 for ys in G.bob_domain()})
+    bob_xor = TableFn(G, BOB, "".join(str((ys[0] ^ ys[1]) & 1) for ys in G.bob_domain()))
     pt = ProtocolTree(G, PNode(BOB, bob_xor, PLeaf(0), PLeaf(1)))
     z = (0, 1)
 
@@ -162,8 +162,7 @@ def _bob_table_protocol():
     """One block, m = 2, Bob sends whether y is 11: the count reads its 2 x 4
     root pairs, 8, against a slice of 4."""
     G = instance(1, 2)
-    return ProtocolTree(G, PNode(BOB, TableFn({ys: int(ys == (3,)) for ys in G.bob_domain()}),
-                                 PLeaf(0), PLeaf(1)))
+    return ProtocolTree(G, PNode(BOB, TableFn(G, BOB, "0001"), PLeaf(0), PLeaf(1)))
 
 
 @pytest.mark.parametrize("z, message", [

@@ -284,9 +284,10 @@ def _bob_table_record(n, m, dead=False):
     """A protocol opening with a Bob table map; with dead=True the map sits
     under an Alice branch that no input takes."""
     g = instance(n, m)
-    node = PNode(BOB, TableFn({ys: ys[0] & 1 for ys in g.bob_domain()}), PLeaf(0), PLeaf(1))
+    last_bit = "".join(str(ys[0] & 1) for ys in g.bob_domain())
+    node = PNode(BOB, TableFn(g, BOB, last_bit), PLeaf(0), PLeaf(1))
     if dead:
-        node = PNode(ALICE, TableFn({xs: 0 for xs in g.alice_domain()}), PLeaf(0), node)
+        node = PNode(ALICE, TableFn(g, ALICE, "0" * g.alice_size), PLeaf(0), node)
     return json.dumps(protocol_to_dict(ProtocolTree(g, node)))
 
 
@@ -610,10 +611,16 @@ def _no_tree():
 
 def _bad_table_bits():
     g = instance(1, 2)
-    fn = TableFn({ys: 0 for ys in g.bob_domain()})
+    fn = TableFn(g, BOB, "0000")
     d = protocol_to_dict(ProtocolTree(g, PNode(BOB, fn, PLeaf(0), PLeaf(1))))
     d["tree"]["fn"]["bits"] = "1a01"
     return json.dumps(d)
+
+
+def _unknown_map_kind():
+    return json.dumps({"format": "protocol", "n": 1, "gadget": {"kind": "index", "m": 2},
+                       "tree": {"owner": "alice", "fn": {"kind": "no-such-kind", "bits": "10"},
+                                "0": {"leaf": 0}, "1": {"leaf": 1}}})
 
 
 def _short_bob_table_m64():
@@ -624,8 +631,9 @@ def _short_bob_table_m64():
 
 
 @pytest.mark.parametrize("make", [_no_tree, lambda: "[1, 2]", _bad_table_bits,
-                                  _short_bob_table_m64],
-                         ids=["no-tree", "json-list", "table-bits-1a", "table-bits-short-m64"])
+                                  _short_bob_table_m64, _unknown_map_kind],
+                         ids=["no-tree", "json-list", "table-bits-1a", "table-bits-short-m64",
+                              "unknown-map-kind"])
 def test_malformed_fixture_exit2(tmp_path, capsys, make):
     path = _write_fixture(tmp_path, "bad.json", make())
     code, _, err = run(capsys, "refine", "--fixture", path)

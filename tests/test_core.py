@@ -24,7 +24,7 @@ from liftsim.core import (
 )
 from liftsim.analysis import replay_transcript_dist
 from liftsim.errors import DomainError, ResourceError
-from liftsim.protocol import PLeaf, ProtocolTree, TableFn, refine
+from liftsim.protocol import BOB, PLeaf, ProtocolTree, TableFn, refine
 
 D = Fraction(9, 10)
 
@@ -374,9 +374,9 @@ def test_explicit_set_matches_tuple_reference(data, nm):
         assert same(piece, frozenset(ys for ys in ref
                                      if "".join(str(_read(ys, b, p, m)) for b, p in P) == s))
 
-    table = dict(zip(domain, data.draw(st.lists(st.integers(0, 1), min_size=len(domain),
-                                                max_size=len(domain)))))
-    zero, one = Y.split_fn(TableFn(table))
+    bits = data.draw(st.text("01", min_size=len(domain), max_size=len(domain)))
+    table = dict(zip(domain, map(int, bits)))
+    zero, one = Y.split_fn(TableFn(G(n, m), BOB, bits))
     assert same(zero, frozenset(ys for ys in ref if table[ys] == 0))
     assert same(one, frozenset(ys for ys in ref if table[ys] == 1))
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftsim.core import (
-    BOT,
     BobCube,
     ComposedInstance,
     ExplicitBobSet,
@@ -18,7 +17,7 @@ from liftsim.core import (
     is_structured,
 )
 from liftsim.errors import DomainError, ResourceError
-from liftsim.fixtures import bob_first_fixture, sweep_family
+from liftsim.fixtures import bob_first_fixture, random_decision_tree, sweep_family
 from liftsim.protocol import (
     ALICE,
     BOB,
@@ -55,9 +54,15 @@ def G(n, m):
     return ComposedInstance(n, m)
 
 
+def table(G_, owner, f):
+    """The owner's table map of f on G_, written out over that side's inputs."""
+    domain = G_.alice_domain() if owner == ALICE else G_.bob_domain()
+    return TableFn(G_, owner, "".join(str(f(inp)) for inp in domain))
+
+
 def alice_eq(G_, i, val):
     """Alice announces [x_i == val]."""
-    return TableFn({xs: int(xs[i - 1] == val) for xs in G_.alice_domain()})
+    return table(G_, ALICE, lambda xs: int(xs[i - 1] == val))
 
 
 def const_protocol(G_, value):
@@ -73,22 +78,18 @@ def one_bit_fixture(m=2):
 
 def random_protocol(rng, G_, max_depth):
     """Random tree shapes, random extensional maps, random leaf bits."""
-    bob_domain = list(G_.bob_domain())
-    alice_domain = list(G_.alice_domain())
+    def coin(_=None):
+        return rng.randint(0, 1)
 
     def build(d):
         if d >= max_depth or rng.random() < 0.25:
-            return PLeaf(rng.randint(0, 1))
-        if rng.random() < 0.5:
-            fn = TableFn({xs: rng.randint(0, 1) for xs in alice_domain})
-            return PNode(ALICE, fn, build(d + 1), build(d + 1))
-        fn = TableFn({ys: rng.randint(0, 1) for ys in bob_domain})
-        return PNode(BOB, fn, build(d + 1), build(d + 1))
+            return PLeaf(coin())
+        owner = ALICE if rng.random() < 0.5 else BOB
+        return PNode(owner, table(G_, owner, coin), build(d + 1), build(d + 1))
 
     root = build(0)
     if isinstance(root, PLeaf):
-        root = PNode(ALICE, TableFn({xs: rng.randint(0, 1) for xs in alice_domain}),
-                     PLeaf(rng.randint(0, 1)), PLeaf(rng.randint(0, 1)))
+        root = PNode(ALICE, table(G_, ALICE, coin), PLeaf(coin()), PLeaf(coin()))
     return ProtocolTree(G_, root)
 
 
@@ -107,7 +108,7 @@ def test_run_protocol_one_bit():
 
 def test_run_protocol_depth_two():
     g = G(1, 2)
-    bob_fn = TableFn({ys: ys[0] & 1 for ys in g.bob_domain()})  # last bit of y
+    bob_fn = table(g, BOB, lambda ys: ys[0] & 1)  # last bit of y
     root = PNode(ALICE, alice_eq(g, 1, 1),
                  PNode(BOB, bob_fn, PLeaf("a"), PLeaf("b")),
                  PNode(BOB, bob_fn, PLeaf("c"), PLeaf("d")))
@@ -116,22 +117,40 @@ def test_run_protocol_depth_two():
     assert run_protocol(pt, (2,), (0b10,)) == ((0, 0), "a")
 
 
-def test_protocol_totality_validated():
-    g = G(1, 2)
-    with pytest.raises(DomainError):
-        ProtocolTree(g, PNode(ALICE, TableFn({(1,): 0}), PLeaf(0), PLeaf(1)))
+@pytest.mark.parametrize("node_owner, g, owner, bits, match", [
+    (ALICE, G(1, 2), ALICE, "1", "needs 2"),
+    (ALICE, G(1, 2), ALICE, "101", "needs 2"),
+    (ALICE, G(1, 2), ALICE, "12", "needs 2"),
+    (ALICE, G(1, 2), ALICE, 0b10, "needs 2"),
+    (ALICE, G(1, 4), ALICE, "1000", "built for"),
+    (BOB, G(1, 2), ALICE, "10", "built for"),
+], ids=["short", "long", "digit-2", "not-str", "other-instance", "alice-under-bob"])
+def test_table_refused(node_owner, g, owner, bits, match):
+    """A table is one '0'/'1' string of its owner's domain size, and a tree
+    takes only tables built for its own instance and the node's owner:
+    refine reads an Alice table's 1-inputs and a Bob table's 1-mask from it."""
+    with pytest.raises(DomainError, match=match):
+        ProtocolTree(G(1, 2), PNode(node_owner, TableFn(g, owner, bits), PLeaf(0), PLeaf(1)))
 
 
-@pytest.mark.parametrize("owner, table", [
-    (ALICE, {(1,): 0, (3,): 1}),                     # (2,) missing, (3,) off [2]
-    (BOB, {(0,): 0, (1,): 1, (2,): 1, (4,): 0}),     # (3,) missing, (4,) off 2 bits
-])
-def test_table_keyed_off_the_domain_refused(owner, table):
-    """A table of the right size must still be keyed by its owner's inputs:
-    refine reads an Alice table's 1-inputs and a Bob table's 1-mask, so an
-    input missing from the table would otherwise be read as a 0."""
-    with pytest.raises(DomainError, match="not keyed by"):
-        ProtocolTree(G(1, 2), PNode(owner, TableFn(table), PLeaf(0), PLeaf(1)))
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), shape=st.sampled_from([(1, 2), (2, 2), (1, 4), (2, 4)]),
+       owner=st.sampled_from([ALICE, BOB]))
+def test_table_views_read_its_bits(data, shape, owner):
+    """Every view of a table map agrees with a direct read of its string:
+    the i-th input of the owner's domain maps to bits[i]."""
+    g = G(*shape)
+    domain = list(g.alice_domain() if owner == ALICE else g.bob_domain())
+    bits = data.draw(st.text("01", min_size=len(domain), max_size=len(domain)))
+    fn = TableFn(g, owner, bits)
+    assert [fn(inp) for inp in domain] == [int(b) for b in bits]
+    ones = [inp for inp, b in zip(domain, bits) if b == "1"]
+    if owner == ALICE:
+        assert fn.ones == frozenset(ones)
+    else:
+        assert fn.bob_mask == ExplicitBobSet(*shape, ones).bits
+    pt = ProtocolTree(g, PNode(owner, fn, PLeaf(0), PLeaf(1)))
+    assert protocol_from_dict(protocol_to_dict(pt)).root.fn.bits == bits
 
 
 def test_leaf_rectangles_zero_comm():
@@ -171,10 +190,10 @@ def test_root_bob_set_one_rule():
     assert isinstance(refine(readouts, D, pair_budget=4).root.rect.Y, BobCube)
     assert isinstance(leaf_rectangles(readouts, pair_budget=4)[(0, 1)].Y, BobCube)
     g = G(1, 4)
-    table = ProtocolTree(g, PNode(BOB, TableFn({ys: ys[0] & 1 for ys in g.bob_domain()}),
-                                  PLeaf(0), PLeaf(1)))
-    for build in (lambda b: refine(table, D, pair_budget=b).root.rect,
-                  lambda b: leaf_rectangles(table, pair_budget=b)[(1,)]):
+    tabled = ProtocolTree(g, PNode(BOB, table(g, BOB, lambda ys: ys[0] & 1),
+                                   PLeaf(0), PLeaf(1)))
+    for build in (lambda b: refine(tabled, D, pair_budget=b).root.rect,
+                  lambda b: leaf_rectangles(tabled, pair_budget=b)[(1,)]):
         with pytest.raises(ResourceError) as err:
             build(8)
         assert (err.value.required, err.value.budget) == (16, 8)
@@ -211,7 +230,7 @@ def test_refine_one_bit_structure():
 
 def test_refine_bob_only_keeps_rho_free():
     g = G(1, 2)
-    bob_fn = TableFn({ys: ys[0] & 1 for ys in g.bob_domain()})
+    bob_fn = table(g, BOB, lambda ys: ys[0] & 1)
     pt = ProtocolTree(g, PNode(BOB, bob_fn, PLeaf(0), PLeaf(1)))
     rp = refine(pt, D)
     assert isinstance(rp.root, RBob)
@@ -296,7 +315,7 @@ def _tabulate_bob_maps(pt):
             return node
         fn = node.fn
         if isinstance(fn, BitFn):
-            fn = TableFn({ys: fn(ys) for ys in g.bob_domain()})
+            fn = table(g, BOB, fn)
         return PNode(node.owner, fn, copy(node.zero), copy(node.one))
 
     return ProtocolTree(g, copy(pt.root))
@@ -395,18 +414,6 @@ def test_dt_to_protocol_cost_formula():
     assert pt.cost == 1 * (g.log_m + 1) == 3
     t2 = DecisionTree(2, DQuery(1, DQuery(2, DLeaf(0), DLeaf(1)), DLeaf(1)))
     assert dt_to_protocol(t2, g).cost == 2 * 3
-
-
-def random_decision_tree(rng, n, depth, allow_bot=False):
-    def build(avail, d):
-        if d >= depth or not avail or rng.random() < 0.3:
-            vals = [0, 1, BOT] if allow_bot else [0, 1]
-            return DLeaf(rng.choice(vals))
-        c = rng.choice(sorted(avail))
-        rest = avail - {c}
-        return DQuery(c, build(rest, d + 1), build(rest, d + 1))
-
-    return DecisionTree(n, build(frozenset(range(1, n + 1)), 0))
 
 
 def test_dt_to_protocol_agrees_with_composed_eval():
