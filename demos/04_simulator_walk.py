@@ -46,7 +46,7 @@ counts = {}
 for seed in range(2000):
     out = simulate_sample(law, z, seed=seed)
     assert out.ledger in ledgers
-    counts[out.outcome] = counts.get(out.outcome, 0) + 1
+    counts[out.transcript] = counts.get(out.transcript, 0) + 1
 print("2000 seeded samples:")
 for t, c in sorted(counts.items(), key=lambda kv: str(kv[0])):
     print(f"  {'bottom' if t is BOT else t}: {c / 2000:.3f} "

@@ -67,7 +67,6 @@ from .protocol import (
 from .simulate import (
     ExactDist,
     SimConfig,
-    SimOutcome,
     ledger_check,
     ledger_exact,
     protocol_to_dt,

@@ -139,7 +139,9 @@ def write_report(out_dir, text, csv_tables):
 
 def _rational(text, flag) -> Fraction:
     try:
-        q = Fraction(text)
+        q = entropy.parse_rational(text)
+    except DomainError as e:
+        raise DomainError(f"{flag} {e}") from None
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"{flag} {text!r} is not a rational number") from None
     if max(abs(q.numerator), q.denominator) > entropy.RATIONAL_BUDGET:
@@ -265,7 +267,7 @@ def cmd_simulate(args):
                         f"{len(failed)} of {len(ledgers)} path ledgers of "
                         f"{args.fixture}; the first has {len(failed[0])} rows "
                         f"and {sum(r.queries for r in failed[0])} queries")
-    # a sample returns its event's own ledger, so identity finds it
+    # a sample is one of the law's events, so identity finds its ledger
     on_path = {id(e.ledger) for e in law.events}
     per_z = {}
     sample_rows = []
@@ -278,7 +280,7 @@ def cmd_simulate(args):
             if id(out.ledger) not in on_path:
                 raise Violation("per-run potential ledger",
                                 f"z={zs} sample {i}", seed=args.seed + i)
-            counts[out.outcome] = counts.get(out.outcome, 0) + 1
+            counts[out.transcript] = counts.get(out.transcript, 0) + 1
         for o, c in sorted(counts.items(), key=lambda kv: transcript_str(kv[0])):
             sample_rows.append([zs, transcript_str(o), c, args.samples,
                                 float(exact.transcripts.prob(o))])

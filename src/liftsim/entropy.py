@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,15 @@ from .errors import DomainError, ResourceError
 
 SUBSET_BUDGET = 2 ** 20  # cap on the number of enumerated coordinate subsets
 RATIONAL_BUDGET = 10 ** 4  # cap on p and q of a given rate p/q; exact tests raise to them
+
+
+def parse_rational(x) -> Fraction:
+    """Fraction(x), but a str whose decimal exponent has over 4 digits is refused
+    before Fraction builds 10**exponent (seconds at 8 digits): no mantissa of at
+    most 4300 digits per integer (Python's cap) brings it back within budget."""
+    if isinstance(x, str) and re.search(r"e[-+]?0*[1-9]\d{4}", x.replace("_", ""), re.I):
+        raise DomainError(f"{x!r}: decimal exponent has more than 4 digits")
+    return Fraction(x)
 
 
 def as_fraction(x) -> Fraction:

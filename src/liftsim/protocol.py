@@ -597,7 +597,7 @@ def randomized_protocol_from_dict(d) -> RandomizedProtocol:
     if d.get("format") != "randomized_protocol":
         raise DomainError("not a randomized-protocol record")
     return RandomizedProtocol(
-        [(Fraction(c["weight"]), protocol_from_dict(c["protocol"]))
+        [(entropy.parse_rational(c["weight"]), protocol_from_dict(c["protocol"]))
          for c in d["components"]]
     )
 

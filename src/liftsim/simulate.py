@@ -22,12 +22,11 @@ number, so its moves depend only on the node and the config: the law also
 keeps each node's integer draw weights and each edge's landing for every s,
 down to the leaf or bottom event that holds the run's transcript, value and
 ledger.  simulate_sample draws one run on one z from those draws and returns
-that event's ledger, made of the law's own rows.  A ledger row depends only
-on its edge, so the law's ledgers are every ledger a run can carry;
-ledger_exact checks each distinct one once, and the CLI's
-"ledger_checks_passed" asserts that all pass and that every sampled run's
-ledger is one of them.  protocol_to_dt realizes the same draws as an explicit
-mixture of decision trees.
+the law's event it reaches.  A ledger row depends only on its edge, so the
+law's ledgers are every ledger a run can carry; ledger_exact checks each
+distinct one once, and the CLI's "ledger_checks_passed" asserts that all pass
+and that every sampled run's ledger is one of them.  protocol_to_dt realizes
+the same draws as an explicit mixture of decision trees.
 """
 
 from __future__ import annotations
@@ -111,23 +110,10 @@ class LedgerRow:
     @functools.cached_property
     def _hash(self):
         """The fields' hash, taken once: each Fraction's hash costs a modular
-        inverse, and every sampled run's ledger is looked up by hash."""
+        inverse, and ledger_exact's dict.fromkeys hashes every event's ledger,
+        whose rows the events below one edge share."""
         return hash((self.iteration, self.gamma_ratio, self.delta_ratio, self.queries,
                      self.potential_before, self.potential_after))
-
-
-@dataclass(frozen=True)
-class SimOutcome:
-    transcript: tuple | None   # None on failure
-    value: object              # leaf value, or BOT on failure
-    failure: str | None        # IMPOSSIBLE_S | DEFICIENCY_CUTOFF | QUERY_CAP
-    queries: tuple             # coordinates in query order
-    ledger: tuple
-    m: int
-
-    @property
-    def outcome(self):
-        return BOT if self.transcript is None else self.transcript
 
 
 class ExactDist:
@@ -191,7 +177,7 @@ class WalkEvent(NamedTuple):
     rho: PartialAssignment
     transcript: object         # refined transcript, or BOT
     value: object              # leaf value, or BOT
-    queries: int               # queries charged
+    queries: tuple             # coordinates charged, in query order
     failure: str | None        # IMPOSSIBLE_S | DEFICIENCY_CUTOFF | QUERY_CAP
     ledger: tuple
 
@@ -235,25 +221,22 @@ def _pick(rng, draw: Draw):
             return entry
 
 
-def simulate_sample(law: WalkLaw, z, seed: int) -> SimOutcome:
+def simulate_sample(law: WalkLaw, z, seed: int) -> WalkEvent:
     """One reproducible run of the random walk on z, read from the law's
     draws: one _pick at a Bob node, two (the bit, then the part) at an Alice
     node, each taken with exactly its rational probability.  Every seeded
     report depends on this draw order.  The run ends at one of the law's
-    events, whose transcript, value and ledger (the law's own rows) it
-    returns."""
-    z = law.G.check_z(z)
-    zs = "".join(map(str, z))
+    events, which it returns: its queries are the coordinates of the edges
+    it took, its ledger the law's own rows."""
+    zs = "".join(map(str, law.G.check_z(z)))
     rng = random.Random(seed)
-    node, queries = law.root, []
+    node = law.root
     while isinstance(node, Draw):
         edge = _pick(rng, node)
         if isinstance(edge, Draw):
             edge = _pick(rng, edge)
-        queries.extend(edge.coords)
         node = edge.landings["".join(zs[i - 1] for i in edge.coords)]
-    return SimOutcome(None if node.failure else node.transcript, node.value, node.failure,
-                      tuple(queries), node.ledger, law.G.m)
+    return node
 
 
 def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
@@ -307,7 +290,7 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
             edges = []
             for part in parts:
                 wi, coords = len(part.X), part.coords
-                if query_cap is not None and q + len(coords) > query_cap:
+                if query_cap is not None and len(q) + len(coords) > query_cap:
                     # no part announcement and no queries: only Alice's bit counts
                     row = LedgerRow(it, gamma, ONE, 0, before, before * gamma)
                     edges.append(Edge(wi, (), {"": event(
@@ -318,13 +301,13 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
                                            part.potential),)
                 sent = t + (("b", b), ("i", part.order))
                 edges.append(Edge(wi, coords, {
-                    s: land(node, coords, s, c, num * wi, den, q + len(coords),
+                    s: land(node, coords, s, c, num * wi, den, q + coords,
                             sent + (("s", s),), path)
                     for s, c in part.s_children.items()}))
             bits.append(Draw(wb, edges))
         return Draw(total, bits)
 
-    root = walk(rp.root, 1, 1, 0, (), ())
+    root = walk(rp.root, 1, 1, (), (), ())
     del walk, land             # they close over each other: free the events with the law
     by_rho = {}
     for e in events:
@@ -340,7 +323,7 @@ def simulate_exact(law: WalkLaw, z) -> SimExact:
     for rho, events in law.by_rho.items():
         if rho.consistent(z):
             for e in events:
-                for d, key in ((transcripts, e.transcript), (queries, e.queries),
+                for d, key in ((transcripts, e.transcript), (queries, len(e.queries)),
                                (values, e.value)):
                     d.setdefault(key, []).append(e.weight)
                 if e.failure is not None:
@@ -352,15 +335,13 @@ def simulate_exact(law: WalkLaw, z) -> SimExact:
 
 
 def ledger_exact(law: WalkLaw) -> dict:
-    """Every ledger the walk can carry, mapped to ledger_check's verdict on it,
-    which reads only an outcome's ledger and m: each distinct one once."""
-    return {ledger: ledger_check(SimOutcome(None, BOT, None, (), ledger, law.G.m),
-                                 law.cfg.delta)
+    """Every ledger the walk can carry -> ledger_check's verdict, each once."""
+    return {ledger: ledger_check(ledger, law.G.m, law.cfg.delta)
             for ledger in dict.fromkeys(e.ledger for e in law.events)}
 
 
-def ledger_check(outcome: SimOutcome, delta) -> bool:
-    """Exact check of the potential bookkeeping of one run.
+def ledger_check(ledger: tuple, m: int, delta) -> bool:
+    """Exact check of one run's potential ledger, on blocks of size m.
 
     Per iteration: the new potential is at most the old one plus the two
     announced drops minus (1-delta) log m per query (the partition-lemma
@@ -369,12 +350,10 @@ def ledger_check(outcome: SimOutcome, delta) -> bool:
     and stays nonnegative.  Both are one cmp_pow on the potentials' ratios.
     delta is refused outside (0, 1).
     """
-    delta = as_rate(delta)
-    k = outcome.m.bit_length() - 1
-    rate = (1 - delta) * k
+    rate = (1 - as_rate(delta)) * (m.bit_length() - 1)   # (1 - delta) log2 m
     product = ONE
     total_queries = 0
-    for row in outcome.ledger:
+    for row in ledger:
         drop = row.gamma_ratio * row.delta_ratio
         if cmp_pow(row.potential_after / (row.potential_before * drop), 2,
                    -rate * row.queries) > 0:

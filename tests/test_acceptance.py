@@ -216,7 +216,7 @@ def test_criterion_6_query_locality_and_ledger():
         for i in range(1000):
             z = tuple(rng.randint(0, 1) for _ in range(n))
             out = simulate_sample(law, z, seed=i)
-            assert ledger_check(out, DELTA)
+            assert ledger_check(out.ledger, pt.G.m, DELTA)
             if out.failure is None:
                 leaf = leaves[out.transcript]
                 assert tuple(sorted(out.queries)) == leaf.rho.fix
@@ -304,7 +304,7 @@ def test_criterion_10_sampler_consistency():
         counts = {}
         for i in range(n_samples):
             out = simulate_sample(law, z, seed=i)
-            counts[out.outcome] = counts.get(out.outcome, 0) + 1
+            counts[out.transcript] = counts.get(out.transcript, 0) + 1
         assert set(counts) <= exact.support
         for o in exact.support:
             p = float(exact.prob(o))

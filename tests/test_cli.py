@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -121,7 +123,7 @@ def test_simulate_ledger_and_dists(capsys):
 def test_simulate_checks_path_ledgers_without_samples(capsys, monkeypatch):
     """Every path ledger is checked before any run is sampled, so a failing
     one is exit 1 at --samples 0, with no seed to reproduce."""
-    monkeypatch.setattr(simulate, "ledger_check", lambda out, delta: False)
+    monkeypatch.setattr(simulate, "ledger_check", lambda ledger, m, delta: False)
     code, out, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
                          "--m", "8", "--samples", "0")
     assert code == 1
@@ -141,7 +143,7 @@ def test_simulate_refuses_sample_off_every_path(capsys, monkeypatch):
         if seed == 6:
             last = out.ledger[-1]
             row = dataclasses.replace(last, queries=last.queries + 1)
-            out = dataclasses.replace(out, ledger=out.ledger[:-1] + (row,))
+            out = out._replace(ledger=out.ledger[:-1] + (row,))
         return out
 
     monkeypatch.setattr(simulate, "simulate_sample", forged)
@@ -161,7 +163,7 @@ def test_simulate_refuses_sample_ledger_not_the_laws_own(capsys, monkeypatch):
 
     def copied(law, z, seed):
         out = sample(law, z, seed)
-        return dataclasses.replace(out, ledger=tuple(list(out.ledger)))
+        return out._replace(ledger=tuple(list(out.ledger)))
 
     monkeypatch.setattr(simulate, "simulate_sample", copied)
     code, _, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
@@ -623,6 +625,13 @@ def _unknown_map_kind():
                                 "0": {"leaf": 0}, "1": {"leaf": 1}}})
 
 
+def _huge_exponent_weight():
+    # refused before Fraction computes 10**10000000
+    d = _mixture_record()
+    d["components"][0]["weight"] = "1e10000000"
+    return json.dumps(d)
+
+
 def _short_bob_table_m64():
     # checked against 2^64 by length alone: the Bob domain is never listed
     return json.dumps({"format": "protocol", "n": 1, "gadget": {"kind": "index", "m": 64},
@@ -631,9 +640,10 @@ def _short_bob_table_m64():
 
 
 @pytest.mark.parametrize("make", [_no_tree, lambda: "[1, 2]", _bad_table_bits,
-                                  _short_bob_table_m64, _unknown_map_kind],
+                                  _short_bob_table_m64, _unknown_map_kind,
+                                  _huge_exponent_weight],
                          ids=["no-tree", "json-list", "table-bits-1a", "table-bits-short-m64",
-                              "unknown-map-kind"])
+                              "unknown-map-kind", "weight-huge-exponent"])
 def test_malformed_fixture_exit2(tmp_path, capsys, make):
     path = _write_fixture(tmp_path, "bad.json", make())
     code, _, err = run(capsys, "refine", "--fixture", path)
@@ -734,15 +744,27 @@ def test_delta_outside_unit_interval_exit2(tmp_path, capsys, command, delta):
     ["sweep", "--m-list", "4", "--delta", "1/10001"],
     ["simulate", "--fixture", "builtin:one-bit", "--strict-zpp", "--deficiency-cap", "10001"],
     ["verify", "--seed", "1", "--deficiency-cap", "1/10001"],
+    ["partition", "--seed", "1", "--count", "1", "--delta", "1e10000000"],
 ], ids=["coords-0", "count-neg", "max-support-0", "jobs-0", "budget-0",
         "samples-neg", "seed-neg", "deficiency-cap-abc", "battery-neg", "m-0", "m-neg",
         "z-ab", "z-2x", "delta-1e-300", "delta-long", "delta-over-budget",
-        "deficiency-cap-over-budget", "deficiency-cap-denominator"])
+        "deficiency-cap-over-budget", "deficiency-cap-denominator", "delta-huge-exponent"])
 def test_bad_numeric_flag_exit2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "config error" in err and argv[-2] in err
     assert "Traceback" not in err and out == ""
+
+
+def test_huge_decimal_exponent_refused_quickly(tmp_path, capsys):
+    """An 8-digit decimal exponent, in --delta or in a mixture weight, is
+    exit 2 before Fraction computes 10**exponent, which takes about 10 s."""
+    path = _write_fixture(tmp_path, "bad.json", _huge_exponent_weight())
+    start = time.perf_counter()
+    codes = [run(capsys, "partition", "--seed", "1", "--count", "1", "--delta", "1e10000000")[0],
+             run(capsys, "refine", "--fixture", path)[0]]
+    assert codes == [2, 2]
+    assert time.perf_counter() - start < 2
 
 
 def test_rational_flags_at_budget_run(capsys):
@@ -1104,12 +1126,24 @@ def test_fuzz_config_exit_codes(conf):
 
 _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout; the same under CPython 3.10, 3.11 and 3.13
+# and under any PYTHONHASHSEED
+_DEMO_STDOUT = {
+    "01": "61c5b9659ca8b579d382ca42508e4628037bd7777255e0885b40d20113b7adfa",
+    "02": "241c11792770f5220a25435e42761191f1431903dbd6f7cf27e798a2046f503f",
+    "03": "b0c51f3200c3e491b110082a78096943cc52def3881ba4a391cef3183d60b5f3",
+    "04": "7ee9cb6b23355127d12a65c748be67da0df15a785e2332b51f2409fd24521081",
+    "05": "c8bd7fcf4bcdcfb89971ef6dc67c70c226fa7a58e6f3c89e19ae653dec6cbe3a",
+}
+
 
 @pytest.mark.parametrize("demo", _DEMOS, ids=[d.stem for d in _DEMOS])
 def test_demo_runs(demo):
-    """Each demo script runs to completion against the source tree."""
+    """Each demo script runs to completion against the source tree and prints
+    its pinned output."""
     root = demo.parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=root,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == _DEMO_STDOUT[demo.stem[:2]]

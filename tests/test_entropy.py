@@ -20,6 +20,7 @@ from liftsim.entropy import (
     exact_sum,
     is_blockwise_dense,
     log2_float,
+    parse_rational,
     verify_partition_lemma,
     violation_threshold,
 )
@@ -86,6 +87,30 @@ def test_as_fraction_reads_floats_decimally():
     assert as_fraction("0.9") == Fraction(9, 10)
     third = Fraction(1, 3)
     assert as_fraction(third) is third  # immutable, so not rebuilt
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mantissa=st.sampled_from(["1", "25", "0.5", "-3.75", ".5"]), e=st.sampled_from("eE"),
+       sign=st.sampled_from(["", "+", "-"]), zeros=st.integers(0, 3),
+       exponent=st.integers(0, 99999))
+def test_parse_rational_refuses_only_long_exponents(mantissa, e, sign, zeros, exponent):
+    """parse_rational is Fraction on a decimal exponent of at most 4 digits
+    after its leading zeros, and refuses a longer one."""
+    text = f"{mantissa}{e}{sign}{'0' * zeros}{exponent}"
+    if exponent < 10 ** 4:
+        assert parse_rational(text) == Fraction(text)
+    else:
+        with pytest.raises(DomainError, match="exponent"):
+            parse_rational(text)
+
+
+def test_parse_rational_numbers_and_underscores():
+    """A number is read by Fraction as is (a float exactly, not through its
+    repr), and underscores do not hide an exponent's length."""
+    assert parse_rational(0.1) == Fraction(0.1) != Fraction("0.1")
+    assert parse_rational(7) == 7
+    with pytest.raises(DomainError, match="exponent"):
+        parse_rational("1e1_0000_000")
 
 
 def _fraction_cmp_pow(q, base, exponent):

@@ -44,7 +44,6 @@ from liftsim.simulate import (
     ExactDist,
     LedgerRow,
     SimConfig,
-    SimOutcome,
     ledger_check,
     ledger_exact,
     protocol_to_dt,
@@ -108,12 +107,14 @@ def test_sample_reproducible():
 def test_sample_reads_only_the_law(monkeypatch):
     """Once the law is built, a run only reads its draws: walk_law is the only
     code that builds a move or a ledger row, and the sampler does not call
-    it; a run's ledger holds the law's own row objects."""
+    it; a run is one of its law's own events, and its ledger holds the law's
+    own row objects."""
     laws = [walk_law(rp, cfg) for rp in _walk_cases() for cfg in PINNED_CONFIGS]
 
     def runs():
-        return [simulate_sample(law, z, seed=seed) for law in laws
-                for z in itertools.product((0, 1), repeat=law.G.n) for seed in range(4)]
+        return [[simulate_sample(law, z, seed=seed)
+                 for z in itertools.product((0, 1), repeat=law.G.n) for seed in range(4)]
+                for law in laws]
 
     before = runs()
 
@@ -122,8 +123,11 @@ def test_sample_reads_only_the_law(monkeypatch):
 
     monkeypatch.setattr(simulate, "walk_law", rebuilt)
     assert runs() == before
+    for law, outs in zip(laws, before):
+        events = {id(e) for e in law.events}
+        assert all(id(out) in events for out in outs)
     law_rows = {id(row) for law in laws for e in law.events for row in e.ledger}
-    assert all(id(row) in law_rows for out in before for row in out.ledger)
+    assert all(id(row) in law_rows for outs in before for out in outs for row in out.ledger)
 
 
 def test_query_count_equals_fixed_blocks():
@@ -291,7 +295,7 @@ def reference_sample(rp, z, cfg, seed):
             r -= w
 
     def bottom(reason):
-        return SimOutcome(None, BOT, reason, tuple(queries), tuple(ledger), rp.G.m)
+        return BOT, BOT, reason, tuple(queries), tuple(ledger)
 
     node = rp.root
     while not isinstance(node, RLeaf):
@@ -324,8 +328,7 @@ def reference_sample(rp, z, cfg, seed):
         if cfg.strict_zpp and child.def_y ** cap.denominator > 2 ** cap.numerator:
             return bottom(DEFICIENCY_CUTOFF)
         node = child
-    return SimOutcome(tuple(transcript), node.value, None, tuple(queries), tuple(ledger),
-                      rp.G.m)
+    return tuple(transcript), node.value, None, tuple(queries), tuple(ledger)
 
 
 @pytest.mark.parametrize("kind", REFERENCE_CONFIGS)
@@ -338,9 +341,10 @@ def test_sample_matches_reference_sample(kind):
         law = walk_law(rp, cfg)
         for z in itertools.product((0, 1), repeat=rp.G.n):
             for seed in range(8):
+                out = simulate_sample(law, z, seed=seed)
                 ref = reference_sample(rp, z, cfg, seed)
-                assert simulate_sample(law, z, seed=seed) == ref
-                reasons_seen.add(ref.failure)
+                assert (out.transcript, out.value, out.failure, out.queries, out.ledger) == ref
+                reasons_seen.add(out.failure)
     expected = {None, IMPOSSIBLE_S}
     expected |= {DEFICIENCY_CUTOFF} if cfg.strict_zpp else set()
     expected |= {QUERY_CAP} if cfg.query_cap else set()
@@ -356,7 +360,7 @@ def test_sample_frequencies_match_exact():
     counts = {}
     for seed in range(n_samples):
         out = simulate_sample(law, z, seed=seed)
-        counts[out.outcome] = counts.get(out.outcome, 0) + 1
+        counts[out.transcript] = counts.get(out.transcript, 0) + 1
     assert set(counts) <= sim.transcripts.support
     for o in sim.transcripts.support:
         p = float(sim.transcripts.prob(o))
@@ -425,7 +429,7 @@ def test_query_cap():
 def test_ledger_zero_queries_trivial():
     out = simulate_sample(walk_law(zero_comm(), CFG), (0,), seed=0)
     assert out.ledger == ()
-    assert ledger_check(out, CFG.delta)
+    assert ledger_check(out.ledger, 2, CFG.delta)
 
 
 def test_ledger_one_bit_values():
@@ -439,7 +443,7 @@ def test_ledger_one_bit_values():
     # free blocks also sits at 0, and 0.1*log2(2)*1 <= gamma + delta = 1
     assert row.potential_before == 2 ** 0
     assert row.potential_after == 2 ** 0
-    assert ledger_check(out, CFG.delta)
+    assert ledger_check(out.ledger, 2, CFG.delta)
 
 
 def test_ledger_battery_including_failures():
@@ -458,7 +462,7 @@ def test_ledger_battery_including_failures():
         for seed in range(40):
             z = tuple(rng.randint(0, 1) for _ in range(n))
             out = simulate_sample(law, z, seed=seed)
-            assert ledger_check(out, cfg.delta)
+            assert ledger_check(out.ledger, m, cfg.delta)
             assert out.ledger in ledgers
             checked += 1
             if out.failure:
@@ -485,7 +489,7 @@ def test_ledger_exact_checks_each_ledger_once(monkeypatch):
     rp = refine(bob_first_fixture(8), CFG.delta)
     checked = []
     monkeypatch.setattr(simulate, "ledger_check",
-                        lambda out, delta: checked.append(out.ledger) or False)
+                        lambda ledger, m, delta: checked.append(ledger) or False)
     ledgers = ledger_exact(walk_law(rp, CFG))
     assert len(checked) == len(ledgers) and set(checked) == set(ledgers)
     assert not any(ledgers.values())
@@ -497,9 +501,9 @@ def test_ledger_check_refuses_rate_outside_unit_interval(delta):
     verifier and SimConfig require; outside it every row would pass."""
     law = walk_law(refine(bob_first_fixture(8), CFG.delta), CFG)
     out = simulate_sample(law, (0,), seed=1)
-    assert out.ledger and ledger_check(out, CFG.delta)
+    assert out.ledger and ledger_check(out.ledger, 8, CFG.delta)
     with pytest.raises(DomainError, match="delta"):
-        ledger_check(out, delta)
+        ledger_check(out.ledger, 8, delta)
 
 
 def test_ledger_row_hash_is_its_fields():
@@ -513,12 +517,8 @@ def test_ledger_row_hash_is_its_fields():
 
 
 def test_ledger_checker_rejects_forged_rows():
-    forged = SimOutcome(
-        transcript=None, value=BOT, failure=IMPOSSIBLE_S, queries=(1,),
-        ledger=(LedgerRow(1, Fraction(1), Fraction(1), 1, Fraction(1), Fraction(1)),),
-        m=4,
-    )
-    assert not ledger_check(forged, Fraction(9, 10))
+    row = LedgerRow(1, Fraction(1), Fraction(1), 1, Fraction(1), Fraction(1))
+    assert not ledger_check((row,), 4, Fraction(9, 10))
 
 
 @pytest.mark.parametrize("after, ok", [(Fraction(17, 10), True),
@@ -527,8 +527,7 @@ def test_ledger_row_exact_boundary(after, ok):
     """gamma = 2, delta_i = 1, one query at m = 4, delta = 9/10: the row holds
     iff after <= 1 * 2 * 2^(-(1/10) * 2 * 1) = 2^(4/5), about 1.741."""
     row = LedgerRow(1, Fraction(2), Fraction(1), 1, Fraction(1), after)
-    out = SimOutcome(None, BOT, IMPOSSIBLE_S, (1,), (row,), 4)
-    assert ledger_check(out, Fraction(9, 10)) is ok
+    assert ledger_check((row,), 4, Fraction(9, 10)) is ok
 
 
 @pytest.mark.parametrize("def_y, cap, cut", [
@@ -704,7 +703,9 @@ def _outcome_record(out) -> str:
     rows = [(r.iteration, r.gamma_ratio, r.delta_ratio, r.queries,
              *_lin_arg(r.potential_before), *_lin_arg(r.potential_after))
             for r in out.ledger]
-    return repr((out.transcript, value, out.failure, out.queries, rows))
+    # PINNED_SAMPLER_DIGEST writes None for a bottom's transcript
+    transcript = None if out.failure else out.transcript
+    return repr((transcript, value, out.failure, out.queries, rows))
 
 
 def test_sampler_seeded_output_pinned():
@@ -767,12 +768,12 @@ def test_walk_differential_property(proto_seed, shape, depth, strict, def_cap,
         assert rdt.output_dist(z) == dict(exact.values.items())
         for seed in range(8):
             out = simulate_sample(law, z, seed=seed)
-            assert exact.transcripts.prob(out.outcome) > 0
+            assert exact.transcripts.prob(out.transcript) > 0
             assert exact.values.prob(out.value) > 0
             assert exact.queries.prob(len(out.queries)) > 0
             if out.failure is None:
-                assert out.transcript is not None
+                assert out.transcript is not BOT
             else:
                 assert exact.bot_reasons.get(out.failure, 0) > 0
-            assert ledger_check(out, cfg.delta)
+            assert ledger_check(out.ledger, m, cfg.delta)
             assert out.ledger in ledgers
