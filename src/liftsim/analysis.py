@@ -28,7 +28,7 @@ from .core import (
     iter_slice,
     slice_count,
 )
-from .entropy import SetVar, cmp_pow, exact_sum, nonempty_subsets
+from .entropy import SetVar, cmp_pow, nonempty_subsets
 from .errors import DomainError, ResourceError
 from .protocol import (
     DecisionTree,
@@ -87,14 +87,16 @@ def replay_transcript_dist(rp: RefinedProtocol, z, *,
 def tv_distance(d1: ExactDist, d2: ExactDist) -> Fraction:
     """Half the L1 distance, over the union of supports (bottom included).
 
-    Both sum to 1, so it is 1 - sum min(p, q) over the common support: one
-    exact_sum, with no difference built per outcome."""
-    return 1 - exact_sum(min(d1.prob(o), d2.prob(o)) for o in d1.support & d2.support)
+    Both sum to 1, so it is 1 - sum min(p, q) over the common support: with
+    p = a/t1 and q = b/t2, one integer sum of min(a t2, b t1) over t1 t2."""
+    c2, t1, t2 = d2.counts, d1.total, d2.total
+    common = sum(min(a * t2, c2[o] * t1) for o, a in d1.counts.items() if o in c2)
+    return Fraction(t1 * t2 - common, t1 * t2)
 
 
 def support_check(t_z: ExactDist, t_true: ExactDist) -> bool:
     """Every non-bottom outcome the simulator can emit occurs on the slice."""
-    return all(o is BOT or t_true.prob(o) > 0 for o in t_z.support)
+    return all(o is BOT or o in t_true.counts for o in t_z.counts)
 
 
 @dataclass(frozen=True)
@@ -223,8 +225,9 @@ def norm_bound_check(I, X: SetVar, Y: SetVar,
 
 
 def fourier_coefficient(D: ExactDist, I) -> Fraction:
-    """E[chi_I(z)] = sum_z D(z) * (-1)^(parity of z on I)."""
-    return exact_sum(-p if sum(z[i - 1] for i in I) % 2 else p for z, p in D.items())
+    """E[chi_I(z)] = sum_z D(z) * (-1)^(parity of z on I), summed as counts."""
+    return Fraction(sum(-c if sum(z[i - 1] for i in I) % 2 else c
+                        for z, c in D.counts.items()), D.total)
 
 
 def fourier_pointwise_check(D: ExactDist, n: int) -> tuple:
@@ -244,12 +247,10 @@ def fourier_pointwise_check(D: ExactDist, n: int) -> tuple:
     (j,) = sizes
     hypothesis = all(abs(fourier_coefficient(D, I)) <= Fraction(1, n ** (5 * len(I)))
                      for I in nonempty_subsets(range(1, j + 1)))
-    uniform = Fraction(1, 2 ** j)
-    slack = Fraction(1, n ** 3) * uniform
-    conclusion = all(
-        abs(D.prob(z) - uniform) <= slack
-        for z in itertools.product((0, 1), repeat=j)
-    )
+    # |c/total - 1/2^j| <= 1/(n^3 2^j), both sides times n^3 2^j total
+    total, cube = D.total, n ** 3
+    conclusion = all(cube * abs(D.counts.get(z, 0) * 2 ** j - total) <= total
+                     for z in itertools.product((0, 1), repeat=j))
     return hypothesis, conclusion
 
 

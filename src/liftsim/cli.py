@@ -370,9 +370,7 @@ def _random_dist(rng, j, n):
     if rng.random() < 0.5:
         return _fourier_noise(rng, j, n)
     weights = [rng.randint(1, 8) for _ in range(2 ** j)]
-    total = sum(weights)
-    return sim.ExactDist({z: Fraction(w, total) for z, w in
-                          zip(itertools.product((0, 1), repeat=j), weights)})
+    return sim.ExactDist.from_counts(dict(zip(itertools.product((0, 1), repeat=j), weights)))
 
 
 def _fourier_noise(rng, j, n):
@@ -386,10 +384,9 @@ def _fourier_noise(rng, j, n):
             k = rng.randint(-100, 100)
             if k:
                 coeffs.append((I, k * n ** (5 * (j - r))))
-    return sim.ExactDist({
-        z: Fraction(D + sum(-c if sum(z[i - 1] for i in I) % 2 else c
-                            for I, c in coeffs), D * 2 ** j)
-        for z in itertools.product((0, 1), repeat=j)})
+    return sim.ExactDist.from_counts({
+        z: D + sum(-c if sum(z[i - 1] for i in I) % 2 else c for I, c in coeffs)
+        for z in itertools.product((0, 1), repeat=j)}, D * 2 ** j)
 
 
 def _sweep_instance(task):
@@ -406,8 +403,8 @@ def _sweep_instance(task):
         cells.append({
             "key": (name, "".join(map(str, z)), m),
             "tv": analysis.tv_distance(exact.transcripts, t_true),
-            "mean_queries": sum((Fraction(q) * p for q, p in exact.queries.items()),
-                                Fraction(0)),
+            "mean_queries": Fraction(sum(q * c for q, c in exact.queries.counts.items()),
+                                     exact.queries.total),
             "bot_rate": exact.transcripts.prob(BOT),
         })
     return cells

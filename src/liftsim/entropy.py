@@ -6,8 +6,7 @@ rational q with log2(q) = b.  Every inequality on them is decided by integer
 arithmetic, never by floats: one cmp_pow (both sides raised to a common
 power and cross-multiplied, as integers), or in the partition's inner loop an
 integer count threshold derived the same way; log2_float renders a stored
-ratio in bits for reports only.  Sums of rationals go over one denominator
-(exact_sum), so no Fraction is built, and reduced, per term.
+ratio in bits for reports only.
 """
 
 from __future__ import annotations
@@ -83,15 +82,6 @@ def cmp_pow(q: Fraction, base, exponent) -> int:
     lhs = a ** s * d ** r
     rhs = c ** r * b ** s
     return (lhs > rhs) - (lhs < rhs)
-
-
-def exact_sum(qs) -> Fraction:
-    """The exact sum of rationals (ints or Fractions) in one integer pass:
-    each numerator is scaled to the lcm of the denominators, and the total is
-    reduced once, where a chain of Fraction additions reduces at every step."""
-    qs = tuple(qs)
-    den = math.lcm(*(q.denominator for q in qs))
-    return Fraction(sum(q.numerator * (den // q.denominator) for q in qs), den)
 
 
 def _split_pow2(n: int) -> tuple[int, int]:
@@ -313,6 +303,15 @@ def density_restoring_partition(v: SetVar, delta) -> list:
       as they were, so the order of the groups is fixed on entry.
     Below m^(delta*|J|) points the regime holds from the start, and then the
     subsets are never listed; SUBSET_BUDGET still refuses a J too large.
+
+    The J-marginal is never counted when J covers every block of the tuples:
+    - remaining is a set, so its tuples differ on J, and every count of the
+      J-marginal is 1, in every round;
+    - J therefore violates only in a round whose threshold is 0, and that
+      round is the singleton regime's, which reads no marginal;
+    - so J is never in `violating`, never peeled on, and its counts are
+      never read.
+    When J misses a block, tuples may repeat a value on J, and it is counted.
     """
     delta = as_rate(delta)
     m = v.m
@@ -320,7 +319,8 @@ def density_restoring_partition(v: SetVar, delta) -> list:
     subsets = nonempty_subsets(J)  # refused here, beyond SUBSET_BUDGET
     input_size = v.size
     remaining = set(v.support)
-    marginals = {}  # nonempty subset of J -> (its key, its counts)
+    arity = len(next(iter(remaining)))
+    marginals = {}  # nonempty subset of J, J only if it misses a block -> (its key, its counts)
     parts = []
     order = 0
     while remaining:
@@ -341,6 +341,8 @@ def density_restoring_partition(v: SetVar, delta) -> list:
             break
         if order == 1:
             for I in subsets:
+                if len(I) == arity:  # all ones: see the docstring
+                    continue
                 pos = v.positions(I)
                 key = _key(pos)
                 marginals[frozenset(I)] = (key, Counter(

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import BOT, PAIR_BUDGET_DEFAULT, ComposedInstance, PartialAssignment
-from .entropy import as_fraction, as_rate, cmp_pow, exact_sum
+from .entropy import as_fraction, as_rate, cmp_pow
 from .errors import DomainError, ResourceError
 from .protocol import (
     DLeaf,
@@ -58,7 +58,7 @@ IMPOSSIBLE_S = "impossible-s"
 DEFICIENCY_CUTOFF = "deficiency-cutoff"
 QUERY_CAP = "query-cap"
 
-ZERO, ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+ONE = Fraction(1)  # shared: a Fraction is immutable
 
 NODE_BUDGET = 10 ** 6        # refined nodes one walk_law pass may visit, protocol_to_dt's too
 COMPONENT_BUDGET = 10 ** 5   # decision trees in one realized mixture
@@ -117,46 +117,62 @@ class LedgerRow:
 
 
 class ExactDist:
-    """A finite distribution with exact rational probabilities."""
+    """A finite distribution with exact rational probabilities, stored as
+    integer counts over one denominator, in lowest terms: outcome o has
+    probability counts[o] / total, and counts holds only the outcomes of
+    positive count, in first-occurrence order.  Readers that compare or sum
+    probabilities read counts and total, so no Fraction is built per
+    outcome; prob and items give the Fractions."""
 
     def __init__(self, mapping):
-        probs = {}
-        for o, p in dict(mapping).items():
-            p = p if isinstance(p, Fraction) else Fraction(p)
-            if p < 0:
-                raise DomainError("negative probability")
-            if p:
-                probs[o] = p
-        if exact_sum(probs.values()) != 1:
-            raise DomainError("probabilities must sum to exactly 1")
-        self._p = probs
+        """From outcome -> probability: an int, a Fraction, or what Fraction reads."""
+        probs = {o: p if isinstance(p, (int, Fraction)) else Fraction(p)
+                 for o, p in dict(mapping).items()}
+        den = math.lcm(*(p.denominator for p in probs.values()))
+        self._set({o: p.numerator * (den // p.denominator) for o, p in probs.items()}, den)
 
     @classmethod
-    def from_counts(cls, counts) -> "ExactDist":
-        total = sum(counts.values())
-        if total <= 0:
-            raise DomainError("empty count table")
-        return cls({o: Fraction(c, total) for o, c in counts.items() if c})
+    def from_counts(cls, counts, total=None) -> "ExactDist":
+        """Integer counts[o] / total for each outcome; total defaults to their sum."""
+        if total is None:
+            total = sum(counts.values())
+            if total <= 0:
+                raise DomainError("empty count table")
+        dist = cls.__new__(cls)
+        dist._set(counts, total)
+        return dist
+
+    def _set(self, counts, total):
+        """Refuse a negative count and a sum other than total, then reduce."""
+        if any(c < 0 for c in counts.values()):
+            raise DomainError("negative probability")
+        counts = {o: c for o, c in counts.items() if c}
+        if total <= 0 or sum(counts.values()) != total:
+            raise DomainError("probabilities must sum to exactly 1")
+        g = math.gcd(total, *counts.values())
+        self.counts = {o: c // g for o, c in counts.items()} if g > 1 else counts
+        self.total = total // g
 
     @classmethod
     def point(cls, outcome) -> "ExactDist":
-        return cls({outcome: ONE})
+        return cls.from_counts({outcome: 1})
 
     def prob(self, outcome) -> Fraction:
-        return self._p.get(outcome, ZERO)
+        return Fraction(self.counts.get(outcome, 0), self.total)
 
-    def items(self):
-        return self._p.items()
+    def items(self) -> list:
+        return [(o, Fraction(c, self.total)) for o, c in self.counts.items()]
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self._p)
+        return frozenset(self.counts)
 
     def __eq__(self, other):
-        return isinstance(other, ExactDist) and self._p == other._p
+        return (isinstance(other, ExactDist) and self.total == other.total
+                and self.counts == other.counts)
 
     def __repr__(self):
-        return f"ExactDist({self._p!r})"
+        return f"ExactDist({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
@@ -317,21 +333,25 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
 
 def simulate_exact(law: WalkLaw, z) -> SimExact:
     """The exact outcome distribution on z: the law's events consistent with
-    z, each outcome's weights collected and summed once (exact_sum)."""
+    z, each event's weight scaled to the lcm of their denominators and added
+    to its outcomes' integer counts.  The events' weights must sum to 1,
+    which ExactDist checks."""
     z = law.G.check_z(z)
+    events = [e for rho, es in law.by_rho.items() if rho.consistent(z) for e in es]
+    den = math.lcm(*(e.weight.denominator for e in events))
     transcripts, queries, reasons, values = {}, {}, {}, {}
-    for rho, events in law.by_rho.items():
-        if rho.consistent(z):
-            for e in events:
-                for d, key in ((transcripts, e.transcript), (queries, len(e.queries)),
-                               (values, e.value)):
-                    d.setdefault(key, []).append(e.weight)
-                if e.failure is not None:
-                    reasons.setdefault(e.failure, []).append(e.weight)
-    transcripts, queries, reasons, values = (
-        {key: exact_sum(ws) for key, ws in d.items()}
-        for d in (transcripts, queries, reasons, values))
-    return SimExact(ExactDist(transcripts), ExactDist(queries), reasons, ExactDist(values))
+    for e in events:
+        w = e.weight.numerator * (den // e.weight.denominator)
+        transcripts[e.transcript] = transcripts.get(e.transcript, 0) + w
+        q = len(e.queries)
+        queries[q] = queries.get(q, 0) + w
+        values[e.value] = values.get(e.value, 0) + w
+        if e.failure is not None:
+            reasons[e.failure] = reasons.get(e.failure, 0) + w
+    return SimExact(ExactDist.from_counts(transcripts, den),
+                    ExactDist.from_counts(queries, den),
+                    {r: Fraction(c, den) for r, c in reasons.items()},
+                    ExactDist.from_counts(values, den))
 
 
 def ledger_exact(law: WalkLaw) -> dict:

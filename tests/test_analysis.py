@@ -214,14 +214,21 @@ def test_tv_examples():
 
 
 _weights = st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 50), min_size=1)
+# positive Fractions over their sum: one denominator per outcome, mixed
+_dists = st.one_of(
+    _weights.map(ExactDist.from_counts),
+    st.dictionaries(st.sampled_from("abcdef"),
+                    st.fractions(Fraction(1, 60), 1, max_denominator=60), min_size=1).map(
+        lambda w: ExactDist({o: p / sum(w.values()) for o, p in w.items()})),
+)
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(w1=_weights, w2=_weights)
-def test_tv_is_half_the_l1_sum(w1, w2):
+@given(d1=_dists, d2=_dists)
+def test_tv_is_half_the_l1_sum(d1, d2):
     """1 - sum of min(p, q) over the common support is half the L1 distance,
-    overlapping supports or not."""
-    d1, d2 = ExactDist.from_counts(w1), ExactDist.from_counts(w2)
+    overlapping supports or not, from count tables and from mixed-denominator
+    Fractions."""
     half_l1 = sum((abs(d1.prob(o) - d2.prob(o)) for o in d1.support | d2.support),
                   Fraction(0)) / 2
     assert tv_distance(d1, d2) == tv_distance(d2, d1) == half_l1
@@ -471,6 +478,15 @@ def test_fourier_correlated_example():
     assert fourier_coefficient(d, (1, 2)) == Fraction(1, 2)
     hyp, _ = fourier_pointwise_check(d, 2)
     assert not hyp
+
+
+def test_fourier_conclusion_holds_at_its_boundary():
+    """At n = 2, j = 1 the slack is 1/n^3 * 1/2 = 1/16, and 9/16 is exactly
+    1/16 from uniform, so the conclusion holds; one 1/32 further, it fails."""
+    assert fourier_pointwise_check(
+        ExactDist({(0,): Fraction(9, 16), (1,): Fraction(7, 16)}), 2) == (False, True)
+    assert fourier_pointwise_check(
+        ExactDist({(0,): Fraction(19, 32), (1,): Fraction(13, 32)}), 2) == (False, False)
 
 
 def fourier_noise_dist(rng, j, n, at_budget=False):

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftsim import cli, simulate
+from liftsim import analysis, cli, simulate
 from liftsim.analysis import dt_error, marginals_report
 from liftsim.cli import main
 from liftsim.entropy import RATIONAL_BUDGET
@@ -77,6 +77,40 @@ def test_fourier_noise_matches_the_fraction_sums():
         got, want = cli._fourier_noise(ours, j, n), _fraction_fourier_noise(ref, j, n)
         assert list(got.items()) == list(want.items())
         assert ours.getstate() == ref.getstate()
+
+
+def _fraction_fourier_check(D, n):
+    """analysis.fourier_pointwise_check as it was written, on the Fractions
+    that D.items and D.prob give: the reference for its integer comparisons.
+    Also returns each parity's Fourier coefficient."""
+    (j,) = {len(z) for z in D.support}
+    coefficients = {
+        I: sum((-p if sum(z[i - 1] for i in I) % 2 else p for z, p in D.items()), Fraction(0))
+        for r in range(1, j + 1) for I in itertools.combinations(range(1, j + 1), r)}
+    hypothesis = all(abs(c) <= Fraction(1, n ** (5 * len(I))) for I, c in coefficients.items())
+    uniform = Fraction(1, 2 ** j)
+    slack = Fraction(1, n ** 3) * uniform
+    conclusion = all(abs(D.prob(z) - uniform) <= slack
+                     for z in itertools.product((0, 1), repeat=j))
+    return (hypothesis, conclusion), coefficients
+
+
+def test_fourier_check_matches_the_fraction_formulas():
+    """On the verify battery's draws (weights and parity noise), the Fourier
+    coefficients and both halves of the check are the Fraction formulas'; the
+    draws reach every verdict pair but a hypothesis without its conclusion."""
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.choice([2, 4])
+        j = rng.randint(1, n)
+        d = cli._random_dist(rng, j, n)
+        verdicts, coefficients = _fraction_fourier_check(d, n)
+        assert analysis.fourier_pointwise_check(d, n) == verdicts
+        for I, c in coefficients.items():
+            assert analysis.fourier_coefficient(d, I) == c
+        seen.add(verdicts)
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def run(capsys, *argv):

@@ -17,7 +17,6 @@ from liftsim.entropy import (
     cmp_pow,
     deficiency,
     density_restoring_partition,
-    exact_sum,
     is_blockwise_dense,
     log2_float,
     parse_rational,
@@ -44,30 +43,6 @@ def test_cmp_pow_basics():
     assert cmp_pow(Fraction(1, 4), 4, Fraction(-9, 10)) < 0
 
 
-_rationals = st.fractions(max_denominator=10 ** 6)
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(qs=st.one_of(
-    st.lists(_rationals, min_size=1, max_size=20),
-    st.tuples(st.integers(1, 2 ** 40), st.lists(st.integers(-10 ** 9, 10 ** 9),
-                                                min_size=1, max_size=20)).map(
-        lambda t: [Fraction(a, t[0]) for a in t[1]]),
-))
-def test_exact_sum_is_a_fraction_fold(qs):
-    """One pass over the lcm of the denominators gives the same rational as a
-    left fold of Fraction additions, on mixed and on equal denominators."""
-    fold = Fraction(0)
-    for q in qs:
-        fold += q
-    total = exact_sum(qs)
-    assert isinstance(total, Fraction) and total == fold
-    assert exact_sum(iter(qs)) == fold
-
-
-def test_exact_sum_of_nothing_and_of_ints():
-    assert exact_sum([]) == 0 and isinstance(exact_sum([]), Fraction)
-    assert exact_sum([1, Fraction(1, 2), -3]) == Fraction(-3, 2)
 
 
 def test_log2_float_rendering():

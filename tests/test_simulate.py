@@ -67,6 +67,7 @@ def test_exactdist_validates():
     d = ExactDist({"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(0)})
     assert d.support == {"a", "b"}
     assert d.prob("c") == 0
+    assert ExactDist.from_counts({"a": 2, "b": 2}) == ExactDist.from_counts({"a": 1, "b": 1}) == d
 
 
 @pytest.mark.parametrize("k", [1, 7, 64, 300])
@@ -77,6 +78,90 @@ def test_exactdist_refuses_sums_off_by_a_power_of_two(k):
         with pytest.raises(DomainError, match="sum to exactly 1"):
             ExactDist({"a": third, "b": third, "c": third + off})
     assert ExactDist({"a": third, "b": third, "c": third}).prob("c") == third
+
+
+class FractionDist:
+    """ExactDist as it was written, one reduced Fraction per outcome and the
+    sum-to-one check a Fraction sum: the reference for its integer counts
+    over one denominator."""
+
+    def __init__(self, mapping):
+        probs = {}
+        for o, p in dict(mapping).items():
+            p = p if isinstance(p, Fraction) else Fraction(p)
+            if p < 0:
+                raise DomainError("negative probability")
+            if p:
+                probs[o] = p
+        if sum(probs.values(), Fraction(0)) != 1:
+            raise DomainError("probabilities must sum to exactly 1")
+        self.p = probs
+
+    @classmethod
+    def from_counts(cls, counts):
+        total = sum(counts.values())
+        if total <= 0:
+            raise DomainError("empty count table")
+        return cls({o: Fraction(c, total) for o, c in counts.items() if c})
+
+
+def _rational_table(args):
+    """Positive weights over their sum, so denominators are mixed, an
+    integral one kept as an int; then the last entry is left, moved off by
+    off (the sum is no longer 1) or negated."""
+    weights, how, off = args
+    total = sum(weights.values())
+    probs = {o: w / total if total else w for o, w in weights.items()}
+    probs = {o: int(p) if p.denominator == 1 else p for o, p in probs.items()}
+    last = next(reversed(probs))
+    probs[last] = {"as is": probs[last], "off": probs[last] + off, "negated": -probs[last]}[how]
+    return probs
+
+
+_rational_tables = st.tuples(
+    st.dictionaries(st.sampled_from("abcdef"), st.fractions(0, 1, max_denominator=24),
+                    min_size=1),
+    st.sampled_from(["as is", "as is", "off", "negated"]),
+    st.fractions(Fraction(-1, 8), Fraction(1, 8), max_denominator=64).filter(bool),
+).map(_rational_table)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(route=st.sampled_from(["rationals", "counts"]),
+       rationals=_rational_tables,
+       counts=st.dictionaries(st.sampled_from("abcdef"), st.integers(-2, 30)),
+       scale=st.integers(2, 9))
+def test_exactdist_counts_match_the_fraction_class(route, rationals, counts, scale):
+    """Integer counts over one lowest-terms denominator give the Fraction
+    class's probabilities, order and support, and refuse what it refuses with
+    the same message; a count table scaled by any factor is the same
+    distribution."""
+    mapping = rationals if route == "rationals" else counts
+    build = ExactDist if route == "rationals" else ExactDist.from_counts
+    try:
+        want = (FractionDist if route == "rationals" else FractionDist.from_counts)(mapping)
+    except DomainError as refusal:
+        with pytest.raises(DomainError) as err:
+            build(mapping)
+        assert str(err.value) == str(refusal)
+        return
+    got = build(mapping)
+    assert got.items() == list(want.p.items())
+    assert got.support == frozenset(want.p)
+    for o in "abcdefg":
+        assert got.prob(o) == want.p.get(o, 0)
+    assert got.total == math.lcm(*(p.denominator for p in want.p.values()))
+    assert math.gcd(got.total, *got.counts.values()) == 1
+    assert got == ExactDist(want.p) == ExactDist(dict(got.items()))
+    assert got == ExactDist.from_counts({o: scale * c for o, c in got.counts.items()})
+    if route == "counts":
+        assert got == ExactDist.from_counts({o: scale * c for o, c in counts.items()})
+    a, *rest = got.counts
+    if rest:
+        moved = {**got.counts, a: got.counts[a] + 1, rest[0]: got.counts[rest[0]] - 1}
+        assert got != ExactDist.from_counts(moved, got.total)
+    with pytest.raises(DomainError, match="^probabilities must sum to exactly 1$"):
+        ExactDist.from_counts(got.counts, got.total + 1)
 
 
 # --- sampling ---
