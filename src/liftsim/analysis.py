@@ -46,22 +46,20 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
 
     The budget picks the route.  The count reads |slice ∩ leaf rectangle| from
     each leaf's `slice_counts`, computed on first use and shared by all 2^n
-    values of z; it runs when its cost, `slice_counts_cost` per leaf row,
-    fits.  Otherwise the slice is replayed (`replay_transcript_dist`) when it
-    fits, and otherwise ResourceError names the smaller of the two costs.
+    values of z; it runs when its cost, `rp.count_cost` (`slice_counts_cost`
+    per leaf row, also summed once per protocol), fits.  Otherwise the slice
+    is replayed (`replay_transcript_dist`) when it fits, and otherwise
+    ResourceError names the smaller of the two costs.
     """
     total = slice_count(rp.G, z)
     z = tuple(z)
-    leaves = rp.leaves()
-    count_cost = sum(len(leaf.rect.X) * leaf.rect.Y.slice_counts_cost
-                     for _, leaf in leaves)
-    if count_cost > pair_budget:
+    if rp.count_cost > pair_budget:
         if total > pair_budget:
             raise ResourceError("true transcript distribution",
-                                min(count_cost, total), pair_budget)
+                                min(rp.count_cost, total), pair_budget)
         return replay_transcript_dist(rp, z, pair_budget=pair_budget)
     # leaf transcripts are distinct, so each leaf's count is its transcript's
-    counts = {t: leaf.slice_counts.get(z, 0) for t, leaf in leaves}
+    counts = {t: leaf.slice_counts.get(z, 0) for t, leaf in rp.leaves()}
     if sum(counts.values()) != total:
         raise DomainError("leaf rectangles failed to cover the slice")
     return ExactDist.from_counts(counts)

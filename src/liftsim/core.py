@@ -235,15 +235,27 @@ class BobCube:
     def contains(self, ys) -> bool:
         return all(bit_at(ys[blk - 1], pos, self.m) == b for (blk, pos), b in self.fixed)
 
+    @classmethod
+    def _of_pins(cls, n: int, m: int, fixed: tuple) -> "BobCube":
+        """The cube of pins already checked, distinct and sorted, built
+        without __post_init__'s re-check."""
+        out = object.__new__(cls)
+        out.__dict__.update(n=n, m=m, fixed=fixed)
+        return out
+
     def split(self, positions) -> dict:
         """Y cut at (block, pos) pairs: each bit string s over them, ascending,
-        to the subcube reading s there, or None; in closed form."""
+        to the subcube reading s there, or None; in closed form.  A position
+        Y already pins keeps its one pin, and s must agree with it."""
         pins = dict(self.fixed)
         out = {}
         for s in _split_keys(positions, self.n, self.m):
             new = tuple(zip(positions, map(int, s)))
-            out[s] = (BobCube(self.n, self.m, self.fixed + new)
-                      if all(pins.get(key, b) == b for key, b in new) else None)
+            if all(pins.get(key, b) == b for key, b in new):
+                fresh = tuple(pin for pin in new if pin[0] not in pins)
+                out[s] = BobCube._of_pins(self.n, self.m, tuple(sorted(self.fixed + fresh)))
+            else:
+                out[s] = None
         return out
 
     def deficiency(self) -> Fraction:

@@ -57,8 +57,13 @@ def as_rate(delta) -> Fraction:
 
 
 def _ratio(x, read=Fraction) -> tuple[int, int]:
-    """(numerator, denominator) of x, read by `read` unless an int or a Fraction."""
-    x = x if isinstance(x, (int, Fraction)) else read(x)
+    """(numerator, denominator) of x: an integer pair as it is, else x read
+    by `read` unless an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    if isinstance(x, tuple):
+        return x
+    x = read(x)
     return x.numerator, x.denominator
 
 
@@ -68,7 +73,9 @@ def cmp_pow(q: Fraction, base, exponent) -> int:
     exponent may be any rational r/s; with q = a/b and base = c/d, both sides
     are raised to the power s and cross-multiplied, so the comparison is one
     between the integers a^s * d^r and c^r * b^s (a^s * c^-r and d^-r * b^s
-    when r < 0).  A float exponent is read through its decimal repr.
+    when r < 0).  A float exponent is read through its decimal repr.  q and
+    exponent may also be integer pairs (a, b) with b > 0, read as a/b and
+    not reduced, so a caller holding integers builds no Fraction.
     """
     a, b = _ratio(q)
     if a <= 0:

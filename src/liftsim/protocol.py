@@ -322,13 +322,26 @@ def dt_to_protocol(T, G: ComposedInstance):
 
 # --- refined protocols ---
 
+class _RNode:
+    """A refined node's ratios, read from its integers and rectangle on use."""
+
+    @property
+    def potential(self) -> Fraction:
+        """2^free_bits / |X|: log2 is D(X) on the free blocks."""
+        return Fraction(2 ** self.free_bits, len(self.rect.X))
+
+    @property
+    def def_y(self) -> Fraction:
+        """Y.deficiency(): log2 is D(Y)."""
+        return self.rect.Y.deficiency()
+
+
 @dataclass
-class RLeaf:
+class RLeaf(_RNode):
     rect: Rect
     rho: PartialAssignment
     value: object
-    potential: Fraction   # 2^(|free| log m) / |X|: log2 is D(X) on the free blocks
-    def_y: Fraction       # Y.deficiency(): log2 is D(Y)
+    free_bits: int        # log m * |free|: the potential's power of 2
 
     @cached_property
     def slice_counts(self) -> dict:
@@ -345,29 +358,36 @@ class RPart:
     coords: tuple         # I, ascending block labels
     alpha: tuple          # fixed pointer values on I
     X: frozenset
-    delta_ratio: Fraction  # |X after bit| / |X^(>=order)|
+    input_size: int       # |X after bit|
+    tail_size: int        # |X^(>=order)|
     s_children: dict      # bit-string over I -> node or None ("impossible to send")
-    potential: Fraction   # as in RLeaf, on X with I fixed: each present s-child's
+    free_bits: int        # as in RLeaf, with I fixed: each present s-child's
+
+    @property
+    def delta_ratio(self) -> Fraction:
+        return Fraction(self.input_size, self.tail_size)
+
+    @property
+    def potential(self) -> Fraction:
+        return Fraction(2 ** self.free_bits, len(self.X))
 
 
 @dataclass
-class RAlice:
+class RAlice(_RNode):
     rect: Rect
     rho: PartialAssignment
     fn: object            # the source node's Alice map
     branches: dict        # bit -> X^b's parts (list of RPart), or None (empty X^b)
-    potential: Fraction   # potential and def_y: as in RLeaf
-    def_y: Fraction
+    free_bits: int        # as in RLeaf
 
 
 @dataclass
-class RBob:
+class RBob(_RNode):
     rect: Rect
     rho: PartialAssignment
     fn: object            # the source node's Bob map
     children: dict        # bit -> node or None (empty Y^b)
-    potential: Fraction   # potential and def_y: as in RLeaf
-    def_y: Fraction
+    free_bits: int        # as in RLeaf
 
 
 class RefinedProtocol:
@@ -411,11 +431,12 @@ class RefinedProtocol:
     def _leaves(self) -> tuple:
         return tuple((t, nd) for t, nd in self.traverse() if isinstance(nd, RLeaf))
 
-
-def _potential(X, free, log_m) -> Fraction:
-    # D(X) on `free` free blocks, as the ratio whose log2 it is; X is
-    # constant on fixed blocks, so |X_free| = |X|.
-    return Fraction(2 ** (log_m * free), len(X))
+    @cached_property
+    def count_cost(self) -> int:
+        """The count oracle's cost, `slice_counts_cost` per leaf row, summed
+        on first use and kept: it does not depend on z."""
+        return sum(len(leaf.rect.X) * leaf.rect.Y.slice_counts_cost
+                   for _, leaf in self._leaves)
 
 
 def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
@@ -433,18 +454,17 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
     m = G.m
 
     def build(v, X, Y, rho):
-        pot = _potential(X, len(rho.free), k)
-        defy = Y.deficiency()
+        free_bits = k * len(rho.free)
         rect = Rect(X, Y)
         if isinstance(v, PLeaf):
-            return RLeaf(rect, rho, v.value, pot, defy)
+            return RLeaf(rect, rho, v.value, free_bits)
         if v.owner == BOB:
             y0, y1 = _split_bob(Y, v.fn)
             children = {
                 0: build(v.zero, X, y0, rho) if y0 is not None else None,
                 1: build(v.one, X, y1, rho) if y1 is not None else None,
             }
-            return RBob(rect, rho, v.fn, children, pot, defy)
+            return RBob(rect, rho, v.fn, children, free_bits)
         branches = {}
         x1 = X & v.fn.ones
         for b, Xb in ((0, X - x1), (1, x1)):
@@ -460,11 +480,10 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
                         rho.assign(dp.coords, tuple(int(c) for c in s)))
                     for s, Ys in Y.split(tuple(zip(dp.coords, dp.alpha))).items()
                 }
-                free = len(rho.free) - len(dp.coords)
                 parts.append(RPart(dp.order, dp.coords, dp.alpha, dp.support,
-                                   dp.delta_ratio, s_children,
-                                   _potential(dp.support, free, k)))
-        return RAlice(rect, rho, v.fn, branches, pot, defy)
+                                   dp.input_size, dp.tail_size, s_children,
+                                   free_bits - k * len(dp.coords)))
+        return RAlice(rect, rho, v.fn, branches, free_bits)
 
     root = build(pt.root, G.full_X(pair_budget), _root_bob_set(pt, pair_budget),
                  PartialAssignment.free_everywhere(G.n))

@@ -31,7 +31,6 @@ the same draws as an explicit mixture of decision trees.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -58,7 +57,7 @@ IMPOSSIBLE_S = "impossible-s"
 DEFICIENCY_CUTOFF = "deficiency-cutoff"
 QUERY_CAP = "query-cap"
 
-ONE = Fraction(1)  # shared: a Fraction is immutable
+UNIT = (1, 1)  # a ratio of 1 as an integer pair
 
 NODE_BUDGET = 10 ** 6        # refined nodes one walk_law pass may visit, protocol_to_dt's too
 COMPONENT_BUDGET = 10 ** 5   # decision trees in one realized mixture
@@ -92,28 +91,60 @@ class SimConfig:
         return self.deficiency_cap if self.deficiency_cap is not None else Fraction(n ** 3)
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+def _lowest(a: int, b: int) -> tuple:
+    """The ratio a/b as its integer pair in lowest terms."""
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+class LedgerRow(NamedTuple):
     """Per-iteration potential bookkeeping, as exact ratios (their log2 is the
-    quantity in bits, which is irrational in general, so the ratio is stored)."""
+    quantity in bits, which is irrational in general, so the ratio is kept).
+    A row holds the integers its ratios are made of, and a ratio is a
+    Fraction only when read.  Rows are equal, and hash alike, when their
+    iterations, query counts and four ratios are, whatever the integers."""
 
     iteration: int
-    gamma_ratio: Fraction      # |X| / |X^b| at the Alice bit (1 on Bob iterations)
-    delta_ratio: Fraction      # |X^b| / |X^(>=i)| at the part announcement
     queries: int
-    potential_before: Fraction
-    potential_after: Fraction
+    gamma: tuple       # (|X|, |X^b|) at the Alice bit; a ratio of 1 on Bob iterations
+    delta: tuple       # the part's (input_size, tail_size), |X^b| and |X^(>=i)|
+    before: tuple      # (free bits, |X|) at the node: the potential 2^free / |X|
+    after: tuple       # (free bits, |X|) after the iteration
+
+    @property
+    def gamma_ratio(self) -> Fraction:
+        return Fraction(*self.gamma)
+
+    @property
+    def delta_ratio(self) -> Fraction:
+        return Fraction(*self.delta)
+
+    @property
+    def potential_before(self) -> Fraction:
+        return Fraction(2 ** self.before[0], self.before[1])
+
+    @property
+    def potential_after(self) -> Fraction:
+        return Fraction(2 ** self.after[0], self.after[1])
+
+    def _key(self) -> tuple:
+        """The counts and the four ratios in lowest terms."""
+        (fb, xb), (fa, xa) = self.before, self.after
+        return (self.iteration, self.queries, _lowest(*self.gamma), _lowest(*self.delta),
+                _lowest(1 << fb, xb), _lowest(1 << fa, xa))
+
+    def __eq__(self, other):
+        if not isinstance(other, LedgerRow):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __ne__(self, other):
+        # tuple's own != would compare the integers
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self):
-        """The fields' hash, taken once: each Fraction's hash costs a modular
-        inverse, and ledger_exact's dict.fromkeys hashes every event's ledger,
-        whose rows the events below one edge share."""
-        return hash((self.iteration, self.gamma_ratio, self.delta_ratio, self.queries,
-                     self.potential_before, self.potential_after))
+        return hash(self._key())
 
 
 class ExactDist:
@@ -287,34 +318,37 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
             raise ResourceError("walk law traversal", visited, NODE_BUDGET)
         if isinstance(node, RLeaf):
             return event(num, den, node.rho, t, node.value, q, None, ledger)
-        before, it = node.potential, len(ledger) + 1
+        it, total = len(ledger) + 1, len(node.rect.X)
+        before = (node.free_bits, total)
         if isinstance(node, RBob):
-            total = node.rect.y_size
-            return Draw(total, [
+            ytotal = node.rect.y_size
+            return Draw(ytotal, [
                 Edge(c.rect.y_size, (), {"": land(
-                    node, (), "", c, num * c.rect.y_size, den * total, q, t + (("b", b),),
-                    ledger + (LedgerRow(it, ONE, ONE, 0, before, c.potential),))})
+                    node, (), "", c, num * c.rect.y_size, den * ytotal, q, t + (("b", b),),
+                    ledger + (LedgerRow(it, 0, UNIT, UNIT, before,
+                                        (c.free_bits, len(c.rect.X))),))})
                 for b, c in node.children.items() if c is not None])
-        total = len(node.rect.X)
         den *= total
         bits = []              # one Draw per present bit, in b order
         for b, parts in node.branches.items():
             if parts is None:
                 continue
             wb = sum(len(part.X) for part in parts)
-            gamma = Fraction(total, wb)
+            gamma = (total, wb)
             edges = []
             for part in parts:
                 wi, coords = len(part.X), part.coords
                 if query_cap is not None and len(q) + len(coords) > query_cap:
-                    # no part announcement and no queries: only Alice's bit counts
-                    row = LedgerRow(it, gamma, ONE, 0, before, before * gamma)
+                    # no part announcement and no queries: only Alice's bit
+                    # counts, and the potential after it is 2^free / |X^b|
+                    row = LedgerRow(it, 0, gamma, UNIT, before, (node.free_bits, wb))
                     edges.append(Edge(wi, (), {"": event(
                         num * wi, den, node.rho, BOT, BOT, q, QUERY_CAP, ledger + (row,))}))
                     continue
                 # the part's potential exists even when the bit-fixing child does not
-                path = ledger + (LedgerRow(it, gamma, part.delta_ratio, len(coords), before,
-                                           part.potential),)
+                path = ledger + (LedgerRow(it, len(coords), gamma,
+                                           (part.input_size, part.tail_size), before,
+                                           (part.free_bits, wi)),)
                 sent = t + (("b", b), ("i", part.order))
                 edges.append(Edge(wi, coords, {
                     s: land(node, coords, s, c, num * wi, den, q + coords,
@@ -367,20 +401,24 @@ def ledger_check(ledger: tuple, m: int, delta) -> bool:
     announced drops minus (1-delta) log m per query (the partition-lemma
     deficiency bound).  In aggregate: (1-delta) log m times the total query
     count is at most the sum of all drops, since the potential starts at zero
-    and stays nonnegative.  Both are one cmp_pow on the potentials' ratios.
-    delta is refused outside (0, 1).
+    and stays nonnegative.  Both are one cmp_pow on integer pairs, read from
+    the rows' integers.  delta is refused outside (0, 1).
     """
     rate = (1 - as_rate(delta)) * (m.bit_length() - 1)   # (1 - delta) log2 m
-    product = ONE
+    r, d = rate.numerator, rate.denominator
+    drop_num = drop_den = 1
     total_queries = 0
     for row in ledger:
-        drop = row.gamma_ratio * row.delta_ratio
-        if cmp_pow(row.potential_after / (row.potential_before * drop), 2,
-                   -rate * row.queries) > 0:
+        (gx, gxb), (dx, dtail), (fb, xb), (fa, xa) = row.gamma, row.delta, row.before, row.after
+        # after / (before * gamma * delta) against 2^(-rate * queries), with
+        # the potentials' powers of 2 moved to the exponent
+        if cmp_pow((xb * gxb * dtail, xa * gx * dx), 2,
+                   ((fb - fa) * d - r * row.queries, d)) > 0:
             return False
-        product *= drop
+        drop_num *= gx * dx
+        drop_den *= gxb * dtail
         total_queries += row.queries
-    return cmp_pow(product, 2, rate * total_queries) >= 0
+    return cmp_pow((drop_num, drop_den), 2, (r * total_queries, d)) >= 0
 
 
 def _merge_components(components):
@@ -446,7 +484,7 @@ def protocol_to_dt(PI, cfg: SimConfig = SimConfig(),
     nodes.
     """
     components = (PI.components if isinstance(PI, RandomizedProtocol)
-                  else [(ONE, PI)])
+                  else [(Fraction(1), PI)])
     out = []
     for w, pt in components:
         den, mix = _realize(walk_law(refine(pt, cfg.delta, pair_budget=pair_budget), cfg).root)

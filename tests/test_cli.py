@@ -1,7 +1,6 @@
 """CLI contract tests: subcommands, exit codes, deterministic reports."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -176,7 +175,7 @@ def test_simulate_refuses_sample_off_every_path(capsys, monkeypatch):
         out = sample(law, z, seed)
         if seed == 6:
             last = out.ledger[-1]
-            row = dataclasses.replace(last, queries=last.queries + 1)
+            row = last._replace(queries=last.queries + 1)
             out = out._replace(ledger=out.ledger[:-1] + (row,))
         return out
 

@@ -333,6 +333,47 @@ def test_split_cube_matches_explicit(data, n, m):
             Y.split(P + (bad,))
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 3), m=st.sampled_from([2, 4, 8]))
+def test_cube_split_is_the_checked_cube(data, n, m):
+    """Each subcube split builds without __post_init__ equals
+    BobCube(n, m, fixed + new) built through it, pins and hash alike: a
+    position Y already pins is kept once, an s that conflicts with a pin is
+    None where the constructor refuses it, and a position out of range is
+    still refused."""
+    spots = st.tuples(st.integers(1, n), st.integers(1, m))
+    pins = data.draw(st.dictionaries(spots, st.integers(0, 1), max_size=4))
+    cube = BobCube(n, m, tuple(pins.items()))
+    # positions partly drawn from the pinned ones, so that pins repeat
+    choice = st.sampled_from(sorted(pins)) | spots if pins else spots
+    P = tuple(data.draw(st.lists(choice, min_size=1, max_size=3, unique=True)))
+    for s, piece in cube.split(P).items():
+        new = tuple(zip(P, map(int, s)))
+        if any(pins.get(key, b) != b for key, b in new):
+            assert piece is None
+            with pytest.raises(DomainError, match="conflicting"):
+                BobCube(n, m, cube.fixed + new)
+            continue
+        checked = BobCube(n, m, cube.fixed + new)
+        assert piece == checked and hash(piece) == hash(checked)
+        assert piece.fixed == checked.fixed == tuple(sorted({**pins, **dict(new)}.items()))
+        assert piece.size == 2 ** (n * m - len(set(pins) | set(P)))
+    bad = data.draw(st.sampled_from([(0, 1), (n + 1, 1), (1, 0), (1, m + 1)]))
+    with pytest.raises(DomainError, match="out of range"):
+        cube.split(P + (bad,))
+
+
+def test_cube_split_keeps_a_repeated_pin_once():
+    """Cutting a cube at a pinned position and a free one: the two keys that
+    disagree with the pin are None, the others keep the pin once."""
+    cube = BobCube(1, 4, (((1, 2), 1),))
+    out = cube.split(((1, 2), (1, 3)))
+    assert out["00"] is None and out["01"] is None
+    assert out["10"].fixed == (((1, 2), 1), ((1, 3), 0))
+    assert out["11"].fixed == (((1, 2), 1), ((1, 3), 1))
+    assert out["11"] == BobCube(1, 4, (((1, 3), 1), ((1, 2), 1), ((1, 2), 1)))
+
+
 def _read(ys, blk, pos, m) -> int:
     """Bit pos (1-based, left to right) of block blk of the Bob input ys."""
     return (ys[blk - 1] >> (m - pos)) & 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftsim import simulate
-from liftsim.core import BOT, ComposedInstance, PartialAssignment, Rect
+from liftsim.core import BOT, ComposedInstance, ExplicitBobSet, PartialAssignment, Rect
 from liftsim.entropy import cmp_pow
 from liftsim.errors import DomainError, ResourceError
 from liftsim.fixtures import (
@@ -382,28 +382,37 @@ def reference_sample(rp, z, cfg, seed):
     def bottom(reason):
         return BOT, BOT, reason, tuple(queries), tuple(ledger)
 
+    def bits(rho, fixing=()):
+        # the potential's power of 2: log m per block still free after fixing
+        return rp.G.log_m * (len(rho.free) - len(fixing))
+
     node = rp.root
     while not isinstance(node, RLeaf):
         row = functools.partial(LedgerRow, len(ledger) + 1)
-        before = node.potential
+        before = (bits(node.rho), len(node.rect.X))
         if isinstance(node, RBob):
             b, child = pick(node.rect.y_size, [(c.rect.y_size, (b, c))
                                                for b, c in node.children.items()
                                                if c is not None])
-            ledger.append(row(Fraction(1), Fraction(1), 0, before, child.potential))
+            ledger.append(row(0, (1, 1), (1, 1), before,
+                              (bits(child.rho), len(child.rect.X))))
             transcript.append(("b", b))
         else:
             branches = [(sum(len(p.X) for p in ps), b, ps)
                         for b, ps in node.branches.items() if ps is not None]
             xb, b, parts = pick(len(node.rect.X), [(br[0], br) for br in branches])
             part = pick(xb, [(len(p.X), p) for p in parts])
-            gamma = Fraction(len(node.rect.X), xb)
+            gamma = (len(node.rect.X), xb)
             if cfg.query_cap is not None and len(queries) + len(part.coords) > cfg.query_cap:
-                ledger.append(row(gamma, Fraction(1), 0, before, before * gamma))
+                # the potential after Alice's bit alone, before * gamma
+                ledger.append(row(0, gamma, (1, 1), before, (before[0], xb)))
                 return bottom(QUERY_CAP)
             queries.extend(part.coords)
-            ledger.append(row(gamma, part.delta_ratio, len(part.coords), before,
-                              part.potential))
+            # |X^b| over what remained before the part was peeled: the parts
+            # from this one on, in announcement order
+            tail = sum(len(p.X) for p in parts if p.order >= part.order)
+            ledger.append(row(len(part.coords), gamma, (xb, tail), before,
+                              (bits(node.rho, part.coords), len(part.X))))
             s = "".join(str(z[i - 1]) for i in part.coords)
             child = part.s_children[s]
             if child is None:
@@ -594,38 +603,46 @@ def test_ledger_check_refuses_rate_outside_unit_interval(delta):
 def test_ledger_row_hash_is_its_fields():
     """Rows built apart from equal fields are one key, whichever was hashed
     first; a row differing in one field is another."""
-    fields = (1, Fraction(2), Fraction(1), 1, Fraction(1), Fraction(17, 10))
+    fields = (1, 1, (2, 1), (1, 1), (2, 4), (4, 10))
     row = LedgerRow(*fields)
     assert {row: True}.get(LedgerRow(*fields)) is True
     assert hash(LedgerRow(*fields)) == hash(row)
-    assert dataclasses.replace(row, queries=2) not in {row}
+    assert row._replace(queries=2) not in {row}
+    assert row._replace(after=(4, 11)) != row
 
 
 def test_ledger_checker_rejects_forged_rows():
-    row = LedgerRow(1, Fraction(1), Fraction(1), 1, Fraction(1), Fraction(1))
+    """gamma, delta and both potentials 1 with one query: no drop pays for it."""
+    row = LedgerRow(1, 1, (3, 3), (5, 5), (2, 4), (2, 4))
     assert not ledger_check((row,), 4, Fraction(9, 10))
 
 
-@pytest.mark.parametrize("after, ok", [(Fraction(17, 10), True),
-                                       (Fraction(7, 4), False)])
+@pytest.mark.parametrize("after, ok", [((7, 35), True), ((6, 17), False)])
 def test_ledger_row_exact_boundary(after, ok):
     """gamma = 2, delta_i = 1, one query at m = 4, delta = 9/10: the row holds
-    iff after <= 1 * 2 * 2^(-(1/10) * 2 * 1) = 2^(4/5), about 1.741."""
-    row = LedgerRow(1, Fraction(2), Fraction(1), 1, Fraction(1), after)
+    iff after <= before * 2 * 2^(-(1/10) * 2 * 1), i.e. after / before <=
+    2^(4/5), about 1.741.  From before = 2^8/119, 2^7/35 is 17/10 of it and
+    holds; 2^6/17 is 7/4 of it and fails."""
+    row = LedgerRow(1, 1, (2, 1), (1, 1), (8, 119), after)
     assert ledger_check((row,), 4, Fraction(9, 10)) is ok
 
 
 @pytest.mark.parametrize("def_y, cap, cut", [
-    (Fraction(2), Fraction(1), False),         # exactly 2^cap: the cutoff is strict
-    (Fraction(3), Fraction(1), True),
-    (Fraction(4, 3), Fraction(1, 2), False),   # log2(4/3) < 1/2 < 4/3
-    (Fraction(3, 2), Fraction(1, 2), True),    # log2(3/2) > 1/2
+    (Fraction(2), Fraction(1), False),           # exactly 2^cap: the cutoff is strict
+    (Fraction(16, 7), Fraction(1), True),
+    (Fraction(4, 3), Fraction(1, 2), False),     # log2(4/3) < 1/2 < 4/3
+    (Fraction(16, 11), Fraction(1, 2), True),    # log2(16/11) > 1/2
 ])
 def test_strict_zpp_cutoff_exact_boundary(def_y, cap, cut):
-    """def_y is a ratio, the cap is in bits: the cutoff fires iff def_y > 2^cap."""
-    rp = refine(one_bit_fixture(), CFG.delta)
+    """def_y is a ratio, the cap is in bits: the cutoff fires iff def_y > 2^cap.
+    Each leaf gets a Bob set of 16/def_y of the 16 inputs at m = 4."""
+    rp = refine(one_bit_fixture(4), CFG.delta)
+    size = Fraction(16) / def_y
+    assert size.denominator == 1
+    Y = ExplicitBobSet(1, 4, [(y,) for y in range(size.numerator)])
     for _, leaf in rp.leaves():
-        leaf.def_y = def_y
+        leaf.rect = Rect(leaf.rect.X, Y)
+        assert leaf.def_y == def_y
     law = walk_law(rp, SimConfig(strict_zpp=True, deficiency_cap=cap))
     sim = simulate_exact(law, (0,))
     assert (DEFICIENCY_CUTOFF in sim.bot_reasons) is cut
@@ -862,3 +879,120 @@ def test_walk_differential_property(proto_seed, shape, depth, strict, def_cap,
                 assert exact.bot_reasons.get(out.failure, 0) > 0
             assert ledger_check(out.ledger, m, cfg.delta)
             assert out.ledger in ledgers
+
+
+# --- ledger rows against the Fraction rows they replace ---
+
+@dataclasses.dataclass(frozen=True)
+class _FractionRow:
+    """A ledger row as four Fraction ratios, equal and hashed by its fields."""
+
+    iteration: int
+    gamma_ratio: Fraction
+    delta_ratio: Fraction
+    queries: int
+    potential_before: Fraction
+    potential_after: Fraction
+
+
+def _fraction_row(row) -> _FractionRow:
+    """The Fraction row of the same ratios, read from row's integers."""
+    (fb, xb), (fa, xa) = row.before, row.after
+    return _FractionRow(row.iteration, Fraction(*row.gamma), Fraction(*row.delta),
+                        row.queries, Fraction(2 ** fb, xb), Fraction(2 ** fa, xa))
+
+
+def _fraction_ledger_check(ledger, m, delta) -> bool:
+    """ledger_check on Fraction rows: each row's potential after over its
+    potential before times the two drops, and the product of the drops,
+    against powers of 2."""
+    rate = (1 - delta) * (m.bit_length() - 1)
+    product = Fraction(1)
+    total_queries = 0
+    for row in ledger:
+        drop = row.gamma_ratio * row.delta_ratio
+        if cmp_pow(row.potential_after / (row.potential_before * drop), 2,
+                   -rate * row.queries) > 0:
+            return False
+        product *= drop
+        total_queries += row.queries
+    return cmp_pow(product, 2, rate * total_queries) >= 0
+
+
+def _assert_rows_match(ledgers, m, delta):
+    """Each ledger's rows give the Fraction rows' ratios and verdict, and the
+    integer rows and the Fraction rows split the ledgers into as many keys."""
+    for ledger in ledgers:
+        old = tuple(map(_fraction_row, ledger))
+        for row, ref in zip(ledger, old):
+            assert (row.iteration, row.gamma_ratio, row.delta_ratio, row.queries,
+                    row.potential_before, row.potential_after) == dataclasses.astuple(ref)
+        assert ledger_check(ledger, m, delta) is _fraction_ledger_check(old, m, delta)
+    assert (len(dict.fromkeys(ledgers))
+            == len(dict.fromkeys(tuple(map(_fraction_row, ledger)) for ledger in ledgers)))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(proto_seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from([(1, 2), (2, 2), (2, 4)]),
+       depth=st.integers(1, 4))
+def test_walk_rows_match_fraction_rows(proto_seed, shape, depth):
+    """Every ledger of a random refined protocol's law, under each pinned
+    config (query-cap rows included), has the Fraction rows' ratios and
+    verdict, and ledger_exact keeps as many ledgers as Fraction rows would."""
+    n, m = shape
+    rp = refine(random_protocol(random.Random(proto_seed), instance(n, m), depth), CFG.delta)
+    for cfg in PINNED_CONFIGS:
+        law = walk_law(rp, cfg)
+        ledgers = [e.ledger for e in law.events]
+        _assert_rows_match(ledgers, m, cfg.delta)
+        assert len(ledger_exact(law)) == len(dict.fromkeys(
+            tuple(map(_fraction_row, ledger)) for ledger in ledgers))
+
+
+_pairs = st.tuples(st.integers(1, 12), st.integers(1, 12))
+_potentials = st.tuples(st.integers(0, 8), st.integers(1, 300))
+
+
+_forged_rows = st.builds(LedgerRow, st.integers(1, 3), st.integers(0, 3), _pairs, _pairs,
+                         _potentials, _potentials)
+
+
+def _scaled(row, k, j) -> LedgerRow:
+    """row on other integers of the same ratios: gamma and delta times k/k,
+    the potential before times 2^j/2^j."""
+    (g, gb), (d, dt), (fb, xb) = row.gamma, row.delta, row.before
+    return LedgerRow(row.iteration, row.queries, (g * k, gb * k), (d * k, dt * k),
+                     (fb + j, xb << j), row.after)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ledgers=st.lists(st.lists(_forged_rows, max_size=3).map(tuple), min_size=1,
+                        max_size=4),
+       k=st.integers(2, 3), j=st.integers(1, 3),
+       m=st.sampled_from([2, 4, 8]),
+       delta=st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(2, 3),
+                              Fraction(9, 10)]))
+def test_forged_rows_match_fraction_rows(ledgers, k, j, m, delta):
+    """Forged rows, and their copies on scaled integers, give the Fraction
+    rows' ratios and verdicts; two rows are equal, and hash alike, exactly
+    when their Fraction rows are equal, so each copy equals its row."""
+    twins = [tuple(_scaled(row, k, j) for row in ledger) for ledger in ledgers]
+    _assert_rows_match(ledgers + twins, m, delta)
+    rows = [row for ledger in ledgers + twins for row in ledger]
+    for a, b in itertools.product(rows, repeat=2):
+        assert (a == b) is (_fraction_row(a) == _fraction_row(b))
+        if a == b:
+            assert hash(a) == hash(b)
+    assert twins == ledgers
+
+
+def test_rows_of_equal_ratios_are_one_key():
+    """Rows holding different integers but equal ratios are equal, hash
+    alike and make one ledger_exact key; changing one ratio makes another."""
+    a = LedgerRow(2, 1, (4, 2), (3, 1), (4, 12), (2, 6))
+    b = LedgerRow(2, 1, (2, 1), (6, 2), (2, 3), (3, 12))
+    assert a == b and hash(a) == hash(b)
+    assert len(dict.fromkeys([(a,), (b,)])) == 1
+    assert a != LedgerRow(2, 1, (4, 2), (3, 1), (4, 12), (2, 7))
+    assert ledger_check((a,), 4, CFG.delta) is ledger_check((b,), 4, CFG.delta)
