@@ -58,7 +58,7 @@ print("\none outcome record:")
 print(f"  transcript {out.transcript}, value {'bottom' if out.value is BOT else out.value}, "
       f"failure {out.failure}, queries {list(out.queries)}")
 for row in out.ledger:
-    print(f"  iteration {row.iteration}: gamma_ratio {row.gamma_ratio}, "
+    print(f"  iteration {row.iteration}: gamma_ratio {Fraction(*row.gamma)}, "
           f"delta_ratio {row.delta_ratio}, queries {row.queries}")
 
 # The strict failure mode also cuts off runs whose Bob set gets too deficient.

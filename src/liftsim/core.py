@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -145,19 +145,31 @@ def compose_eval(G: ComposedInstance, xs, ys) -> tuple:
     return tuple(gadget(x, y, G.m) for x, y in zip(xs, ys))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialAssignment:
-    """rho in {0,1,*}^n; entries use None for *.  `free` and `fix` are
-    listed on first use and kept; equality and hashing read `entries` only."""
+    """rho in {0,1,*}^n; entries use None for *.  `free` and `fix`, the
+    1-based blocks of * and of a bit, are listed when it is built; equality
+    and hashing read `entries` only."""
 
     entries: tuple
+    free: tuple = field(repr=False, compare=False)
+    fix: tuple = field(repr=False, compare=False)
 
     def __init__(self, entries):
         entries = tuple(entries)
         for e in entries:
             if e not in (0, 1, None):
                 raise DomainError("partial assignment entries must be 0, 1, or None")
+        self._fill(entries)
+
+    def _fill(self, entries: tuple) -> "PartialAssignment":
+        free, fix = [], []
+        for i, e in enumerate(entries, 1):
+            (free if e is None else fix).append(i)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "free", tuple(free))
+        object.__setattr__(self, "fix", tuple(fix))
+        return self
 
     @classmethod
     def free_everywhere(cls, n: int) -> "PartialAssignment":
@@ -170,14 +182,6 @@ class PartialAssignment:
     def n(self) -> int:
         return len(self.entries)
 
-    @functools.cached_property
-    def free(self) -> tuple:
-        return tuple(i + 1 for i, e in enumerate(self.entries) if e is None)
-
-    @functools.cached_property
-    def fix(self) -> tuple:
-        return tuple(i + 1 for i, e in enumerate(self.entries) if e is not None)
-
     def value(self, i: int):
         return self.entries[i - 1]
 
@@ -185,26 +189,43 @@ class PartialAssignment:
         return all(e is None or e == zi for e, zi in zip(self.entries, z))
 
     def assign(self, I, bits) -> "PartialAssignment":
+        """rho with each block of I set to its bit: the entries are rho's,
+        already checked, so only the blocks and bits written are."""
         out = list(self.entries)
         for i, b in zip(I, bits):
             if out[i - 1] is not None:
                 raise DomainError(f"block {i} already fixed")
+            if b not in (0, 1):
+                raise DomainError("partial assignment entries must be 0, 1, or None")
             out[i - 1] = b
-        return PartialAssignment(out)
+        return object.__new__(PartialAssignment)._fill(tuple(out))
 
 
 # --- Bob sets: a BobCube or an ExplicitBobSet, with one interface; `split` is
 # the one way to cut them, and an empty result is None, not an empty set. ---
 
-def _split_keys(positions, n, m) -> list:
-    """A split's keys, ascending ("0...0" first); refuses repeated or out-of-range pairs."""
+@functools.cache
+def _keys(k: int) -> tuple:
+    """The 2^k bit strings of length k, ascending ("0...0" first), each with
+    its bits as integers: (s, bits)."""
+    return tuple(("".join(map(str, bits)), bits)
+                 for bits in itertools.product((0, 1), repeat=k))
+
+
+def _split_keys(positions, n, m) -> tuple:
+    """A split's keys as `_keys` lists them; refuses repeated or
+    out-of-range pairs."""
     if len(set(positions)) < len(positions) or not all(
             1 <= blk <= n and 1 <= pos <= m for blk, pos in positions):
         raise DomainError(f"split positions {positions} repeat or fall out of range")
-    return ["".join(bits) for bits in itertools.product("01", repeat=len(positions))]
+    return _keys(len(positions))
 
 
-@dataclass(frozen=True)
+# z's bits at a block a cube's pin pattern leaves unpinned (None), or pins
+_Z_BITS = {None: (0, 1), 0: (0,), 1: (1,)}
+
+
+@dataclass(frozen=True, slots=True)
 class BobCube:
     """A subcube of Bob's domain: some (block, position) bits pinned.
 
@@ -233,14 +254,19 @@ class BobCube:
         return 2 ** (self.n * self.m - len(self.fixed))
 
     def contains(self, ys) -> bool:
-        return all(bit_at(ys[blk - 1], pos, self.m) == b for (blk, pos), b in self.fixed)
+        """Whether ys reads every pin, each a bit of its index; DomainError
+        off the domain."""
+        i, n, m = _bob_index(ys, self.n, self.m), self.n, self.m
+        return all(i >> ((n - blk) * m + m - pos) & 1 == b for (blk, pos), b in self.fixed)
 
     @classmethod
     def _of_pins(cls, n: int, m: int, fixed: tuple) -> "BobCube":
         """The cube of pins already checked, distinct and sorted, built
         without __post_init__'s re-check."""
         out = object.__new__(cls)
-        out.__dict__.update(n=n, m=m, fixed=fixed)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "fixed", fixed)
         return out
 
     def split(self, positions) -> dict:
@@ -248,14 +274,16 @@ class BobCube:
         to the subcube reading s there, or None; in closed form.  A position
         Y already pins keeps its one pin, and s must agree with it."""
         pins = dict(self.fixed)
+        held = [(j, pins[p]) for j, p in enumerate(positions) if p in pins]
         out = {}
-        for s in _split_keys(positions, self.n, self.m):
-            new = tuple(zip(positions, map(int, s)))
-            if all(pins.get(key, b) == b for key, b in new):
-                fresh = tuple(pin for pin in new if pin[0] not in pins)
-                out[s] = BobCube._of_pins(self.n, self.m, tuple(sorted(self.fixed + fresh)))
-            else:
+        for s, bits in _split_keys(positions, self.n, self.m):
+            if held and any(bits[j] != b for j, b in held):
                 out[s] = None
+                continue
+            new = tuple(zip(positions, bits))
+            if held:
+                new = tuple(pin for pin in new if pin[0] not in pins)
+            out[s] = BobCube._of_pins(self.n, self.m, tuple(sorted(self.fixed + new)))
         return out
 
     def deficiency(self) -> Fraction:
@@ -267,20 +295,25 @@ class BobCube:
         """{z: |{(xs, y) in X x Y : G(xs, y) = z}|} over every z at once, in
         closed form.  X is tallied by pin pattern: per block, the bit Y pins
         where xs points, or None, read by one {pos: bit} lookup per block
-        along X's column of that block.  A row of a pattern with f unpinned
+        along X's column of that block, and counted by a Counter in one C
+        pass; a single row is its own tally.  A row of a pattern with f unpinned
         blocks meets the slice of each of the 2^f z agreeing with its pins
         in 2^(nm - |pins| - f) strings: z fixes the f pointed-to bits."""
         pins = [{} for _ in range(self.n)]
         for (blk, pos), b in self.fixed:
             pins[blk - 1][pos] = b
-        patterns = Counter(zip(*(map(pins[i].get, map(itemgetter(i), X))
-                                 for i in range(self.n))))
+        if len(X) == 1:
+            # one row is its own tally
+            patterns = {tuple(map(dict.get, pins, next(iter(X)))): 1}
+        else:
+            patterns = Counter(zip(*(map(pins[i].get, map(itemgetter(i), X))
+                                     for i in range(self.n))))
         free_bits = self.n * self.m - len(self.fixed)
-        out = Counter()
+        out = {}
         for pattern, k in patterns.items():
             share = k << (free_bits - pattern.count(None))
-            for z in itertools.product(*((0, 1) if b is None else (b,) for b in pattern)):
-                out[z] += share
+            for z in itertools.product(*map(_Z_BITS.__getitem__, pattern)):
+                out[z] = out.get(z, 0) + share
         return out
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
@@ -313,7 +346,7 @@ def _position_mask(n: int, m: int, blk: int, pos: int) -> int:
     return mask
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class ExplicitBobSet:
     """An explicit set of Bob inputs, n-tuples of m-bit strings, stored as one
     integer bit mask over the 2^(nm) domain indices.
@@ -334,13 +367,17 @@ class ExplicitBobSet:
         buf = bytearray(((1 << n * m) + 7) // 8)
         for i in (_bob_index(e, n, m) for e in ys):
             buf[i >> 3] |= 1 << (i & 7)
-        self.__dict__.update(n=n, m=m, bits=int.from_bytes(buf, "little"))
+        self._fill(n, m, int.from_bytes(buf, "little"))
 
     @classmethod
     def _of_bits(cls, n: int, m: int, bits: int) -> "ExplicitBobSet":
-        out = object.__new__(cls)
-        out.__dict__.update(n=n, m=m, bits=bits)
-        return out
+        return object.__new__(cls)._fill(n, m, bits)
+
+    def _fill(self, n: int, m: int, bits: int) -> "ExplicitBobSet":
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "bits", bits)
+        return self
 
     def __repr__(self):
         return f"ExplicitBobSet(n={self.n}, m={self.m}, bits={self.bits:#x})"
@@ -371,7 +408,7 @@ class ExplicitBobSet:
     def split(self, positions) -> dict:
         """Y cut at (block, pos) pairs: each bit string s over them, ascending,
         to the elements reading s there, or None; by ANDs with the masks."""
-        keys = _split_keys(positions, self.n, self.m)
+        keys = (s for s, _ in _split_keys(positions, self.n, self.m))
         return dict(zip(keys, map(self._subset, self._pieces(positions))))
 
     def split_fn(self, fn):
@@ -393,11 +430,11 @@ class ExplicitBobSet:
         positions, whose pieces come in z's order, and counts each by
         popcount."""
         zs = list(itertools.product((0, 1), repeat=self.n))
-        counts = Counter()
+        counts = {}
         for xs in X:
             for z, piece in zip(zs, self._pieces(tuple(enumerate(xs, 1)))):
                 if piece:
-                    counts[z] += piece.bit_count()
+                    counts[z] = counts.get(z, 0) + piece.bit_count()
         return counts
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
@@ -411,7 +448,7 @@ def bob_size(Y) -> int:
     return Y.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rect:
     """A combinatorial rectangle X x Y: X explicit, Y a Bob set."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -325,6 +325,8 @@ def dt_to_protocol(T, G: ComposedInstance):
 class _RNode:
     """A refined node's ratios, read from its integers and rectangle on use."""
 
+    __slots__ = ()
+
     @property
     def potential(self) -> Fraction:
         """2^free_bits / |X|: log2 is D(X) on the free blocks."""
@@ -336,21 +338,25 @@ class _RNode:
         return self.rect.Y.deficiency()
 
 
-@dataclass
+@dataclass(slots=True)
 class RLeaf(_RNode):
     rect: Rect
     rho: PartialAssignment
     value: object
     free_bits: int        # log m * |free|: the potential's power of 2
+    _slice_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def slice_counts(self) -> dict:
-        """{z: |G^-1(z) ∩ rect|}, computed on first use and kept: refinement
-        does not depend on z, so every z's count oracle shares one pass."""
-        return self.rect.Y.slice_counts(self.rect.X)
+        """{z: |G^-1(z) ∩ rect|}, computed on first use and kept in
+        `_slice_counts`: refinement does not depend on z, so every z's count
+        oracle shares one pass."""
+        if self._slice_counts is None:
+            self._slice_counts = self.rect.Y.slice_counts(self.rect.X)
+        return self._slice_counts
 
 
-@dataclass
+@dataclass(slots=True)
 class RPart:
     """One density-restoring part inside an Alice iteration."""
 
@@ -372,7 +378,7 @@ class RPart:
         return Fraction(2 ** self.free_bits, len(self.X))
 
 
-@dataclass
+@dataclass(slots=True)
 class RAlice(_RNode):
     rect: Rect
     rho: PartialAssignment
@@ -381,7 +387,7 @@ class RAlice(_RNode):
     free_bits: int        # as in RLeaf
 
 
-@dataclass
+@dataclass(slots=True)
 class RBob(_RNode):
     rect: Rect
     rho: PartialAssignment
@@ -477,7 +483,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
                 s_children = {
                     s: None if Ys is None else build(
                         v.child(b), dp.support, Ys,
-                        rho.assign(dp.coords, tuple(int(c) for c in s)))
+                        rho.assign(dp.coords, map(int, s)))
                     for s, Ys in Y.split(tuple(zip(dp.coords, dp.alpha))).items()
                 }
                 parts.append(RPart(dp.order, dp.coords, dp.alpha, dp.support,

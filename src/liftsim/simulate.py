@@ -100,9 +100,11 @@ def _lowest(a: int, b: int) -> tuple:
 class LedgerRow(NamedTuple):
     """Per-iteration potential bookkeeping, as exact ratios (their log2 is the
     quantity in bits, which is irrational in general, so the ratio is kept).
-    A row holds the integers its ratios are made of, and a ratio is a
-    Fraction only when read.  Rows are equal, and hash alike, when their
-    iterations, query counts and four ratios are, whatever the integers."""
+    A row holds the integers its ratios are made of, and a reader makes a
+    ratio a Fraction when it needs one: `Fraction(*row.gamma)`,
+    `row.delta_ratio`, or `Fraction(2 ** f, x)` for (f, x) = `row.before`.
+    Rows are equal, and hash alike, when their iterations, query counts and
+    four ratios are, whatever the integers."""
 
     iteration: int
     queries: int
@@ -112,20 +114,8 @@ class LedgerRow(NamedTuple):
     after: tuple       # (free bits, |X|) after the iteration
 
     @property
-    def gamma_ratio(self) -> Fraction:
-        return Fraction(*self.gamma)
-
-    @property
     def delta_ratio(self) -> Fraction:
         return Fraction(*self.delta)
-
-    @property
-    def potential_before(self) -> Fraction:
-        return Fraction(2 ** self.before[0], self.before[1])
-
-    @property
-    def potential_after(self) -> Fraction:
-        return Fraction(2 ** self.after[0], self.after[1])
 
     def _key(self) -> tuple:
         """The counts and the four ratios in lowest terms."""

@@ -128,11 +128,11 @@ def test_auto_counts_when_the_count_fits_the_budget():
     assert all(isinstance(leaf.rect.Y, ExplicitBobSet) for leaf in leaves)
     assert sum(len(leaf.rect.X) * leaf.rect.Y.size for leaf in leaves) == 64
     dist = true_transcript_dist(counted, z, pair_budget=64)
-    assert all("slice_counts" in leaf.__dict__ for leaf in leaves)
+    assert all(leaf._slice_counts is not None for leaf in leaves)
 
     replayed = refine(pt, D)
     assert true_transcript_dist(replayed, z, pair_budget=63) == dist
-    assert not any("slice_counts" in leaf.__dict__ for _, leaf in replayed.leaves())
+    assert all(leaf._slice_counts is None for _, leaf in replayed.leaves())
     assert dist == replay_transcript_dist(replayed, z)
 
     with pytest.raises(ResourceError) as err:
@@ -200,7 +200,7 @@ def test_count_never_runs_past_the_budget():
     with pytest.raises(ResourceError) as err:
         true_transcript_dist(rp, (0, 1), pair_budget=1)
     assert (err.value.required, err.value.budget) == (1024, 1)
-    assert not any("slice_counts" in leaf.__dict__ for _, leaf in rp.leaves())
+    assert all(leaf._slice_counts is None for _, leaf in rp.leaves())
 
 
 # --- tv distance and support ---

@@ -197,14 +197,41 @@ def test_partial_assignment_basics():
 
 
 def test_partial_assignment_keeps_free_and_fix():
-    """free and fix are listed once and kept; a copy that never read them is
-    still equal, with the same hash."""
+    """free and fix are listed when it is built and kept; equal entries are
+    an equal assignment, with the same hash."""
     rho, fresh = PartialAssignment((None, 1, None)), PartialAssignment((None, 1, None))
     assert rho.free is rho.free == (1, 3) and rho.fix is rho.fix == (2,)
     assert rho == fresh and hash(rho) == hash(fresh)
     assert {rho: 1}[fresh] == 1 and rho != PartialAssignment((None, 0, None))
     with pytest.raises(dataclasses.FrozenInstanceError):
         rho.entries = (0, 0, 0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(entries=st.lists(st.sampled_from((0, 1, None)), min_size=1, max_size=6),
+       data=st.data())
+def test_assign_is_the_checked_assignment(entries, data):
+    """rho.assign(I, bits), which checks only the blocks and bits it writes,
+    is the assignment the checked constructor builds from the same entries:
+    entries, free, fix, equality and hash.  It refuses a block already fixed
+    and a value that is not a bit."""
+    rho = PartialAssignment(entries)
+    I = data.draw(st.permutations(rho.free))
+    I = I[:data.draw(st.integers(0, len(I)))]
+    bits = data.draw(st.lists(st.sampled_from((0, 1)), min_size=len(I), max_size=len(I)))
+    written = list(entries)
+    for i, b in zip(I, bits):
+        written[i - 1] = b
+    child, checked = rho.assign(I, bits), PartialAssignment(written)
+    assert (child.entries, child.free, child.fix) == (checked.entries, checked.free, checked.fix)
+    assert child == checked and hash(child) == hash(checked)
+    if rho.fix:
+        with pytest.raises(DomainError, match="already fixed"):
+            rho.assign((data.draw(st.sampled_from(rho.fix)),), (0,))
+    if rho.free:
+        bad = data.draw(st.sampled_from((2, -1, None, "1", Fraction(1, 2))))
+        with pytest.raises(DomainError):
+            rho.assign((data.draw(st.sampled_from(rho.free)),), (bad,))
 
 
 # --- cube Bob sets agree with explicit ones ---
@@ -439,6 +466,15 @@ def test_cube_contains_and_pinned():
     with pytest.raises(ResourceError) as err:
         c.materialize(pair_budget=7)
     assert (err.value.required, err.value.budget) == (8, 7)
+
+
+@pytest.mark.parametrize("ys", [(5,), (5, 0, 0), (0b10000, 0), (0, -1)])
+def test_contains_refuses_input_off_the_domain(ys):
+    """A wrong number of blocks, or a block that is not an m-bit string, is
+    refused by both Bob set kinds alike."""
+    for Y in (BobCube(2, 4, ()), G(2, 4).full_Y()):
+        with pytest.raises(DomainError, match="not 2 blocks of 4-bit strings"):
+            Y.contains(ys)
 
 
 def test_structured_with_cube_y():

@@ -12,6 +12,7 @@ from liftsim.core import (
     ComposedInstance,
     ExplicitBobSet,
     PartialAssignment,
+    Rect,
     bob_size,
     compose_eval,
     is_structured,
@@ -31,6 +32,7 @@ from liftsim.protocol import (
     RAlice,
     RBob,
     RLeaf,
+    RPart,
     RandomizedDecisionTree,
     RandomizedProtocol,
     TableFn,
@@ -381,6 +383,32 @@ def test_refine_cube_and_explicit_bob_sets_agree():
         _assert_same_refinement(cube.root, explicit.root)
         assert ([(t, leaf.value) for t, leaf in cube.leaves()]
                 == [(t, leaf.value) for t, leaf in explicit.leaves()])
+
+
+def _records(rp):
+    """Every node of a refined protocol with its rectangle, rho and Bob set,
+    and every part of its Alice nodes."""
+    for node in rp.iter_nodes():
+        yield from (node, node.rect, node.rho, node.rect.Y)
+        if isinstance(node, RAlice):
+            yield from (part for parts in node.branches.values() if parts for part in parts)
+
+
+def test_refined_records_have_no_dict():
+    """A refined tree's records are slotted: no node, part, rectangle,
+    partial assignment or Bob set of either kind carries an instance
+    __dict__, also after each leaf's slice counts are read and kept."""
+    rps = [refine(pt, D) for pt in _bit_readout_protocols()]
+    rps += [refine(_tabulate_bob_maps(rp.source), D) for rp in rps]
+    seen = set()
+    for rp in rps:
+        for _, leaf in rp.leaves():
+            assert leaf.slice_counts is leaf.slice_counts
+        for record in _records(rp):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            seen.add(type(record))
+    assert seen == {RLeaf, RBob, RAlice, RPart, Rect, PartialAssignment, BobCube,
+                    ExplicitBobSet}
 
 
 # --- decision trees ---

@@ -530,13 +530,13 @@ def test_ledger_one_bit_values():
     law = walk_law(refine(one_bit_fixture(), CFG.delta), CFG)
     out = simulate_sample(law, (0,), seed=0)
     (row,) = out.ledger
-    assert row.gamma_ratio == Fraction(2, 1)   # gamma = 1 bit
+    assert Fraction(*row.gamma) == Fraction(2, 1)   # gamma = 1 bit
     assert row.delta_ratio == Fraction(1, 1)   # single part: delta_1 = 0
     assert row.queries == 1
     # full X at the root: potential 0; the singleton part on no remaining
     # free blocks also sits at 0, and 0.1*log2(2)*1 <= gamma + delta = 1
-    assert row.potential_before == 2 ** 0
-    assert row.potential_after == 2 ** 0
+    assert Fraction(2 ** row.before[0], row.before[1]) == 2 ** 0
+    assert Fraction(2 ** row.after[0], row.after[1]) == 2 ** 0
     assert ledger_check(out.ledger, 2, CFG.delta)
 
 
@@ -802,8 +802,9 @@ def _lin_arg(q):
 
 def _outcome_record(out) -> str:
     value = "bot" if out.value is BOT else out.value
-    rows = [(r.iteration, r.gamma_ratio, r.delta_ratio, r.queries,
-             *_lin_arg(r.potential_before), *_lin_arg(r.potential_after))
+    rows = [(r.iteration, Fraction(*r.gamma), r.delta_ratio, r.queries,
+             *_lin_arg(Fraction(2 ** r.before[0], r.before[1])),
+             *_lin_arg(Fraction(2 ** r.after[0], r.after[1])))
             for r in out.ledger]
     # PINNED_SAMPLER_DIGEST writes None for a bottom's transcript
     transcript = None if out.failure else out.transcript
@@ -925,8 +926,9 @@ def _assert_rows_match(ledgers, m, delta):
     for ledger in ledgers:
         old = tuple(map(_fraction_row, ledger))
         for row, ref in zip(ledger, old):
-            assert (row.iteration, row.gamma_ratio, row.delta_ratio, row.queries,
-                    row.potential_before, row.potential_after) == dataclasses.astuple(ref)
+            (fb, xb), (fa, xa) = row.before, row.after
+            assert (row.iteration, Fraction(*row.gamma), row.delta_ratio, row.queries,
+                    Fraction(2 ** fb, xb), Fraction(2 ** fa, xa)) == dataclasses.astuple(ref)
         assert ledger_check(ledger, m, delta) is _fraction_ledger_check(old, m, delta)
     assert (len(dict.fromkeys(ledgers))
             == len(dict.fromkeys(tuple(map(_fraction_row, ledger)) for ledger in ledgers)))
