@@ -193,10 +193,12 @@ class PartialAssignment:
         already checked, so only the blocks and bits written are."""
         out = list(self.entries)
         for i, b in zip(I, bits):
+            if not 1 <= i <= len(out):
+                raise DomainError(f"block {i} outside 1..{len(out)}")
             if out[i - 1] is not None:
                 raise DomainError(f"block {i} already fixed")
             if b not in (0, 1):
-                raise DomainError("partial assignment entries must be 0, 1, or None")
+                raise DomainError(f"block {i} value {b!r} is not a bit")
             out[i - 1] = b
         return object.__new__(PartialAssignment)._fill(tuple(out))
 
@@ -256,7 +258,8 @@ class BobCube:
     def contains(self, ys) -> bool:
         """Whether ys reads every pin, each a bit of its index; DomainError
         off the domain."""
-        i, n, m = _bob_index(ys, self.n, self.m), self.n, self.m
+        n, m = self.n, self.m
+        i = _bob_index(ys, n, m)
         return all(i >> ((n - blk) * m + m - pos) & 1 == b for (blk, pos), b in self.fixed)
 
     @classmethod

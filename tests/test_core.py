@@ -213,8 +213,8 @@ def test_partial_assignment_keeps_free_and_fix():
 def test_assign_is_the_checked_assignment(entries, data):
     """rho.assign(I, bits), which checks only the blocks and bits it writes,
     is the assignment the checked constructor builds from the same entries:
-    entries, free, fix, equality and hash.  It refuses a block already fixed
-    and a value that is not a bit."""
+    entries, free, fix, equality and hash.  It refuses a block already
+    fixed, a block out of range and a value that is not a bit."""
     rho = PartialAssignment(entries)
     I = data.draw(st.permutations(rho.free))
     I = I[:data.draw(st.integers(0, len(I)))]
@@ -228,9 +228,12 @@ def test_assign_is_the_checked_assignment(entries, data):
     if rho.fix:
         with pytest.raises(DomainError, match="already fixed"):
             rho.assign((data.draw(st.sampled_from(rho.fix)),), (0,))
+    for i in (0, -1, len(entries) + 1):
+        with pytest.raises(DomainError, match="outside"):
+            rho.assign((i,), (0,))
     if rho.free:
         bad = data.draw(st.sampled_from((2, -1, None, "1", Fraction(1, 2))))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="is not a bit"):
             rho.assign((data.draw(st.sampled_from(rho.free)),), (bad,))
 
 
