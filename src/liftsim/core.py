@@ -277,7 +277,7 @@ class BobCube:
         to the subcube reading s there, or None; in closed form.  A position
         Y already pins keeps its one pin, and s must agree with it."""
         pins = dict(self.fixed)
-        held = [(j, pins[p]) for j, p in enumerate(positions) if p in pins]
+        held = [(j, pins[p]) for j, p in enumerate(positions) if p in pins]  # (index, pin)
         out = {}
         for s, bits in _split_keys(positions, self.n, self.m):
             if held and any(bits[j] != b for j, b in held):
