@@ -25,8 +25,8 @@ print("source protocol: Alice announces [x = 1], cost", pt.cost)
 def show(node, depth, edge):
     pad = "  " * depth
     kind = type(node).__name__
-    print(f"{pad}{edge} {kind}: rho={node.rho} |X|={node.rect.x_size} "
-          f"|Y|={node.rect.y_size}"
+    print(f"{pad}{edge} {kind}: rho={node.rho} |X|={len(node.rect.X)} "
+          f"|Y|={node.rect.Y.size}"
           + (f" value={node.value}" if isinstance(node, RLeaf) else ""))
     if isinstance(node, RBob):
         for b, child in node.children.items():
@@ -47,7 +47,7 @@ show(rp.root, 0, "root:")
 
 print("\nevery iteration node is structured:",
       all(is_structured(nd.rect, nd.rho, DELTA, rp.G)
-          for nd in rp.iteration_nodes()))
+          for nd in rp.iter_nodes() if not isinstance(nd, RLeaf)))
 
 print("\nbehavior is unchanged on every input:")
 for xs in rp.G.alice_domain():

@@ -59,7 +59,7 @@ print(f"  transcript {out.transcript}, value {'bottom' if out.value is BOT else 
       f"failure {out.failure}, queries {list(out.queries)}")
 for row in out.ledger:
     print(f"  iteration {row.iteration}: gamma_ratio {Fraction(*row.gamma)}, "
-          f"delta_ratio {row.delta_ratio}, queries {row.queries}")
+          f"delta_ratio {Fraction(*row.delta)}, queries {row.queries}")
 
 # The strict failure mode also cuts off runs whose Bob set gets too deficient.
 strict = SimConfig(delta=DELTA, strict_zpp=True, deficiency_cap=Fraction(1))

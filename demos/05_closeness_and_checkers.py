@@ -9,7 +9,6 @@ the parities-to-pointwise implication.
 
 import itertools
 import statistics
-from fractions import Fraction
 
 from liftsim import (
     ExactDist,
@@ -57,13 +56,10 @@ print(f"norm bound: |bias|^2 = {nb.lhs ** 2} <= {nb.rhs_squared}, holds = {nb.ho
 # all fit under n^(-5|I|) are pointwise within a 1/n^3 factor of uniform.
 n = 4
 j = 3
-uniform = Fraction(1, 2 ** j)
-probs = {}
-for z in itertools.product((0, 1), repeat=j):
-    tilt = Fraction(1, n ** 5) if sum(z) % 2 == 0 else -Fraction(1, n ** 5)
-    probs[z] = uniform * (1 + tilt)
-d = ExactDist(probs)
+N = n ** 5   # p(z) = (1 +- 1/N) / 2^j, the sign that of z's parity
+d = ExactDist({z: N + 1 if sum(z) % 2 == 0 else N - 1
+               for z in itertools.product((0, 1), repeat=j)}, N * 2 ** j)
 hyp, concl = fourier_pointwise_check(d, n)
 print(f"\nbudgeted-parity distribution: hypothesis={hyp}, conclusion={concl}")
-hyp, concl = fourier_pointwise_check(ExactDist.point((0,) * j), n)
+hyp, concl = fourier_pointwise_check(ExactDist({(0,) * j: 1}), n)
 print(f"point mass:                    hypothesis={hyp}, conclusion={concl}")

@@ -62,7 +62,7 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
     counts = {t: leaf.slice_counts.get(z, 0) for t, leaf in rp.leaves()}
     if sum(counts.values()) != total:
         raise DomainError("leaf rectangles failed to cover the slice")
-    return ExactDist.from_counts(counts)
+    return ExactDist(counts)
 
 
 def _replay(G: ComposedInstance, z, run, pair_budget: int) -> ExactDist:
@@ -70,7 +70,7 @@ def _replay(G: ComposedInstance, z, run, pair_budget: int) -> ExactDist:
     total = slice_count(G, z)
     if total > pair_budget:
         raise ResourceError("slice replay", total, pair_budget)
-    return ExactDist.from_counts(
+    return ExactDist(
         Counter(run(xs, ys)[0] for xs, ys in iter_slice(G, z)))
 
 
@@ -106,10 +106,6 @@ class MarginalsReport:
     deficiency_ok: bool
     intersection_size: int
 
-    @property
-    def preconditions_held(self) -> bool:
-        return self.structured and self.deficiency_ok
-
 
 def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
                      delta=Fraction(9, 10), cap=None,
@@ -124,7 +120,7 @@ def marginals_report(rect: Rect, rho: PartialAssignment, z, G: ComposedInstance,
     if not rho.consistent(z):
         raise DomainError("z is not consistent with rho")
     cap = SimConfig(deficiency_cap=cap).cap_bits(G.n)
-    pairs = rect.x_size * rect.y_size
+    pairs = len(rect.X) * rect.Y.size
     if pairs > pair_budget:
         raise ResourceError("marginals enumeration", pairs, pair_budget)
     Y = rect.Y.materialize(pair_budget)

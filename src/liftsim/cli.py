@@ -227,7 +227,7 @@ def cmd_refine(args):
             ok = is_structured(node.rect, node.rho, args.delta, rp.G)
             if not ok and bad is None:
                 bad = (idx, kind)
-        rows.append([idx, kind, str(node.rho), node.rect.x_size, node.rect.y_size,
+        rows.append([idx, kind, str(node.rho), len(node.rect.X), node.rect.Y.size,
                      entropy.log2_float(node.def_y), entropy.log2_float(node.potential),
                      int(ok)])
     if bad is not None:
@@ -370,7 +370,7 @@ def _random_dist(rng, j, n):
     if rng.random() < 0.5:
         return _fourier_noise(rng, j, n)
     weights = [rng.randint(1, 8) for _ in range(2 ** j)]
-    return sim.ExactDist.from_counts(dict(zip(itertools.product((0, 1), repeat=j), weights)))
+    return sim.ExactDist(dict(zip(itertools.product((0, 1), repeat=j), weights)))
 
 
 def _fourier_noise(rng, j, n):
@@ -384,7 +384,7 @@ def _fourier_noise(rng, j, n):
             k = rng.randint(-100, 100)
             if k:
                 coeffs.append((I, k * n ** (5 * (j - r))))
-    return sim.ExactDist.from_counts({
+    return sim.ExactDist({
         z: D + sum(-c if sum(z[i - 1] for i in I) % 2 else c for I, c in coeffs)
         for z in itertools.product((0, 1), repeat=j)}, D * 2 ** j)
 

@@ -462,14 +462,6 @@ class Rect:
         object.__setattr__(self, "X", frozenset(X))
         object.__setattr__(self, "Y", Y)
 
-    @property
-    def x_size(self) -> int:
-        return len(self.X)
-
-    @property
-    def y_size(self) -> int:
-        return self.Y.size
-
 
 @dataclass(frozen=True)
 class OuterFunction:
@@ -554,7 +546,7 @@ def is_structured(rect: Rect, rho: PartialAssignment, delta, G: ComposedInstance
     anything), so once X is constant on fix(rho) it reduces to Y pinning the
     pointed-to bit of each fixed block.
     """
-    if not rect.x_size or not rect.y_size:
+    if not rect.X or not rect.Y.size:
         raise DomainError("is_structured needs a nonempty rectangle")
     if rho.n != G.n:
         raise DomainError("rho arity mismatch")

@@ -369,14 +369,6 @@ class RPart:
     s_children: dict      # bit-string over I -> node or None ("impossible to send")
     free_bits: int        # as in RLeaf, with I fixed: each present s-child's
 
-    @property
-    def delta_ratio(self) -> Fraction:
-        return Fraction(self.input_size, self.tail_size)
-
-    @property
-    def potential(self) -> Fraction:
-        return Fraction(2 ** self.free_bits, len(self.X))
-
 
 @dataclass(slots=True)
 class RAlice(_RNode):
@@ -425,9 +417,6 @@ class RefinedProtocol:
 
     def iter_nodes(self):
         return (node for _, node in self.traverse())
-
-    def iteration_nodes(self):
-        return [nd for _, nd in self.traverse() if not isinstance(nd, RLeaf)]
 
     def leaves(self) -> tuple:
         """(refined transcript, leaf) pairs, listed on first use and kept."""

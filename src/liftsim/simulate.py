@@ -102,7 +102,7 @@ class LedgerRow(NamedTuple):
     quantity in bits, which is irrational in general, so the ratio is kept).
     A row holds the integers its ratios are made of, and a reader makes a
     ratio a Fraction when it needs one: `Fraction(*row.gamma)`,
-    `row.delta_ratio`, or `Fraction(2 ** f, x)` for (f, x) = `row.before`.
+    `Fraction(*row.delta)`, or `Fraction(2 ** f, x)` for (f, x) = `row.before`.
     Rows are equal, and hash alike, when their iterations, query counts and
     four ratios are, whatever the integers."""
 
@@ -112,10 +112,6 @@ class LedgerRow(NamedTuple):
     delta: tuple       # the part's (input_size, tail_size), |X^b| and |X^(>=i)|
     before: tuple      # (free bits, |X|) at the node: the potential 2^free / |X|
     after: tuple       # (free bits, |X|) after the iteration
-
-    @property
-    def delta_ratio(self) -> Fraction:
-        return Fraction(*self.delta)
 
     def _key(self) -> tuple:
         """The counts and the four ratios in lowest terms."""
@@ -145,26 +141,14 @@ class ExactDist:
     probabilities read counts and total, so no Fraction is built per
     outcome; prob and items give the Fractions."""
 
-    def __init__(self, mapping):
-        """From outcome -> probability: an int, a Fraction, or what Fraction reads."""
-        probs = {o: p if isinstance(p, (int, Fraction)) else Fraction(p)
-                 for o, p in dict(mapping).items()}
-        den = math.lcm(*(p.denominator for p in probs.values()))
-        self._set({o: p.numerator * (den // p.denominator) for o, p in probs.items()}, den)
-
-    @classmethod
-    def from_counts(cls, counts, total=None) -> "ExactDist":
-        """Integer counts[o] / total for each outcome; total defaults to their sum."""
+    def __init__(self, counts, total=None):
+        """Integer counts[o] / total for each outcome; total defaults to their
+        sum.  Refuses an empty table, a negative count and a sum other than
+        total, then reduces."""
         if total is None:
             total = sum(counts.values())
             if total <= 0:
                 raise DomainError("empty count table")
-        dist = cls.__new__(cls)
-        dist._set(counts, total)
-        return dist
-
-    def _set(self, counts, total):
-        """Refuse a negative count and a sum other than total, then reduce."""
         if any(c < 0 for c in counts.values()):
             raise DomainError("negative probability")
         counts = {o: c for o, c in counts.items() if c}
@@ -173,10 +157,6 @@ class ExactDist:
         g = math.gcd(total, *counts.values())
         self.counts = {o: c // g for o, c in counts.items()} if g > 1 else counts
         self.total = total // g
-
-    @classmethod
-    def point(cls, outcome) -> "ExactDist":
-        return cls.from_counts({outcome: 1})
 
     def prob(self, outcome) -> Fraction:
         return Fraction(self.counts.get(outcome, 0), self.total)
@@ -311,10 +291,10 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
         it, total = len(ledger) + 1, len(node.rect.X)
         before = (node.free_bits, total)
         if isinstance(node, RBob):
-            ytotal = node.rect.y_size
+            ytotal = node.rect.Y.size
             return Draw(ytotal, [
-                Edge(c.rect.y_size, (), {"": land(
-                    node, (), "", c, num * c.rect.y_size, den * ytotal, q, t + (("b", b),),
+                Edge(c.rect.Y.size, (), {"": land(
+                    node, (), "", c, num * c.rect.Y.size, den * ytotal, q, t + (("b", b),),
                     ledger + (LedgerRow(it, 0, UNIT, UNIT, before,
                                         (c.free_bits, len(c.rect.X))),))})
                 for b, c in node.children.items() if c is not None])
@@ -372,10 +352,10 @@ def simulate_exact(law: WalkLaw, z) -> SimExact:
         values[e.value] = values.get(e.value, 0) + w
         if e.failure is not None:
             reasons[e.failure] = reasons.get(e.failure, 0) + w
-    return SimExact(ExactDist.from_counts(transcripts, den),
-                    ExactDist.from_counts(queries, den),
+    return SimExact(ExactDist(transcripts, den),
+                    ExactDist(queries, den),
                     {r: Fraction(c, den) for r, c in reasons.items()},
-                    ExactDist.from_counts(values, den))
+                    ExactDist(values, den))
 
 
 def ledger_exact(law: WalkLaw) -> dict:

@@ -1,6 +1,7 @@
 """Oracle and checker tests: transcript distributions, TV, marginals, Fourier."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -66,15 +67,15 @@ CFG = SimConfig()
 
 def test_true_dist_zero_communication():
     rp = refine(ProtocolTree(instance(1, 2), PLeaf(1)), D)
-    assert true_transcript_dist(rp, (0,)) == ExactDist.point(())
+    assert true_transcript_dist(rp, (0,)) == ExactDist({(): 1})
 
 
 def test_true_dist_one_bit_fixture():
     rp = refine(one_bit_fixture(), D)
     dist = true_transcript_dist(rp, (0,))
     assert dist == ExactDist({
-        (("b", 1), ("i", 1), ("s", "0")): Fraction(1, 2),
-        (("b", 0), ("i", 1), ("s", "0")): Fraction(1, 2),
+        (("b", 1), ("i", 1), ("s", "0")): 1,
+        (("b", 0), ("i", 1), ("s", "0")): 1,
     })
 
 
@@ -143,9 +144,9 @@ def test_auto_counts_when_the_count_fits_the_budget():
 def project(dist, fn) -> ExactDist:
     """The image of dist under fn, summing the mass of outcomes fn merges."""
     out = {}
-    for o, p in dist.items():
-        out[fn(o)] = out.get(fn(o), 0) + p
-    return ExactDist(out)
+    for o, c in dist.counts.items():
+        out[fn(o)] = out.get(fn(o), 0) + c
+    return ExactDist(out, dist.total)
 
 
 def test_true_dist_projects_to_source_transcripts():
@@ -206,20 +207,27 @@ def test_count_never_runs_past_the_budget():
 # --- tv distance and support ---
 
 def test_tv_examples():
-    d = ExactDist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    d = ExactDist({"a": 1, "b": 1})
     assert tv_distance(d, d) == 0
-    assert tv_distance(ExactDist.point("a"), ExactDist.point("b")) == 1
-    d2 = ExactDist({"a": Fraction(3, 4), "b": Fraction(1, 4)})
+    assert tv_distance(ExactDist({"a": 1}), ExactDist({"b": 1})) == 1
+    d2 = ExactDist({"a": 3, "b": 1})
     assert tv_distance(d, d2) == Fraction(1, 4)
+
+
+def _fraction_weights(w):
+    """Positive Fractions over their sum, as counts over the lcm of their
+    denominators."""
+    den = math.lcm(*(p.denominator for p in w.values()))
+    return ExactDist({o: p.numerator * (den // p.denominator) for o, p in w.items()})
 
 
 _weights = st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 50), min_size=1)
 # positive Fractions over their sum: one denominator per outcome, mixed
 _dists = st.one_of(
-    _weights.map(ExactDist.from_counts),
+    _weights.map(ExactDist),
     st.dictionaries(st.sampled_from("abcdef"),
                     st.fractions(Fraction(1, 60), 1, max_denominator=60), min_size=1).map(
-        lambda w: ExactDist({o: p / sum(w.values()) for o, p in w.items()})),
+        _fraction_weights),
 )
 
 
@@ -235,10 +243,10 @@ def test_tv_is_half_the_l1_sum(d1, d2):
 
 
 def test_support_check_examples():
-    d = ExactDist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    d = ExactDist({"a": 1, "b": 1})
     assert support_check(d, d)
-    assert support_check(ExactDist.point(BOT), d)
-    assert not support_check(ExactDist.point("c"), d)
+    assert support_check(ExactDist({BOT: 1}), d)
+    assert not support_check(ExactDist({"c": 1}), d)
 
 
 def test_one_bit_fixture_simulator_is_exact():
@@ -459,8 +467,7 @@ def test_gadget_matrix_orthogonality():
 # --- fourier implication ---
 
 def uniform_dist(j):
-    return ExactDist({z: Fraction(1, 2 ** j)
-                      for z in itertools.product((0, 1), repeat=j)})
+    return ExactDist(dict.fromkeys(itertools.product((0, 1), repeat=j), 1))
 
 
 def test_fourier_uniform():
@@ -468,13 +475,12 @@ def test_fourier_uniform():
 
 
 def test_fourier_point_mass():
-    d = ExactDist.point((0, 1))
+    d = ExactDist({(0, 1): 1})
     assert fourier_pointwise_check(d, 2) == (False, False)
 
 
 def test_fourier_correlated_example():
-    d = ExactDist({(0, 0): Fraction(3, 8), (0, 1): Fraction(1, 8),
-                   (1, 0): Fraction(1, 8), (1, 1): Fraction(3, 8)})
+    d = ExactDist({(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): 3})
     assert fourier_coefficient(d, (1, 2)) == Fraction(1, 2)
     hyp, _ = fourier_pointwise_check(d, 2)
     assert not hyp
@@ -484,31 +490,24 @@ def test_fourier_conclusion_holds_at_its_boundary():
     """At n = 2, j = 1 the slack is 1/n^3 * 1/2 = 1/16, and 9/16 is exactly
     1/16 from uniform, so the conclusion holds; one 1/32 further, it fails."""
     assert fourier_pointwise_check(
-        ExactDist({(0,): Fraction(9, 16), (1,): Fraction(7, 16)}), 2) == (False, True)
+        ExactDist({(0,): 9, (1,): 7}), 2) == (False, True)
     assert fourier_pointwise_check(
-        ExactDist({(0,): Fraction(19, 32), (1,): Fraction(13, 32)}), 2) == (False, False)
+        ExactDist({(0,): 19, (1,): 13}), 2) == (False, False)
 
 
 def fourier_noise_dist(rng, j, n, at_budget=False):
-    """Uniform plus parity noise within the hypothesis budget."""
-    coeffs = {}
+    """Uniform plus parity noise within the hypothesis budget: c_I is
+    k/100 * n^(-5|I|), k = +-100 at the budget and drawn in [-100, 100]
+    otherwise, so over D = 100 n^(5j) each p(z) is one integer over D 2^j."""
+    D = 100 * n ** (5 * j)
+    coeffs = []
     for r in range(1, j + 1):
         for I in itertools.combinations(range(1, j + 1), r):
-            budget = Fraction(1, n ** (5 * r))
-            if at_budget:
-                c = budget * rng.choice([-1, 1])
-            else:
-                c = budget * Fraction(rng.randint(-100, 100), 100)
-            if c:
-                coeffs[I] = c
-    probs = {}
-    for z in itertools.product((0, 1), repeat=j):
-        p = Fraction(1, 2 ** j)
-        for I, c in coeffs.items():
-            parity = sum(z[i - 1] for i in I) % 2
-            p += Fraction(1, 2 ** j) * (-c if parity else c)
-        probs[z] = p
-    return ExactDist(probs)
+            k = 100 * rng.choice([-1, 1]) if at_budget else rng.randint(-100, 100)
+            coeffs.append((I, k * n ** (5 * (j - r))))
+    return ExactDist({
+        z: D + sum(-c if sum(z[i - 1] for i in I) % 2 else c for I, c in coeffs)
+        for z in itertools.product((0, 1), repeat=j)}, D * 2 ** j)
 
 
 def test_fourier_implication_battery_within_domain():
@@ -523,8 +522,7 @@ def test_fourier_implication_battery_within_domain():
             d = fourier_noise_dist(rng, j, n, at_budget=rng.random() < 0.5)
         else:
             weights = [rng.randint(1, 8) for _ in range(2 ** j)]
-            d = ExactDist({z: Fraction(w, sum(weights)) for z, w in
-                           zip(itertools.product((0, 1), repeat=j), weights)})
+            d = ExactDist(dict(zip(itertools.product((0, 1), repeat=j), weights)))
         hyp, concl = fourier_pointwise_check(d, n)
         tried += 1
         if hyp:

@@ -159,13 +159,13 @@ def test_leaf_rectangles_zero_comm():
     g = G(1, 2)
     rects = leaf_rectangles(const_protocol(g, 1))
     assert set(rects) == {()}
-    assert rects[()].x_size == 2 and rects[()].y_size == 4
+    assert len(rects[()].X) == 2 and rects[()].Y.size == 4
 
 
 def test_leaf_rectangles_one_bit():
     rects = leaf_rectangles(one_bit_fixture())
     assert rects[(1,)].X == {(1,)} and rects[(0,)].X == {(2,)}
-    assert rects[(1,)].y_size == 4 and rects[(0,)].y_size == 4
+    assert rects[(1,)].Y.size == 4 and rects[(0,)].Y.size == 4
 
 
 def test_leaf_rectangles_partition_property():
@@ -227,7 +227,7 @@ def test_refine_one_bit_structure():
         for s, child in part.s_children.items():
             assert isinstance(child, RLeaf)
             assert str(child.rho) == s
-            assert child.rect.x_size == 1 and child.rect.y_size == 2
+            assert len(child.rect.X) == 1 and child.rect.Y.size == 2
 
 
 def test_refine_bob_only_keeps_rho_free():
@@ -278,10 +278,11 @@ def test_refined_potentials_match_their_formula(proto_seed, shape, depth):
             continue
         for parts in node.branches.values():
             for part in parts or []:
-                assert part.potential == Fraction(
+                potential = Fraction(2 ** part.free_bits, len(part.X))
+                assert potential == Fraction(
                     2 ** (g.log_m * (free - len(part.coords))), len(part.X))
                 for child in part.s_children.values():
-                    assert child is None or child.potential == part.potential
+                    assert child is None or child.potential == potential
 
 
 def test_refined_iteration_nodes_are_structured():
@@ -290,7 +291,7 @@ def test_refined_iteration_nodes_are_structured():
         n, m = rng.choice([(1, 2), (2, 2)])
         g = G(n, m)
         rp = refine(random_protocol(rng, g, 3), D)
-        for node in rp.iteration_nodes():
+        for node in (nd for nd in rp.iter_nodes() if not isinstance(nd, RLeaf)):
             assert is_structured(node.rect, node.rho, D, g)
 
 
@@ -340,8 +341,10 @@ def _assert_same_refinement(a, b):
             assert (ba is None) == (bb is None)
             if ba is None:
                 continue
-            assert ([(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in ba]
-                    == [(p.order, p.coords, p.alpha, p.X, p.delta_ratio) for p in bb])
+            assert ([(p.order, p.coords, p.alpha, p.X, Fraction(p.input_size, p.tail_size))
+                     for p in ba]
+                    == [(p.order, p.coords, p.alpha, p.X, Fraction(p.input_size, p.tail_size))
+                        for p in bb])
             for pa, pb in zip(ba, bb):
                 assert sorted(pa.s_children) == sorted(pb.s_children)
                 pairs.extend((pa.s_children[s], pb.s_children[s]) for s in pa.s_children)

@@ -63,21 +63,21 @@ def zero_comm(n=1, m=2, value=1):
 
 def test_exactdist_validates():
     with pytest.raises(DomainError):
-        ExactDist({"a": Fraction(1, 2)})
-    d = ExactDist({"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(0)})
+        ExactDist({"a": 1}, 2)
+    d = ExactDist({"a": 1, "b": 1, "c": 0})
     assert d.support == {"a", "b"}
     assert d.prob("c") == 0
-    assert ExactDist.from_counts({"a": 2, "b": 2}) == ExactDist.from_counts({"a": 1, "b": 1}) == d
+    assert ExactDist({"a": 2, "b": 2}) == ExactDist({"a": 1, "b": 1}, 2) == d
 
 
 @pytest.mark.parametrize("k", [1, 7, 64, 300])
 def test_exactdist_refuses_sums_off_by_a_power_of_two(k):
     """A distribution whose probabilities sum to 1 +- 1/2^k is refused."""
-    third = Fraction(1, 3)
-    for off in (Fraction(1, 2 ** k), -Fraction(1, 2 ** (k + 1))):
+    unit = 2 ** (k + 1)   # a third, over the denominator 3 * unit
+    for c in (unit + 6, unit - 3):
         with pytest.raises(DomainError, match="sum to exactly 1"):
-            ExactDist({"a": third, "b": third, "c": third + off})
-    assert ExactDist({"a": third, "b": third, "c": third}).prob("c") == third
+            ExactDist({"a": unit, "b": unit, "c": c}, 3 * unit)
+    assert ExactDist({"a": unit, "b": unit, "c": unit}, 3 * unit).prob("c") == Fraction(1, 3)
 
 
 class FractionDist:
@@ -103,6 +103,12 @@ class FractionDist:
         if total <= 0:
             raise DomainError("empty count table")
         return cls({o: Fraction(c, total) for o, c in counts.items() if c})
+
+
+def _as_counts(probs):
+    """A rational table as integer counts over the lcm of its denominators."""
+    den = math.lcm(*(p.denominator for p in probs.values()))
+    return {o: p.numerator * (den // p.denominator) for o, p in probs.items()}, den
 
 
 def _rational_table(args):
@@ -137,31 +143,31 @@ def test_exactdist_counts_match_the_fraction_class(route, rationals, counts, sca
     the same message; a count table scaled by any factor is the same
     distribution."""
     mapping = rationals if route == "rationals" else counts
-    build = ExactDist if route == "rationals" else ExactDist.from_counts
+    args = _as_counts(rationals) if route == "rationals" else (counts,)
     try:
         want = (FractionDist if route == "rationals" else FractionDist.from_counts)(mapping)
     except DomainError as refusal:
         with pytest.raises(DomainError) as err:
-            build(mapping)
+            ExactDist(*args)
         assert str(err.value) == str(refusal)
         return
-    got = build(mapping)
+    got = ExactDist(*args)
     assert got.items() == list(want.p.items())
     assert got.support == frozenset(want.p)
     for o in "abcdefg":
         assert got.prob(o) == want.p.get(o, 0)
     assert got.total == math.lcm(*(p.denominator for p in want.p.values()))
     assert math.gcd(got.total, *got.counts.values()) == 1
-    assert got == ExactDist(want.p) == ExactDist(dict(got.items()))
-    assert got == ExactDist.from_counts({o: scale * c for o, c in got.counts.items()})
+    assert got == ExactDist(*_as_counts(want.p)) == ExactDist(*_as_counts(dict(got.items())))
+    assert got == ExactDist({o: scale * c for o, c in got.counts.items()})
     if route == "counts":
-        assert got == ExactDist.from_counts({o: scale * c for o, c in counts.items()})
+        assert got == ExactDist({o: scale * c for o, c in counts.items()})
     a, *rest = got.counts
     if rest:
         moved = {**got.counts, a: got.counts[a] + 1, rest[0]: got.counts[rest[0]] - 1}
-        assert got != ExactDist.from_counts(moved, got.total)
+        assert got != ExactDist(moved, got.total)
     with pytest.raises(DomainError, match="^probabilities must sum to exactly 1$"):
-        ExactDist.from_counts(got.counts, got.total + 1)
+        ExactDist(got.counts, got.total + 1)
 
 
 # --- sampling ---
@@ -236,8 +242,8 @@ def test_query_count_equals_fixed_blocks():
 
 def test_exact_zero_communication():
     sim = simulate_exact(walk_law(zero_comm(), CFG), (0,))
-    assert sim.transcripts == ExactDist.point(())
-    assert sim.queries == ExactDist.point(0)
+    assert sim.transcripts == ExactDist({(): 1})
+    assert sim.queries == ExactDist({0: 1})
     assert sim.bot_reasons == {}
 
 
@@ -245,10 +251,10 @@ def test_exact_one_bit_fixture():
     rp = refine(one_bit_fixture(), CFG.delta)
     sim = simulate_exact(walk_law(rp, CFG), (0,))
     assert sim.transcripts == ExactDist({
-        (("b", 1), ("i", 1), ("s", "0")): Fraction(1, 2),
-        (("b", 0), ("i", 1), ("s", "0")): Fraction(1, 2),
+        (("b", 1), ("i", 1), ("s", "0")): 1,
+        (("b", 0), ("i", 1), ("s", "0")): 1,
     })
-    assert sim.queries == ExactDist.point(1)
+    assert sim.queries == ExactDist({1: 1})
 
 
 def test_exact_bob_first_has_quarter_bot():
@@ -260,7 +266,7 @@ def test_exact_bob_first_has_quarter_bot():
         assert sim.transcripts.prob(BOT) == Fraction(1, 4)
         assert sim.bot_reasons == {IMPOSSIBLE_S: Fraction(1, 4)}
         # the impossible-s bottom is charged the q + |I| queries it made
-        assert sim.queries == ExactDist.point(1)
+        assert sim.queries == ExactDist({1: 1})
 
 
 def reference_walk(rp, z, cfg):
@@ -296,7 +302,7 @@ def reference_walk(rp, z, cfg):
         elif isinstance(node, RBob):
             for b, child in node.children.items():
                 if child is not None:
-                    enter(w * Fraction(child.rect.y_size, node.rect.y_size), child,
+                    enter(w * Fraction(child.rect.Y.size, node.rect.Y.size), child,
                           t + (("b", b),), q)
         else:
             for b, parts in node.branches.items():
@@ -391,7 +397,7 @@ def reference_sample(rp, z, cfg, seed):
         row = functools.partial(LedgerRow, len(ledger) + 1)
         before = (bits(node.rho), len(node.rect.X))
         if isinstance(node, RBob):
-            b, child = pick(node.rect.y_size, [(c.rect.y_size, (b, c))
+            b, child = pick(node.rect.Y.size, [(c.rect.Y.size, (b, c))
                                                for b, c in node.children.items()
                                                if c is not None])
             ledger.append(row(0, (1, 1), (1, 1), before,
@@ -531,7 +537,7 @@ def test_ledger_one_bit_values():
     out = simulate_sample(law, (0,), seed=0)
     (row,) = out.ledger
     assert Fraction(*row.gamma) == Fraction(2, 1)   # gamma = 1 bit
-    assert row.delta_ratio == Fraction(1, 1)   # single part: delta_1 = 0
+    assert Fraction(*row.delta) == Fraction(1, 1)   # single part: delta_1 = 0
     assert row.queries == 1
     # full X at the root: potential 0; the singleton part on no remaining
     # free blocks also sits at 0, and 0.1*log2(2)*1 <= gamma + delta = 1
@@ -730,7 +736,7 @@ def _one_bit_law_at_node_budget(monkeypatch):
 def test_simulate_exact_node_budget(monkeypatch):
     law = _one_bit_law_at_node_budget(monkeypatch)
     for z in ((0,), (1,)):
-        assert simulate_exact(law, z).queries == ExactDist.point(1)
+        assert simulate_exact(law, z).queries == ExactDist({1: 1})
 
 
 def test_ledger_exact_node_budget(monkeypatch):
@@ -802,7 +808,7 @@ def _lin_arg(q):
 
 def _outcome_record(out) -> str:
     value = "bot" if out.value is BOT else out.value
-    rows = [(r.iteration, Fraction(*r.gamma), r.delta_ratio, r.queries,
+    rows = [(r.iteration, Fraction(*r.gamma), Fraction(*r.delta), r.queries,
              *_lin_arg(Fraction(2 ** r.before[0], r.before[1])),
              *_lin_arg(Fraction(2 ** r.after[0], r.after[1])))
             for r in out.ledger]
@@ -927,7 +933,7 @@ def _assert_rows_match(ledgers, m, delta):
         old = tuple(map(_fraction_row, ledger))
         for row, ref in zip(ledger, old):
             (fb, xb), (fa, xa) = row.before, row.after
-            assert (row.iteration, Fraction(*row.gamma), row.delta_ratio, row.queries,
+            assert (row.iteration, Fraction(*row.gamma), Fraction(*row.delta), row.queries,
                     Fraction(2 ** fb, xb), Fraction(2 ** fa, xa)) == dataclasses.astuple(ref)
         assert ledger_check(ledger, m, delta) is _fraction_ledger_check(old, m, delta)
     assert (len(dict.fromkeys(ledgers))
