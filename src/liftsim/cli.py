@@ -49,7 +49,7 @@ from .core import (
     compose_eval,
     is_structured,
 )
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_power_of_two
 from .protocol import (
     DecisionTree,
     ProtocolTree,
@@ -186,6 +186,7 @@ def _sim_config(args) -> sim.SimConfig:
 def cmd_partition(args):
     if args.seed is None:
         raise DomainError("--seed is mandatory for randomized runs")
+    entropy.nonempty_subsets(range(args.coords if args.count else 0))  # refused before a draw
     rng = random.Random(args.seed)
     rows = []
     for idx in range(args.count):
@@ -393,6 +394,7 @@ def _sweep_instance(task):
     """One family member at one m, refined once (refinement does not depend
     on z), and one (protocol, z, m) cell per z; exact, so no seed is involved."""
     n, m, name, delta, budget = task
+    fixtures.instance(n, m).check_alice_budget(budget)  # before the m^n tables
     [(_, pt)] = fixtures.sweep_family(n, m, name)
     rp = refine(pt, delta, pair_budget=budget)
     law = sim.walk_law(rp, sim.SimConfig(delta=delta))
@@ -456,9 +458,7 @@ def cmd_convert(args):
         if args.m is None:
             raise DomainError("--m is required to lift a decision tree")
         G = fixtures.instance(obj.n, args.m)
-        pairs = G.alice_size * G.bob_size
-        if pairs > args.budget:
-            raise ResourceError("conversion output agreement", pairs, args.budget)
+        check_power_of_two("conversion output agreement", G.n * (G.log_m + G.m), args.budget)
         pt = dt_to_protocol(obj, G)
         expected = obj.depth * (G.log_m + 1)
         if pt.cost != expected:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import entropy
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_power_of_two
 
 PAIR_BUDGET_DEFAULT = 2 ** 24  # cap on |X| * |Y| (and on slice sizes) for enumeration
 
@@ -91,17 +91,19 @@ class ComposedInstance:
     def bob_domain(self):
         return itertools.product(range(2 ** self.m), repeat=self.n)
 
+    def check_alice_budget(self, pair_budget: int) -> None:
+        """Refuse more than pair_budget Alice inputs by the exponent of m^n."""
+        check_power_of_two("Alice domain", self.n * self.log_m, pair_budget)
+
     def full_X(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
         """The Alice domain; refused when its m^n tuples exceed the budget."""
-        if self.alice_size > pair_budget:
-            raise ResourceError("Alice domain", self.alice_size, pair_budget)
+        self.check_alice_budget(pair_budget)
         return frozenset(self.alice_domain())
 
     def full_Y(self, pair_budget: int = PAIR_BUDGET_DEFAULT):
         """The explicit Bob domain, the all-ones mask; refused when its
         2^(nm) elements exceed the budget."""
-        if self.bob_size > pair_budget:
-            raise ResourceError("explicit Bob domain", self.bob_size, pair_budget)
+        check_power_of_two("explicit Bob domain", self.n * self.m, pair_budget)
         return ExplicitBobSet._of_bits(self.n, self.m, (1 << self.bob_size) - 1)
 
     def check_alice(self, xs):
@@ -442,6 +444,8 @@ class ExplicitBobSet:
 
     def materialize(self, pair_budget: int = PAIR_BUDGET_DEFAULT) -> frozenset:
         """The elements as tuples, decoded from the mask in index order."""
+        if self.size > pair_budget:
+            raise ResourceError("explicit set materialization", self.size, pair_budget)
         flags = map("1".__eq__, reversed(format(self.bits, f"0{1 << self.n * self.m}b")))
         return frozenset(itertools.compress(
             itertools.product(range(1 << self.m), repeat=self.n), flags))
@@ -476,10 +480,12 @@ class OuterFunction:
     values: tuple  # sorted ((z, bit), ...)
 
     def __init__(self, n, values):
+        if type(n) is not int or n < 1:
+            raise DomainError(f"outer function needs an integer n >= 1, got {n!r}")
         pairs = []
         for z, b in values.items():
             z = tuple(z)
-            if len(z) != n or any(c not in (0, 1) for c in z) or b not in (0, 1):
+            if len(z) != n or not set(z) <= {0, 1} or type(b) is not int or b not in (0, 1):
                 raise DomainError(f"bad outer-function entry {z}->{b}")
             pairs.append((z, b))
         if not pairs:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, check_power_of_two
 
 SUBSET_BUDGET = 2 ** 20  # cap on the number of enumerated coordinate subsets
 RATIONAL_BUDGET = 10 ** 4  # cap on p and q of a given rate p/q; exact tests raise to them
@@ -184,8 +184,7 @@ def nonempty_subsets(coords):
     lazy iterator; refused beyond SUBSET_BUDGET at the call, before any is
     listed."""
     n = len(coords)
-    if n and 2 ** n > SUBSET_BUDGET:
-        raise ResourceError("subset enumeration", 2 ** n, SUBSET_BUDGET)
+    check_power_of_two("subset enumeration", n, SUBSET_BUDGET)
     return itertools.chain.from_iterable(
         itertools.combinations(coords, r) for r in range(1, n + 1))
 

@@ -29,7 +29,7 @@ from .core import (
     bit_at,
 )
 from .entropy import as_fraction
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, power_of_two
 
 ALICE = "alice"
 BOB = "bob"
@@ -45,7 +45,7 @@ class TableFn:
     order.  Its other views are read from the string on first use."""
 
     def __init__(self, G: ComposedInstance, owner: str, bits):
-        size = G.alice_size if owner == ALICE else G.bob_size
+        size = power_of_two(G.n * (G.log_m if owner == ALICE else G.m))
         if not isinstance(bits, str) or len(bits) != size or bits.strip("01"):
             got = f"{len(bits)} characters" if isinstance(bits, str) else type(bits).__name__
             raise DomainError(f"{owner} table needs {size} '0'/'1' bits, got {got}")

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -379,6 +380,65 @@ def test_budget_bounds_alice_domain_exit3(tmp_path, capsys, command, flags):
     assert "Alice domain: needs 65536 but budget is 10\n" in err
 
 
+def _run_cli_limited(argv, timeout=5, address_space=2 * 2 ** 30):
+    """(exit code, stdout, stderr) of the CLI run in a child process whose
+    address space is capped by RLIMIT_AS, set in the child only, and which is
+    killed after timeout seconds: an input that runs away fails the test in
+    seconds, and cannot exhaust the memory of the machine running it."""
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = address_space if hard == resource.RLIM_INFINITY else min(address_space, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "liftsim.cli", *argv], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _leaf_protocol(n):
+    return {"format": "protocol", "n": n, "gadget": {"kind": "index", "m": 2},
+            "tree": {"leaf": 0}}
+
+
+_OVERSIZED = [
+    *[pytest.param(command, _leaf_protocol(n), flags, 3, f"Alice domain: needs 2^{n} ",
+                   id=f"{command}-n{n}")
+      for n in (20000, 2 ** 40)
+      for command, flags in [("refine", []), ("simulate", ["--seed", "1"]),
+                             ("verify", ["--seed", "1", "--battery", "0"]),
+                             ("convert", [])]],
+    *[pytest.param("convert", {"format": "decision_tree", "n": n, "tree": {"leaf": 0}},
+                   ["--m", "2"], 3, f"conversion output agreement: needs 2^{3 * n} ",
+                   id=f"convert-dt-n{n}")
+      for n in (10 ** 6, 2 ** 40)],
+    *[pytest.param("partition", None, ["--count", "1", "--seed", "1", "--coords", str(j)], 3,
+                   f"subset enumeration: needs 2^{j} ", id=f"partition-coords{j}")
+      for j in (20000, 10 ** 9)],
+    pytest.param("sweep", None, ["--n", "2", "--m-list", "8192"], 3,
+                 "Alice domain: needs 67108864 but budget is 16777216\n", id="sweep-m8192"),
+    # a table of the wrong length is a bad fixture, whatever the size it needs
+    pytest.param("refine", {**_leaf_protocol(2 ** 40), "tree": {
+        "owner": "alice", "fn": {"kind": "table", "bits": "01"}, "0": {"leaf": 0},
+        "1": {"leaf": 1}}}, [], 2, "alice table needs 2^1099511627776 '0'/'1' bits",
+                 id="alice-table-n1099511627776"),
+]
+
+
+@pytest.mark.parametrize("command, fixture, flags, code, message", _OVERSIZED)
+def test_oversized_inputs_refused_promptly(tmp_path, command, fixture, flags, code, message):
+    """An n, m or --coords whose domain, subsets or output pairs are far past
+    the budget is refused by its exponent, before any power is built or any
+    point drawn, with exit 3, or exit 2 for a table of the wrong length; a
+    count too long to print is named as 2^k."""
+    if fixture is not None:
+        flags = ["--fixture", _write_fixture(tmp_path, "f.json", json.dumps(fixture)), *flags]
+    got, out, err = _run_cli_limited([command, *flags])
+    assert (got, out) == (code, "")
+    assert err.startswith({2: "config error: ", 3: "resource budget exceeded: "}[code])
+    assert message in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({
@@ -589,17 +649,22 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert rep["round_trip_error"]["exact"] == "0/1"
 
 
-@pytest.mark.parametrize("values, complaint", [
-    ('{"01": 0, "\u0661\u0660": 1, "10": 0}', "is not 2 characters of 0/1"),
-    ('{"01": 0, "01": 1, "10": 0}', "repeated key '01'"),
-], ids=["arabic-indic-digits", "repeated-key"])
-def test_convert_bad_outer_exit2(tmp_path, capsys, values, complaint):
+@pytest.mark.parametrize("n, values, complaint", [
+    ("2", '{"01": 0, "\u0661\u0660": 1, "10": 0}', "is not 2 characters of 0/1"),
+    ("2", '{"01": 0, "01": 1, "10": 0}', "repeated key '01'"),
+    ("true", '{"1": 0}', "needs an integer n >= 1, got True"),
+    ("2.0", '{"01": 0}', "needs an integer n >= 1, got 2.0"),
+    ("0", '{"": 1}', "needs an integer n >= 1, got 0"),
+    ("2", '{"01": 0, "10": true}', "bad outer-function entry (1, 0)->True"),
+], ids=["arabic-indic-digits", "repeated-key", "n-true", "n-float", "n-zero", "value-true"])
+def test_convert_bad_outer_exit2(tmp_path, capsys, n, values, complaint):
     """An outer function whose values name some z twice, through digits
-    int() reads or through a repeated JSON key, is a config error naming the
+    int() reads or through a repeated JSON key, whose n is not an int >= 1,
+    or with a value other than the int 0 or 1, is a config error naming the
     file."""
     tree = _write_fixture(tmp_path, "dt.json", json.dumps(dt_to_dict(xor_decision_tree(2))))
     outer = _write_fixture(tmp_path, "f.json",
-                           '{"format": "outer_function", "n": 2, "values": %s}' % values)
+                           '{"format": "outer_function", "n": %s, "values": %s}' % (n, values))
     code, out, err = run(capsys, "convert", "--fixture", tree, "--outer", outer, "--m", "4")
     assert code == 2 and out == ""
     assert f"config error: bad fixture {outer}: DomainError: " in err and complaint in err

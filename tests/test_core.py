@@ -471,6 +471,18 @@ def test_cube_contains_and_pinned():
     assert (err.value.required, err.value.budget) == (8, 7)
 
 
+def test_materialize_refuses_past_the_budget_alike():
+    """A cube and the explicit set of the same elements list them at a
+    budget of their size, and refuse one short of it, each naming its kind."""
+    cube = BobCube(2, 2, (((1, 2), 1),))
+    explicit = ExplicitBobSet(2, 2, cube.materialize())
+    for Y, what in ((cube, "cube materialization"), (explicit, "explicit set materialization")):
+        assert Y.materialize(pair_budget=Y.size) == explicit.materialize()
+        with pytest.raises(ResourceError) as err:
+            Y.materialize(pair_budget=Y.size - 1)
+        assert (err.value.what, err.value.required, err.value.budget) == (what, 8, 7)
+
+
 @pytest.mark.parametrize("ys", [(5,), (5, 0, 0), (0b10000, 0), (0, -1)])
 def test_contains_refuses_input_off_the_domain(ys):
     """A wrong number of blocks, or a block that is not an m-bit string, is
