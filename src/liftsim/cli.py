@@ -186,7 +186,8 @@ def _sim_config(args) -> sim.SimConfig:
 def cmd_partition(args):
     if args.seed is None:
         raise DomainError("--seed is mandatory for randomized runs")
-    entropy.nonempty_subsets(range(args.coords if args.count else 0))  # refused before a draw
+    if args.count:  # J's subsets are refused before any point is drawn
+        entropy.nonempty_subsets(range(args.coords))
     rng = random.Random(args.seed)
     rows = []
     for idx in range(args.count):

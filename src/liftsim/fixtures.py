@@ -222,9 +222,8 @@ def random_decision_tree(rng: random.Random, n: int, depth: int,
 
 def random_support(rng: random.Random, n_coords: int, m: int,
                    max_size: int = 64) -> set:
-    # m^n_coords, or past max_size's bit length a power as large as max_size
-    pop_size = m ** min(n_coords, max_size.bit_length())
-    size = rng.randint(1, min(max_size, pop_size))
+    # m^k for k past max_size's bit length exceeds max_size when m > 1
+    size = rng.randint(1, min(max_size, m ** min(n_coords, max_size.bit_length())))
     out = set()
     while len(out) < size:
         out.add(tuple(rng.randint(1, m) for _ in range(n_coords)))

@@ -173,7 +173,7 @@ class ExactDist:
                 and self.counts == other.counts)
 
     def __repr__(self):
-        return f"ExactDist({dict(self.items())!r})"
+        return f"ExactDist({self.counts!r}, {self.total})"
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from liftsim import analysis, cli, simulate
 from liftsim.analysis import dt_error, marginals_report
 from liftsim.cli import main
 from liftsim.entropy import RATIONAL_BUDGET
-from liftsim.errors import ResourceError
+from liftsim.errors import ResourceError, power_of_two
 from liftsim.fixtures import (
     instance,
     one_bit_fixture,
@@ -394,6 +394,13 @@ def _run_cli_limited(argv, timeout=5, address_space=2 * 2 ** 30):
     proc = subprocess.run([sys.executable, "-m", "liftsim.cli", *argv], env=env,
                           preexec_fn=limit, capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_power_of_two_prints_every_count_int_to_str_prints():
+    """A count of at most 4300 digits, the most int-to-str prints, stays the
+    int, so its message is unchanged; past it, the count is the text 2^k."""
+    assert len(str(ResourceError("x", power_of_two(14_284), 1)).split()[2]) == 4300
+    assert power_of_two(14_285) == "2^14285"
 
 
 def _leaf_protocol(n):
