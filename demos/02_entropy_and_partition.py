@@ -33,9 +33,10 @@ w = SetVar({(x,) for x in (1, 2, 3)}, 4)
 print("\npartitioning {1,2,3} inside [4]:")
 parts = density_restoring_partition(w, DELTA)
 for p in parts:
+    ratio = Fraction(p.input_size, p.tail_size)
     print(f"  part {p.order}: label {p.label() or '(already dense)'}, "
-          f"size {p.size}, delta_i = log2({p.delta_ratio}) "
-          f"= {log2_float(p.delta_ratio):.3f} bits")
+          f"size {p.size}, delta_i = log2({ratio}) "
+          f"= {log2_float(ratio):.3f} bits")
 
 report = verify_partition_lemma(w, parts, DELTA)
 print("lemma verified on every part?", report.ok)

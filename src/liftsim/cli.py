@@ -204,10 +204,10 @@ def cmd_partition(args):
                 f"(support size {len(support)}, J={args.coords}, m={args.m})",
                 seed=args.seed,
             )
-        for p in parts:
-            rows.append([idx, p.order, p.label() or "(dense)", p.size,
-                         entropy.frac_str(p.delta_ratio),
-                         entropy.log2_float(p.delta_ratio)])
+        for p, check in zip(parts, report.parts):  # the check holds p's label
+            ratio = (p.input_size, p.tail_size)  # delta_i = log2 of it
+            rows.append([idx, p.order, check.label or "(dense)", p.size,
+                         entropy.frac_str(ratio), entropy.log2_float(ratio)])
     report = {
         "checked": args.count,
         "all_lemma_checks_passed": True,

@@ -480,8 +480,7 @@ class OuterFunction:
     values: tuple  # sorted ((z, bit), ...)
 
     def __init__(self, n, values):
-        if type(n) is not int or n < 1:
-            raise DomainError(f"outer function needs an integer n >= 1, got {n!r}")
+        self._check_n(n)
         pairs = []
         for z, b in values.items():
             z = tuple(z)
@@ -492,6 +491,11 @@ class OuterFunction:
             raise DomainError("outer function needs at least one defined input")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", tuple(sorted(pairs)))
+
+    @staticmethod
+    def _check_n(n):
+        if type(n) is not int or n < 1:
+            raise DomainError(f"outer function needs an integer n >= 1, got {n!r}")
 
     def defined(self):
         return [z for z, _ in self.values]
@@ -517,6 +521,7 @@ class OuterFunction:
         if d.get("format") != "outer_function":
             raise DomainError("not an outer-function record")
         n = d["n"]
+        cls._check_n(n)  # before the keys, which are read against n
         for k in d["values"]:
             if len(k) != n or not set(k) <= {"0", "1"}:
                 raise DomainError(f"outer-function key {k!r} is not {n} characters of 0/1")

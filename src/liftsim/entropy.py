@@ -6,7 +6,9 @@ rational q with log2(q) = b.  Every inequality on them is decided by integer
 arithmetic, never by floats: one cmp_pow (both sides raised to a common
 power and cross-multiplied, as integers), or in the partition's inner loop an
 integer count threshold derived the same way; log2_float renders a stored
-ratio in bits for reports only.
+ratio in bits for reports only.  The lemma verifier and the density check build
+no Fraction: with delta = p/q, a part's deficiency bullet is one cmp_pow of the
+pair (num * tail, den * m^|J| * h) against m^((p-q)|I|/q) (see verify_partition_lemma).
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ def as_rate(delta) -> Fraction:
 def _ratio(x, read=Fraction) -> tuple[int, int]:
     """(numerator, denominator) of x: an integer pair as it is, else x read
     by `read` unless an int or a Fraction."""
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
     if isinstance(x, tuple):
         return x
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     x = read(x)
     return x.numerator, x.denominator
 
@@ -91,28 +93,25 @@ def cmp_pow(q: Fraction, base, exponent) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _split_pow2(n: int) -> tuple[int, int]:
-    """n = 2**e * odd; returns (e, odd)."""
-    e = (n & -n).bit_length() - 1
-    return e, n >> e
-
-
 def log2_float(q) -> float:
-    """log2(q) as a float, for rendering only; q is a positive rational.
+    """log2(q) as a float, for rendering only; q is a positive rational, or an
+    integer pair (a, b) with b > 0 read as a/b.
 
     The power of two is split off first, so the float error is only that of
-    log2 of the odd/odd remainder.
+    log2 of the odd/odd remainder, an int quotient that is correctly rounded,
+    as float() of its Fraction is, whether or not the pair is reduced.
     """
-    q = Fraction(q)
-    en, odd_n = _split_pow2(q.numerator)
-    ed, odd_d = _split_pow2(q.denominator)
-    return float(en - ed) + math.log2(float(Fraction(odd_n, odd_d)))
+    a, b = _ratio(q)
+    en, ed = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1  # trailing zeros
+    return float(en) - float(ed) + math.log2((a >> en) / (b >> ed))
 
 
 def frac_str(q) -> str:
-    """A rational as "p/q", for rendering; an integer keeps its "/1"."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    """A rational, or an integer pair (a, b) with b > 0, as "p/q" in lowest
+    terms, for rendering; an integer keeps its "/1"."""
+    a, b = _ratio(q)
+    g = math.gcd(a, b)
+    return f"{a // g}/{b // g}"
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,9 @@ def is_blockwise_dense(v: SetVar, delta) -> bool:
     Exhaustive over all 2^|J| - 1 nonempty coordinate subsets.
     """
     delta = as_rate(delta)
+    p, q = delta.numerator, delta.denominator
     for I in nonempty_subsets(v.coords):
-        p = Fraction(max(v.project_counts(I).values()), v.size)
-        if cmp_pow(p, v.m, -delta * len(I)) > 0:
+        if cmp_pow((max(v.project_counts(I).values()), v.size), v.m, (-p * len(I), q)) > 0:
             return False
     return True
 
@@ -206,9 +205,9 @@ def is_blockwise_dense(v: SetVar, delta) -> bool:
 class DensityPart:
     """One part of a density-restoring partition, in emission order.
 
-    label reads "x_I = alpha"; delta_ratio is |X| / |X^(>=i)|, where X^(>=i)
-    is what remained just before this part was peeled off; the part's drop
-    delta_i is its log2.
+    label reads "x_I = alpha"; X^(>=i) is what remained just before this
+    part was peeled off, and the part's drop delta_i is log2(|X| / |X^(>=i)|),
+    rendered from (input_size, tail_size).
     """
 
     order: int            # 1-based emission index
@@ -218,10 +217,6 @@ class DensityPart:
     size: int
     tail_size: int        # |X^(>=i)|
     input_size: int       # |X|
-
-    @property
-    def delta_ratio(self) -> Fraction:
-        return Fraction(self.input_size, self.tail_size)
 
     def label(self) -> str:
         if not self.coords:
@@ -410,36 +405,35 @@ def verify_partition_lemma(v: SetVar, parts, delta) -> PartitionLemmaReport:
     Density: every tuple of the part equals alpha on its coords, and the part
     is delta-dense on the remaining blocks of v.
     Deficiency: D(X^i on J\\I_i) <= D(X) - (1-delta)|I_i| log m + delta_i,
-    with delta_i taken from the recomputed tail and D(X) = deficiency(v, J),
-    which reads X's heaviest value on J, so points may repeat a value there.
-    It is checked as one rational-vs-m^q comparison, so it stays exact even
-    when m is not a power of two.
+    with delta_i = log2(|X| / tail) from the recomputed tail.  With delta = p/q,
+    h = X's heaviest count on J (points may repeat a value there) and num/den =
+    m^|rest| * X^i's heaviest count on rest / |X^i| (1/1 for rest = ()), it is
+        num * tail / (den * m^|J| * h) <= m^((p-q)|I_i| / q),
+    one cmp_pow on integer pairs, exact even when m is not a power of two.
     """
     delta = as_rate(delta)
+    p, q = delta.numerator, delta.denominator
     m = v.m
-    # D(X) + log2|X| = log2(m^|J| * heaviest count on J), once per call
-    d_x_size = deficiency(v, v.coords) * v.size
+    d_x_size = m ** len(v.coords) * max(v.project_counts(v.coords).values())
     seen = set()
     tail = v.size  # |X^(>=i)|, before the current part is peeled off
     checks = []
     for order, part in enumerate(parts, 1):
         size = len(part.support)
         pos = v.positions(part.coords)
-        fixed = all(tuple(t[p] for p in pos) == part.alpha for t in part.support)
+        fixed = all(tuple(t[i] for i in pos) == part.alpha for t in part.support)
         counted = tail > 0 and (part.order, part.size, part.input_size,
                                 part.tail_size) == (order, size, v.size, tail)
         rest = tuple(i for i in v.coords if i not in part.coords)
         if rest:
             sub = SetVar(part.support, m, rest)
             density_ok = fixed and is_blockwise_dense(sub, delta)
-            lhs_arg = deficiency(sub, rest)
+            num, den = m ** len(rest) * max(sub.project_counts(rest).values()), sub.size
         else:
             density_ok = fixed
-            lhs_arg = Fraction(1)  # deficiency over no coordinates is 0
-        # lhs <= D(X) + delta_i - (1-delta)|I| log m, with
-        # delta_i = log2(|X| / tail).
-        deficiency_ok = counted and cmp_pow(lhs_arg * tail / d_x_size, m,
-                                            -(1 - delta) * len(part.coords)) <= 0
+            num = den = 1  # deficiency over no coordinates is 0
+        deficiency_ok = counted and cmp_pow((num * tail, den * d_x_size), m,
+                                            ((p - q) * len(part.coords), q)) <= 0
         checks.append(PartCheck(order, part.label(), density_ok, deficiency_ok))
         seen |= part.support
         tail -= size

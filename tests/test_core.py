@@ -24,7 +24,7 @@ from liftsim.core import (
 )
 from liftsim.analysis import replay_transcript_dist
 from liftsim.errors import DomainError, ResourceError
-from liftsim.protocol import BOB, PLeaf, ProtocolTree, TableFn, refine
+from liftsim.protocol import BOB, PLeaf, ProtocolTree, TableFn, load_fixture, refine
 
 D = Fraction(9, 10)
 
@@ -67,6 +67,19 @@ def test_outer_function_keys_are_ascii_bits(key):
     f = OuterFunction.from_dict({"format": "outer_function", "n": 2,
                                  "values": {"01": 0, "10": 1}})
     assert f.values == (((0, 1), 0), ((1, 0), 1))
+
+
+@pytest.mark.parametrize("n", ['"2"', "null"])
+def test_outer_function_bad_n_is_named_before_the_keys(tmp_path, n):
+    """A record whose n is not an int is refused for its n, with the message
+    the constructor gives, not for a good key read against the bad n."""
+    path = tmp_path / "f.json"
+    path.write_text('{"format": "outer_function", "n": %s, "values": {"01": 0}}' % n)
+    with pytest.raises(DomainError) as exc:
+        load_fixture(path)
+    got = {'"2"': "'2'", "null": "None"}[n]
+    assert f"outer function needs an integer n >= 1, got {got}" in str(exc.value)
+    assert "'01'" not in str(exc.value)
 
 
 def test_bit_order_is_left_to_right():

@@ -57,6 +57,33 @@ def test_log2_float_rendering():
     assert cmp_pow(Fraction(3), 2, Fraction(8, 5)) < 0
 
 
+def _fraction_log2_float(q):
+    """log2_float as it was written over a Fraction: the reference for pairs."""
+    q = Fraction(q)
+    en = (q.numerator & -q.numerator).bit_length() - 1
+    ed = (q.denominator & -q.denominator).bit_length() - 1
+    return float(en - ed) + math.log2(float(Fraction(q.numerator >> en, q.denominator >> ed)))
+
+
+@pytest.mark.parametrize("a, b, text", [
+    (6, 4, "3/2"), (3, 3, "1/1"), (1, 2 ** 2000, f"1/{2 ** 2000}"), (12, 5, "12/5"),
+    (2, 1, "2/1"), (3 ** 40 * 10, 3 ** 39 * 4, "15/2"), (7 ** 400, 7 ** 399 * 2 ** 9, "7/512"),
+])
+def test_rendering_from_integer_pairs(a, b, text):
+    """A pair (a, b), reduced or not, renders as Fraction(a, b) does."""
+    assert entropy.frac_str((a, b)) == entropy.frac_str(Fraction(a, b)) == text
+    assert log2_float((a, b)) == log2_float(Fraction(a, b)) == _fraction_log2_float(
+        Fraction(a, b))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(a=st.integers(1, 10 ** 30), b=st.integers(1, 10 ** 30), k=st.integers(1, 10 ** 6))
+def test_rendering_from_integer_pairs_randomly(a, b, k):
+    for pair in ((a, b), (a * k, b * k)):
+        assert entropy.frac_str(pair) == entropy.frac_str(Fraction(a, b))
+        assert log2_float(pair) == _fraction_log2_float(Fraction(a, b))
+
+
 def test_as_fraction_reads_floats_decimally():
     assert as_fraction(0.9) == Fraction(9, 10)
     assert as_fraction("0.9") == Fraction(9, 10)
@@ -302,14 +329,15 @@ def test_partition_already_dense_single_part():
     assert parts[0].coords == ()
     assert parts[0].label() == ""
     assert parts[0].support == v.support
-    assert parts[0].delta_ratio == 1
+    assert Fraction(parts[0].input_size, parts[0].tail_size) == 1
 
 
 def test_partition_three_points_in_four():
     v = singles({1, 2, 3}, 4)
     parts = density_restoring_partition(v, D)
     assert [(p.coords, p.alpha) for p in parts] == [((1,), (1,)), ((1,), (2,)), ((1,), (3,))]
-    assert [p.delta_ratio for p in parts] == [Fraction(1), Fraction(3, 2), Fraction(3)]
+    assert [Fraction(p.input_size, p.tail_size) for p in parts] == [
+        Fraction(1), Fraction(3, 2), Fraction(3)]
 
 
 def test_partition_square_matches_reference_oracle():
@@ -507,7 +535,7 @@ def test_partition_covers_disjointly():
         assert union == set(v.support) and total == v.size
         # |X^(>=i)| = |X| * 2^(-delta_i) holds by definition of the stored ratio
         for p in parts:
-            assert p.tail_size * p.delta_ratio == v.size
+            assert p.tail_size * Fraction(p.input_size, p.tail_size) == v.size
 
 
 # --- partition lemma verification ---
@@ -588,6 +616,108 @@ def test_lemma_non_power_of_two_domain():
             v = SetVar(support, m)
             parts = density_restoring_partition(v, D)
             assert verify_partition_lemma(v, parts, D).ok
+
+
+def _fraction_verdicts(v, parts, delta):
+    """(density_ok, deficiency_ok) of each part by the Fraction arithmetic
+    the verifier used before it compared integer pairs, with the marginals
+    counted here: the reference the property below holds it to."""
+    m = v.m
+
+    def heaviest(points, I):
+        return max(Counter(tuple(t[i - 1] for i in I) for t in points).values())
+
+    def deficiency_of(points, I):  # 1 on I = (): no coordinates, no deficiency
+        return Fraction(m ** len(I) * heaviest(points, I), len(points)) if I else Fraction(1)
+
+    def dense(points, coords):
+        return all(_fraction_cmp_pow(Fraction(heaviest(points, I), len(points)), m,
+                                     -delta * len(I)) <= 0
+                   for r in range(1, len(coords) + 1)
+                   for I in itertools.combinations(coords, r))
+
+    d_x_size = deficiency_of(v.support, v.coords) * v.size
+    tail = v.size
+    verdicts = []
+    for order, part in enumerate(parts, 1):
+        fixed = all(tuple(t[i - 1] for i in part.coords) == part.alpha for t in part.support)
+        counted = tail > 0 and (part.order, part.size, part.input_size, part.tail_size) == (
+            order, len(part.support), v.size, tail)
+        rest = tuple(i for i in v.coords if i not in part.coords)
+        density_ok = fixed and dense(part.support, rest)
+        deficiency_ok = counted and _fraction_cmp_pow(
+            deficiency_of(part.support, rest) * tail / d_x_size, m,
+            -(1 - delta) * len(part.coords)) <= 0
+        verdicts.append((density_ok, deficiency_ok))
+        tail -= len(part.support)
+    return verdicts
+
+
+def _peel_groups(v, picks):
+    """Parts of v peeled by picks, read cyclically until nothing is left: for
+    (I, k), the remainder is grouped by its value on I and the k-th group, in
+    order of alpha and modulo their number, is peeled off with its true
+    order, size, tail and input size.  Either bullet may fail on them."""
+    remaining, parts = set(v.support), []
+    while remaining:
+        I, k = picks[len(parts) % len(picks)]
+        groups = {}
+        for t in remaining:
+            groups.setdefault(tuple(t[i - 1] for i in I), set()).add(t)
+        alpha = sorted(groups)[k % len(groups)]
+        part = frozenset(groups[alpha])
+        parts.append(entropy.DensityPart(len(parts) + 1, I, alpha, part, len(part),
+                                         len(remaining), v.size))
+        remaining -= part
+    return parts
+
+
+@st.composite
+def _lemma_cases(draw):
+    """(v, parts, delta): v on J <= 4 blocks of [m], parts either the
+    partition's own or peeled by random groupings in random order."""
+    m = draw(st.sampled_from([3, 4, 8]), label="m")
+    n = draw(st.integers(1, 4), label="n")
+    delta = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 2), D]), label="delta")
+    points = draw(st.sets(st.tuples(*[st.integers(1, m)] * n), min_size=1, max_size=40),
+                  label="points")
+    v = SetVar(points, m)
+    if draw(st.booleans(), label="own partition"):
+        return v, density_restoring_partition(v, delta), delta
+    picks = draw(st.lists(st.tuples(st.sets(st.integers(1, n)).map(lambda I: tuple(sorted(I))),
+                                    st.integers(0, 40)), min_size=1, max_size=6), label="picks")
+    return v, _peel_groups(v, picks), delta
+
+
+# {1,2,3} in [4] as one part fixed on nothing is not 9/10-dense, and its
+# deficiency bullet holds with equality; peeling {1} first from all of [4]
+# fails the deficiency bullet, 4/4 > 4^(-1/10).
+_DENSITY_FAILS = (singles({1, 2, 3}, 4), [((), 0)], D, [(False, True)])
+_DEFICIENCY_FAILS = (singles({1, 2, 3, 4}, 4), [((1,), 0)], D,
+                     [(True, False), (True, True), (True, True), (True, True)])
+
+
+@pytest.mark.parametrize("v, picks, delta, verdicts", [_DENSITY_FAILS, _DEFICIENCY_FAILS],
+                         ids=["density-fails", "deficiency-fails"])
+def test_lemma_verdicts_pinned_failures(v, picks, delta, verdicts):
+    parts = _peel_groups(v, picks)
+    report = verify_partition_lemma(v, parts, delta)
+    assert [(c.density_ok, c.deficiency_ok) for c in report.parts] == verdicts
+    assert _fraction_verdicts(v, parts, delta) == verdicts
+    assert report.is_partition and not report.ok
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_lemma_cases())
+@example(case=(_DENSITY_FAILS[0], _peel_groups(*_DENSITY_FAILS[:2]), D))
+@example(case=(_DEFICIENCY_FAILS[0], _peel_groups(*_DEFICIENCY_FAILS[:2]), D))
+def test_lemma_verdicts_match_the_fraction_reference(case):
+    """Each part's two verdicts, passes and failures alike, are the ones the
+    Fraction arithmetic gives."""
+    v, parts, delta = case
+    report = verify_partition_lemma(v, parts, delta)
+    assert [(c.density_ok, c.deficiency_ok) for c in report.parts] == _fraction_verdicts(
+        v, parts, delta)
 
 
 def test_setvar_validation():
