@@ -230,8 +230,8 @@ def cmd_refine(args):
             if not ok and bad is None:
                 bad = (idx, kind)
         rows.append([idx, kind, str(node.rho), len(node.rect.X), node.rect.Y.size,
-                     entropy.log2_float(node.def_y), entropy.log2_float(node.potential),
-                     int(ok)])
+                     entropy.log2_float(node.def_y),
+                     entropy.log2_float((2 ** node.free_bits, len(node.rect.X))), int(ok)])
     if bad is not None:
         raise Violation("structured-rectangle invariant",
                         f"iteration node {bad[0]} ({bad[1]}) of {args.fixture}")

@@ -41,13 +41,13 @@ def as_fraction(x) -> Fraction:
 
     Fraction(0.9) would be the exact binary float 0.9000000000000000222...,
     which is never what a caller means by a density rate, so floats are read
-    back from str().  A Fraction is immutable and is returned as is.
+    back from str().  A Fraction is returned as is; the rest go to parse_rational.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         return Fraction(str(x))
-    return Fraction(x)
+    return parse_rational(x)
 
 
 def as_rate(delta) -> Fraction:

@@ -185,7 +185,7 @@ def leaf_rectangles(pt: ProtocolTree, pair_budget: int = PAIR_BUDGET_DEFAULT) ->
     """
     G = pt.G
     out = {}
-    empty = ExplicitBobSet(G.n, G.m, ())
+    empty = ExplicitBobSet._of_bits(G.n, G.m, 0)
 
     def walk(node, t, X, Y):
         if isinstance(node, PLeaf):
@@ -323,14 +323,9 @@ def dt_to_protocol(T, G: ComposedInstance):
 # --- refined protocols ---
 
 class _RNode:
-    """A refined node's ratios, read from its integers and rectangle on use."""
+    """A refined node's Bob deficiency, read from its rectangle on use."""
 
     __slots__ = ()
-
-    @property
-    def potential(self) -> Fraction:
-        """2^free_bits / |X|: log2 is D(X) on the free blocks."""
-        return Fraction(2 ** self.free_bits, len(self.rect.X))
 
     @property
     def def_y(self) -> Fraction:
@@ -343,7 +338,8 @@ class RLeaf(_RNode):
     rect: Rect
     rho: PartialAssignment
     value: object
-    free_bits: int        # log m * |free|: the potential's power of 2
+    free_bits: int        # log m * |free|: the potential 2^free_bits / |X|
+    transcript: tuple     # the refined messages that reach this leaf
     _slice_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -398,25 +394,19 @@ class RefinedProtocol:
         self.root = root
         self.source = source
 
-    def traverse(self):
-        """(refined transcript, node) for every node, depth first from a
-        stack: children are pushed in b, part and s order, so the last pushed
-        comes out first."""
-        stack = [((), self.root)]
-        while stack:
-            t, node = stack.pop()
-            yield t, node
-            if isinstance(node, RBob):
-                stack.extend((t + (("b", b),), c)
-                             for b, c in node.children.items() if c is not None)
-            elif isinstance(node, RAlice):
-                stack.extend((t + (("b", b), ("i", part.order), ("s", s)), c)
-                             for b, parts in node.branches.items() if parts is not None
-                             for part in parts
-                             for s, c in part.s_children.items() if c is not None)
-
     def iter_nodes(self):
-        return (node for _, node in self.traverse())
+        """Every node once, depth first from a stack: children are pushed in
+        b, part and s order, so the last pushed comes out first."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, RBob):
+                stack.extend(c for c in node.children.values() if c is not None)
+            elif isinstance(node, RAlice):
+                stack.extend(c for parts in node.branches.values() if parts is not None
+                             for part in parts
+                             for c in part.s_children.values() if c is not None)
 
     def leaves(self) -> tuple:
         """(refined transcript, leaf) pairs, listed on first use and kept."""
@@ -424,7 +414,7 @@ class RefinedProtocol:
 
     @cached_property
     def _leaves(self) -> tuple:
-        return tuple((t, nd) for t, nd in self.traverse() if isinstance(nd, RLeaf))
+        return tuple((nd.transcript, nd) for nd in self.iter_nodes() if isinstance(nd, RLeaf))
 
     @cached_property
     def count_cost(self) -> int:
@@ -438,7 +428,8 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
            pair_budget: int = PAIR_BUDGET_DEFAULT) -> RefinedProtocol:
     """Build the refined protocol: Bob bits split Y; Alice bits split X, then a
     density-restoring partition of X on the free blocks is announced, and Bob
-    pins the pointed-to bits, extending the partial assignment.
+    pins the pointed-to bits, extending the partial assignment.  Each leaf
+    keeps the refined transcript that reaches it.
 
     Children whose rectangle would be empty are recorded as absent (None): the
     simulator treats an absent bit-fixing child as an impossible message.
@@ -448,16 +439,16 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
     k = G.log_m
     m = G.m
 
-    def build(v, X, Y, rho):
+    def build(v, X, Y, rho, t):
         free_bits = k * len(rho.free)
         rect = Rect(X, Y)
         if isinstance(v, PLeaf):
-            return RLeaf(rect, rho, v.value, free_bits)
+            return RLeaf(rect, rho, v.value, free_bits, t)
         if v.owner == BOB:
             y0, y1 = _split_bob(Y, v.fn)
             children = {
-                0: build(v.zero, X, y0, rho) if y0 is not None else None,
-                1: build(v.one, X, y1, rho) if y1 is not None else None,
+                0: build(v.zero, X, y0, rho, t + (("b", 0),)) if y0 is not None else None,
+                1: build(v.one, X, y1, rho, t + (("b", 1),)) if y1 is not None else None,
             }
             return RBob(rect, rho, v.fn, children, free_bits)
         branches = {}
@@ -469,10 +460,11 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
             sv = entropy.SetVar(Xb, m, rho.free)
             branches[b] = parts = []
             for dp in entropy.density_restoring_partition(sv, delta):
+                sent = t + (("b", b), ("i", dp.order))
                 s_children = {
                     s: None if Ys is None else build(
                         v.child(b), dp.support, Ys,
-                        rho.assign(dp.coords, map(int, s)))
+                        rho.assign(dp.coords, map(int, s)), sent + (("s", s),))
                     for s, Ys in Y.split(tuple(zip(dp.coords, dp.alpha))).items()
                 }
                 parts.append(RPart(dp.order, dp.coords, dp.alpha, dp.support,
@@ -481,7 +473,7 @@ def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,
         return RAlice(rect, rho, v.fn, branches, free_bits)
 
     root = build(pt.root, G.full_X(pair_budget), _root_bob_set(pt, pair_budget),
-                 PartialAssignment.free_everywhere(G.n))
+                 PartialAssignment.free_everywhere(G.n), ())
     return RefinedProtocol(G, root, pt)
 
 

@@ -262,8 +262,8 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
     NODE_BUDGET nodes.  A Bob bit b is one Edge of weight |Y^b|; an Alice bit
     b is a Draw of total |X^b| over its parts, each an Edge of weight |X^i|.
     A path's weight is carried as an integer pair (num, den), made one
-    Fraction at its event.  A ledger row does not depend on s, so it is built
-    once per edge."""
+    Fraction at its event; a leaf's event holds the leaf's own transcript.  A
+    ledger row does not depend on s, so it is built once per edge."""
     cap = cfg.cap_bits(rp.G.n)
     query_cap = cfg.query_cap
     events = []
@@ -273,34 +273,34 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
         events.append(WalkEvent(Fraction(num, den), *fields))
         return events[-1]
 
-    def land(node, coords, s, child, num, den, q, t, ledger):
+    def land(node, coords, s, child, num, den, q, ledger):
         """The walk on child after answer s on coords, or its bottom:
         impossible-s when the child is absent, the strict-ZPP cutoff when its
         Bob deficiency passes cap bits, i.e. its def_y ratio exceeds 2^cap."""
         if child is not None and not (cfg.strict_zpp and cmp_pow(child.def_y, 2, cap) > 0):
-            return walk(child, num, den, q, t, ledger)
+            return walk(child, num, den, q, ledger)
         return event(num, den, node.rho.assign(coords, map(int, s)), BOT, BOT, q,
                      IMPOSSIBLE_S if child is None else DEFICIENCY_CUTOFF, ledger)
 
-    def walk(node, num, den, q, t, ledger):
+    def walk(node, num, den, q, ledger):
         """Fold node's subtree into events; return its Draw, or its event at a leaf."""
         if (visited := next(visits)) > NODE_BUDGET:
             raise ResourceError("walk law traversal", visited, NODE_BUDGET)
         if isinstance(node, RLeaf):
-            return event(num, den, node.rho, t, node.value, q, None, ledger)
+            return event(num, den, node.rho, node.transcript, node.value, q, None, ledger)
         it, total = len(ledger) + 1, len(node.rect.X)
         before = (node.free_bits, total)
         if isinstance(node, RBob):
             ytotal = node.rect.Y.size
             return Draw(ytotal, [
                 Edge(c.rect.Y.size, (), {"": land(
-                    node, (), "", c, num * c.rect.Y.size, den * ytotal, q, t + (("b", b),),
+                    node, (), "", c, num * c.rect.Y.size, den * ytotal, q,
                     ledger + (LedgerRow(it, 0, UNIT, UNIT, before,
                                         (c.free_bits, len(c.rect.X))),))})
-                for b, c in node.children.items() if c is not None])
+                for c in node.children.values() if c is not None])
         den *= total
         bits = []              # one Draw per present bit, in b order
-        for b, parts in node.branches.items():
+        for parts in node.branches.values():
             if parts is None:
                 continue
             wb = sum(len(part.X) for part in parts)
@@ -319,15 +319,13 @@ def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:
                 path = ledger + (LedgerRow(it, len(coords), gamma,
                                            (part.input_size, part.tail_size), before,
                                            (part.free_bits, wi)),)
-                sent = t + (("b", b), ("i", part.order))
                 edges.append(Edge(wi, coords, {
-                    s: land(node, coords, s, c, num * wi, den, q + coords,
-                            sent + (("s", s),), path)
+                    s: land(node, coords, s, c, num * wi, den, q + coords, path)
                     for s, c in part.s_children.items()}))
             bits.append(Draw(wb, edges))
         return Draw(total, bits)
 
-    root = walk(rp.root, 1, 1, (), (), ())
+    root = walk(rp.root, 1, 1, (), ())
     del walk, land             # they close over each other: free the events with the law
     by_rho = {}
     for e in events:

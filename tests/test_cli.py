@@ -145,6 +145,26 @@ def test_refine_reports_invariant(capsys):
     assert rep["iteration_nodes"] == 1 and rep["leaves"] == 4
 
 
+# sha256 of refine's nodes.csv and report.json: nodes.csv lists every refined
+# node in iter_nodes order with its rho, |X|, |Y|, def_y and potential bits
+_REFINE_OUTPUTS = {
+    ("builtin:bob-first", "8"): (
+        "9c77167a2793ffe821987d6aa31d3ed476464e3afddd630027154911d2f9923a",
+        "365451766b30dad82731608e5ba0101ed7265a0c22fe8fbf2f1cace1cc5238d0"),
+    ("builtin:one-bit", "16"): (
+        "b72e4d6a59a24cdb56ed9d57d5a78363aa9735d6ef9897f77194d4563e7a1595",
+        "ae42fb13f96a7c426082b7eb848ba02eece0a80e0a6c9a12ade0eda992282287"),
+}
+
+
+@pytest.mark.parametrize("fixture, m", sorted(_REFINE_OUTPUTS))
+def test_refine_outputs_are_pinned(capsys, tmp_path, fixture, m):
+    code, _, _ = run(capsys, "refine", "--fixture", fixture, "--m", m, "--out", str(tmp_path))
+    assert code == 0
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("nodes.csv", "report.json")) == _REFINE_OUTPUTS[fixture, m]
+
+
 def test_simulate_ledger_and_dists(capsys):
     code, out, _ = run(capsys, "simulate", "--fixture", "builtin:one-bit",
                        "--m", "2", "--samples", "100", "--seed", "1")

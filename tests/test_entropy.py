@@ -14,6 +14,7 @@ from liftsim import entropy
 from liftsim.entropy import (
     SetVar,
     as_fraction,
+    as_rate,
     cmp_pow,
     deficiency,
     density_restoring_partition,
@@ -24,6 +25,7 @@ from liftsim.entropy import (
     violation_threshold,
 )
 from liftsim.errors import DomainError, ResourceError
+from liftsim.simulate import SimConfig
 
 D = Fraction(9, 10)
 
@@ -104,6 +106,16 @@ def test_parse_rational_refuses_only_long_exponents(mantissa, e, sign, zeros, ex
     else:
         with pytest.raises(DomainError, match="exponent"):
             parse_rational(text)
+
+
+def test_as_fraction_and_rates_refuse_long_exponents():
+    """A str reaches Fraction only through parse_rational's exponent guard,
+    so a config's rate or cap cannot build 10^10000."""
+    for read in (as_fraction, as_rate, lambda x: SimConfig(deficiency_cap=x)):
+        for text in ("1e10000", "1e-10000"):
+            with pytest.raises(DomainError, match="exponent"):
+                read(text)
+    assert as_fraction("1e9999") == 10 ** 9999 and as_rate("1e-9999") == Fraction(1, 10 ** 9999)
 
 
 def test_parse_rational_numbers_and_underscores():

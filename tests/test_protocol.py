@@ -1,5 +1,6 @@
 """Protocol trees, refinement, decision trees, and conversion tests."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -184,6 +185,16 @@ def test_leaf_rectangles_partition_property():
         assert count == g.alice_size * g.bob_size
 
 
+def test_leaf_rectangles_do_not_write_out_the_bob_domain():
+    """An empty Bob side is the mask 0, built without listing the 2^(nm)
+    Bob inputs: at n=2, m=32 that list would be 2^64 bits."""
+    [(_, pt)] = sweep_family(2, 32, "bob11-alice1")
+    rects = leaf_rectangles(pt)
+    assert sorted(rects) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(isinstance(r.Y, BobCube) for r in rects.values())
+    assert sum(len(r.X) * r.Y.size for r in rects.values()) == 32 ** 2 * 2 ** 64
+
+
 def test_root_bob_set_one_rule():
     """refine and leaf_rectangles start from one Bob set: the cube when every
     Bob map is a bit readout, whatever the budget; else the explicit domain,
@@ -251,16 +262,23 @@ _RANDOM_PROTOCOLS = dict(proto_seed=st.integers(0, 2 ** 32 - 1),
 @settings(max_examples=25, deadline=None, database=None)
 @given(**_RANDOM_PROTOCOLS)
 def test_run_refined_matches_run_protocol_exhaustively(proto_seed, shape, depth):
+    """run_refined, which builds its own transcript, agrees with the source
+    protocol, and reaches the leaf that holds the same transcript."""
     n, m = shape
     g = G(n, m)
     pt = random_protocol(random.Random(proto_seed), g, depth)
     rp = refine(pt, D)
+    leaves = dict(rp.leaves())
+    assert all(t is leaf.transcript for t, leaf in rp.leaves())
     for xs in g.alice_domain():
         for ys in g.bob_domain():
             t, v = run_protocol(pt, xs, ys)
             rt, rv = run_refined(rp, xs, ys)
             assert v == rv
             assert project_transcript(rt) == t
+            leaf = leaves[rt]
+            assert leaf.transcript == rt and leaf.value == rv
+            assert xs in leaf.rect.X and leaf.rect.Y.contains(ys)
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -273,7 +291,8 @@ def test_refined_potentials_match_their_formula(proto_seed, shape, depth):
     rp = refine(random_protocol(random.Random(proto_seed), g, depth), D)
     for node in rp.iter_nodes():
         free = len(node.rho.free)
-        assert node.potential == Fraction(2 ** (g.log_m * free), len(node.rect.X))
+        assert (Fraction(2 ** node.free_bits, len(node.rect.X))
+                == Fraction(2 ** (g.log_m * free), len(node.rect.X)))
         if not isinstance(node, RAlice):
             continue
         for parts in node.branches.values():
@@ -282,7 +301,30 @@ def test_refined_potentials_match_their_formula(proto_seed, shape, depth):
                 assert potential == Fraction(
                     2 ** (g.log_m * (free - len(part.coords))), len(part.X))
                 for child in part.s_children.values():
-                    assert child is None or child.potential == potential
+                    assert (child is None
+                            or Fraction(2 ** child.free_bits, len(child.rect.X)) == potential)
+
+
+# (kind, rho, |X|, |Y|) of each node iter_nodes lists for the n=2 sweep
+# member bob11-alice2-bob22 at m=16: 255 lines "kind,rho,x,y", sha256
+_BOB11_ALICE2_BOB22_M16_NODES = (
+    255, "cd39208737e6daaf667fef50e623ab2095d3c241c311eadf2e1d1ceb6943939f")
+
+
+def test_refined_node_order_is_pinned():
+    """iter_nodes lists nodes depth first, children pushed in b, part and s
+    order, so the last pushed comes out first; the refine command writes
+    nodes.csv in this order."""
+    [(_, pt)] = sweep_family(2, 16, "bob11-alice2-bob22")
+    rp = refine(pt, D)
+    assert isinstance(rp.root.rect.Y, BobCube)
+    nodes = [(type(nd).__name__, str(nd.rho), len(nd.rect.X), nd.rect.Y.size)
+             for nd in rp.iter_nodes()]
+    assert nodes[:4] == [("RBob", "**", 256, 2 ** 32), ("RAlice", "**", 256, 2 ** 31),
+                         ("RBob", "11", 1, 2 ** 29), ("RLeaf", "11", 1, 2 ** 28)]
+    text = "\n".join(",".join(map(str, row)) for row in nodes)
+    assert ((len(nodes), hashlib.sha256(text.encode()).hexdigest())
+            == _BOB11_ALICE2_BOB22_M16_NODES)
 
 
 def test_refined_iteration_nodes_are_structured():
@@ -328,7 +370,8 @@ def _assert_same_refinement(a, b):
     assert type(a) is type(b)
     assert a.rect.X == b.rect.X and a.rho == b.rho
     assert a.rect.Y.materialize() == b.rect.Y.materialize()
-    assert a.def_y == b.def_y and a.potential == b.potential
+    assert a.def_y == b.def_y
+    assert Fraction(2 ** a.free_bits, len(a.rect.X)) == Fraction(2 ** b.free_bits, len(b.rect.X))
     if isinstance(a, RLeaf):
         assert a.value == b.value
         return

@@ -504,6 +504,24 @@ def test_strict_zpp_gate_on_emitted_transcripts():
             assert is_structured(leaf.rect, leaf.rho, CFG.delta, G)
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(proto_seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from([(1, 2), (1, 4), (2, 2)]),
+       depth=st.integers(1, 4), query_cap=st.sampled_from([None, 1, 2]))
+def test_leaf_events_hold_their_leaf_transcripts(proto_seed, shape, depth, query_cap):
+    """On a protocol that sends at least one message, every leaf event of the
+    law holds its leaf's own transcript object: the walk and the count oracle
+    key on the same tuples."""
+    protocols = [pt for _, pt in sweep_family(*shape)]
+    for pt in [random_protocol(random.Random(proto_seed), instance(*shape), depth)] + protocols:
+        rp = refine(pt, CFG.delta)
+        leaves = dict(rp.leaves())
+        law = walk_law(rp, SimConfig(query_cap=query_cap))
+        reached = [e for e in law.events if e.failure is None]
+        assert reached or query_cap is not None
+        for e in reached:
+            assert e.transcript and e.transcript is leaves[e.transcript].transcript
+
+
 def test_query_cap():
     rp = refine(one_bit_fixture(), CFG.delta)
     capped = SimConfig(query_cap=1)
