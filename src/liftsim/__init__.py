@@ -72,6 +72,7 @@ from .simulate import (
     protocol_to_dt,
     simulate_exact,
     simulate_sample,
+    simulate_samples,
     walk_law,
 )
 

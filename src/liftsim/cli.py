@@ -271,18 +271,21 @@ def cmd_simulate(args):
                         f"and {sum(r.queries for r in failed[0])} queries")
     # a sample is one of the law's events, so identity finds its ledger
     on_path = {id(e.ledger) for e in law.events}
-    per_z = {}
-    sample_rows = []
-    for z in _z_values(args.z, pt.G.n):
-        zs = "".join(map(str, z))
-        exact = sim.simulate_exact(law, z)
-        counts = {}
-        for i in range(args.samples):
-            out = sim.simulate_sample(law, z, seed=args.seed + i)
+    z_values = _z_values(args.z, pt.G.n)
+    z_strs = ["".join(map(str, z)) for z in z_values]
+    counts_per_z = [{} for _ in z_values]
+    seeds = range(args.seed, args.seed + args.samples) if args.samples > 0 else ()
+    # one seed's runs on every z share its stream, so samples are the outer loop
+    for i, outs in enumerate(sim.simulate_samples(law, z_values, seeds)):
+        for zs, counts, out in zip(z_strs, counts_per_z, outs):
             if id(out.ledger) not in on_path:
                 raise Violation("per-run potential ledger",
                                 f"z={zs} sample {i}", seed=args.seed + i)
             counts[out.transcript] = counts.get(out.transcript, 0) + 1
+    per_z = {}
+    sample_rows = []
+    for z, zs, counts in zip(z_values, z_strs, counts_per_z):
+        exact = sim.simulate_exact(law, z)
         for o, c in sorted(counts.items(), key=lambda kv: transcript_str(kv[0])):
             sample_rows.append([zs, transcript_str(o), c, args.samples,
                                 float(exact.transcripts.prob(o))])

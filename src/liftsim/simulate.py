@@ -21,12 +21,13 @@ simulate_exact sums those of one z.  A node's path fixes its q and iteration
 number, so its moves depend only on the node and the config: the law also
 keeps each node's integer draw weights and each edge's landing for every s,
 down to the leaf or bottom event that holds the run's transcript, value and
-ledger.  simulate_sample draws one run on one z from those draws and returns
-the law's event it reaches.  A ledger row depends only on its edge, so the
-law's ledgers are every ledger a run can carry; ledger_exact checks each
-distinct one once, and the CLI's "ledger_checks_passed" asserts that all pass
-and that every sampled run's ledger is one of them.  protocol_to_dt realizes
-the same draws as an explicit mixture of decision trees.
+ledger.  simulate_samples draws one run per seed on each of several z from
+those draws and yields the law's events they reach; a seed's runs share one
+stream until an answer s parts them.  A ledger row depends only on its edge,
+so the law's ledgers are every ledger a run can carry; ledger_exact checks
+each distinct one once, and the CLI's "ledger_checks_passed" asserts that all
+pass and that every sampled run's ledger is one of them.  protocol_to_dt
+realizes the same draws as an explicit mixture of decision trees.
 """
 
 from __future__ import annotations
@@ -238,22 +239,49 @@ def _pick(rng, draw: Draw):
             return entry
 
 
+def simulate_samples(law: WalkLaw, zs, seeds):
+    """For each seed in order, one reproducible run of the walk on each z of
+    zs from random.Random(seed), yielded as the tuple of the law's events
+    they reach.  A run reads the law's draws: one _pick at a Bob node, two
+    (the bit, then the part) at an Alice node, each taken with exactly its
+    rational probability; every seeded report depends on this draw order.
+    The draws never read z, so one seed's runs share one stream until an
+    answer s parts them.  The first part that keeps drawing keeps the
+    stream; each other one walks again from the root on a fresh
+    Random(seed), so each z consumes exactly its own seeded stream."""
+    zs = ["".join(map(str, law.G.check_z(z))) for z in zs]
+    for seed in seeds:
+        events = [law.root] * len(zs)
+        pending = [range(len(zs))] if isinstance(law.root, Draw) else []
+        while pending:
+            group, node, rng = pending.pop(), law.root, random.Random(seed)
+            while node is not None:
+                edge = _pick(rng, node)
+                if isinstance(edge, Draw):
+                    edge = _pick(rng, edge)
+                if edge.coords:       # the answers s part the group
+                    parts = {}
+                    for k in group:
+                        s = "".join([zs[k][i - 1] for i in edge.coords])
+                        parts.setdefault(s, []).append(k)
+                else:
+                    parts = {"": group}
+                node = None
+                for s, ks in parts.items():
+                    landing = edge.landings[s]
+                    if not isinstance(landing, Draw):
+                        for k in ks:
+                            events[k] = landing
+                    elif node is None:
+                        node, group = landing, ks
+                    else:
+                        pending.append(ks)
+        yield tuple(events)
+
+
 def simulate_sample(law: WalkLaw, z, seed: int) -> WalkEvent:
-    """One reproducible run of the random walk on z, read from the law's
-    draws: one _pick at a Bob node, two (the bit, then the part) at an Alice
-    node, each taken with exactly its rational probability.  Every seeded
-    report depends on this draw order.  The run ends at one of the law's
-    events, which it returns: its queries are the coordinates of the edges
-    it took, its ledger the law's own rows."""
-    zs = "".join(map(str, law.G.check_z(z)))
-    rng = random.Random(seed)
-    node = law.root
-    while isinstance(node, Draw):
-        edge = _pick(rng, node)
-        if isinstance(edge, Draw):
-            edge = _pick(rng, edge)
-        node = edge.landings["".join(zs[i - 1] for i in edge.coords)]
-    return node
+    """The one-z case of simulate_samples: the run on z from Random(seed)."""
+    return next(simulate_samples(law, (z,), (seed,)))[0]
 
 
 def walk_law(rp: RefinedProtocol, cfg: SimConfig) -> WalkLaw:

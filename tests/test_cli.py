@@ -187,20 +187,29 @@ def test_simulate_checks_path_ledgers_without_samples(capsys, monkeypatch):
     assert rep["reproduce_with_seed"] is None
 
 
+def _forge_samples(monkeypatch, forge, pairs):
+    """Patch simulate_samples so that the event it yields for each (seed, z)
+    in pairs is forge(event); every other event is the sampler's own."""
+    samples = simulate.simulate_samples
+
+    def forged(law, zs, seeds):
+        for seed, outs in zip(seeds, samples(law, zs, seeds)):
+            yield tuple(forge(out) if (seed, tuple(z)) in pairs else out
+                        for z, out in zip(zs, outs))
+
+    monkeypatch.setattr(simulate, "simulate_samples", forged)
+
+
+def _off_path(out):
+    """out with one more query on its last ledger row: a ledger no path carries."""
+    last = out.ledger[-1]
+    return out._replace(ledger=out.ledger[:-1] + (last._replace(queries=last.queries + 1),))
+
+
 def test_simulate_refuses_sample_off_every_path(capsys, monkeypatch):
     """A sampled ledger that no path of the refined tree carries is exit 1,
     naming the sample and its seed."""
-    sample = simulate.simulate_sample
-
-    def forged(law, z, seed):
-        out = sample(law, z, seed)
-        if seed == 6:
-            last = out.ledger[-1]
-            row = last._replace(queries=last.queries + 1)
-            out = out._replace(ledger=out.ledger[:-1] + (row,))
-        return out
-
-    monkeypatch.setattr(simulate, "simulate_sample", forged)
+    _forge_samples(monkeypatch, _off_path, {(6, (0,))})
     code, out, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
                          "--m", "8", "--z", "0", "--samples", "2", "--seed", "5")
     assert code == 1
@@ -210,16 +219,22 @@ def test_simulate_refuses_sample_off_every_path(capsys, monkeypatch):
     assert rep["reproduce_with_seed"] == 6
 
 
+def test_simulate_refuses_first_off_path_sample_in_sample_major_order(capsys, monkeypatch):
+    """With --z all the samples are the outer loop: the first bad run named
+    is z=1 at sample 0, not z=0 at sample 1."""
+    _forge_samples(monkeypatch, _off_path, {(5, (1,)), (6, (0,))})
+    code, out, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
+                         "--m", "8", "--z", "all", "--samples", "2", "--seed", "5")
+    assert code == 1
+    assert err == "FAILED per-run potential ledger: z=1 sample 0 (seed 5)\n"
+    assert read_json(out)["reproduce_with_seed"] == 5
+
+
 def test_simulate_refuses_sample_ledger_not_the_laws_own(capsys, monkeypatch):
     """A sample's ledger must be its event's own tuple: an equal copy is
     refused like a forged one, so the lookup never compares rows."""
-    sample = simulate.simulate_sample
-
-    def copied(law, z, seed):
-        out = sample(law, z, seed)
-        return out._replace(ledger=tuple(list(out.ledger)))
-
-    monkeypatch.setattr(simulate, "simulate_sample", copied)
+    _forge_samples(monkeypatch, lambda out: out._replace(ledger=tuple(list(out.ledger))),
+                   {(5, (0,))})
     code, _, err = run(capsys, "simulate", "--fixture", "builtin:bob-first",
                        "--m", "8", "--z", "0", "--samples", "1", "--seed", "5")
     assert code == 1

@@ -1,5 +1,6 @@
 """Simulator walk, exact distribution, ledger, and lifting tests."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -49,6 +50,7 @@ from liftsim.simulate import (
     protocol_to_dt,
     simulate_exact,
     simulate_sample,
+    simulate_samples,
     walk_law,
 )
 
@@ -848,6 +850,73 @@ def test_sampler_seeded_output_pinned():
                     h.update(_outcome_record(out).encode() + b"\n")
     assert reasons == {None, IMPOSSIBLE_S, DEFICIENCY_CUTOFF, QUERY_CAP}
     assert h.hexdigest() == PINNED_SAMPLER_DIGEST
+
+
+def _n3_case():
+    """The n=3, m=4 fixture of the CI rows, refined: its runs on different z
+    part at a query and then keep drawing."""
+    return refine(random_protocol(random.Random(3), instance(3, 4), 3), CFG.delta)
+
+
+def _counted_streams(monkeypatch):
+    """Patch simulate.random.Random with a subclass that records the seed of
+    every stream it opens, and return that list."""
+    opened = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            opened.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(simulate.random, "Random", Counted)
+    return opened
+
+
+def test_shared_walk_matches_one_z_runs(monkeypatch):
+    """simulate_samples on every z in ascending order, on them reversed and
+    on each single z yields, for each seed, the very event simulate_sample
+    returns for that z and seed, which is the reference run's outcome.  The
+    n=3 case parts its runs and keeps drawing, so fresh streams are opened."""
+    seeds = range(12)
+    fresh = False
+    for rp in _walk_cases() + [_n3_case()]:
+        for cfg in PINNED_CONFIGS:
+            law = walk_law(rp, cfg)
+            zs = list(itertools.product((0, 1), repeat=rp.G.n))
+            single = {(z, seed): simulate_sample(law, z, seed) for z in zs for seed in seeds}
+            for (z, seed), out in single.items():
+                assert (out.transcript, out.value, out.failure, out.queries,
+                        out.ledger) == reference_sample(rp, z, cfg, seed)
+            for order in [zs, zs[::-1]] + [[z] for z in zs]:
+                with monkeypatch.context() as patched:
+                    opened = _counted_streams(patched)
+                    runs = list(simulate_samples(law, order, seeds))
+                fresh |= len(opened) > len(seeds)
+                assert len(runs) == len(seeds)
+                for seed, outs in zip(seeds, runs):
+                    assert len(outs) == len(order)
+                    assert all(out is single[z, seed] for z, out in zip(order, outs))
+    assert fresh
+
+
+def test_one_stream_per_seed_until_runs_part(monkeypatch):
+    """A seed's runs on every z share one Random(seed) until an answer parts
+    them.  bob-first's runs part only at their last draw, so each seed opens
+    one stream; the n=3 fixture's keep drawing once parted, and open at most
+    one stream per z and fewer on average.  Seeding once per z fails both."""
+    bob_first = walk_law(refine(bob_first_fixture(8), CFG.delta), CFG)
+    n3 = walk_law(_n3_case(), CFG)
+    opened = _counted_streams(monkeypatch)
+    for _ in simulate_samples(bob_first, [(0,), (1,)], range(50)):
+        pass
+    assert opened == list(range(50))
+    opened.clear()
+    for _ in simulate_samples(n3, list(itertools.product((0, 1), repeat=3)), range(50)):
+        pass
+    per_seed = collections.Counter(opened)
+    assert sorted(per_seed) == list(range(50))
+    assert max(per_seed.values()) <= 8
+    assert len(opened) < 8 * 50
 
 
 # sha256 of protocol_to_dt's components, (weight, tree) in order, for each
