@@ -44,8 +44,8 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
                          pair_budget: int = PAIR_BUDGET_DEFAULT) -> ExactDist:
     """Exact distribution of refined transcripts on a uniform slice input.
 
-    The budget picks the route.  The count reads |slice ∩ leaf rectangle| from
-    each leaf's `slice_counts`, computed on first use and shared by all 2^n
+    The budget picks the route.  The count reads z's row of `rp.slice_table`,
+    |slice ∩ leaf rectangle| per leaf, built once and shared by all 2^n
     values of z; it runs when its cost, `rp.count_cost` (`slice_counts_cost`
     per leaf row, also summed once per protocol), fits.  Otherwise the slice
     is replayed (`replay_transcript_dist`) when it fits, and otherwise
@@ -58,8 +58,7 @@ def true_transcript_dist(rp: RefinedProtocol, z, *,
             raise ResourceError("true transcript distribution",
                                 min(rp.count_cost, total), pair_budget)
         return replay_transcript_dist(rp, z, pair_budget=pair_budget)
-    # leaf transcripts are distinct, so each leaf's count is its transcript's
-    counts = {t: leaf.slice_counts.get(z, 0) for t, leaf in rp.leaves()}
+    counts = rp.slice_table.get(z, {})
     if sum(counts.values()) != total:
         raise DomainError("leaf rectangles failed to cover the slice")
     return ExactDist(counts)

@@ -195,14 +195,11 @@ def random_protocol(rng: random.Random, G: ComposedInstance,
                     max_depth: int) -> ProtocolTree:
     """Random tree shape (each non-root node above max_depth is a leaf with
     probability 1/4) with random extensional node maps and random leaf bits."""
-    alice_domain = list(G.alice_domain())
-    bob_domain = list(G.bob_domain())
-
     def build(d):
         if d >= max_depth or (d > 0 and rng.random() < 0.25):
             return PLeaf(rng.randint(0, 1))
-        owner, domain = (ALICE, alice_domain) if rng.random() < 0.5 else (BOB, bob_domain)
-        fn = TableFn(G, owner, "".join(str(rng.randint(0, 1)) for _ in domain))
+        owner, size = (ALICE, G.alice_size) if rng.random() < 0.5 else (BOB, G.bob_size)
+        fn = TableFn(G, owner, "".join(str(rng.randint(0, 1)) for _ in range(size)))
         return PNode(owner, fn, build(d + 1), build(d + 1))
 
     return ProtocolTree(G, build(0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -340,16 +340,6 @@ class RLeaf(_RNode):
     value: object
     free_bits: int        # log m * |free|: the potential 2^free_bits / |X|
     transcript: tuple     # the refined messages that reach this leaf
-    _slice_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def slice_counts(self) -> dict:
-        """{z: |G^-1(z) ∩ rect|}, computed on first use and kept in
-        `_slice_counts`: refinement does not depend on z, so every z's count
-        oracle shares one pass."""
-        if self._slice_counts is None:
-            self._slice_counts = self.rect.Y.slice_counts(self.rect.X)
-        return self._slice_counts
 
 
 @dataclass(slots=True)
@@ -422,6 +412,18 @@ class RefinedProtocol:
         on first use and kept: it does not depend on z."""
         return sum(len(leaf.rect.X) * leaf.rect.Y.slice_counts_cost
                    for _, leaf in self._leaves)
+
+    @cached_property
+    def slice_table(self) -> dict:
+        """{z: {leaf transcript: |G^-1(z) ∩ leaf rectangle|}}, zero counts left
+        out and leaves in `leaves()` order (leaf transcripts are distinct): the
+        count oracle's one pass over the leaves, built on first use and shared
+        by all 2^n values of z."""
+        table = {}
+        for t, leaf in self._leaves:
+            for z, c in leaf.rect.Y.slice_counts(leaf.rect.X).items():
+                table.setdefault(z, {})[t] = c
+        return table
 
 
 def refine(pt: ProtocolTree, delta=Fraction(9, 10), *,

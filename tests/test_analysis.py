@@ -27,6 +27,7 @@ from liftsim.analysis import (
 )
 from liftsim.core import (
     BOT,
+    BobCube,
     ExplicitBobSet,
     PartialAssignment,
     Rect,
@@ -101,17 +102,30 @@ def test_true_dist_methods_agree(proto_seed, shape, depth):
     *(pt for _, pt in sweep_family(2, 4)),
     random_protocol(random.Random(5), instance(2, 2), 4),
 ], ids=[*(name for name, _ in sweep_family(2, 4)), "random-table"])
-def test_count_memo_shared_across_z(pt):
-    """Each leaf keeps its slice counts for every z: asking one refined
-    protocol for all z in reversed, repeated order gives what a fresh
-    refinement per z gives, and what the slice replay gives."""
+def test_count_memo_shared_across_z(pt, monkeypatch):
+    """One slice table serves every z: asking one refined protocol for all z
+    in reversed, repeated order asks each leaf's Bob set for its slice counts
+    once, and gives what a fresh refinement per z gives, and what the slice
+    replay gives.  Each answer holds its own counts, never the table's."""
     zs = list(itertools.product((0, 1), repeat=2))
     fresh = {z: true_transcript_dist(refine(pt, D), z) for z in zs}
     shared = refine(pt, D)
+    calls = Counter()
+    for cls in (BobCube, ExplicitBobSet):
+        def counted(Y, X, _count=cls.slice_counts):
+            calls[id(Y), id(X)] += 1
+            return _count(Y, X)
+        monkeypatch.setattr(cls, "slice_counts", counted)
     for z in zs[::-1] + zs:
         assert true_transcript_dist(shared, z) == fresh[z]
+    assert calls == Counter((id(leaf.rect.Y), id(leaf.rect.X))
+                            for _, leaf in shared.leaves())
     for z in zs:
         assert fresh[z] == replay_transcript_dist(shared, z)
+        first, again = (true_transcript_dist(shared, z) for _ in range(2))
+        assert first == again
+        assert first.counts is not again.counts
+        assert all(d.counts is not shared.slice_table[z] for d in (first, again))
 
 
 def test_auto_counts_when_the_count_fits_the_budget():
@@ -129,11 +143,11 @@ def test_auto_counts_when_the_count_fits_the_budget():
     assert all(isinstance(leaf.rect.Y, ExplicitBobSet) for leaf in leaves)
     assert sum(len(leaf.rect.X) * leaf.rect.Y.size for leaf in leaves) == 64
     dist = true_transcript_dist(counted, z, pair_budget=64)
-    assert all(leaf._slice_counts is not None for leaf in leaves)
+    assert "slice_table" in counted.__dict__
 
     replayed = refine(pt, D)
     assert true_transcript_dist(replayed, z, pair_budget=63) == dist
-    assert all(leaf._slice_counts is None for _, leaf in replayed.leaves())
+    assert "slice_table" not in replayed.__dict__
     assert dist == replay_transcript_dist(replayed, z)
 
     with pytest.raises(ResourceError) as err:
@@ -201,7 +215,7 @@ def test_count_never_runs_past_the_budget():
     with pytest.raises(ResourceError) as err:
         true_transcript_dist(rp, (0, 1), pair_budget=1)
     assert (err.value.required, err.value.budget) == (1024, 1)
-    assert all(leaf._slice_counts is None for _, leaf in rp.leaves())
+    assert "slice_table" not in rp.__dict__
 
 
 # --- tv distance and support ---

@@ -43,7 +43,7 @@ PARTITION_CODE = {"density_restoring_partition", "_key", "violation_threshold",
 # helper -> why an oracle may call it although it reaches the mask code
 SHARED = {
     "_split_bob": "leaf_rectangles cuts Bob's side with the split refine uses "
-                  "(ROADMAP item 6: the source-protocol reference is still open)",
+                  "(ROADMAP item 8: the source-protocol reference is still open)",
 }
 
 LEDGER_CHECK = "ledger_check"

@@ -443,13 +443,12 @@ def _records(rp):
 def test_refined_records_have_no_dict():
     """A refined tree's records are slotted: no node, part, rectangle,
     partial assignment or Bob set of either kind carries an instance
-    __dict__, also after each leaf's slice counts are read and kept."""
+    __dict__, also after the protocol's slice table is built and kept."""
     rps = [refine(pt, D) for pt in _bit_readout_protocols()]
     rps += [refine(_tabulate_bob_maps(rp.source), D) for rp in rps]
     seen = set()
     for rp in rps:
-        for _, leaf in rp.leaves():
-            assert leaf.slice_counts is leaf.slice_counts
+        assert rp.slice_table is rp.slice_table
         for record in _records(rp):
             assert not hasattr(record, "__dict__"), type(record).__name__
             seen.add(type(record))
